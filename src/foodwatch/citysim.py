@@ -731,21 +731,6 @@ def planted_exposures(
     return tuple(visits), tuple(queries), tuple(planted_counts)
 
 
-def world_to_json(world: World) -> dict:
-    return {
-        "seed": world.seed,
-        "restaurants": [
-            {"restaurant_id": r.restaurant_id, "city": r.city, "risk_level": r.risk_level.value}
-            for r in world.restaurants
-        ],
-        "latent_unsafe": {rid: world.latent_unsafe[rid] for rid in sorted(world.latent_unsafe)},
-        "users": list(world.users),
-        "home_city": {u: world.home_city[u] for u in world.users},
-        "propensity": {u: world.propensity[u] for u in world.users},
-        "cfg": _cfg_to_json(world.cfg),
-    }
-
-
 def _cfg_to_json(cfg: SimConfig) -> dict:
     payload = {}
     for name in cfg.__dataclass_fields__:
@@ -760,31 +745,6 @@ def cfg_from_json(payload: dict) -> SimConfig:
         if isinstance(value, list):
             kwargs[name] = tuple(value)
     return SimConfig(**kwargs)
-
-
-def world_from_json(payload: dict) -> World:
-    return World(
-        restaurants=tuple(
-            RestaurantRecord(r["restaurant_id"], r["city"], RiskLevel(r["risk_level"]))
-            for r in payload["restaurants"]
-        ),
-        latent_unsafe={k: bool(v) for k, v in payload["latent_unsafe"].items()},
-        users=tuple(payload["users"]),
-        home_city=dict(payload["home_city"]),
-        propensity={k: float(v) for k, v in payload["propensity"].items()},
-        cfg=cfg_from_json(payload["cfg"]),
-        seed=int(payload["seed"]),
-    )
-
-
-def save_world(world: World, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(world_to_json(world), fh)
-
-
-def load_world(path: Path) -> World:
-    with open(path, "r", encoding="utf-8") as fh:
-        return world_from_json(json.load(fh))
 
 
 def save_ground_truth(truth: GroundTruth, path: Path) -> None:

@@ -1,9 +1,10 @@
 """Command line interface.
 
-Subcommands mirror the pipeline stages; ``run`` executes everything against
-one artifact directory. Configuration comes from an optional flat key-value
-file plus repeatable ``--set key=value`` overrides (flags win). Exit codes:
-0 success, 1 usage error, 2 data/validation error, 3 numerical failure.
+Subcommands are the pipeline stages, in run order; ``run`` executes all of
+them, the same stage code, against one artifact directory. Configuration
+comes from an optional flat key-value file plus repeatable ``--set
+key=value`` overrides (flags win). Exit codes: 0 success, 1 usage error,
+2 data/validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -45,16 +46,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="foodwatch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (
-        ("simulate", "generate the synthetic city dataset"),
-        ("train-wsm", "weak-label the query stream and train the classifier"),
-        ("eval-wsm", "rater-based evaluation of the trained classifier"),
-        ("rank", "score, link, aggregate, release, and emit daily lists"),
-        ("inspect", "simulate inspections for the daily lists"),
-        ("evaluate", "produce the statistical evaluation tables"),
-        ("report", "render the text report from the evaluation tables"),
-        ("run", "all stages end to end"),
-    ):
+    commands = [(stage.command, stage.help) for stage in pipeline.STAGES]
+    for name, helptext in commands + [("run", "all stages end to end")]:
         p = sub.add_parser(name, help=helptext)
         _add_common(p)
         p.add_argument("--out", type=Path, required=True, help="artifact directory")
@@ -83,24 +76,14 @@ def main(argv: list[str] | None = None) -> int:
             print("\n".join(config_lines(RunConfig())))
             return EXIT_OK
         config = load_config(args)
-        out = args.out
-        if args.command == "simulate":
-            pipeline.stage_simulate(config, out)
-        elif args.command == "train-wsm":
-            pipeline.stage_train(config, out)
-        elif args.command == "eval-wsm":
-            pipeline.stage_eval_wsm(config, out)
-        elif args.command == "rank":
-            pipeline.stage_rank(config, out)
-        elif args.command == "inspect":
-            pipeline.stage_inspect(config, out)
-        elif args.command == "evaluate":
-            pipeline.stage_evaluate(config, out)
-        elif args.command == "report":
-            print(pipeline.stage_report(config, out))
-        elif args.command == "run":
-            manifest = pipeline.run_pipeline(config, out)
-            print(f"run complete: {len(manifest['files'])} artifacts in {out}")
+        if args.command == "run":
+            manifest = pipeline.run_pipeline(config, args.out)
+            print(f"run complete: {len(manifest['files'])} artifacts in {args.out}")
+        else:
+            stage = next(s for s in pipeline.STAGES if s.command == args.command)
+            text = stage(config, args.out)
+            if text is not None:  # the report stage prints what it wrote
+                print(text)
         return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,10 +1,12 @@
 """End-to-end orchestration: simulate, label, train, score, link, aggregate,
 release, rank, inspect, evaluate, report.
 
-Each stage has a pure compute function plus a file-backed wrapper, so the
-all-in-one ``run`` and the stage-by-stage CLI produce identical artifacts.
-A run directory is self-describing: every emitted file is listed in
-``manifest.json`` with its checksum, alongside the seed and config hash.
+Each stage has a pure compute function plus a file-backed wrapper. ``STAGES``
+lists the wrappers in order; ``run`` calls each of them, as the stage-by-stage
+CLI does, so both execute the same stage code. Stages share their inputs
+through a :class:`Run`. A run directory is self-describing: every emitted
+file is listed in ``manifest.json`` with its checksum, alongside the seed and
+config hash.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 from dataclasses import dataclass
 from datetime import date as Date, datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 from . import report as report_mod
 from .citysim import (
@@ -32,7 +35,7 @@ from .citysim import (
     _cfg_to_json,
 )
 from .config import RunConfig, config_hash
-from .errors import DataError, FoodwatchError
+from .errors import DataError, DataFormatError, FoodwatchError
 from .locmodel import (
     ExposureLink,
     Period,
@@ -46,6 +49,7 @@ from .logdata import (
     Dataset,
     DatasetPaths,
     InspectionRecord,
+    RestaurantRecord,
     RiskLevel,
     Trigger,
     load_dataset,
@@ -54,7 +58,14 @@ from .logdata import (
     write_dataset,
     write_inspections,
 )
-from .privacy import PrivacyPolicy, anonymize_ids, cap_contributions, release
+from .privacy import (
+    PrivacyPolicy,
+    ReleasedAggregate,
+    anonymize_ids,
+    cap_contributions,
+    exact_counts,
+    release,
+)
 from .raters import krippendorff_alpha, majority_labels
 from .seeding import derive_seed
 from .stats import (
@@ -96,21 +107,6 @@ def private_dir(out: Path) -> Path:
     return Path(out) / "private"
 
 
-def _stage(name: str):
-    def wrap(fn):
-        def inner(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except FoodwatchError as exc:
-                raise type(exc)(f"stage {name}: {exc}") from exc
-
-        inner.__name__ = fn.__name__
-        inner.__doc__ = fn.__doc__
-        return inner
-
-    return wrap
-
-
 # --- world persistence (recipe only: no user ids, no latent dump) -----------
 
 
@@ -125,6 +121,105 @@ def load_world_recipe(path: Path) -> World:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     return generate_world(cfg_from_json(payload["cfg"]), int(payload["seed"]))
+
+
+# --- the run: one artifact directory and the inputs its stages share ---------
+
+LINKS_HEADER = ["user_id", "restaurant_id", "visit_exit_ts", "first_positive_query_ts", "recency_rank"]
+
+
+def _read_artifact(path: Path, read: Callable[[Path], object]):
+    """``read(path)``, with any malformed content reported as a data error
+    that names the file."""
+    try:
+        return read(path)
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise DataFormatError(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from exc
+
+
+def _read_rows(path: Path, header: list[str], parse: Callable[[list[str]], object]) -> tuple:
+    """One parsed record per data row of a pipeline CSV; a bad row is a data
+    error that names the file and line."""
+    found, rows = report_mod.read_csv(path)
+    if found != header:
+        raise DataFormatError(f"{path}:1: expected header {','.join(header)}")
+    records = []
+    for lineno, row in enumerate(rows, start=2):  # the writer emits no blank lines
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            records.append(parse(row))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+    return tuple(records)
+
+
+def _parse_link(row: list[str]) -> ExposureLink:
+    return ExposureLink(row[0], row[1], int(row[2]), int(row[3]), int(row[4]))
+
+
+def _parse_daily_row(row: list[str]) -> tuple:
+    Date.fromisoformat(row[0])  # rejects a malformed date here, with its line
+    return tuple(row)
+
+
+class Run:
+    """An artifact directory and the inputs its stages share.
+
+    Each input is read from disk on first use and then kept; a stage that
+    produces one keeps it here instead, so later stages of the same run do
+    not read it back. ``run_pipeline`` passes one run to all its stages, so
+    ``run`` loads the dataset once; a single stage command gets a fresh run.
+    """
+
+    def __init__(self, out: Path):
+        self.out = Path(out)
+        self._inputs: dict[str, object] = {}
+
+    @classmethod
+    def of(cls, out: Path | Run) -> Run:
+        """``out`` itself if it is a run, else a fresh run on the directory."""
+        return out if isinstance(out, Run) else cls(out)
+
+    def keep(self, **inputs) -> None:
+        self._inputs.update(inputs)
+
+    def _input(self, name: str, path: Path, read: Callable[[Path], object]):
+        if name not in self._inputs:
+            self._inputs[name] = _read_artifact(path, read)
+        return self._inputs[name]
+
+    @property
+    def dataset(self) -> Dataset:
+        return self._input(
+            "dataset", dataset_dir(self.out), lambda d: load_dataset(DatasetPaths.in_dir(d))
+        )
+
+    @property
+    def model(self):
+        return self._input("model", self.out / MODEL_FILE, load_model)
+
+    @property
+    def world(self) -> World:
+        return self._input("world", private_dir(self.out) / WORLD_FILE, load_world_recipe)
+
+    @property
+    def links(self) -> tuple[ExposureLink, ...]:
+        return self._input(
+            "links", self.out / LINKS_CSV, lambda p: _read_rows(p, LINKS_HEADER, _parse_link)
+        )
+
+    @property
+    def daily_rows(self) -> tuple[tuple, ...]:
+        return self._input(
+            "daily_rows",
+            self.out / report_mod.DAILY_LISTS_CSV,
+            lambda p: _read_rows(p, report_mod.DAILY_LIST_HEADER, _parse_daily_row),
+        )
+
+    @property
+    def all_inspections(self) -> tuple[InspectionRecord, ...]:
+        return self._input("all_inspections", self.out / ALL_INSPECTIONS_CSV, load_inspections)
 
 
 # --- pure compute steps ------------------------------------------------------
@@ -215,13 +310,28 @@ class DailyOutputs:
     daily_rows: tuple[tuple, ...]  # daily_lists.csv rows (the shortlists)
 
 
+def _list_row(list_date: str, rec: RestaurantRecord, cell: ReleasedAggregate) -> tuple:
+    """A daily_lists.csv row; released_aggregates.csv adds the suppressed flag."""
+    return (
+        list_date,
+        rec.restaurant_id,
+        rec.city,
+        rec.risk_level.value,
+        cell.visitors,
+        cell.affected,
+        cell.proportion,
+        cell.signal,
+    )
+
+
 def compute_daily_lists(
     config: RunConfig,
     dataset: Dataset,
     links: tuple[ExposureLink, ...],
 ) -> DailyOutputs:
-    """Per-day aggregation over a trailing window, privacy release, ranking,
-    and per-city shortlist selection with a listing cooldown."""
+    """Per-day aggregation over a trailing window, privacy release (or exact
+    counts with privacy off), ranking, and per-city shortlist selection with
+    a listing cooldown."""
     registry = dataset.registry()
     policy = PrivacyPolicy(
         epsilon=config.privacy.epsilon,
@@ -239,58 +349,23 @@ def compute_daily_lists(
         aggregates = aggregate_restaurants(dataset.visits, links, window)
         list_date = day_to_date(day + 1).isoformat()  # delivered next morning
         if config.privacy.enabled:
-            released = release(aggregates, policy, derive_seed(config.seed, "privacy", day))
-            candidates = [r for r in released.values() if not r.suppressed]
-            for rid in sorted(released):
-                rel = released[rid]
-                rec = registry[rid]
-                if rel.suppressed:
-                    released_rows.append(
-                        (list_date, rid, rec.city, rec.risk_level.value, None, None, None, None, True)
-                    )
-                else:
-                    released_rows.append(
-                        (
-                            list_date,
-                            rid,
-                            rec.city,
-                            rec.risk_level.value,
-                            rel.noised_visitors,
-                            rel.noised_affected,
-                            rel.released_proportion,
-                            rel.signal,
-                            False,
-                        )
-                    )
+            cells = release(aggregates, policy, derive_seed(config.seed, "privacy", day))
         else:
-            candidates = list(aggregates.values())
-            for rid in sorted(aggregates):
-                agg = aggregates[rid]
-                rec = registry[rid]
-                released_rows.append(
-                    (
-                        list_date,
-                        rid,
-                        rec.city,
-                        rec.risk_level.value,
-                        agg.visitors,
-                        agg.affected,
-                        agg.proportion,
-                        agg.signal,
-                        False,
-                    )
-                )
+            cells = exact_counts(aggregates)
+        for rid in sorted(cells):
+            cell = cells[rid]
+            released_rows.append(_list_row(list_date, registry[rid], cell) + (cell.suppressed,))
 
         if day < config.cli.warmup_days:  # too little data for confident lists
             continue
         ranked = rank_restaurants(
-            candidates,
+            [cell for cell in cells.values() if not cell.suppressed],
             min_visitors=config.locmodel.min_visitors,
             cutoff=config.locmodel.cutoff,
         )
         per_city: dict[str, int] = {}
-        for agg in ranked:
-            rid = agg.restaurant_id
+        for cell in ranked:
+            rid = cell.restaurant_id
             rec = registry[rid]
             if rid in last_listed and day - last_listed[rid] < config.cli.cooldown_days:
                 continue
@@ -298,21 +373,7 @@ def compute_daily_lists(
                 continue
             per_city[rec.city] = per_city.get(rec.city, 0) + 1
             last_listed[rid] = day
-            proportion = (
-                agg.released_proportion if config.privacy.enabled else agg.proportion
-            )
-            daily_rows.append(
-                (
-                    list_date,
-                    rid,
-                    rec.city,
-                    rec.risk_level.value,
-                    agg.visitors,
-                    agg.noised_affected if config.privacy.enabled else agg.affected,
-                    proportion,
-                    agg.signal,
-                )
-            )
+            daily_rows.append(_list_row(list_date, rec, cell))
     return DailyOutputs(released_rows=tuple(released_rows), daily_rows=tuple(daily_rows))
 
 
@@ -421,20 +482,25 @@ def compute_evaluation_tables(
 
 
 # --- file-backed stages -------------------------------------------------------
+#
+# Every stage takes (config, out), where out is an artifact directory or a
+# Run on one, and gets its shared inputs from ``Run.of(out)``.
 
 
-@_stage("simulate")
-def stage_simulate(config: RunConfig, out: Path) -> None:
-    out = Path(out)
-    dataset_dir(out).mkdir(parents=True, exist_ok=True)
-    private_dir(out).mkdir(parents=True, exist_ok=True)
+def stage_simulate(config: RunConfig, out: Path | Run) -> None:
+    run = Run.of(out)
+    dataset_dir(run.out).mkdir(parents=True, exist_ok=True)
+    private_dir(run.out).mkdir(parents=True, exist_ok=True)
     world, dataset, truth = compute_simulation(config)
-    write_dataset(dataset, DatasetPaths.in_dir(dataset_dir(out)))
-    save_world_recipe(world, private_dir(out) / WORLD_FILE)
-    save_ground_truth(truth, private_dir(out) / GROUND_TRUTH_FILE)
+    write_dataset(dataset, DatasetPaths.in_dir(dataset_dir(run.out)))
+    save_world_recipe(world, private_dir(run.out) / WORLD_FILE)
+    save_ground_truth(truth, private_dir(run.out) / GROUND_TRUTH_FILE)
+    # The recipe regenerates exactly this world. The dataset is read back
+    # instead, because loading puts every stream in its canonical order.
+    run.keep(world=world)
 
     report = validate_dataset(dataset)
-    with open(out / VALIDATION_FILE, "w", encoding="utf-8") as fh:
+    with open(run.out / VALIDATION_FILE, "w", encoding="utf-8") as fh:
         json.dump(
             {
                 "query_count": report.query_count,
@@ -451,33 +517,21 @@ def stage_simulate(config: RunConfig, out: Path) -> None:
         raise DataError(f"dataset has {len(report.violations)} invariant violations")
 
 
-def _load_dataset(out: Path) -> Dataset:
-    return load_dataset(DatasetPaths.in_dir(dataset_dir(Path(out))))
+def stage_train(config: RunConfig, out: Path | Run) -> None:
+    run = Run.of(out)
+    _, model = compute_model(config, run.dataset)
+    save_model(model, run.out / MODEL_FILE)
+    run.keep(model=model)
 
 
-@_stage("train-wsm")
-def stage_train(config: RunConfig, out: Path, dataset: Dataset | None = None) -> None:
-    out = Path(out)
-    dataset = dataset or _load_dataset(out)
-    _, model = compute_model(config, dataset)
-    save_model(model, out / MODEL_FILE)
-
-
-@_stage("eval-wsm")
-def stage_eval_wsm(
-    config: RunConfig,
-    out: Path,
-    dataset: Dataset | None = None,
-    model=None,
-) -> None:
-    out = Path(out)
-    dataset = dataset or _load_dataset(out)
-    model = model or load_model(out / MODEL_FILE)
-    truth = load_ground_truth(private_dir(out) / GROUND_TRUTH_FILE)
+def stage_eval_wsm(config: RunConfig, out: Path | Run) -> None:
+    run = Run.of(out)
+    dataset, model = run.dataset, run.model
+    truth = _read_artifact(private_dir(run.out) / GROUND_TRUTH_FILE, load_ground_truth)
     labeled = compute_weak_labels(config, dataset)
     metrics = compute_wsm_evaluation(config, dataset, truth, model, labeled.texts())
     report_mod.write_csv(
-        out / report_mod.METRICS_CSV,
+        run.out / report_mod.METRICS_CSV,
         ["metric", "value"],
         [[k, v] for k, v in metrics.items()],
     )
@@ -492,75 +546,44 @@ def compute_weak_labels(config: RunConfig, dataset: Dataset) -> LabeledSet:
     )
 
 
-@_stage("rank")
-def stage_rank(
-    config: RunConfig,
-    out: Path,
-    dataset: Dataset | None = None,
-    model=None,
-) -> tuple:
-    out = Path(out)
-    dataset = dataset or _load_dataset(out)
-    model = model or load_model(out / MODEL_FILE)
-    scored, links = compute_exposures(config, dataset, model)
+def stage_rank(config: RunConfig, out: Path | Run) -> None:
+    run = Run.of(out)
+    dataset = run.dataset
+    scored, links = compute_exposures(config, dataset, run.model)
     report_mod.write_csv(
-        out / SCORED_CSV,
+        run.out / SCORED_CSV,
         ["user_id", "ts", "score"],
         [[s.user_id, s.ts, s.score] for s in scored],
     )
     report_mod.write_csv(
-        out / LINKS_CSV,
-        ["user_id", "restaurant_id", "visit_exit_ts", "first_positive_query_ts", "recency_rank"],
+        run.out / LINKS_CSV,
+        LINKS_HEADER,
         [
             [l.user_id, l.restaurant_id, l.visit_exit_ts, l.first_positive_query_ts, l.recency_rank]
             for l in links
         ],
     )
     daily = compute_daily_lists(config, dataset, links)
-    report_mod.write_csv(out / report_mod.RELEASED_CSV, report_mod.RELEASED_HEADER, daily.released_rows)
-    report_mod.write_csv(out / report_mod.DAILY_LISTS_CSV, report_mod.DAILY_LIST_HEADER, daily.daily_rows)
-    return links, daily
+    report_mod.write_csv(run.out / report_mod.RELEASED_CSV, report_mod.RELEASED_HEADER, daily.released_rows)
+    report_mod.write_csv(run.out / report_mod.DAILY_LISTS_CSV, report_mod.DAILY_LIST_HEADER, daily.daily_rows)
+    run.keep(links=links, daily_rows=daily.daily_rows)
 
 
-def _read_links(out: Path) -> tuple[ExposureLink, ...]:
-    _, rows = report_mod.read_csv(Path(out) / LINKS_CSV)
-    return tuple(
-        ExposureLink(r[0], r[1], int(r[2]), int(r[3]), int(r[4])) for r in rows
-    )
-
-
-@_stage("inspect")
-def stage_inspect(config: RunConfig, out: Path, world: World | None = None, daily_rows=None) -> tuple:
-    out = Path(out)
-    world = world or load_world_recipe(private_dir(out) / WORLD_FILE)
-    if daily_rows is None:
-        _, rows = report_mod.read_csv(out / report_mod.DAILY_LISTS_CSV)
-        daily_rows = rows
-    finder = compute_finder_inspections(config, world, daily_rows)
-    write_inspections(finder, out / FINDER_INSPECTIONS_CSV)
-    background = load_inspections(dataset_dir(out) / "inspections.csv")
+def stage_inspect(config: RunConfig, out: Path | Run) -> None:
+    run = Run.of(out)
+    finder = compute_finder_inspections(config, run.world, run.daily_rows)
+    write_inspections(finder, run.out / FINDER_INSPECTIONS_CSV)
+    background = load_inspections(dataset_dir(run.out) / "inspections.csv")
     combined = tuple(sorted(background + finder, key=lambda r: r.date))
-    write_inspections(combined, out / ALL_INSPECTIONS_CSV)
-    return finder, combined
+    write_inspections(combined, run.out / ALL_INSPECTIONS_CSV)
+    run.keep(all_inspections=combined)
 
 
-@_stage("evaluate")
-def stage_evaluate(
-    config: RunConfig,
-    out: Path,
-    dataset: Dataset | None = None,
-    all_inspections=None,
-    links=None,
-) -> None:
-    out = Path(out)
-    dataset = dataset or _load_dataset(out)
-    if all_inspections is None:
-        all_inspections = load_inspections(out / ALL_INSPECTIONS_CSV)
-    if links is None:
-        links = _read_links(out)
-    tables = compute_evaluation_tables(config, dataset, all_inspections, links)
+def stage_evaluate(config: RunConfig, out: Path | Run) -> None:
+    run = Run.of(out)
+    tables = compute_evaluation_tables(config, run.dataset, run.all_inspections, run.links)
     report_mod.write_csv(
-        out / report_mod.PRECISION_CSV,
+        run.out / report_mod.PRECISION_CSV,
         [
             "comparison",
             "stratum",
@@ -580,27 +603,55 @@ def stage_evaluate(
         tables["precision"],
     )
     report_mod.write_csv(
-        out / report_mod.RISK_DISTRIBUTION_CSV,
+        run.out / report_mod.RISK_DISTRIBUTION_CSV,
         ["risk_level", "finder_n", "finder_pct", "baseline_n", "baseline_pct", "chi2_p"],
         tables["risk_distribution"],
     )
     report_mod.write_csv(
-        out / report_mod.VIOLATIONS_CSV,
+        run.out / report_mod.VIOLATIONS_CSV,
         ["severity", "finder_adjusted_mean", "baseline_adjusted_mean", "p_value"],
         tables["violations"],
     )
     report_mod.write_csv(
-        out / report_mod.ATTRIBUTION_CSV, ["rank", "fraction"], tables["attribution"]
+        run.out / report_mod.ATTRIBUTION_CSV, ["rank", "fraction"], tables["attribution"]
     )
 
 
-@_stage("report")
-def stage_report(config: RunConfig, out: Path) -> str:
-    out = Path(out)
-    text = report_mod.render_report(out)
-    with open(out / REPORT_TXT, "w", encoding="utf-8") as fh:
+def stage_report(config: RunConfig, out: Path | Run) -> str:
+    """Write the text report and return it (the CLI prints it)."""
+    run = Run.of(out)
+    text = report_mod.render_report(run.out)
+    with open(run.out / REPORT_TXT, "w", encoding="utf-8") as fh:
         fh.write(text)
     return text
+
+
+@dataclass(frozen=True)
+class Stage:
+    """A pipeline stage: its CLI command, the function that runs it and its
+    help text. Calling it runs the function and names the stage in errors."""
+
+    command: str
+    function: str  # module attribute, looked up per call so it can be replaced
+    help: str
+
+    def __call__(self, config: RunConfig, out: Path | Run):
+        try:
+            return globals()[self.function](config, out)
+        except FoodwatchError as exc:
+            raise type(exc)(f"stage {self.command}: {exc}") from exc
+
+
+# The stages in run order: the CLI's stage commands and ``run``.
+STAGES = (
+    Stage("simulate", "stage_simulate", "generate the synthetic city dataset"),
+    Stage("train-wsm", "stage_train", "weak-label the query stream and train the classifier"),
+    Stage("eval-wsm", "stage_eval_wsm", "rater-based evaluation of the trained classifier"),
+    Stage("rank", "stage_rank", "score, link, aggregate, release, and emit daily lists"),
+    Stage("inspect", "stage_inspect", "simulate inspections for the daily lists"),
+    Stage("evaluate", "stage_evaluate", "produce the statistical evaluation tables"),
+    Stage("report", "stage_report", "render the text report from the evaluation tables"),
+)
 
 
 def _hash_file(path: Path) -> str:
@@ -629,17 +680,10 @@ def write_manifest(config: RunConfig, out: Path) -> dict:
 
 
 def run_pipeline(config: RunConfig, out: Path) -> dict:
-    """All stages in order against one artifact directory; returns the manifest."""
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    stage_simulate(config, out)
-    dataset = _load_dataset(out)  # loaded once, shared by the remaining stages
-    _, model = compute_model(config, dataset)
-    save_model(model, out / MODEL_FILE)
-    stage_eval_wsm(config, out, dataset=dataset, model=model)
-    links, daily = stage_rank(config, out, dataset=dataset, model=model)
-    world = load_world_recipe(private_dir(out) / WORLD_FILE)
-    _, combined = stage_inspect(config, out, world=world, daily_rows=daily.daily_rows)
-    stage_evaluate(config, out, dataset=dataset, all_inspections=combined, links=links)
-    stage_report(config, out)
-    return write_manifest(config, out)
+    """Every stage in order against one artifact directory, sharing one
+    run's inputs; returns the manifest."""
+    run = Run(out)
+    run.out.mkdir(parents=True, exist_ok=True)
+    for stage in STAGES:
+        stage(config, run)
+    return write_manifest(config, run.out)

@@ -2,10 +2,11 @@
 
 User ids are replaced by a keyed pseudorandom function before anything else
 touches the data, links are capped to one per (user, restaurant) so each
-released count has L1 sensitivity 1, and counts leave the pipeline only with
-Laplace noise added and small cells suppressed. Noise draws are keyed by
+released count has L1 sensitivity 1, and with privacy on (the default) counts
+leave the pipeline only with Laplace noise added and small cells suppressed. Noise draws are keyed by
 (seed, restaurant_id) with a counter-based construction, so parallel release
-produces exactly the serial output.
+produces exactly the serial output. With privacy switched off the pipeline
+releases the raw counts instead, in the same record shape.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .errors import DataError
 from .locmodel import ExposureLink, RestaurantAggregate, wilson_lower_bound
 from .logdata import Dataset, QueryEvent, VisitEvent
 from .seeding import make_rng
@@ -36,26 +36,18 @@ class PrivacyPolicy:
 
 @dataclass(frozen=True)
 class ReleasedAggregate:
+    """One restaurant's released cell, in the shape of a daily-list row.
+
+    With privacy on the counts are noised and real-valued, and a suppressed
+    cell carries none of them; ``exact_counts`` gives the raw integer counts.
+    """
+
     restaurant_id: str
     suppressed: bool
-    noised_visitors: float | None
-    noised_affected: float | None
-    released_proportion: float | None
-
-    @property
-    def visitors(self) -> float:
-        if self.suppressed:
-            raise DataError("suppressed aggregate exposes no counts")
-        return self.noised_visitors
-
-    @property
-    def signal(self) -> float:
-        """Wilson lower bound recomputed from the released counts."""
-        if self.suppressed:
-            raise DataError("suppressed aggregate exposes no counts")
-        trials = max(self.noised_visitors, 1.0)
-        successes = min(max(self.noised_affected, 0.0), trials)
-        return wilson_lower_bound(successes, trials)
+    visitors: float | None
+    affected: float | None
+    proportion: float | None
+    signal: float | None  # Wilson lower bound from the released counts
 
 
 def pseudonymize(hash_key: int, user_id: str) -> str:
@@ -133,20 +125,25 @@ def release(
         noised_visitors = agg.visitors + rng.laplace(0.0, scale)
         noised_affected = agg.affected + rng.laplace(0.0, scale)
         if noised_visitors < policy.suppress_below:
-            released[rid] = ReleasedAggregate(
-                restaurant_id=rid,
-                suppressed=True,
-                noised_visitors=None,
-                noised_affected=None,
-                released_proportion=None,
-            )
+            released[rid] = ReleasedAggregate(rid, True, None, None, None, None)
         else:
             proportion = min(max(noised_affected / max(noised_visitors, 1.0), 0.0), 1.0)
+            trials = max(noised_visitors, 1.0)
+            successes = min(max(noised_affected, 0.0), trials)
             released[rid] = ReleasedAggregate(
                 restaurant_id=rid,
                 suppressed=False,
-                noised_visitors=noised_visitors,
-                noised_affected=noised_affected,
-                released_proportion=proportion,
+                visitors=noised_visitors,
+                affected=noised_affected,
+                proportion=proportion,
+                signal=wilson_lower_bound(successes, trials),
             )
     return released
+
+
+def exact_counts(aggregates: Mapping[str, RestaurantAggregate]) -> dict[str, ReleasedAggregate]:
+    """The raw counts in the released shape, for runs with privacy off."""
+    return {
+        rid: ReleasedAggregate(rid, False, agg.visitors, agg.affected, agg.proportion, agg.signal)
+        for rid, agg in aggregates.items()
+    }

@@ -12,14 +12,12 @@ contribute, so missing votes are supported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
 
 MD_RATERS = 3
-NON_MD_RATERS = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,26 +45,6 @@ class JudgmentMatrix:
     def values(self) -> np.ndarray:
         """(n_units, 6) array, MD columns first."""
         return np.hstack([self.md_votes, self.other_votes])
-
-
-def aggregate_rater_votes(md_votes: Sequence[int], other_votes: Sequence[int]) -> int:
-    """Majority over six votes; a 3-3 tie falls to the MD majority."""
-    md = list(md_votes)
-    other = list(other_votes)
-    if len(md) != MD_RATERS or len(other) != NON_MD_RATERS:
-        raise DataError(
-            f"expected {MD_RATERS} MD and {NON_MD_RATERS} non-MD votes, "
-            f"got {len(md)} and {len(other)}"
-        )
-    votes = md + other
-    if any(v not in (0, 1) for v in votes):
-        raise DataError("votes must be 0 or 1")
-    ones = sum(votes)
-    if ones > len(votes) - ones:
-        return 1
-    if ones < len(votes) - ones:
-        return 0
-    return 1 if sum(md) * 2 > MD_RATERS else 0
 
 
 def majority_labels(matrix: JudgmentMatrix) -> np.ndarray:

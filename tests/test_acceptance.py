@@ -26,7 +26,7 @@ from foodwatch.pipeline import (
     run_pipeline,
 )
 from foodwatch.privacy import PrivacyPolicy, cap_contributions, release
-from foodwatch.raters import aggregate_rater_votes, krippendorff_alpha
+from foodwatch.raters import JudgmentMatrix, krippendorff_alpha, majority_labels
 from foodwatch.seeding import make_rng
 from foodwatch.stats import (
     DesignMatrix,
@@ -161,9 +161,10 @@ def test_criterion_4_wsm_numerics(default_run):
 
 
 def test_criterion_5_rater_protocol():
-    for bits in itertools.product((0, 1), repeat=6):
-        md, other = list(bits[:3]), list(bits[3:])
-        assert aggregate_rater_votes(md, other) == vote_majority_oracle(md, other)
+    patterns = list(itertools.product((0, 1), repeat=6))
+    matrix = JudgmentMatrix([p[:3] for p in patterns], [p[3:] for p in patterns])
+    expected = [vote_majority_oracle(list(p[:3]), list(p[3:])) for p in patterns]
+    assert majority_labels(matrix).tolist() == expected
 
     rng = make_rng(5, "c5")
     checked = 0
@@ -211,7 +212,7 @@ def test_criterion_7_privacy(default_run):
 
     aggs = {f"r{i:05d}": RestaurantAggregate(f"r{i:05d}", 100, 0) for i in range(n)}
     rel = release(aggs, policy, rng_seed=77)
-    noise = np.array([r.noised_visitors - 100 for r in rel.values()])
+    noise = np.array([r.visitors - 100 for r in rel.values()])
     sigma = math.sqrt(2.0)  # Laplace sd at scale 1
     assert abs(noise.mean()) < 3 * sigma / math.sqrt(n)
     assert abs(noise.var() - 2.0) / 2.0 < 0.05

@@ -1,18 +1,32 @@
 import hashlib
+import importlib
 import json
+import shutil
+from datetime import date as Date
+from pathlib import Path
 
 import pytest
 
+from foodwatch import pipeline
 from foodwatch import report as report_mod
+from foodwatch.citysim import DAY_S, SIM_EPOCH_DATE
 from foodwatch.cli import main as cli_main
 from foodwatch.config import RunConfig, apply_overrides
+from foodwatch.logdata import DatasetPaths, load_dataset
 from foodwatch.pipeline import (
     ALL_INSPECTIONS_CSV,
+    LINKS_CSV,
     MANIFEST,
+    MODEL_FILE,
+    WORLD_FILE,
+    dataset_dir,
     load_world_recipe,
     private_dir,
     run_pipeline,
 )
+from oracles import wilson_oracle
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL = [
     "days=8",
@@ -154,3 +168,99 @@ def test_zero_infection_run_degrades_gracefully(tmp_path):
     assert int(overall[2]) == 0  # no FINDER inspections
     text = (out / "report.txt").read_text()
     assert "Unsafe-detection precision" in text
+
+
+def test_privacy_off_releases_exact_counts(tmp_path):
+    config = small_config(extra=["privacy.enabled=false"])
+    out = tmp_path / "open"
+    run_pipeline(config, out)
+    visits = load_dataset(DatasetPaths.in_dir(dataset_dir(out))).visits
+    _, links = report_mod.read_csv(out / LINKS_CSV)
+    _, released = report_mod.read_csv(out / report_mod.RELEASED_CSV)
+    assert released and all(row[8] == "False" for row in released)
+
+    width = config.locmodel.agg_window_days * DAY_S
+    for date in sorted({row[0] for row in released}):
+        # a list dated day d+1 covers visits that ended in the trailing window before it
+        end = (Date.fromisoformat(date) - SIM_EPOCH_DATE).days * DAY_S
+        start = max(0, end - width)
+        visitors: dict[str, set] = {}
+        affected: dict[str, set] = {}
+        for v in visits:
+            if start <= v.exit_ts < end:
+                visitors.setdefault(v.restaurant_id, set()).add(v.user_id)
+        for user, rid, exit_ts, *_ in links:
+            if start <= int(exit_ts) < end:
+                affected.setdefault(rid, set()).add(user)
+        rows = {row[1]: row for row in released if row[0] == date}
+        assert set(rows) == set(visitors), date
+        for rid, users in visitors.items():
+            hit = len(affected.get(rid, set()) & users)
+            row = rows[rid]
+            assert row[4:6] == [str(len(users)), str(hit)], row  # integers, never "12.0"
+            assert float(row[6]) == hit / len(users)
+            assert float(row[7]) == pytest.approx(wilson_oracle(hit, len(users)), abs=1e-12)
+
+    _, daily = report_mod.read_csv(out / report_mod.DAILY_LISTS_CSV)
+    assert daily
+    released_rows = {tuple(row) for row in released}
+    assert all(tuple(row + ["False"]) in released_rows for row in daily)
+
+
+def _truncate_model(out):
+    path = out / MODEL_FILE
+    path.write_text(path.read_text()[:200])
+    return str(path)
+
+
+def _shorten_link_row(out):
+    path = out / LINKS_CSV
+    lines = path.read_text().splitlines()
+    lines[1] = ",".join(lines[1].split(",")[:3])
+    path.write_text("\n".join(lines) + "\n")
+    return f"{path}:2:"
+
+
+def _drop_world_cfg(out):
+    path = private_dir(out) / WORLD_FILE
+    payload = json.loads(path.read_text())
+    del payload["cfg"]
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, corrupt",
+    [("rank", _truncate_model), ("evaluate", _shorten_link_row), ("inspect", _drop_world_cfg)],
+)
+def test_corrupt_intermediates_are_data_errors(tmp_path, small_run, capsys, command, corrupt):
+    out = tmp_path / "run"
+    shutil.copytree(small_run[0], out)
+    where = corrupt(out)
+    args = ["--out", str(out), "--seed", "5"] + [f"--set={kv}" for kv in SMALL]
+    assert cli_main([command] + args) == 2
+    assert where in capsys.readouterr().err
+
+
+def test_run_calls_every_stage_through_its_module_name(monkeypatch, tmp_path):
+    calls = []
+    for stage in pipeline.STAGES:
+        monkeypatch.setattr(
+            pipeline, stage.function, lambda config, out, name=stage.command: calls.append(name)
+        )
+    monkeypatch.setattr(pipeline, "write_manifest", lambda config, out: {"files": {}})
+    run_pipeline(small_config(), tmp_path)
+    assert calls == ["simulate", "train-wsm", "eval-wsm", "rank", "inspect", "evaluate", "report"]
+
+
+def test_benchmark_trace_entry_points_resolve(monkeypatch):
+    # The benchmark's traced pass replaces these module attributes with
+    # timing wrappers, so each must exist and be looked up at call time.
+    monkeypatch.syspath_prepend(str(ROOT))
+    tracing = importlib.import_module("perfbench.tracing")
+    missing = [
+        f"foodwatch.{module}.{attr}"
+        for module, attr, *_ in tracing.ENTRY_POINTS
+        if not hasattr(importlib.import_module(f"foodwatch.{module}"), attr)
+    ]
+    assert not missing

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foodwatch.errors import DataError
 from foodwatch.locmodel import ExposureLink, RestaurantAggregate
 from foodwatch.logdata import Dataset
 from foodwatch.privacy import (
@@ -126,9 +125,9 @@ def agg(rid="r1", visitors=100, affected=10):
 def test_huge_epsilon_recovers_counts():
     policy = PrivacyPolicy(epsilon=1e6, suppress_below=0, hash_key=KEY)
     rel = release(agg(), policy, rng_seed=4)["r1"]
-    assert abs(rel.noised_visitors - 100) < 1e-3
-    assert abs(rel.noised_affected - 10) < 1e-3
-    assert abs(rel.released_proportion - 0.1) < 1e-4
+    assert abs(rel.visitors - 100) < 1e-3
+    assert abs(rel.affected - 10) < 1e-3
+    assert abs(rel.proportion - 0.1) < 1e-4
 
 
 def test_laplace_moments_match_oracle():
@@ -136,7 +135,7 @@ def test_laplace_moments_match_oracle():
     n = 20_000
     aggs = {f"r{i:05d}": RestaurantAggregate(f"r{i:05d}", 100, 0) for i in range(n)}
     rel = release(aggs, policy, rng_seed=17)
-    noise = np.array([r.noised_visitors - 100 for r in rel.values()])
+    noise = np.array([r.visitors - 100 for r in rel.values()])
     assert abs(noise.mean()) < 3 * math.sqrt(2.0) / math.sqrt(n)  # mean-zero bound
     assert abs(noise.mean()) < 0.1
     variance = noise.var()
@@ -147,12 +146,8 @@ def test_suppression_exposes_no_counts():
     policy = PrivacyPolicy(epsilon=1.0, suppress_below=30, hash_key=KEY)
     rel = release(agg(visitors=5, affected=2), policy, rng_seed=1)["r1"]
     assert rel.suppressed
-    assert rel.noised_visitors is None and rel.noised_affected is None
-    assert rel.released_proportion is None
-    with pytest.raises(DataError):
-        rel.signal
-    with pytest.raises(DataError):
-        rel.visitors
+    assert rel.visitors is None and rel.affected is None
+    assert rel.proportion is None and rel.signal is None
 
 
 def test_release_proportion_clamped():
@@ -160,7 +155,7 @@ def test_release_proportion_clamped():
     aggs = {f"r{i}": RestaurantAggregate(f"r{i}", 3, 3) for i in range(200)}
     for rel in release(aggs, policy, rng_seed=3).values():
         if not rel.suppressed:
-            assert 0.0 <= rel.released_proportion <= 1.0
+            assert 0.0 <= rel.proportion <= 1.0
 
 
 def test_release_deterministic_and_order_independent():

@@ -4,53 +4,53 @@ import numpy as np
 import pytest
 
 from foodwatch.errors import DataError
-from foodwatch.raters import (
-    JudgmentMatrix,
-    aggregate_rater_votes,
-    krippendorff_alpha,
-    majority_labels,
-)
+from foodwatch.raters import JudgmentMatrix, krippendorff_alpha, majority_labels
 from foodwatch.seeding import make_rng
 from oracles import alpha_pairwise_oracle as alpha_oracle
 from oracles import vote_majority_oracle as vote_oracle
 
 
+def label(md, other):
+    """The majority label of one unit."""
+    return int(majority_labels(JudgmentMatrix([md], [other]))[0])
+
+
 def test_unanimous_votes():
-    assert aggregate_rater_votes([1, 1, 1], [1, 1, 1]) == 1
-    assert aggregate_rater_votes([0, 0, 0], [0, 0, 0]) == 0
+    assert label([1, 1, 1], [1, 1, 1]) == 1
+    assert label([0, 0, 0], [0, 0, 0]) == 0
 
 
 def test_tie_broken_by_md_majority():
     # 3-3 tie, MDs lean positive
-    assert aggregate_rater_votes([1, 1, 0], [1, 0, 0]) == 1
+    assert label([1, 1, 0], [1, 0, 0]) == 1
     # 3-3 tie, MDs lean negative
-    assert aggregate_rater_votes([1, 0, 0], [0, 1, 1]) == 0
+    assert label([1, 0, 0], [0, 1, 1]) == 0
     # not a tie: the six-vote majority wins regardless of the MD split
-    assert aggregate_rater_votes([1, 1, 0], [0, 0, 0]) == 0
+    assert label([1, 1, 0], [0, 0, 0]) == 0
 
 
 def test_all_64_patterns_match_enumeration_oracle():
-    for bits in itertools.product((0, 1), repeat=6):
-        md, other = list(bits[:3]), list(bits[3:])
-        assert aggregate_rater_votes(md, other) == vote_oracle(md, other)
+    patterns = list(itertools.product((0, 1), repeat=6))
+    matrix = JudgmentMatrix([p[:3] for p in patterns], [p[3:] for p in patterns])
+    expected = [vote_oracle(list(p[:3]), list(p[3:])) for p in patterns]
+    assert majority_labels(matrix).tolist() == expected
 
 
 def test_malformed_vote_counts_rejected():
-    with pytest.raises(DataError):
-        aggregate_rater_votes([1, 1], [0, 0, 0])
-    with pytest.raises(DataError):
-        aggregate_rater_votes([1, 1, 1], [0, 0, 0, 0])
-    with pytest.raises(DataError):
-        aggregate_rater_votes([1, 2, 1], [0, 0, 0])
+    with pytest.raises(DataError):  # two MD votes
+        JudgmentMatrix([[1, 1]], [[0, 0, 0]])
+    with pytest.raises(DataError):  # four non-MD votes against three MD votes
+        JudgmentMatrix([[1, 1, 1]], [[0, 0, 0, 0]])
+    with pytest.raises(DataError):  # a vote that is not 0 or 1
+        JudgmentMatrix([[1, 2, 1]], [[0, 0, 0]])
 
 
 def test_majority_labels_matches_rowwise_aggregation():
     rng = make_rng(4, "labels")
     md = (rng.random((200, 3)) < 0.5).astype(int)
     other = (rng.random((200, 3)) < 0.5).astype(int)
-    matrix = JudgmentMatrix(md, other)
-    vectorized = majority_labels(matrix)
-    rowwise = [aggregate_rater_votes(m.tolist(), o.tolist()) for m, o in zip(md, other)]
+    vectorized = majority_labels(JudgmentMatrix(md, other))
+    rowwise = [vote_oracle(m.tolist(), o.tolist()) for m, o in zip(md, other)]
     assert vectorized.tolist() == rowwise
 
 
