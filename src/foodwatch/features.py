@@ -9,9 +9,13 @@ modulo; values are binary presence, so duplicates collapse to one index.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import chain
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .logdata import QueryEvent
 
@@ -38,6 +42,36 @@ class SparseVector:
         return len(self.indices)
 
 
+@dataclass(frozen=True, eq=False)
+class FeatureRows:
+    """The feature indices of n rows in one flat array: row i owns the next
+    ``lengths[i]`` entries of ``indices``."""
+
+    indices: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def of(cls, vectors: Sequence[Sequence[int]]) -> FeatureRows:
+        lengths = np.array([len(v) for v in vectors], dtype=np.intp)
+        indices = np.fromiter(chain.from_iterable(vectors), dtype=np.intp, count=int(lengths.sum()))
+        return cls(indices, lengths)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def row_ids(self) -> np.ndarray:
+        """The row of each entry of ``indices``."""
+        return np.repeat(np.arange(len(self)), self.lengths)
+
+    def take(self, rows: np.ndarray) -> FeatureRows:
+        """The given rows, in the given order."""
+        starts = np.cumsum(self.lengths) - self.lengths
+        lengths = self.lengths[rows]
+        new_starts = np.cumsum(lengths) - lengths
+        offsets = np.repeat(starts[rows] - new_starts, lengths)
+        return FeatureRows(self.indices[np.arange(len(offsets)) + offsets], lengths)
+
+
 def fnv1a64(data: bytes) -> int:
     h = _FNV_OFFSET
     for byte in data:
@@ -46,6 +80,10 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+# A run hashes about a million feature strings but only a few thousand
+# distinct ones. The cache is bounded because a log of mostly unique queries
+# has over a hundred thousand distinct strings, which would stay resident.
+@functools.lru_cache(maxsize=4096)
 def bucket(feature: str) -> int:
     return fnv1a64(feature.encode("utf-8")) % DIM
 
@@ -86,6 +124,15 @@ def feature_strings(event: QueryEvent) -> Iterator[str]:
             yield "sb:" + bg
         for tag in sorted(page.concept_tags):
             yield "k:" + tag
+
+
+def feature_key(event: QueryEvent) -> tuple:
+    """Everything :func:`feature_strings` reads from an event, as one flat
+    tuple: events with equal keys have equal features."""
+    key = [event.text]
+    for page in event.results:
+        key += (page.url, page.title, page.snippet, page.concept_tags)
+    return tuple(key)
 
 
 def featurize(event: QueryEvent) -> SparseVector:

@@ -21,14 +21,14 @@ INCUBATION_WINDOW_S = 259_200  # 72 hours after leaving the restaurant
 ONE_SIDED_95_Z = 1.6448536269514722  # standard normal 95th percentile
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredQuery:
     user_id: str
     ts: int
     score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExposureLink:
     user_id: str
     restaurant_id: str

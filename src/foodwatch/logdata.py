@@ -58,7 +58,7 @@ class Outcome(str, Enum):
     UNSAFE = "Unsafe"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultPage:
     url: str
     title: str
@@ -71,7 +71,7 @@ class ResultPage:
         object.__setattr__(self, "concept_tags", frozenset(self.concept_tags))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryEvent:
     user_id: str
     ts: int
@@ -82,7 +82,7 @@ class QueryEvent:
         object.__setattr__(self, "results", tuple(self.results))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VisitEvent:
     user_id: str
     restaurant_id: str

@@ -82,7 +82,8 @@ from .wsm import (
     evaluate_wsm,
     load_model,
     save_model,
-    score_query,
+    score_queries,
+    score_query,  # unused here; the benchmark tracer wraps pipeline.score_query
     train_wsm,
     weak_label,
 )
@@ -140,14 +141,12 @@ def _read_artifact(path: Path, read: Callable[[Path], object]):
 def _read_rows(path: Path, header: list[str], parse: Callable[[list[str]], object]) -> tuple:
     """One parsed record per data row of a pipeline CSV; a bad row is a data
     error that names the file and line."""
-    found, rows = report_mod.read_csv(path)
+    found, rows = report_mod.read_table(path)
     if found != header:
         raise DataFormatError(f"{path}:1: expected header {','.join(header)}")
     records = []
     for lineno, row in enumerate(rows, start=2):  # the writer emits no blank lines
         try:
-            if len(row) != len(header):
-                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
             records.append(parse(row))
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
@@ -166,10 +165,11 @@ def _parse_daily_row(row: list[str]) -> tuple:
 class Run:
     """An artifact directory and the inputs its stages share.
 
-    Each input is read from disk on first use and then kept; a stage that
-    produces one keeps it here instead, so later stages of the same run do
-    not read it back. ``run_pipeline`` passes one run to all its stages, so
-    ``run`` loads the dataset once; a single stage command gets a fresh run.
+    Each input is read from disk (or, like the weak labels, computed) on
+    first use and then kept; a stage that produces one keeps it here
+    instead, so later stages of the same run do not read or compute it
+    again. ``run_pipeline`` passes one run to all its stages, so ``run``
+    loads the dataset once; a single stage command gets a fresh run.
     """
 
     def __init__(self, out: Path):
@@ -184,10 +184,14 @@ class Run:
     def keep(self, **inputs) -> None:
         self._inputs.update(inputs)
 
-    def _input(self, name: str, path: Path, read: Callable[[Path], object]):
+    def get(self, name: str, make: Callable[[], object]):
+        """The kept input ``name``, made and kept first if it is missing."""
         if name not in self._inputs:
-            self._inputs[name] = _read_artifact(path, read)
+            self._inputs[name] = make()
         return self._inputs[name]
+
+    def _input(self, name: str, path: Path, read: Callable[[Path], object]):
+        return self.get(name, lambda: _read_artifact(path, read))
 
     @property
     def dataset(self) -> Dataset:
@@ -292,9 +296,8 @@ def compute_wsm_evaluation(
 def compute_exposures(
     config: RunConfig, dataset: Dataset, model
 ) -> tuple[list[ScoredQuery], tuple[ExposureLink, ...]]:
-    scored = [
-        ScoredQuery(q.user_id, q.ts, score_query(model, q)) for q in dataset.queries
-    ]
+    scores = score_queries(model, dataset.queries).tolist()
+    scored = [ScoredQuery(q.user_id, q.ts, s) for q, s in zip(dataset.queries, scores)]
     links = link_exposures(
         dataset.visits,
         scored,
@@ -519,16 +522,16 @@ def stage_simulate(config: RunConfig, out: Path | Run) -> None:
 
 def stage_train(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
-    _, model = compute_model(config, run.dataset)
+    labeled, model = compute_model(config, run.dataset)
     save_model(model, run.out / MODEL_FILE)
-    run.keep(model=model)
+    run.keep(model=model, labeled=labeled)
 
 
 def stage_eval_wsm(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
     dataset, model = run.dataset, run.model
     truth = _read_artifact(private_dir(run.out) / GROUND_TRUTH_FILE, load_ground_truth)
-    labeled = compute_weak_labels(config, dataset)
+    labeled = run.get("labeled", lambda: compute_weak_labels(config, dataset))
     metrics = compute_wsm_evaluation(config, dataset, truth, model, labeled.texts())
     report_mod.write_csv(
         run.out / report_mod.METRICS_CSV,

@@ -11,7 +11,7 @@ import csv
 from pathlib import Path
 from typing import Sequence
 
-from .errors import DataError
+from .errors import DataError, DataFormatError
 
 METRICS_CSV = "wsm_metrics.csv"
 DAILY_LISTS_CSV = "daily_lists.csv"
@@ -51,6 +51,16 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
         return header, [row for row in reader if row]
 
 
+def read_table(path: Path) -> tuple[list[str], list[list[str]]]:
+    """:func:`read_csv`, with every data row as wide as the header; a row cut
+    short or run long is a data error that names the file and line."""
+    header, rows = read_csv(path)
+    for lineno, row in enumerate(rows, start=2):  # the writer emits no blank lines
+        if len(row) != len(header):
+            raise DataFormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+    return header, rows
+
+
 def format_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     cells = [[str(h) for h in header]] + [[("" if v is None else str(v)) for v in row] for row in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
@@ -80,7 +90,7 @@ def render_report(artifact_dir: Path) -> str:
     artifact_dir = Path(artifact_dir)
     parts: list[str] = []
 
-    header, rows = read_csv(artifact_dir / RISK_DISTRIBUTION_CSV)
+    header, rows = read_table(artifact_dir / RISK_DISTRIBUTION_CSV)
     display = [
         [r[0], r[1], _fmt(r[2], 1) + "%", r[3], _fmt(r[4], 1) + "%", _fmt(r[5], 4)]
         for r in rows
@@ -95,7 +105,7 @@ def render_report(artifact_dir: Path) -> str:
         )
     )
 
-    header, rows = read_csv(artifact_dir / PRECISION_CSV)
+    header, rows = read_table(artifact_dir / PRECISION_CSV)
     idx = {name: header.index(name) for name in header}
     display = []
     for r in rows:
@@ -124,7 +134,7 @@ def render_report(artifact_dir: Path) -> str:
         )
     )
 
-    header, rows = read_csv(artifact_dir / VIOLATIONS_CSV)
+    header, rows = read_table(artifact_dir / VIOLATIONS_CSV)
     display = [[r[0], _fmt(r[1], 2), _fmt(r[2], 2), _fmt(r[3], 4)] for r in rows]
     parts.append(
         _section(
@@ -133,7 +143,7 @@ def render_report(artifact_dir: Path) -> str:
         )
     )
 
-    header, rows = read_csv(artifact_dir / ATTRIBUTION_CSV)
+    header, rows = read_table(artifact_dir / ATTRIBUTION_CSV)
     display = [[r[0], _fmt(r[1], 3)] for r in rows]
     parts.append(
         _section(
@@ -142,7 +152,7 @@ def render_report(artifact_dir: Path) -> str:
         )
     )
 
-    header, rows = read_csv(artifact_dir / METRICS_CSV)
+    header, rows = read_table(artifact_dir / METRICS_CSV)
     parts.append(
         _section("Query classifier metrics", format_table(["metric", "value"], rows))
     )

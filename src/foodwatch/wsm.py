@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .features import DIM, SparseVector, featurize
+from .features import DIM, FeatureRows, feature_key, featurize
 from .logdata import QueryEvent
 from .seeding import make_rng
 
@@ -135,34 +135,51 @@ def _sigmoid(z: np.ndarray | float):
     return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
-def _margins(weights: np.ndarray, intercept: float, vectors: Sequence[np.ndarray]) -> np.ndarray:
-    return np.array([intercept + weights[idx].sum() for idx in vectors])
+def _margins(weights: np.ndarray, intercept: float, features: FeatureRows) -> np.ndarray:
+    """intercept + the sum of each row's weights, added in index order."""
+    return intercept + np.bincount(
+        features.row_ids(), weights=weights[features.indices], minlength=len(features)
+    )
+
+
+def _mean_loss(z: np.ndarray, labels: np.ndarray, weights: np.ndarray, l2: float) -> float:
+    # softplus(z) - y*z is the per-example negative log-likelihood
+    return float(np.mean(np.logaddexp(0.0, z) - labels * z)) + 0.5 * l2 * float(
+        np.dot(weights, weights)
+    )
+
+
+def mean_loss(
+    weights: np.ndarray,
+    intercept: float,
+    features: FeatureRows,
+    labels: np.ndarray,
+    l2: float,
+) -> float:
+    """Mean logistic loss plus (l2/2)*||w||^2."""
+    return _mean_loss(_margins(weights, intercept, features), labels, weights, l2)
 
 
 def loss_and_gradient(
     weights: np.ndarray,
     intercept: float,
-    vectors: Sequence[np.ndarray],
+    features: FeatureRows,
     labels: np.ndarray,
     l2: float,
 ) -> tuple[float, np.ndarray, float]:
-    """Mean logistic loss plus (l2/2)*||w||^2 and its exact gradient.
+    """:func:`mean_loss` and its exact gradient.
 
     Returns (loss, grad_weights, grad_intercept). The intercept is not
     regularized. Exposed at module level so the gradient can be checked
     against finite differences.
     """
-    n = len(vectors)
-    z = _margins(weights, intercept, vectors)
-    # softplus(z) - y*z is the per-example negative log-likelihood
-    loss = float(np.mean(np.logaddexp(0.0, z) - labels * z)) + 0.5 * l2 * float(
-        np.dot(weights, weights)
-    )
-    err = (_sigmoid(z) - labels) / n
-    grad_w = l2 * weights.copy()
-    for idx, e in zip(vectors, err):
-        np.add.at(grad_w, idx, e)
-    return loss, grad_w, float(err.sum())
+    z = _margins(weights, intercept, features)
+    err = (_sigmoid(z) - labels) / len(features)
+    grad_w = l2 * weights
+    # np.add.at adds entry by entry, so each bucket sums its rows' errors in
+    # row order, as a loop over rows would
+    np.add.at(grad_w, features.indices, np.repeat(err, features.lengths))
+    return _mean_loss(z, labels, weights, l2), grad_w, float(err.sum())
 
 
 def train_wsm(
@@ -179,12 +196,13 @@ def train_wsm(
     labels = np.array([y for _, y in labeled.examples], dtype=float)
     if len(labeled.examples) == 0 or len(set(labels.tolist())) < 2:
         raise DataError("training set must contain both classes")
-    vectors = [np.array(featurize(e).indices, dtype=np.intp) for e, _ in labeled.examples]
+    # weak_label dedupes by text, so every example is a distinct feature key
+    features = FeatureRows.of([featurize(e).indices for e, _ in labeled.examples])
 
     weights = np.zeros(DIM)
     intercept = 0.0
     rng = make_rng(seed, "train-wsm")
-    n = len(vectors)
+    n = len(features)
     step_count = 0
     epoch_losses: list[float] = []
     for _ in range(hyper.epochs):
@@ -194,16 +212,16 @@ def train_wsm(
             step_count += 1
             step = hyper.learning_rate / math.sqrt(step_count)
             _, grad_w, grad_b = loss_and_gradient(
-                weights, intercept, [vectors[i] for i in batch], labels[batch], hyper.l2
+                weights, intercept, features.take(batch), labels[batch], hyper.l2
             )
             weights -= step * grad_w
             intercept -= step * grad_b
-        epoch_loss, _, _ = loss_and_gradient(weights, intercept, vectors, labels, hyper.l2)
+        epoch_loss = mean_loss(weights, intercept, features, labels, hyper.l2)
         if not math.isfinite(epoch_loss):
             raise NumericalError("diverged")
         epoch_losses.append(epoch_loss)
 
-    final_loss, _, _ = loss_and_gradient(weights, intercept, vectors, labels, hyper.l2)
+    final_loss = mean_loss(weights, intercept, features, labels, hyper.l2)
     if not math.isfinite(final_loss) or not np.all(np.isfinite(weights)):
         raise NumericalError("diverged")
     return WsmModel(
@@ -216,15 +234,41 @@ def train_wsm(
     )
 
 
-def score_features(model: WsmModel, vector: SparseVector | np.ndarray) -> float:
-    indices = np.asarray(vector.indices if isinstance(vector, SparseVector) else vector, dtype=np.intp)
-    z = model.intercept + float(model.weights[indices].sum()) if len(indices) else model.intercept
-    return float(_sigmoid(z))
+def _distinct_contents(events: Sequence[QueryEvent]) -> tuple[list[QueryEvent], np.ndarray]:
+    """The first event of each distinct feature key, and for every event the
+    position of its key among them."""
+    row_of_key: dict[tuple, int] = {}
+    distinct: list[QueryEvent] = []
+    rows = np.empty(len(events), dtype=np.intp)
+    for i, event in enumerate(events):
+        row = row_of_key.setdefault(feature_key(event), len(distinct))
+        if row == len(distinct):
+            distinct.append(event)
+        rows[i] = row
+    return distinct, rows
+
+
+# Distinct contents featurized and scored together. Blocks keep the flat
+# arrays near a megabyte however many distinct queries a log holds.
+SCORE_BLOCK = 1024
+
+
+def score_queries(model: WsmModel, events: Sequence[QueryEvent]) -> np.ndarray:
+    """Per event, the probability in (0, 1) that the query concerns
+    foodborne illness. Events with equal feature content (users, times and
+    clicks aside) are featurized and scored once."""
+    distinct, rows = _distinct_contents(events)
+    margins = np.empty(len(distinct))
+    for start in range(0, len(distinct), SCORE_BLOCK):
+        block = distinct[start : start + SCORE_BLOCK]
+        features = FeatureRows.of([featurize(e).indices for e in block])
+        margins[start : start + len(block)] = _margins(model.weights, model.intercept, features)
+    return _sigmoid(margins)[rows]
 
 
 def score_query(model: WsmModel, event: QueryEvent) -> float:
     """Probability in (0, 1) that the query concerns foodborne illness."""
-    return score_features(model, featurize(event))
+    return float(score_queries(model, [event])[0])
 
 
 def save_model(model: WsmModel, path: Path) -> None:
@@ -355,7 +399,7 @@ def evaluate_wsm(
     labels = np.array([y for _, y in eval_set.examples], dtype=int)
     if labels.sum() in (0, len(labels)):
         raise DataError("evaluation set must contain both classes")
-    scores = np.array([score_query(model, e) for e, _ in eval_set.examples])
+    scores = score_queries(model, [e for e, _ in eval_set.examples])
     auc = roc_auc(scores, labels)
     predicted = scores >= threshold
     tp = int(np.sum(predicted & (labels == 1)))

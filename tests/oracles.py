@@ -3,7 +3,8 @@
 These deliberately take different computational routes from the library code
 they check: closed-form 2x2 odds ratios, Simpson quadrature for the
 chi-square tail, pairwise-disagreement Krippendorff alpha, brute-force
-majority voting, and O(n^2) pairwise AUC.
+majority voting, O(n^2) pairwise AUC, and a per-example logistic loss and
+gradient.
 """
 
 import math
@@ -86,3 +87,27 @@ def wilson_oracle(k, n, z=1.6448536269514722):
     centre = phat + z**2 / (2.0 * n)
     margin = z * math.sqrt((phat * (1.0 - phat) + z**2 / (4.0 * n)) / n)
     return max(0.0, (centre - margin) / denominator)
+
+
+def logistic_oracle(weights, intercept, vectors, labels, l2, sigmoid):
+    """Mean logistic loss plus (l2/2)*||w||^2 and its gradient, one example
+    at a time: each margin summed left to right in Python, the loss from a
+    scalar softplus, the gradient scattered by one ``np.add.at`` per example.
+    ``sigmoid`` is the library's link, so the gradient isolates the
+    accumulation."""
+    n = len(vectors)
+    z = np.empty(n)
+    for i, idx in enumerate(vectors):
+        total = 0.0
+        for j in idx:
+            total += float(weights[j])
+        z[i] = intercept + total
+    nll = 0.0
+    for zi, yi in zip(z.tolist(), labels.tolist()):
+        nll += max(zi, 0.0) + math.log1p(math.exp(-abs(zi))) - yi * zi
+    loss = nll / n + 0.5 * l2 * math.fsum(w * w for w in weights.tolist())
+    err = (sigmoid(z) - labels) / n
+    grad_w = l2 * weights
+    for idx, e in zip(vectors, err):
+        np.add.at(grad_w, idx, e)
+    return loss, grad_w, float(err.sum())

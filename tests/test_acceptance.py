@@ -14,7 +14,7 @@ import numpy as np
 
 from foodwatch.citysim import SimConfig, planted_exposures, simulate_raters
 from foodwatch.config import RunConfig
-from foodwatch.features import DIM, featurize
+from foodwatch.features import DIM, FeatureRows, featurize
 from foodwatch.locmodel import Period, aggregate_restaurants, attribute_sources, link_exposures
 from foodwatch.logdata import Outcome
 from foodwatch.pipeline import (
@@ -126,17 +126,18 @@ def test_criterion_4_wsm_numerics(default_run):
     events = [query(f"u{i}", i, f"token{i} shared word{i % 7}") for i in range(30)]
     labels = np.array([i % 2 for i in range(30)], dtype=float)
     vectors = [np.array(featurize(e).indices, dtype=np.intp) for e in events]
+    rows = FeatureRows.of(vectors)
     weights = rng.normal(0, 0.4, DIM)
     intercept = -0.2
-    _, grad_w, grad_b = loss_and_gradient(weights, intercept, vectors, labels, 1e-4)
+    _, grad_w, grad_b = loss_and_gradient(weights, intercept, rows, labels, 1e-4)
     h = 1e-5
     active = sorted({i for v in vectors for i in v.tolist()})
     for j in (active[k] for k in rng.choice(len(active), size=5, replace=False)):
         wp, wm = weights.copy(), weights.copy()
         wp[j] += h
         wm[j] -= h
-        lp, _, _ = loss_and_gradient(wp, intercept, vectors, labels, 1e-4)
-        lm, _, _ = loss_and_gradient(wm, intercept, vectors, labels, 1e-4)
+        lp, _, _ = loss_and_gradient(wp, intercept, rows, labels, 1e-4)
+        lm, _, _ = loss_and_gradient(wm, intercept, rows, labels, 1e-4)
         fd = (lp - lm) / (2 * h)
         assert abs(grad_w[j] - fd) / max(abs(fd), 1e-12) < 1e-5
 

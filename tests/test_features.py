@@ -49,6 +49,18 @@ def test_food_poisoning_exact_indices():
     assert all(i < DIM for i in vec.indices)
 
 
+def test_buckets_after_cache_eviction_match_oracle():
+    maxsize = bucket.cache_info().maxsize
+    strings = [f"q:evict{i}" for i in range(maxsize + 1000)]
+    first = [bucket(s) for s in strings]
+    assert bucket.cache_info().currsize <= maxsize
+    misses = bucket.cache_info().misses
+    again = [bucket(s) for s in strings[:1000]]  # evicted, so hashed again
+    assert bucket.cache_info().misses == misses + 1000
+    assert again == first[:1000]
+    assert first == [fnv_oracle(s.encode()) % DIM for s in strings]
+
+
 def test_empty_event_is_empty_vector():
     assert len(featurize(query(text=""))) == 0
 

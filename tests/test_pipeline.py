@@ -24,6 +24,7 @@ from foodwatch.pipeline import (
     private_dir,
     run_pipeline,
 )
+from foodwatch.wsm import weak_label
 from oracles import wilson_oracle
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -221,6 +222,14 @@ def _shorten_link_row(out):
     return f"{path}:2:"
 
 
+def _shorten_risk_row(out):
+    path = out / report_mod.RISK_DISTRIBUTION_CSV
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].split(",")[0]
+    path.write_text("\n".join(lines) + "\n")
+    return f"{path}:2:"
+
+
 def _drop_world_cfg(out):
     path = private_dir(out) / WORLD_FILE
     payload = json.loads(path.read_text())
@@ -231,7 +240,12 @@ def _drop_world_cfg(out):
 
 @pytest.mark.parametrize(
     "command, corrupt",
-    [("rank", _truncate_model), ("evaluate", _shorten_link_row), ("inspect", _drop_world_cfg)],
+    [
+        ("rank", _truncate_model),
+        ("evaluate", _shorten_link_row),
+        ("inspect", _drop_world_cfg),
+        ("report", _shorten_risk_row),
+    ],
 )
 def test_corrupt_intermediates_are_data_errors(tmp_path, small_run, capsys, command, corrupt):
     out = tmp_path / "run"
@@ -251,6 +265,18 @@ def test_run_calls_every_stage_through_its_module_name(monkeypatch, tmp_path):
     monkeypatch.setattr(pipeline, "write_manifest", lambda config, out: {"files": {}})
     run_pipeline(small_config(), tmp_path)
     assert calls == ["simulate", "train-wsm", "eval-wsm", "rank", "inspect", "evaluate", "report"]
+
+
+def test_run_weak_labels_once(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return weak_label(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "weak_label", counted)
+    run_pipeline(small_config(), tmp_path)
+    assert len(calls) == 1  # train-wsm labels; eval-wsm reuses its labeled set
 
 
 def test_benchmark_trace_entry_points_resolve(monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foodwatch.errors import DataError, NumericalError
-from foodwatch.features import DIM, bucket, featurize
+from foodwatch.features import DIM, FeatureRows, bucket, feature_key, feature_strings, featurize
 from foodwatch.seeding import make_rng
 from foodwatch.wsm import (
     LabeledSet,
@@ -18,15 +18,19 @@ from foodwatch.wsm import (
     has_foodborne_click,
     is_weak_positive,
     load_model,
+    _sigmoid,
     loss_and_gradient,
+    mean_loss,
     roc_auc,
     save_model,
+    score_queries,
     score_query,
     train_wsm,
     weak_label,
 )
 
-from conftest import page, query
+from conftest import FOOD_TAG, page, query
+from oracles import logistic_oracle
 
 
 # --- weak labeling -----------------------------------------------------------
@@ -136,12 +140,13 @@ def test_loss_non_increasing_across_epochs_default_schedule():
 def test_gradient_matches_central_finite_differences():
     labeled = separable_set(8)
     vectors = [np.array(featurize(e).indices, dtype=np.intp) for e, _ in labeled.examples]
+    rows = FeatureRows.of(vectors)
     labels = np.array([y for _, y in labeled.examples], dtype=float)
     rng = make_rng(123, "gradcheck")
     weights = rng.normal(0, 0.5, DIM)
     intercept = 0.3
     l2 = 1e-4
-    _, grad_w, grad_b = loss_and_gradient(weights, intercept, vectors, labels, l2)
+    _, grad_w, grad_b = loss_and_gradient(weights, intercept, rows, labels, l2)
 
     h = 1e-5
     active = sorted({i for v in vectors for i in v.tolist()})
@@ -150,14 +155,38 @@ def test_gradient_matches_central_finite_differences():
         wp, wm = weights.copy(), weights.copy()
         wp[j] += h
         wm[j] -= h
-        lp, _, _ = loss_and_gradient(wp, intercept, vectors, labels, l2)
-        lm, _, _ = loss_and_gradient(wm, intercept, vectors, labels, l2)
+        lp, _, _ = loss_and_gradient(wp, intercept, rows, labels, l2)
+        lm, _, _ = loss_and_gradient(wm, intercept, rows, labels, l2)
         fd = (lp - lm) / (2 * h)
         assert abs(grad_w[j] - fd) / max(abs(fd), 1e-12) < 1e-5
-    lp, _, _ = loss_and_gradient(weights, intercept + h, vectors, labels, l2)
-    lm, _, _ = loss_and_gradient(weights, intercept - h, vectors, labels, l2)
+    lp, _, _ = loss_and_gradient(weights, intercept + h, rows, labels, l2)
+    lm, _, _ = loss_and_gradient(weights, intercept - h, rows, labels, l2)
     fd_b = (lp - lm) / (2 * h)
     assert abs(grad_b - fd_b) / max(abs(fd_b), 1e-12) < 1e-5
+
+
+def test_loss_and_gradient_match_per_example_oracle():
+    rng = make_rng(5, "grad-oracle")
+    vocab = [f"w{i}" for i in range(40)]
+    events = [
+        query(f"u{i}", i, " ".join(vocab[int(k)] for k in rng.integers(0, 40, size=int(rng.integers(0, 12)))))
+        for i in range(300)
+    ]  # 0 to 11 tokens: empty rows, and margins longer than numpy's 8-way unrolled sum
+    vectors = [np.array(featurize(e).indices, dtype=np.intp) for e in events]
+    rows = FeatureRows.of(vectors)
+    labels = (rng.random(len(events)) < 0.4).astype(float)
+    weights = rng.normal(0, 0.5, DIM)
+    intercept, l2 = -0.3, 1e-3
+
+    batch = rng.permutation(len(events))[:128]  # a mini-batch, as training takes it
+    for take, which in ((rows, np.arange(len(events))), (rows.take(batch), batch)):
+        loss, grad_w, grad_b = loss_and_gradient(weights, intercept, take, labels[which], l2)
+        o_loss, o_grad_w, o_grad_b = logistic_oracle(
+            weights, intercept, [vectors[i] for i in which], labels[which], l2, _sigmoid
+        )
+        assert np.array_equal(grad_w, o_grad_w) and grad_b == o_grad_b
+        assert abs(loss - o_loss) <= 1e-12 * abs(o_loss)
+        assert mean_loss(weights, intercept, take, labels[which], l2) == loss
 
 
 def test_single_class_errors():
@@ -217,6 +246,37 @@ def test_scores_in_unit_interval_for_ten_thousand_events():
         words = [vocab[int(k)] for k in rng.integers(0, len(vocab), size=4)]
         score = score_query(model, query(text=" ".join(words)))
         assert 0.0 < score < 1.0
+
+
+def test_batch_scores_equal_per_event_scores():
+    rng = make_rng(11, "batch-score")
+    weights = rng.normal(0, 1, DIM)
+    intercept = -0.2
+    model = WsmModel(weights=weights, intercept=intercept, hyper=TrainConfig(), train_seed=0, final_loss=0.0)
+    # per text: no page, one page, and that page with one field changed, so
+    # a dedupe key that missed a field would merge contents that differ
+    contents = [("", ())]
+    for i in range(500):
+        base = dict(url=f"http://site.org/{i}", title=f"title {i}", snippet=f"snip {i}", tags=(FOOD_TAG,))
+        variants = [{}, {"url": f"http://alt.org/{i}"}, {"title": f"other {i}"},
+                    {"snippet": f"other snip {i}"}, {"tags": ("health",)}]
+        contents.append((f"a{i} b{i} c{i}", ()))
+        contents += [(f"a{i} b{i} c{i}", (page(**{**base, **v}),)) for v in variants]
+    events = []
+    for ts in range(8000):  # the same content by other users, clicked or not
+        text, pages = contents[int(rng.integers(len(contents)))]
+        clicked = bool(rng.integers(2))
+        pages = tuple(page(p.url, p.title, p.snippet, tuple(p.concept_tags), clicked) for p in pages)
+        events.append(query(f"u{int(rng.integers(50))}", ts, text, pages))
+    assert len({feature_key(e) for e in events}) < len({(e.text, e.results) for e in events})
+    assert len({f for e in events for f in feature_strings(e)}) > bucket.cache_info().maxsize
+
+    scores = score_queries(model, events)
+    assert scores.tolist() == [score_query(model, e) for e in events]
+    for event, score in zip(events, scores.tolist()):
+        z = intercept + sum(weights[j] for j in featurize(event).indices)
+        assert score == pytest.approx(1.0 / (1.0 + math.exp(-z)), rel=1e-12)
+    assert score_queries(model, []).shape == (0,)
 
 
 def test_model_file_round_trip(tmp_path):
