@@ -141,7 +141,7 @@ def _read_artifact(path: Path, read: Callable[[Path], object]):
 def _read_rows(path: Path, header: list[str], parse: Callable[[list[str]], object]) -> tuple:
     """One parsed record per data row of a pipeline CSV; a bad row is a data
     error that names the file and line."""
-    found, rows = report_mod.read_table(path)
+    found, rows = report_mod.read_csv(path)
     if found != header:
         raise DataFormatError(f"{path}:1: expected header {','.join(header)}")
     records = []

@@ -43,18 +43,14 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    """The header and data rows of a pipeline CSV; a data row cut short or
+    run long is a data error that names the file and line."""
     if not path.exists():
         raise DataError(f"missing artifact {path}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        return header, [row for row in reader if row]
-
-
-def read_table(path: Path) -> tuple[list[str], list[list[str]]]:
-    """:func:`read_csv`, with every data row as wide as the header; a row cut
-    short or run long is a data error that names the file and line."""
-    header, rows = read_csv(path)
+        rows = [row for row in reader if row]
     for lineno, row in enumerate(rows, start=2):  # the writer emits no blank lines
         if len(row) != len(header):
             raise DataFormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
@@ -90,7 +86,7 @@ def render_report(artifact_dir: Path) -> str:
     artifact_dir = Path(artifact_dir)
     parts: list[str] = []
 
-    header, rows = read_table(artifact_dir / RISK_DISTRIBUTION_CSV)
+    header, rows = read_csv(artifact_dir / RISK_DISTRIBUTION_CSV)
     display = [
         [r[0], r[1], _fmt(r[2], 1) + "%", r[3], _fmt(r[4], 1) + "%", _fmt(r[5], 4)]
         for r in rows
@@ -105,7 +101,7 @@ def render_report(artifact_dir: Path) -> str:
         )
     )
 
-    header, rows = read_table(artifact_dir / PRECISION_CSV)
+    header, rows = read_csv(artifact_dir / PRECISION_CSV)
     idx = {name: header.index(name) for name in header}
     display = []
     for r in rows:
@@ -134,7 +130,7 @@ def render_report(artifact_dir: Path) -> str:
         )
     )
 
-    header, rows = read_table(artifact_dir / VIOLATIONS_CSV)
+    header, rows = read_csv(artifact_dir / VIOLATIONS_CSV)
     display = [[r[0], _fmt(r[1], 2), _fmt(r[2], 2), _fmt(r[3], 4)] for r in rows]
     parts.append(
         _section(
@@ -143,7 +139,7 @@ def render_report(artifact_dir: Path) -> str:
         )
     )
 
-    header, rows = read_table(artifact_dir / ATTRIBUTION_CSV)
+    header, rows = read_csv(artifact_dir / ATTRIBUTION_CSV)
     display = [[r[0], _fmt(r[1], 3)] for r in rows]
     parts.append(
         _section(
@@ -152,7 +148,7 @@ def render_report(artifact_dir: Path) -> str:
         )
     )
 
-    header, rows = read_table(artifact_dir / METRICS_CSV)
+    header, rows = read_csv(artifact_dir / METRICS_CSV)
     parts.append(
         _section("Query classifier metrics", format_table(["metric", "value"], rows))
     )

@@ -143,21 +143,11 @@ def _margins(weights: np.ndarray, intercept: float, features: FeatureRows) -> np
 
 
 def _mean_loss(z: np.ndarray, labels: np.ndarray, weights: np.ndarray, l2: float) -> float:
+    """Mean logistic loss at margins z plus (l2/2)*||w||^2."""
     # softplus(z) - y*z is the per-example negative log-likelihood
     return float(np.mean(np.logaddexp(0.0, z) - labels * z)) + 0.5 * l2 * float(
         np.dot(weights, weights)
     )
-
-
-def mean_loss(
-    weights: np.ndarray,
-    intercept: float,
-    features: FeatureRows,
-    labels: np.ndarray,
-    l2: float,
-) -> float:
-    """Mean logistic loss plus (l2/2)*||w||^2."""
-    return _mean_loss(_margins(weights, intercept, features), labels, weights, l2)
 
 
 def loss_and_gradient(
@@ -167,7 +157,7 @@ def loss_and_gradient(
     labels: np.ndarray,
     l2: float,
 ) -> tuple[float, np.ndarray, float]:
-    """:func:`mean_loss` and its exact gradient.
+    """Mean logistic loss plus (l2/2)*||w||^2, and its exact gradient.
 
     Returns (loss, grad_weights, grad_intercept). The intercept is not
     regularized. Exposed at module level so the gradient can be checked
@@ -216,12 +206,12 @@ def train_wsm(
             )
             weights -= step * grad_w
             intercept -= step * grad_b
-        epoch_loss = mean_loss(weights, intercept, features, labels, hyper.l2)
+        epoch_loss = _mean_loss(_margins(weights, intercept, features), labels, weights, hyper.l2)
         if not math.isfinite(epoch_loss):
             raise NumericalError("diverged")
         epoch_losses.append(epoch_loss)
 
-    final_loss = mean_loss(weights, intercept, features, labels, hyper.l2)
+    final_loss = _mean_loss(_margins(weights, intercept, features), labels, weights, hyper.l2)
     if not math.isfinite(final_loss) or not np.all(np.isfinite(weights)):
         raise NumericalError("diverged")
     return WsmModel(

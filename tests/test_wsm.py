@@ -20,7 +20,6 @@ from foodwatch.wsm import (
     load_model,
     _sigmoid,
     loss_and_gradient,
-    mean_loss,
     roc_auc,
     save_model,
     score_queries,
@@ -186,7 +185,6 @@ def test_loss_and_gradient_match_per_example_oracle():
         )
         assert np.array_equal(grad_w, o_grad_w) and grad_b == o_grad_b
         assert abs(loss - o_loss) <= 1e-12 * abs(o_loss)
-        assert mean_loss(weights, intercept, take, labels[which], l2) == loss
 
 
 def test_single_class_errors():
