@@ -31,7 +31,7 @@ from .logdata import (
     VisitEvent,
 )
 from .raters import JudgmentMatrix
-from .seeding import make_rng
+from .seeding import make_rng, make_rngs
 from .wsm import FOODBORNE_TAG
 
 DAY_S = 86_400
@@ -517,8 +517,8 @@ def simulate(world: World, days: int, seed: int) -> tuple[Dataset, GroundTruth]:
     by_city = {c: world.restaurants_in(c) for c in sorted(cfg.cities)}
     for day in range(days):
         day_start = day * DAY_S
-        for uid in world.users:
-            rng = make_rng(seed, "user", uid, day)
+        user_rngs = make_rngs(seed, [("user", uid, day) for uid in world.users])
+        for uid, rng in zip(world.users, user_rngs):
             pool = by_city[world.home_city[uid]]
 
             n_meals = int(rng.poisson(world.propensity[uid]))

@@ -40,6 +40,10 @@ class LocSettings:
     cutoff: float = 0.03
     agg_window_days: int = 14
 
+    def __post_init__(self) -> None:
+        if self.agg_window_days < 1:
+            raise UsageError(f"locmodel.agg_window_days must be >= 1, got {self.agg_window_days}")
+
 
 @dataclass(frozen=True)
 class PrivacySettings:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError
 from .logdata import VisitEvent
@@ -172,6 +172,67 @@ def aggregate_restaurants(
             restaurant_id=rid, visitors=len(visitors), affected=len(affected)
         )
     return aggregates
+
+
+def sliding_aggregates(
+    visits: Sequence[VisitEvent],
+    links: Sequence[ExposureLink],
+    periods: Iterable[Period],
+) -> Iterator[dict[str, RestaurantAggregate]]:
+    """``aggregate_restaurants(visits, links, period)`` for each period in
+    turn, computed in one pass.
+
+    Periods must start and end in non-decreasing order. Every visit and link
+    enters the window once and leaves it once, so the cost is O(visits +
+    links + periods x restaurants) instead of a full scan per period.
+    """
+    visits = sorted(visits, key=lambda v: v.exit_ts)
+    links = sorted(links, key=lambda l: l.visit_exit_ts)
+    visitors: dict[str, dict[str, int]] = {}  # rid -> user -> visits in the window
+    linked: dict[str, dict[str, int]] = {}  # rid -> user -> links in the window
+    affected: dict[str, int] = {}  # rid -> users both visiting and linked
+
+    def enter(counts, other, rid: str, uid: str) -> None:
+        users = counts.setdefault(rid, {})
+        n = users.get(uid, 0)
+        users[uid] = n + 1
+        if n == 0 and uid in other.get(rid, ()):
+            affected[rid] = affected.get(rid, 0) + 1
+
+    def leave(counts, other, rid: str, uid: str) -> None:
+        users = counts[rid]
+        n = users[uid] - 1
+        if n:
+            users[uid] = n
+            return
+        del users[uid]
+        if not users:
+            del counts[rid]
+        if uid in other.get(rid, ()):
+            affected[rid] -= 1
+
+    v_in = v_out = l_in = l_out = 0  # the window holds visits[v_out:v_in], links[l_out:l_in]
+    last: Period | None = None
+    for period in periods:
+        if last and (period.start_ts < last.start_ts or period.end_ts < last.end_ts):
+            raise ValueError(f"periods must not move backwards: {period} after {last}")
+        last = period
+        while v_in < len(visits) and visits[v_in].exit_ts < period.end_ts:
+            enter(visitors, linked, visits[v_in].restaurant_id, visits[v_in].user_id)
+            v_in += 1
+        while l_in < len(links) and links[l_in].visit_exit_ts < period.end_ts:
+            enter(linked, visitors, links[l_in].restaurant_id, links[l_in].user_id)
+            l_in += 1
+        while v_out < v_in and visits[v_out].exit_ts < period.start_ts:
+            leave(visitors, linked, visits[v_out].restaurant_id, visits[v_out].user_id)
+            v_out += 1
+        while l_out < l_in and links[l_out].visit_exit_ts < period.start_ts:
+            leave(linked, visitors, links[l_out].restaurant_id, links[l_out].user_id)
+            l_out += 1
+        yield {
+            rid: RestaurantAggregate(rid, len(visitors[rid]), affected.get(rid, 0))
+            for rid in sorted(visitors)
+        }
 
 
 def rank_restaurants(

@@ -44,6 +44,7 @@ from .locmodel import (
     attribute_sources,
     link_exposures,
     rank_restaurants,
+    sliding_aggregates,
 )
 from .logdata import (
     Dataset,
@@ -169,7 +170,8 @@ class Run:
     first use and then kept; a stage that produces one keeps it here
     instead, so later stages of the same run do not read or compute it
     again. ``run_pipeline`` passes one run to all its stages, so ``run``
-    loads the dataset once; a single stage command gets a fresh run.
+    reads back none of the dataset, model, links or lists it wrote; a single
+    stage command gets a fresh run.
     """
 
     def __init__(self, out: Path):
@@ -344,12 +346,11 @@ def compute_daily_lists(
     released_rows: list[tuple] = []
     daily_rows: list[tuple] = []
     last_listed: dict[str, int] = {}
-    for day in range(config.days):
-        window = Period(
-            max(0, (day + 1 - config.locmodel.agg_window_days) * DAY_S),
-            (day + 1) * DAY_S,
-        )
-        aggregates = aggregate_restaurants(dataset.visits, links, window)
+    windows = [
+        Period(max(0, (day + 1 - config.locmodel.agg_window_days) * DAY_S), (day + 1) * DAY_S)
+        for day in range(config.days)
+    ]
+    for day, aggregates in enumerate(sliding_aggregates(dataset.visits, links, windows)):
         list_date = day_to_date(day + 1).isoformat()  # delivered next morning
         if config.privacy.enabled:
             cells = release(aggregates, policy, derive_seed(config.seed, "privacy", day))
@@ -498,9 +499,9 @@ def stage_simulate(config: RunConfig, out: Path | Run) -> None:
     write_dataset(dataset, DatasetPaths.in_dir(dataset_dir(run.out)))
     save_world_recipe(world, private_dir(run.out) / WORLD_FILE)
     save_ground_truth(truth, private_dir(run.out) / GROUND_TRUTH_FILE)
-    # The recipe regenerates exactly this world. The dataset is read back
-    # instead, because loading puts every stream in its canonical order.
-    run.keep(world=world)
+    # The simulator emits every stream in the order loading would give it,
+    # so later stages see the same dataset as after a read-back.
+    run.keep(world=world, dataset=dataset)
 
     report = validate_dataset(dataset)
     with open(run.out / VALIDATION_FILE, "w", encoding="utf-8") as fh:
@@ -558,6 +559,7 @@ def stage_rank(config: RunConfig, out: Path | Run) -> None:
         ["user_id", "ts", "score"],
         [[s.user_id, s.ts, s.score] for s in scored],
     )
+    del scored  # the daily lists, where this stage peaks, do not need the scores
     report_mod.write_csv(
         run.out / LINKS_CSV,
         LINKS_HEADER,
@@ -586,24 +588,7 @@ def stage_evaluate(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
     tables = compute_evaluation_tables(config, run.dataset, run.all_inspections, run.links)
     report_mod.write_csv(
-        run.out / report_mod.PRECISION_CSV,
-        [
-            "comparison",
-            "stratum",
-            "n_finder",
-            "unsafe_finder",
-            "pct_finder",
-            "n_other",
-            "unsafe_other",
-            "pct_other",
-            "odds_ratio",
-            "ci_low",
-            "ci_high",
-            "p_value",
-            "converged",
-            "note",
-        ],
-        tables["precision"],
+        run.out / report_mod.PRECISION_CSV, report_mod.PRECISION_HEADER, tables["precision"]
     )
     report_mod.write_csv(
         run.out / report_mod.RISK_DISTRIBUTION_CSV,

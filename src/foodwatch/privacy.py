@@ -17,7 +17,10 @@ from typing import Mapping, Sequence
 
 from .locmodel import ExposureLink, RestaurantAggregate, wilson_lower_bound
 from .logdata import Dataset, QueryEvent, VisitEvent
-from .seeding import make_rng
+from .seeding import (
+    make_rng,  # unused here; the benchmark tracer wraps privacy.make_rng
+    make_rngs,
+)
 
 
 @dataclass(frozen=True)
@@ -119,9 +122,9 @@ def release(
     """
     scale = policy.sensitivity / policy.epsilon
     released: dict[str, ReleasedAggregate] = {}
-    for rid in sorted(aggregates):
+    rids = sorted(aggregates)
+    for rid, rng in zip(rids, make_rngs(rng_seed, [("release", rid) for rid in rids])):
         agg = aggregates[rid]
-        rng = make_rng(rng_seed, "release", rid)
         noised_visitors = agg.visitors + rng.laplace(0.0, scale)
         noised_affected = agg.affected + rng.laplace(0.0, scale)
         if noised_visitors < policy.suppress_below:

@@ -32,6 +32,22 @@ DAILY_LIST_HEADER = [
     "signal",
 ]
 RELEASED_HEADER = DAILY_LIST_HEADER + ["suppressed"]
+PRECISION_HEADER = [
+    "comparison",
+    "stratum",
+    "n_finder",
+    "unsafe_finder",
+    "pct_finder",
+    "n_other",
+    "unsafe_other",
+    "pct_other",
+    "odds_ratio",
+    "ci_low",
+    "ci_high",
+    "p_value",
+    "converged",
+    "note",
+]
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
@@ -101,7 +117,11 @@ def render_report(artifact_dir: Path) -> str:
         )
     )
 
-    header, rows = read_csv(artifact_dir / PRECISION_CSV)
+    path = artifact_dir / PRECISION_CSV
+    header, rows = read_csv(path)
+    missing = [name for name in PRECISION_HEADER if name not in header]
+    if missing:
+        raise DataFormatError(f"{path}:1: missing column {missing[0]}")
     idx = {name: header.index(name) for name in header}
     display = []
     for r in rows:

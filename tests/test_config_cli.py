@@ -92,6 +92,13 @@ def test_cli_zero_days_is_data_error(tmp_path, capsys):
     assert "days" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("width", ["0", "-2"])
+def test_cli_aggregation_window_below_one_day_is_usage_error(tmp_path, capsys, width):
+    code = cli.main(["rank", "--out", str(tmp_path), "--set", f"locmodel.agg_window_days={width}"])
+    assert code == cli.EXIT_USAGE
+    assert "locmodel.agg_window_days" in capsys.readouterr().err
+
+
 def test_cli_numerical_failures_exit_three(monkeypatch, tmp_path):
     def explode(config, out):
         raise NumericalError("quasi-separation")

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foodwatch.citysim import DAY_S
 from foodwatch.errors import DataError
 from foodwatch.locmodel import (
     INCUBATION_WINDOW_S,
+    ExposureLink,
     Period,
     RestaurantAggregate,
     ScoredQuery,
@@ -15,6 +17,7 @@ from foodwatch.locmodel import (
     attribute_sources,
     link_exposures,
     rank_restaurants,
+    sliding_aggregates,
     wilson_lower_bound,
 )
 from foodwatch.seeding import make_rng
@@ -198,6 +201,65 @@ def test_removing_a_user_never_increases_counts():
     for rid, agg in reduced.items():
         assert agg.visitors <= full[rid].visitors
         assert agg.affected <= full[rid].affected
+
+
+def daily_windows(days, window_days):
+    return [
+        Period(max(0, (day + 1 - window_days) * DAY_S), (day + 1) * DAY_S) for day in range(days)
+    ]
+
+
+def assert_sliding_matches_oracle(visits, links, periods):
+    slid = [list(aggs.items()) for aggs in sliding_aggregates(visits, links, periods)]
+    oracle = [list(aggregate_restaurants(visits, links, p).items()) for p in periods]
+    assert slid == oracle  # same restaurants in the same (sorted) order, same counts
+
+
+# exits at a day boundary, one second before one, or anywhere in eight days
+exit_times = st.one_of(
+    st.integers(0, 8).map(lambda k: k * DAY_S),
+    st.integers(1, 8).map(lambda k: k * DAY_S - 1),
+    st.integers(0, 8 * DAY_S - 1),
+)
+ids = st.tuples(st.sampled_from(["u0", "u1", "u2", "u3"]), st.sampled_from(["r0", "r1", "r2"]))
+
+
+@given(
+    visits=st.lists(st.tuples(ids, exit_times), max_size=40),
+    links=st.lists(st.tuples(ids, exit_times), max_size=20),
+    days=st.integers(1, 7),
+    window_days=st.integers(1, 9),
+)
+@settings(max_examples=300, deadline=None)
+def test_sliding_window_matches_per_day_oracle(visits, links, days, window_days):
+    # Repeat visits, links with no visit in their window and duplicate links
+    # all occur; hypothesis gives both streams in arbitrary order.
+    visit_events = [visit(u, r, ts, ts) for (u, r), ts in visits]
+    link_events = [ExposureLink(u, r, ts, ts + 3600, 1) for (u, r), ts in links]
+    assert_sliding_matches_oracle(visit_events, link_events, daily_windows(days, window_days))
+
+
+@pytest.mark.parametrize("window_days", [1, 3, 14, 30])
+def test_sliding_window_matches_oracle_on_random_worlds(window_days):
+    rng = make_rng(19, "sliding", window_days)
+    days = 12
+    visits = []
+    for _ in range(3000):
+        t = int(rng.integers(0, days * DAY_S))
+        visits.append(visit(f"u{int(rng.integers(300))}", f"r{int(rng.integers(25))}", t - 1800, t))
+    visits.sort(key=lambda v: v.exit_ts)
+    queries = sorted(
+        (positive(f"u{int(rng.integers(300))}", int(rng.integers(0, days * DAY_S))) for _ in range(120)),
+        key=lambda q: q.ts,
+    )
+    links = list(link_exposures(visits, queries))
+    rng.shuffle(links)
+    assert_sliding_matches_oracle(visits, links, daily_windows(days, window_days))
+
+
+def test_sliding_window_rejects_periods_that_move_backwards():
+    with pytest.raises(ValueError):
+        list(sliding_aggregates([], [], [Period(DAY_S, 2 * DAY_S), Period(0, 3 * DAY_S)]))
 
 
 # --- ranking -----------------------------------------------------------------

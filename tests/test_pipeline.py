@@ -12,7 +12,7 @@ from foodwatch import report as report_mod
 from foodwatch.citysim import DAY_S, SIM_EPOCH_DATE
 from foodwatch.cli import main as cli_main
 from foodwatch.config import RunConfig, apply_overrides
-from foodwatch.logdata import DatasetPaths, load_dataset
+from foodwatch.logdata import DatasetPaths, load_dataset, write_dataset
 from foodwatch.pipeline import (
     ALL_INSPECTIONS_CSV,
     LINKS_CSV,
@@ -230,6 +230,13 @@ def _shorten_risk_row(out):
     return f"{path}:2:"
 
 
+def _rename_precision_column(out):
+    path = out / report_mod.PRECISION_CSV
+    text = path.read_text()
+    path.write_text(text.replace("odds_ratio", "oddsratio", 1))
+    return f"{path}:1: missing column odds_ratio"
+
+
 def _drop_world_cfg(out):
     path = private_dir(out) / WORLD_FILE
     payload = json.loads(path.read_text())
@@ -245,6 +252,7 @@ def _drop_world_cfg(out):
         ("evaluate", _shorten_link_row),
         ("inspect", _drop_world_cfg),
         ("report", _shorten_risk_row),
+        ("report", _rename_precision_column),
     ],
 )
 def test_corrupt_intermediates_are_data_errors(tmp_path, small_run, capsys, command, corrupt):
@@ -277,6 +285,24 @@ def test_run_weak_labels_once(monkeypatch, tmp_path):
     monkeypatch.setattr(pipeline, "weak_label", counted)
     run_pipeline(small_config(), tmp_path)
     assert len(calls) == 1  # train-wsm labels; eval-wsm reuses its labeled set
+
+
+def test_run_never_reads_the_dataset_back(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(pipeline, "load_dataset", lambda paths: calls.append(paths))
+    run_pipeline(small_config(), tmp_path)
+    assert calls == []  # simulate keeps the dataset it wrote for the later stages
+
+
+@pytest.mark.parametrize("extra", [(), ("days=20", "sim.cities=A:60,B:40")])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_simulated_dataset_equals_its_reload(tmp_path, seed, extra):
+    # run keeps the simulated dataset instead of reading it back, so the
+    # stage commands, which do read it, must see the same streams in the same order
+    _, dataset, _ = pipeline.compute_simulation(small_config(seed, extra))
+    paths = DatasetPaths.in_dir(tmp_path)
+    write_dataset(dataset, paths)
+    assert load_dataset(paths) == dataset
 
 
 def test_benchmark_trace_entry_points_resolve(monkeypatch):
