@@ -289,6 +289,9 @@ class SimConfig:
             raise DataError("users need at least one city to live in")
         if self.n_users < 0:
             raise DataError("n_users must be >= 0")
+        for name in ("meals_per_day", "background_queries_per_day"):
+            if getattr(self, name) < 0:
+                raise DataError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

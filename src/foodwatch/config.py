@@ -31,6 +31,13 @@ class WsmSettings:
     threshold: float = 0.5
     eval_size: int = 200
 
+    def __post_init__(self) -> None:
+        for name in ("neg_ratio", "batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"wsm.{name} must be >= 1, got {getattr(self, name)}")
+        if self.eval_size < 2 or self.eval_size % 2:
+            raise UsageError(f"wsm.eval_size must be a positive even number, got {self.eval_size}")
+
 
 @dataclass(frozen=True)
 class LocSettings:
@@ -43,6 +50,8 @@ class LocSettings:
     def __post_init__(self) -> None:
         if self.agg_window_days < 1:
             raise UsageError(f"locmodel.agg_window_days must be >= 1, got {self.agg_window_days}")
+        if not 0.0 <= self.cutoff <= 1.0:
+            raise UsageError(f"locmodel.cutoff must be in [0, 1], got {self.cutoff}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +60,13 @@ class PrivacySettings:
     epsilon: float = 1.0
     suppress_below: int = 30
     hash_key: str = DEFAULT_HASH_KEY_HEX  # hex-encoded 128-bit secret
+
+    def __post_init__(self) -> None:
+        if self.epsilon <= 0:
+            raise UsageError(f"privacy.epsilon must be > 0, got {self.epsilon}")
+        if self.suppress_below < 0:
+            raise UsageError(f"privacy.suppress_below must be >= 0, got {self.suppress_below}")
+        self.hash_key_int()  # rejects a key that is not hex or is zero
 
     def hash_key_int(self) -> int:
         try:

@@ -29,19 +29,6 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """Strictly increasing feature indices, all in [0, DIM); values are 1.0."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(self.indices))
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureRows:
     """The feature indices of n rows in one flat array: row i owns the next
@@ -135,6 +122,7 @@ def feature_key(event: QueryEvent) -> tuple:
     return tuple(key)
 
 
-def featurize(event: QueryEvent) -> SparseVector:
-    indices = {bucket(f) for f in feature_strings(event)}
-    return SparseVector(indices=tuple(sorted(indices)))
+def featurize(event: QueryEvent) -> tuple[int, ...]:
+    """The event's feature indices, strictly increasing and all in [0, DIM);
+    each present feature has value 1."""
+    return tuple(sorted({bucket(f) for f in feature_strings(event)}))

@@ -11,19 +11,28 @@ All timestamps are integer UTC seconds. Loading sorts each stream ascending
 by its timestamp (queries by ts, visits by exit_ts, inspections by date) with
 a stable sort, so downstream joins can assume order. Datasets are immutable
 after loading and safe to share across threads.
+
+The CSV streams go through ``report.read_csv``, the pipeline's one CSV
+reader. Each must start with its header line: a file without one, even a
+zero-byte file, is a data error, not an empty stream. A malformed record is
+a data error that names the file and line.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from datetime import date as Date
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .errors import DataFormatError, ReferentialError
+# Bound at import, so a wrapper later put on ``report.read_csv`` or
+# ``report.write_csv`` (the benchmark tracer's) sees pipeline tables only.
+from .report import read_csv, write_csv
+
+T = TypeVar("T")
 
 MAX_RESULTS_PER_QUERY = 10
 
@@ -151,26 +160,22 @@ class ValidationReport:
         return not self.violations
 
 
-def _fail(path: Path, lineno: int, msg: str) -> DataFormatError:
-    return DataFormatError(f"{path}:{lineno}: {msg}")
-
-
-def _parse_result(obj: object, path: Path, lineno: int) -> ResultPage:
+def _parse_result(obj: object) -> ResultPage:
     if not isinstance(obj, dict):
-        raise _fail(path, lineno, "result entry is not an object")
+        raise ValueError("result entry is not an object")
     extra = set(obj) - set(RESULT_FIELDS)
     missing = set(RESULT_FIELDS) - set(obj)
     if extra or missing:
-        raise _fail(path, lineno, f"result fields: missing {sorted(missing)}, unknown {sorted(extra)}")
+        raise ValueError(f"result fields: missing {sorted(missing)}, unknown {sorted(extra)}")
     clicked = obj["clicked"]
     dwell = obj["dwell_s"]
     if not isinstance(clicked, bool):
-        raise _fail(path, lineno, "clicked must be a boolean")
+        raise ValueError("clicked must be a boolean")
     if not isinstance(dwell, (int, float)) or isinstance(dwell, bool) or dwell < 0:
-        raise _fail(path, lineno, "dwell_s must be a non-negative number")
+        raise ValueError("dwell_s must be a non-negative number")
     tags = obj["concept_tags"]
     if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-        raise _fail(path, lineno, "concept_tags must be a list of strings")
+        raise ValueError("concept_tags must be a list of strings")
     return ResultPage(
         url=str(obj["url"]),
         title=str(obj["title"]),
@@ -181,6 +186,30 @@ def _parse_result(obj: object, path: Path, lineno: int) -> ResultPage:
     )
 
 
+def _parse_query(line: str) -> QueryEvent:
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("line is not a JSON object")
+    extra = set(obj) - set(QUERY_FIELDS)
+    missing = set(QUERY_FIELDS) - set(obj)
+    if extra or missing:
+        raise ValueError(f"query fields: missing {sorted(missing)}, unknown {sorted(extra)}")
+    ts = obj["ts"]
+    if not isinstance(ts, int) or isinstance(ts, bool) or ts < 0:
+        raise ValueError("ts must be a non-negative integer")
+    results = obj["results"]
+    if not isinstance(results, list):
+        raise ValueError("results must be a list")
+    if len(results) > MAX_RESULTS_PER_QUERY:
+        raise ValueError(f"more than {MAX_RESULTS_PER_QUERY} results")
+    return QueryEvent(
+        user_id=str(obj["user_id"]),
+        ts=ts,
+        text=str(obj["text"]),
+        results=tuple(_parse_result(r) for r in results),
+    )
+
+
 def load_queries(path: Path) -> tuple[QueryEvent, ...]:
     events: list[QueryEvent] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -188,121 +217,72 @@ def load_queries(path: Path) -> tuple[QueryEvent, ...]:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise _fail(path, lineno, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise _fail(path, lineno, "line is not a JSON object")
-            extra = set(obj) - set(QUERY_FIELDS)
-            missing = set(QUERY_FIELDS) - set(obj)
-            if extra or missing:
-                raise _fail(path, lineno, f"query fields: missing {sorted(missing)}, unknown {sorted(extra)}")
-            ts = obj["ts"]
-            if not isinstance(ts, int) or isinstance(ts, bool) or ts < 0:
-                raise _fail(path, lineno, "ts must be a non-negative integer")
-            results = obj["results"]
-            if not isinstance(results, list):
-                raise _fail(path, lineno, "results must be a list")
-            if len(results) > MAX_RESULTS_PER_QUERY:
-                raise _fail(path, lineno, f"more than {MAX_RESULTS_PER_QUERY} results")
-            events.append(
-                QueryEvent(
-                    user_id=str(obj["user_id"]),
-                    ts=ts,
-                    text=str(obj["text"]),
-                    results=tuple(_parse_result(r, path, lineno) for r in results),
-                )
-            )
+                events.append(_parse_query(line))
+            except ValueError as exc:  # json.JSONDecodeError included
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
     events.sort(key=lambda e: e.ts)  # list.sort is stable: input order breaks ties
     return tuple(events)
 
 
-def _open_csv(path: Path, expected_header: list[str]):
-    fh = open(path, "r", encoding="utf-8", newline="")
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None:  # empty file counts as an empty stream
-        return fh, reader
-    if header != expected_header:
-        fh.close()
-        raise _fail(path, 1, f"expected header {','.join(expected_header)}, got {','.join(header)}")
-    return fh, reader
-
-
-def _int_field(row_val: str, name: str, path: Path, lineno: int, minimum: int | None = None) -> int:
+def _field(parse: Callable[[str], T], raw: str, what: str) -> T:
+    """``parse(raw)``, or a ValueError that says what ``raw`` should be."""
     try:
-        value = int(row_val)
+        return parse(raw)
     except ValueError:
-        raise _fail(path, lineno, f"{name} must be an integer, got {row_val!r}") from None
-    if minimum is not None and value < minimum:
-        raise _fail(path, lineno, f"{name} must be >= {minimum}, got {value}")
+        raise ValueError(f"{what}, got {raw!r}") from None
+
+
+def _int_field(raw: str, name: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
     return value
 
 
+def _parse_visit(row: list[str]) -> VisitEvent:
+    user_id, restaurant_id, entry_s, exit_s = row
+    return VisitEvent(user_id, restaurant_id, _int_field(entry_s, "entry_ts"), _int_field(exit_s, "exit_ts"))
+
+
 def load_visits(path: Path) -> tuple[VisitEvent, ...]:
-    fh, reader = _open_csv(path, VISIT_HEADER)
-    visits: list[VisitEvent] = []
-    with fh:
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise _fail(path, lineno, f"expected 4 fields, got {len(row)}")
-            entry_ts = _int_field(row[2], "entry_ts", path, lineno, minimum=0)
-            exit_ts = _int_field(row[3], "exit_ts", path, lineno, minimum=0)
-            visits.append(VisitEvent(row[0], row[1], entry_ts, exit_ts))
+    _, visits = read_csv(path, VISIT_HEADER, _parse_visit)
     visits.sort(key=lambda v: v.exit_ts)
     return tuple(visits)
 
 
 def load_restaurants(path: Path) -> tuple[RestaurantRecord, ...]:
-    fh, reader = _open_csv(path, REGISTRY_HEADER)
-    records: list[RestaurantRecord] = []
     seen: set[str] = set()
-    with fh:
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise _fail(path, lineno, f"expected 3 fields, got {len(row)}")
-            rid, city, risk = row
-            if rid in seen:
-                raise _fail(path, lineno, f"duplicate restaurant_id {rid!r}")
-            seen.add(rid)
-            try:
-                level = RiskLevel(risk.lower())
-            except ValueError:
-                raise _fail(path, lineno, f"risk_level must be high/medium/low, got {risk!r}") from None
-            records.append(RestaurantRecord(rid, city, level))
+
+    def parse(row: list[str]) -> RestaurantRecord:
+        rid, city, risk = row
+        if rid in seen:
+            raise ValueError(f"duplicate restaurant_id {rid!r}")
+        seen.add(rid)
+        level = _field(lambda r: RiskLevel(r.lower()), risk, "risk_level must be high/medium/low")
+        return RestaurantRecord(rid, city, level)
+
+    _, records = read_csv(path, REGISTRY_HEADER, parse)
     records.sort(key=lambda r: r.restaurant_id)
     return tuple(records)
 
 
+def _parse_inspection(row: list[str]) -> InspectionRecord:
+    rid, date_s, trigger_s, outcome_s, crit_s, major_s = row
+    return InspectionRecord(
+        rid,
+        _field(Date.fromisoformat, date_s, "date must be YYYY-MM-DD"),
+        _field(lambda t: Trigger(t.upper()), trigger_s, "unknown trigger"),
+        _field(lambda o: Outcome(o.capitalize()), outcome_s, "outcome must be Safe or Unsafe"),
+        _int_field(crit_s, "critical_count"),
+        _int_field(major_s, "major_count"),
+    )
+
+
 def load_inspections(path: Path) -> tuple[InspectionRecord, ...]:
-    fh, reader = _open_csv(path, INSPECTION_HEADER)
-    records: list[InspectionRecord] = []
-    with fh:
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise _fail(path, lineno, f"expected 6 fields, got {len(row)}")
-            rid, date_s, trigger_s, outcome_s, crit_s, major_s = row
-            try:
-                when = Date.fromisoformat(date_s)
-            except ValueError:
-                raise _fail(path, lineno, f"date must be YYYY-MM-DD, got {date_s!r}") from None
-            try:
-                trigger = Trigger(trigger_s.upper())
-            except ValueError:
-                raise _fail(path, lineno, f"unknown trigger {trigger_s!r}") from None
-            try:
-                outcome = Outcome(outcome_s.capitalize())
-            except ValueError:
-                raise _fail(path, lineno, f"outcome must be Safe or Unsafe, got {outcome_s!r}") from None
-            crit = _int_field(crit_s, "critical_count", path, lineno, minimum=0)
-            major = _int_field(major_s, "major_count", path, lineno, minimum=0)
-            records.append(InspectionRecord(rid, when, trigger, outcome, crit, major))
+    _, records = read_csv(path, INSPECTION_HEADER, _parse_inspection)
     records.sort(key=lambda r: r.date)
     return tuple(records)
 
@@ -395,36 +375,22 @@ def write_queries(events: Iterable[QueryEvent], path: Path) -> None:
 
 
 def write_visits(visits: Iterable[VisitEvent], path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(VISIT_HEADER)
-        for v in visits:
-            writer.writerow([v.user_id, v.restaurant_id, v.entry_ts, v.exit_ts])
+    write_csv(path, VISIT_HEADER, ((v.user_id, v.restaurant_id, v.entry_ts, v.exit_ts) for v in visits))
 
 
 def write_restaurants(records: Iterable[RestaurantRecord], path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REGISTRY_HEADER)
-        for r in records:
-            writer.writerow([r.restaurant_id, r.city, r.risk_level.value])
+    write_csv(path, REGISTRY_HEADER, ((r.restaurant_id, r.city, r.risk_level.value) for r in records))
 
 
 def write_inspections(records: Iterable[InspectionRecord], path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(INSPECTION_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.restaurant_id,
-                    r.date.isoformat(),
-                    r.trigger.value,
-                    r.outcome.value,
-                    r.critical_count,
-                    r.major_count,
-                ]
-            )
+    write_csv(
+        path,
+        INSPECTION_HEADER,
+        (
+            (r.restaurant_id, r.date.isoformat(), r.trigger.value, r.outcome.value, r.critical_count, r.major_count)
+            for r in records
+        ),
+    )
 
 
 def write_dataset(dataset: Dataset, paths: DatasetPaths) -> None:

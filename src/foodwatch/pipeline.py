@@ -95,7 +95,9 @@ WORLD_FILE = "world.json"
 GROUND_TRUTH_FILE = "ground_truth.json"
 VALIDATION_FILE = "validation.json"
 SCORED_CSV = "scored_queries.csv"
+SCORED_HEADER = ["user_id", "ts", "score"]
 LINKS_CSV = "links.csv"
+LINKS_HEADER = ["user_id", "restaurant_id", "visit_exit_ts", "first_positive_query_ts", "recency_rank"]
 FINDER_INSPECTIONS_CSV = "finder_inspections.csv"
 ALL_INSPECTIONS_CSV = "inspections_all.csv"
 REPORT_TXT = "report.txt"
@@ -127,8 +129,6 @@ def load_world_recipe(path: Path) -> World:
 
 # --- the run: one artifact directory and the inputs its stages share ---------
 
-LINKS_HEADER = ["user_id", "restaurant_id", "visit_exit_ts", "first_positive_query_ts", "recency_rank"]
-
 
 def _read_artifact(path: Path, read: Callable[[Path], object]):
     """``read(path)``, with any malformed content reported as a data error
@@ -137,21 +137,6 @@ def _read_artifact(path: Path, read: Callable[[Path], object]):
         return read(path)
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise DataFormatError(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from exc
-
-
-def _read_rows(path: Path, header: list[str], parse: Callable[[list[str]], object]) -> tuple:
-    """One parsed record per data row of a pipeline CSV; a bad row is a data
-    error that names the file and line."""
-    found, rows = report_mod.read_csv(path)
-    if found != header:
-        raise DataFormatError(f"{path}:1: expected header {','.join(header)}")
-    records = []
-    for lineno, row in enumerate(rows, start=2):  # the writer emits no blank lines
-        try:
-            records.append(parse(row))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    return tuple(records)
 
 
 def _parse_link(row: list[str]) -> ExposureLink:
@@ -212,7 +197,9 @@ class Run:
     @property
     def links(self) -> tuple[ExposureLink, ...]:
         return self._input(
-            "links", self.out / LINKS_CSV, lambda p: _read_rows(p, LINKS_HEADER, _parse_link)
+            "links",
+            self.out / LINKS_CSV,
+            lambda p: tuple(report_mod.read_csv(p, LINKS_HEADER, _parse_link)[1]),
         )
 
     @property
@@ -220,7 +207,7 @@ class Run:
         return self._input(
             "daily_rows",
             self.out / report_mod.DAILY_LISTS_CSV,
-            lambda p: _read_rows(p, report_mod.DAILY_LIST_HEADER, _parse_daily_row),
+            lambda p: tuple(report_mod.read_csv(p, report_mod.DAILY_LIST_HEADER, _parse_daily_row)[1]),
         )
 
     @property
@@ -338,11 +325,7 @@ def compute_daily_lists(
     counts with privacy off), ranking, and per-city shortlist selection with
     a listing cooldown."""
     registry = dataset.registry()
-    policy = PrivacyPolicy(
-        epsilon=config.privacy.epsilon,
-        suppress_below=config.privacy.suppress_below,
-        hash_key=config.privacy.hash_key_int(),
-    )
+    policy = PrivacyPolicy(epsilon=config.privacy.epsilon, suppress_below=config.privacy.suppress_below)
     released_rows: list[tuple] = []
     daily_rows: list[tuple] = []
     last_listed: dict[str, int] = {}
@@ -536,7 +519,7 @@ def stage_eval_wsm(config: RunConfig, out: Path | Run) -> None:
     metrics = compute_wsm_evaluation(config, dataset, truth, model, labeled.texts())
     report_mod.write_csv(
         run.out / report_mod.METRICS_CSV,
-        ["metric", "value"],
+        report_mod.METRICS_HEADER,
         [[k, v] for k, v in metrics.items()],
     )
 
@@ -556,7 +539,7 @@ def stage_rank(config: RunConfig, out: Path | Run) -> None:
     scored, links = compute_exposures(config, dataset, run.model)
     report_mod.write_csv(
         run.out / SCORED_CSV,
-        ["user_id", "ts", "score"],
+        SCORED_HEADER,
         [[s.user_id, s.ts, s.score] for s in scored],
     )
     del scored  # the daily lists, where this stage peaks, do not need the scores
@@ -578,7 +561,7 @@ def stage_inspect(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
     finder = compute_finder_inspections(config, run.world, run.daily_rows)
     write_inspections(finder, run.out / FINDER_INSPECTIONS_CSV)
-    background = load_inspections(dataset_dir(run.out) / "inspections.csv")
+    background = load_inspections(DatasetPaths.in_dir(dataset_dir(run.out)).inspections)
     combined = tuple(sorted(background + finder, key=lambda r: r.date))
     write_inspections(combined, run.out / ALL_INSPECTIONS_CSV)
     run.keep(all_inspections=combined)
@@ -592,16 +575,14 @@ def stage_evaluate(config: RunConfig, out: Path | Run) -> None:
     )
     report_mod.write_csv(
         run.out / report_mod.RISK_DISTRIBUTION_CSV,
-        ["risk_level", "finder_n", "finder_pct", "baseline_n", "baseline_pct", "chi2_p"],
+        report_mod.RISK_DISTRIBUTION_HEADER,
         tables["risk_distribution"],
     )
     report_mod.write_csv(
-        run.out / report_mod.VIOLATIONS_CSV,
-        ["severity", "finder_adjusted_mean", "baseline_adjusted_mean", "p_value"],
-        tables["violations"],
+        run.out / report_mod.VIOLATIONS_CSV, report_mod.VIOLATIONS_HEADER, tables["violations"]
     )
     report_mod.write_csv(
-        run.out / report_mod.ATTRIBUTION_CSV, ["rank", "fraction"], tables["attribution"]
+        run.out / report_mod.ATTRIBUTION_CSV, report_mod.ATTRIBUTION_HEADER, tables["attribution"]
     )
 
 

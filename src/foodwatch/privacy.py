@@ -23,12 +23,15 @@ from .seeding import (
 )
 
 
+# L1 sensitivity of each released count: contribution capping leaves each
+# user at most one link per restaurant, so one user moves a count by at most 1.
+SENSITIVITY = 1.0
+
+
 @dataclass(frozen=True)
 class PrivacyPolicy:
     epsilon: float = 1.0  # budget per released count
     suppress_below: int = 30
-    hash_key: int = 0  # 128-bit secret; zero is rejected by anonymize_ids
-    sensitivity: float = 1.0  # fixed by contribution capping
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
@@ -116,11 +119,11 @@ def release(
 ) -> dict[str, ReleasedAggregate]:
     """Laplace-noised counts per restaurant, with small-count suppression.
 
-    Each count gets an independent Laplace(sensitivity/epsilon) draw. Noised
+    Each count gets an independent Laplace(SENSITIVITY/epsilon) draw. Noised
     counts stay real-valued so the released proportion is unbiased; the
     proportion is clamped to [0, 1].
     """
-    scale = policy.sensitivity / policy.epsilon
+    scale = SENSITIVITY / policy.epsilon
     released: dict[str, ReleasedAggregate] = {}
     rids = sorted(aggregates)
     for rid, rng in zip(rids, make_rngs(rng_seed, [("release", rid) for rid in rids])):

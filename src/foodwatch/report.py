@@ -3,24 +3,24 @@
 Every table the pipeline emits is a plain CSV; the text report is rendered
 from those CSVs (not from in-memory state), so the two can never disagree.
 Floats are written with ``repr`` and parse back to the exact same values.
+``read_csv`` and ``write_csv`` are the package's one CSV codec: the dataset
+streams and every pipeline table are read and written through them, and each
+table's header is declared once, next to its file name.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import DataError, DataFormatError
 
-METRICS_CSV = "wsm_metrics.csv"
-DAILY_LISTS_CSV = "daily_lists.csv"
-RELEASED_CSV = "released_aggregates.csv"
-PRECISION_CSV = "precision.csv"
-RISK_DISTRIBUTION_CSV = "risk_distribution.csv"
-VIOLATIONS_CSV = "violations.csv"
-ATTRIBUTION_CSV = "attribution.csv"
+T = TypeVar("T")
 
+METRICS_CSV = "wsm_metrics.csv"
+METRICS_HEADER = ["metric", "value"]
+DAILY_LISTS_CSV = "daily_lists.csv"
 DAILY_LIST_HEADER = [
     "date",
     "restaurant_id",
@@ -31,7 +31,9 @@ DAILY_LIST_HEADER = [
     "proportion",
     "signal",
 ]
+RELEASED_CSV = "released_aggregates.csv"
 RELEASED_HEADER = DAILY_LIST_HEADER + ["suppressed"]
+PRECISION_CSV = "precision.csv"
 PRECISION_HEADER = [
     "comparison",
     "stratum",
@@ -48,29 +50,59 @@ PRECISION_HEADER = [
     "converged",
     "note",
 ]
+RISK_DISTRIBUTION_CSV = "risk_distribution.csv"
+RISK_DISTRIBUTION_HEADER = ["risk_level", "finder_n", "finder_pct", "baseline_n", "baseline_pct", "chi2_p"]
+VIOLATIONS_CSV = "violations.csv"
+VIOLATIONS_HEADER = ["severity", "finder_adjusted_mean", "baseline_adjusted_mean", "p_value"]
+ATTRIBUTION_CSV = "attribution.csv"
+ATTRIBUTION_HEADER = ["rank", "fraction"]
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """A header line and one line per row; ``None`` is written as an empty field."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    """The header and data rows of a pipeline CSV; a data row cut short or
-    run long is a data error that names the file and line."""
-    if not path.exists():
-        raise DataError(f"missing artifact {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+def read_csv(
+    path: Path,
+    header: Sequence[str] | None = None,
+    parse: Callable[[list[str]], T] = list,
+) -> tuple[list[str], list[T]]:
+    """The header line of a CSV and ``parse(row)`` of each data row, read one
+    row at a time.
+
+    Blank lines are skipped. When ``header`` is given the file's header line
+    must equal it. A missing file, a header mismatch, a row whose width
+    differs from the header's and a ``ValueError`` from ``parse`` are data
+    errors; all but the first name the file and line.
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except FileNotFoundError:
+        raise DataError(f"missing file {path}") from None
+    with fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = [row for row in reader if row]
-    for lineno, row in enumerate(rows, start=2):  # the writer emits no blank lines
-        if len(row) != len(header):
-            raise DataFormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-    return header, rows
+        found = next(reader, None)
+        if header is not None and found != list(header):
+            missing = next((name for name in header if name not in (found or ())), None)
+            problem = f"missing column {missing}" if missing else f"got {','.join(found)}"
+            raise DataFormatError(f"{path}:1: {problem}; expected header {','.join(header)}")
+        found = found or []
+        width = len(found)
+        records = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != width:
+                    raise ValueError(f"expected {width} fields, got {len(row)}")
+                records.append(parse(row))
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+    return found, records
 
 
 def format_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -102,42 +134,33 @@ def render_report(artifact_dir: Path) -> str:
     artifact_dir = Path(artifact_dir)
     parts: list[str] = []
 
-    header, rows = read_csv(artifact_dir / RISK_DISTRIBUTION_CSV)
+    _, rows = read_csv(artifact_dir / RISK_DISTRIBUTION_CSV, RISK_DISTRIBUTION_HEADER)
     display = [
-        [r[0], r[1], _fmt(r[2], 1) + "%", r[3], _fmt(r[4], 1) + "%", _fmt(r[5], 4)]
-        for r in rows
+        [level, finder_n, _fmt(finder_pct, 1) + "%", baseline_n, _fmt(baseline_pct, 1) + "%", _fmt(chi2_p, 4)]
+        for level, finder_n, finder_pct, baseline_n, baseline_pct, chi2_p in rows
     ]
     parts.append(
         _section(
             "Risk-level distribution of inspections",
-            format_table(
-                ["risk_level", "finder_n", "finder_pct", "baseline_n", "baseline_pct", "chi2_p"],
-                display,
-            ),
+            format_table(RISK_DISTRIBUTION_HEADER, display),
         )
     )
 
-    path = artifact_dir / PRECISION_CSV
-    header, rows = read_csv(path)
-    missing = [name for name in PRECISION_HEADER if name not in header]
-    if missing:
-        raise DataFormatError(f"{path}:1: missing column {missing[0]}")
-    idx = {name: header.index(name) for name in header}
+    _, rows = read_csv(artifact_dir / PRECISION_CSV, PRECISION_HEADER)
     display = []
-    for r in rows:
-        oratio = r[idx["odds_ratio"]]
-        ci = "-"
-        if oratio:
-            ci = f"{_fmt(r[idx['ci_low']], 2)}-{_fmt(r[idx['ci_high']], 2)}"
+    for (
+        comparison, stratum, n_finder, unsafe_finder, pct_finder, n_other, unsafe_other, pct_other,
+        odds_ratio, ci_low, ci_high, p_value, _converged, _note,
+    ) in rows:
         display.append(
             [
-                r[idx["comparison"]],
-                r[idx["stratum"]],
-                f"{r[idx['unsafe_finder']]}/{r[idx['n_finder']]} ({_fmt(r[idx['pct_finder']], 1)}%)",
-                f"{r[idx['unsafe_other']]}/{r[idx['n_other']]} ({_fmt(r[idx['pct_other']], 1)}%)",
-                _fmt(oratio, 2),
-                ci,
-                _fmt(r[idx["p_value"]], 4),
+                comparison,
+                stratum,
+                f"{unsafe_finder}/{n_finder} ({_fmt(pct_finder, 1)}%)",
+                f"{unsafe_other}/{n_other} ({_fmt(pct_other, 1)}%)",
+                _fmt(odds_ratio, 2),
+                f"{_fmt(ci_low, 2)}-{_fmt(ci_high, 2)}" if odds_ratio else "-",
+                _fmt(p_value, 4),
             ]
         )
     parts.append(
@@ -150,8 +173,11 @@ def render_report(artifact_dir: Path) -> str:
         )
     )
 
-    header, rows = read_csv(artifact_dir / VIOLATIONS_CSV)
-    display = [[r[0], _fmt(r[1], 2), _fmt(r[2], 2), _fmt(r[3], 4)] for r in rows]
+    _, rows = read_csv(artifact_dir / VIOLATIONS_CSV, VIOLATIONS_HEADER)
+    display = [
+        [severity, _fmt(finder_mean, 2), _fmt(baseline_mean, 2), _fmt(p_value, 4)]
+        for severity, finder_mean, baseline_mean, p_value in rows
+    ]
     parts.append(
         _section(
             "Adjusted mean violation counts (city and risk adjusted)",
@@ -159,17 +185,15 @@ def render_report(artifact_dir: Path) -> str:
         )
     )
 
-    header, rows = read_csv(artifact_dir / ATTRIBUTION_CSV)
-    display = [[r[0], _fmt(r[1], 3)] for r in rows]
+    _, rows = read_csv(artifact_dir / ATTRIBUTION_CSV, ATTRIBUTION_HEADER)
+    display = [[rank, _fmt(fraction, 3)] for rank, fraction in rows]
     parts.append(
         _section(
             "Source attribution by visit recency rank",
-            format_table(["rank", "fraction"], display),
+            format_table(ATTRIBUTION_HEADER, display),
         )
     )
 
-    header, rows = read_csv(artifact_dir / METRICS_CSV)
-    parts.append(
-        _section("Query classifier metrics", format_table(["metric", "value"], rows))
-    )
+    _, rows = read_csv(artifact_dir / METRICS_CSV, METRICS_HEADER)
+    parts.append(_section("Query classifier metrics", format_table(METRICS_HEADER, rows)))
     return "\n".join(parts)

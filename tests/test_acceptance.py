@@ -125,7 +125,7 @@ def test_criterion_4_wsm_numerics(default_run):
     rng = make_rng(4, "c4")
     events = [query(f"u{i}", i, f"token{i} shared word{i % 7}") for i in range(30)]
     labels = np.array([i % 2 for i in range(30)], dtype=float)
-    vectors = [np.array(featurize(e).indices, dtype=np.intp) for e in events]
+    vectors = [np.array(featurize(e), dtype=np.intp) for e in events]
     rows = FeatureRows.of(vectors)
     weights = rng.normal(0, 0.4, DIM)
     intercept = -0.2
@@ -208,7 +208,7 @@ def test_criterion_6_attribution_recovery():
 def test_criterion_7_privacy(default_run):
     # Laplace moments
     n = 20_000
-    policy = PrivacyPolicy(epsilon=1.0, suppress_below=0, hash_key=7)
+    policy = PrivacyPolicy(epsilon=1.0, suppress_below=0)
     from foodwatch.locmodel import RestaurantAggregate
 
     aggs = {f"r{i:05d}": RestaurantAggregate(f"r{i:05d}", 100, 0) for i in range(n)}

@@ -127,3 +127,26 @@ def test_cli_missing_artifacts_are_data_errors(tmp_path, capsys):
     # report before evaluate: names the missing table
     assert cli.main(["report", "--out", str(tmp_path)]) == cli.EXIT_DATA
     assert "risk_distribution.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, setting, exit_code",
+    [
+        ("rank", "privacy.epsilon=0", cli.EXIT_USAGE),
+        ("rank", "privacy.suppress_below=-1", cli.EXIT_USAGE),
+        ("rank", "privacy.hash_key=zz", cli.EXIT_USAGE),
+        ("rank", "locmodel.cutoff=2", cli.EXIT_USAGE),
+        ("eval-wsm", "wsm.eval_size=61", cli.EXIT_USAGE),
+        ("train-wsm", "wsm.neg_ratio=0", cli.EXIT_USAGE),
+        ("train-wsm", "wsm.batch_size=0", cli.EXIT_USAGE),
+        ("train-wsm", "wsm.epochs=-1", cli.EXIT_USAGE),
+        ("simulate", "sim.meals_per_day=-1", cli.EXIT_DATA),
+        ("simulate", "sim.background_queries_per_day=-0.5", cli.EXIT_DATA),
+    ],
+)
+def test_cli_out_of_range_settings_are_rejected(tmp_path, capsys, command, setting, exit_code):
+    code = cli.main([command, "--out", str(tmp_path), "--set", setting])
+    assert code == exit_code
+    key = setting.split("=")[0]
+    # sim.* keys are checked where the simulator validates its config, by field name
+    assert (key if exit_code == cli.EXIT_USAGE else key.split(".", 1)[1]) in capsys.readouterr().err

@@ -45,8 +45,8 @@ def test_food_poisoning_exact_indices():
         }
     )
     vec = featurize(event)
-    assert list(vec.indices) == expected
-    assert all(i < DIM for i in vec.indices)
+    assert list(vec) == expected
+    assert all(i < DIM for i in vec)
 
 
 def test_buckets_after_cache_eviction_match_oracle():
@@ -99,7 +99,7 @@ def test_namespaces_cover_all_sources():
 def test_duplicates_collapse():
     vec = featurize(query(text="food food food"))
     expected = sorted({bucket("q:food"), bucket("qb:food_food")})
-    assert list(vec.indices) == expected
+    assert list(vec) == expected
 
 
 def test_bucket_bound_holds_over_large_corpus():
@@ -112,7 +112,7 @@ def test_bucket_bound_holds_over_large_corpus():
         words = [vocab[int(k)] for k in rng.integers(0, len(vocab), size=3)]
         vec = featurize(query(text=" ".join(words)))
         if len(vec):
-            max_index = max(max_index, vec.indices[-1])
+            max_index = max(max_index, vec[-1])
     assert 0 <= max_index < DIM
 
 
@@ -123,5 +123,5 @@ def test_featurize_pure_and_bounded(text):
     first = featurize(event)
     second = featurize(event)
     assert first == second
-    assert all(0 <= i < DIM for i in first.indices)
-    assert list(first.indices) == sorted(set(first.indices))
+    assert all(0 <= i < DIM for i in first)
+    assert list(first) == sorted(set(first))

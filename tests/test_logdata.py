@@ -93,6 +93,12 @@ def test_bad_csv_header_rejected(tmp_path):
         load_dataset(paths)
 
 
+def test_duplicate_restaurant_id_reports_its_line(tmp_path):
+    paths = write_files(tmp_path, restaurants="restaurant_id,city,risk_level\nr1,A,high\n\nr1,B,low\n")
+    with pytest.raises(DataFormatError, match=r"restaurants\.csv:4: duplicate restaurant_id 'r1'"):
+        load_dataset(paths)
+
+
 def test_visits_sorted_by_exit_ts(tmp_path):
     paths = write_files(
         tmp_path,

@@ -6,6 +6,8 @@ from datetime import date as Date
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foodwatch import pipeline
 from foodwatch import report as report_mod
@@ -110,6 +112,25 @@ def test_report_csvs_round_trip_exactly(small_run):
     second = report_mod.render_report(out)
     assert first == second
     assert (out / "report.txt").read_text() == first
+
+
+_CELLS = st.text(alphabet=st.sampled_from(["a", "1", " ", ",", '"', "\n", "\r", "\u00e9"]), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda width: st.tuples(
+            st.lists(_CELLS, min_size=width, max_size=width),
+            st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=5),
+        )
+    )
+)
+def test_csv_codec_round_trips_commas_quotes_and_newlines(tmp_path_factory, table):
+    header, rows = table
+    path = tmp_path_factory.mktemp("codec") / "table.csv"
+    report_mod.write_csv(path, header, rows)
+    assert report_mod.read_csv(path, header) == (header, rows)
 
 
 def test_precision_rows_conserve_inspection_counts(small_run):
@@ -237,6 +258,59 @@ def _rename_precision_column(out):
     return f"{path}:1: missing column odds_ratio"
 
 
+def _edit_line(path, index, edit):
+    """Replace line ``index`` (0 is the header) of a file by ``edit(line)``."""
+    lines = path.read_text().splitlines()
+    lines[index] = edit(lines[index])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _empty_visits(out):
+    path = dataset_dir(out) / "visits.csv"
+    path.write_text("")  # no header line: not an empty stream
+    return f"{path}:1: missing column user_id"
+
+
+def _non_integer_exit_ts(out):
+    path = dataset_dir(out) / "visits.csv"
+    _edit_line(path, 2, lambda line: line.rsplit(",", 1)[0] + ",soon")
+    return f"{path}:3: exit_ts must be an integer"
+
+
+def _blank_line_before_short_link_row(out):
+    path = out / LINKS_CSV
+    _edit_line(path, 2, lambda line: ",".join(line.split(",")[:3]))
+    _edit_line(path, 1, lambda line: "\n" + line)  # the short row moves to line 4
+    return f"{path}:4: expected 5 fields, got 3"
+
+
+def _shorten_inspection_row(out):
+    path = out / ALL_INSPECTIONS_CSV
+    _edit_line(path, 3, lambda line: line.split(",")[0])
+    return f"{path}:4: expected 6 fields, got 1"
+
+
+def _rename_header_column(path, column):
+    _edit_line(path, 0, lambda line: line.replace(column, column.upper()))
+    return f"{path}:1: missing column {column}; expected header"
+
+
+def _rename_risk_distribution_column(out):
+    return _rename_header_column(out / report_mod.RISK_DISTRIBUTION_CSV, "finder_pct")
+
+
+def _rename_violations_column(out):
+    return _rename_header_column(out / report_mod.VIOLATIONS_CSV, "p_value")
+
+
+def _rename_attribution_column(out):
+    return _rename_header_column(out / report_mod.ATTRIBUTION_CSV, "fraction")
+
+
+def _rename_metrics_column(out):
+    return _rename_header_column(out / report_mod.METRICS_CSV, "value")
+
+
 def _drop_world_cfg(out):
     path = private_dir(out) / WORLD_FILE
     payload = json.loads(path.read_text())
@@ -253,6 +327,14 @@ def _drop_world_cfg(out):
         ("inspect", _drop_world_cfg),
         ("report", _shorten_risk_row),
         ("report", _rename_precision_column),
+        ("train-wsm", _empty_visits),
+        ("train-wsm", _non_integer_exit_ts),
+        ("evaluate", _blank_line_before_short_link_row),
+        ("evaluate", _shorten_inspection_row),
+        ("report", _rename_risk_distribution_column),
+        ("report", _rename_violations_column),
+        ("report", _rename_attribution_column),
+        ("report", _rename_metrics_column),
     ],
 )
 def test_corrupt_intermediates_are_data_errors(tmp_path, small_run, capsys, command, corrupt):

@@ -123,7 +123,7 @@ def agg(rid="r1", visitors=100, affected=10):
 
 
 def test_huge_epsilon_recovers_counts():
-    policy = PrivacyPolicy(epsilon=1e6, suppress_below=0, hash_key=KEY)
+    policy = PrivacyPolicy(epsilon=1e6, suppress_below=0)
     rel = release(agg(), policy, rng_seed=4)["r1"]
     assert abs(rel.visitors - 100) < 1e-3
     assert abs(rel.affected - 10) < 1e-3
@@ -131,7 +131,7 @@ def test_huge_epsilon_recovers_counts():
 
 
 def test_laplace_moments_match_oracle():
-    policy = PrivacyPolicy(epsilon=1.0, suppress_below=0, hash_key=KEY)
+    policy = PrivacyPolicy(epsilon=1.0, suppress_below=0)
     n = 20_000
     aggs = {f"r{i:05d}": RestaurantAggregate(f"r{i:05d}", 100, 0) for i in range(n)}
     rel = release(aggs, policy, rng_seed=17)
@@ -143,7 +143,7 @@ def test_laplace_moments_match_oracle():
 
 
 def test_suppression_exposes_no_counts():
-    policy = PrivacyPolicy(epsilon=1.0, suppress_below=30, hash_key=KEY)
+    policy = PrivacyPolicy(epsilon=1.0, suppress_below=30)
     rel = release(agg(visitors=5, affected=2), policy, rng_seed=1)["r1"]
     assert rel.suppressed
     assert rel.visitors is None and rel.affected is None
@@ -151,7 +151,7 @@ def test_suppression_exposes_no_counts():
 
 
 def test_release_proportion_clamped():
-    policy = PrivacyPolicy(epsilon=0.2, suppress_below=0, hash_key=KEY)
+    policy = PrivacyPolicy(epsilon=0.2, suppress_below=0)
     aggs = {f"r{i}": RestaurantAggregate(f"r{i}", 3, 3) for i in range(200)}
     for rel in release(aggs, policy, rng_seed=3).values():
         if not rel.suppressed:
@@ -159,7 +159,7 @@ def test_release_proportion_clamped():
 
 
 def test_release_deterministic_and_order_independent():
-    policy = PrivacyPolicy(epsilon=1.0, suppress_below=0, hash_key=KEY)
+    policy = PrivacyPolicy(epsilon=1.0, suppress_below=0)
     aggs = {
         "rA": RestaurantAggregate("rA", 50, 5),
         "rB": RestaurantAggregate("rB", 60, 6),

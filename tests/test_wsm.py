@@ -138,7 +138,7 @@ def test_loss_non_increasing_across_epochs_default_schedule():
 
 def test_gradient_matches_central_finite_differences():
     labeled = separable_set(8)
-    vectors = [np.array(featurize(e).indices, dtype=np.intp) for e, _ in labeled.examples]
+    vectors = [np.array(featurize(e), dtype=np.intp) for e, _ in labeled.examples]
     rows = FeatureRows.of(vectors)
     labels = np.array([y for _, y in labeled.examples], dtype=float)
     rng = make_rng(123, "gradcheck")
@@ -171,7 +171,7 @@ def test_loss_and_gradient_match_per_example_oracle():
         query(f"u{i}", i, " ".join(vocab[int(k)] for k in rng.integers(0, 40, size=int(rng.integers(0, 12)))))
         for i in range(300)
     ]  # 0 to 11 tokens: empty rows, and margins longer than numpy's 8-way unrolled sum
-    vectors = [np.array(featurize(e).indices, dtype=np.intp) for e in events]
+    vectors = [np.array(featurize(e), dtype=np.intp) for e in events]
     rows = FeatureRows.of(vectors)
     labels = (rng.random(len(events)) < 0.4).astype(float)
     weights = rng.normal(0, 0.5, DIM)
@@ -272,7 +272,7 @@ def test_batch_scores_equal_per_event_scores():
     scores = score_queries(model, events)
     assert scores.tolist() == [score_query(model, e) for e in events]
     for event, score in zip(events, scores.tolist()):
-        z = intercept + sum(weights[j] for j in featurize(event).indices)
+        z = intercept + sum(weights[j] for j in featurize(event))
         assert score == pytest.approx(1.0 / (1.0 + math.exp(-z)), rel=1e-12)
     assert score_queries(model, []).shape == (0,)
 
