@@ -38,6 +38,8 @@ MAX_RESULTS_PER_QUERY = 10
 
 QUERY_FIELDS = ("user_id", "ts", "text", "results")
 RESULT_FIELDS = ("url", "title", "snippet", "concept_tags", "clicked", "dwell_s")
+_QUERY_KEYS = frozenset(QUERY_FIELDS)
+_RESULT_KEYS = frozenset(RESULT_FIELDS)
 VISIT_HEADER = ["user_id", "restaurant_id", "entry_ts", "exit_ts"]
 REGISTRY_HEADER = ["restaurant_id", "city", "risk_level"]
 INSPECTION_HEADER = [
@@ -160,13 +162,17 @@ class ValidationReport:
         return not self.violations
 
 
+def _field_mismatch(what: str, obj: dict, expected: frozenset[str]) -> ValueError:
+    return ValueError(
+        f"{what} fields: missing {sorted(expected - obj.keys())}, unknown {sorted(obj.keys() - expected)}"
+    )
+
+
 def _parse_result(obj: object) -> ResultPage:
     if not isinstance(obj, dict):
         raise ValueError("result entry is not an object")
-    extra = set(obj) - set(RESULT_FIELDS)
-    missing = set(RESULT_FIELDS) - set(obj)
-    if extra or missing:
-        raise ValueError(f"result fields: missing {sorted(missing)}, unknown {sorted(extra)}")
+    if obj.keys() != _RESULT_KEYS:
+        raise _field_mismatch("result", obj, _RESULT_KEYS)
     clicked = obj["clicked"]
     dwell = obj["dwell_s"]
     if not isinstance(clicked, bool):
@@ -190,10 +196,8 @@ def _parse_query(line: str) -> QueryEvent:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
-    extra = set(obj) - set(QUERY_FIELDS)
-    missing = set(QUERY_FIELDS) - set(obj)
-    if extra or missing:
-        raise ValueError(f"query fields: missing {sorted(missing)}, unknown {sorted(extra)}")
+    if obj.keys() != _QUERY_KEYS:
+        raise _field_mismatch("query", obj, _QUERY_KEYS)
     ts = obj["ts"]
     if not isinstance(ts, int) or isinstance(ts, bool) or ts < 0:
         raise ValueError("ts must be a non-negative integer")
@@ -300,13 +304,26 @@ def load_dataset(paths: DatasetPaths) -> Dataset:
         restaurants=load_restaurants(paths.restaurants),
         inspections=load_inspections(paths.inspections),
     )
-    known = {r.restaurant_id for r in dataset.restaurants}
-    dangling = sorted({v.restaurant_id for v in dataset.visits} - known)
+    _check_references(dataset.visits, dataset.restaurants)
+    return dataset
+
+
+def load_visit_log(paths: DatasetPaths) -> tuple[tuple[VisitEvent, ...], tuple[RestaurantRecord, ...]]:
+    """The visits and the registry, cross-checked as :func:`load_dataset`
+    does; neither the query log nor the inspections are read."""
+    visits = load_visits(paths.visits)
+    restaurants = load_restaurants(paths.restaurants)
+    _check_references(visits, restaurants)
+    return visits, restaurants
+
+
+def _check_references(visits: tuple[VisitEvent, ...], restaurants: tuple[RestaurantRecord, ...]) -> None:
+    known = {r.restaurant_id for r in restaurants}
+    dangling = sorted({v.restaurant_id for v in visits} - known)
     if dangling:
         raise ReferentialError(
             f"visits reference unknown restaurants: {', '.join(dangling)}"
         )
-    return dataset
 
 
 def validate_dataset(dataset: Dataset) -> ValidationReport:

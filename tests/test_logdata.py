@@ -87,6 +87,38 @@ def test_missing_field_reports_line_number(tmp_path):
         load_dataset(paths)
 
 
+_RESULT = {"url": "u", "title": "t", "snippet": "s", "concept_tags": [], "clicked": False, "dwell_s": 0}
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"user_id": "u1", "ts": 0, "text": "x"}, "query fields: missing ['results'], unknown []"),
+        (
+            {"user_id": "u1", "ts": 0, "text": "x", "results": [], "lang": "en", "id": 1},
+            "query fields: missing [], unknown ['id', 'lang']",
+        ),
+        (
+            {"ts": 0, "text": "x", "results": [], "userid": "u1"},
+            "query fields: missing ['user_id'], unknown ['userid']",
+        ),
+        (
+            {"user_id": "u1", "ts": 0, "text": "x", "results": [{**_RESULT, "rank": 1}]},
+            "result fields: missing [], unknown ['rank']",
+        ),
+        (
+            {"user_id": "u1", "ts": 0, "text": "x", "results": [{k: v for k, v in _RESULT.items() if k != "dwell_s"}]},
+            "result fields: missing ['dwell_s'], unknown []",
+        ),
+    ],
+)
+def test_field_mismatch_names_missing_and_unknown_fields(tmp_path, record, message):
+    paths = write_files(tmp_path, queries=query_line() + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(DataFormatError) as excinfo:
+        load_dataset(paths)
+    assert str(excinfo.value) == f"{paths.queries}:2: {message}"
+
+
 def test_bad_csv_header_rejected(tmp_path):
     paths = write_files(tmp_path, visits="user,rest,entry,exit\n")
     with pytest.raises(DataFormatError, match="expected header"):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from foodwatch import pipeline
 from foodwatch import report as report_mod
-from foodwatch.citysim import DAY_S, SIM_EPOCH_DATE
+from foodwatch.citysim import DAY_S, SIM_EPOCH_DATE, load_ground_truth, save_ground_truth
 from foodwatch.cli import main as cli_main
 from foodwatch.config import RunConfig, apply_overrides
 from foodwatch.logdata import DatasetPaths, load_dataset, write_dataset
@@ -284,6 +284,15 @@ def _blank_line_before_short_link_row(out):
     return f"{path}:4: expected 5 fields, got 3"
 
 
+def _visit_unregistered_restaurant(out):
+    def edit(line):
+        user_id, _, entry_ts, exit_ts = line.split(",")
+        return ",".join([user_id, "r99999", entry_ts, exit_ts])
+
+    _edit_line(dataset_dir(out) / "visits.csv", 1, edit)
+    return "visits reference unknown restaurants: r99999"
+
+
 def _shorten_inspection_row(out):
     path = out / ALL_INSPECTIONS_CSV
     _edit_line(path, 3, lambda line: line.split(",")[0])
@@ -331,6 +340,7 @@ def _drop_world_cfg(out):
         ("train-wsm", _non_integer_exit_ts),
         ("evaluate", _blank_line_before_short_link_row),
         ("evaluate", _shorten_inspection_row),
+        ("evaluate", _visit_unregistered_restaurant),
         ("report", _rename_risk_distribution_column),
         ("report", _rename_violations_column),
         ("report", _rename_attribution_column),
@@ -371,9 +381,28 @@ def test_run_weak_labels_once(monkeypatch, tmp_path):
 
 def test_run_never_reads_the_dataset_back(monkeypatch, tmp_path):
     calls = []
-    monkeypatch.setattr(pipeline, "load_dataset", lambda paths: calls.append(paths))
+    for loader in ("load_dataset", "load_visit_log", "load_inspections", "load_ground_truth"):
+        monkeypatch.setattr(pipeline, loader, lambda path, name=loader: calls.append(name))
     run_pipeline(small_config(), tmp_path)
-    assert calls == []  # simulate keeps the dataset it wrote for the later stages
+    assert calls == []  # simulate keeps the dataset and ground truth it wrote for the later stages
+
+
+def test_evaluate_reads_no_query_log(tmp_path, small_run):
+    out = tmp_path / "run"
+    shutil.copytree(small_run[0], out)
+    (dataset_dir(out) / "queries.jsonl").unlink()
+    tables = (
+        report_mod.PRECISION_CSV,
+        report_mod.RISK_DISTRIBUTION_CSV,
+        report_mod.VIOLATIONS_CSV,
+        report_mod.ATTRIBUTION_CSV,
+    )
+    for table in tables:
+        (out / table).unlink()
+    args = ["--out", str(out), "--seed", "5"] + [f"--set={kv}" for kv in SMALL]
+    assert cli_main(["evaluate"] + args) == 0
+    for table in tables:
+        assert (out / table).read_bytes() == (small_run[0] / table).read_bytes(), table
 
 
 @pytest.mark.parametrize("extra", [(), ("days=20", "sim.cities=A:60,B:40")])
@@ -381,10 +410,14 @@ def test_run_never_reads_the_dataset_back(monkeypatch, tmp_path):
 def test_simulated_dataset_equals_its_reload(tmp_path, seed, extra):
     # run keeps the simulated dataset instead of reading it back, so the
     # stage commands, which do read it, must see the same streams in the same order
-    _, dataset, _ = pipeline.compute_simulation(small_config(seed, extra))
+    _, dataset, truth = pipeline.compute_simulation(small_config(seed, extra))
     paths = DatasetPaths.in_dir(tmp_path)
     write_dataset(dataset, paths)
     assert load_dataset(paths) == dataset
+    # and the ground truth, which eval-wsm reads
+    assert truth.infections
+    save_ground_truth(truth, tmp_path / "truth.json")
+    assert load_ground_truth(tmp_path / "truth.json") == truth
 
 
 def test_benchmark_trace_entry_points_resolve(monkeypatch):
