@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import re
-from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterator, Sequence
@@ -238,10 +237,14 @@ def _featurize_block(events: Sequence[QueryEvent]) -> tuple[np.ndarray, np.ndarr
 def featurize_rows(events: Sequence[QueryEvent]) -> FeatureRows:
     """``featurize`` of every event, as one :class:`FeatureRows`."""
     lengths = np.empty(len(events), dtype=np.intp)
-    indices = array(np.dtype(np.intp).char)  # grows in place, unlike a list of parts
+    indices = np.empty(0, dtype=np.intp)
     for start in range(0, len(events), FEATURE_BLOCK):
         block = events[start : start + FEATURE_BLOCK]
         block_indices, block_lengths = _featurize_block(block)
-        indices.frombytes(block_indices.tobytes())
+        end = len(indices)
+        # grown in place, where concatenating a list of parts would hold
+        # every index twice; nothing else refers to the array yet
+        indices.resize(end + len(block_indices), refcheck=False)
+        indices[end:] = block_indices
         lengths[start : start + len(block)] = block_lengths
-    return FeatureRows(np.frombuffer(indices, dtype=np.intp), lengths)
+    return FeatureRows(indices, lengths)

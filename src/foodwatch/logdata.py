@@ -308,13 +308,14 @@ def load_dataset(paths: DatasetPaths) -> Dataset:
     return dataset
 
 
-def load_visit_log(paths: DatasetPaths) -> tuple[tuple[VisitEvent, ...], tuple[RestaurantRecord, ...]]:
-    """The visits and the registry, cross-checked as :func:`load_dataset`
-    does; neither the query log nor the inspections are read."""
+def load_visit_log(paths: DatasetPaths) -> tuple[tuple[VisitEvent, ...], dict[str, RestaurantRecord]]:
+    """The visits and the registry by restaurant id, cross-checked as
+    :func:`load_dataset` does; neither the query log nor the inspections
+    are read."""
     visits = load_visits(paths.visits)
     restaurants = load_restaurants(paths.restaurants)
     _check_references(visits, restaurants)
-    return visits, restaurants
+    return visits, {r.restaurant_id: r for r in restaurants}
 
 
 def _check_references(visits: tuple[VisitEvent, ...], restaurants: tuple[RestaurantRecord, ...]) -> None:

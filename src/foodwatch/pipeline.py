@@ -150,12 +150,6 @@ def _parse_daily_row(row: list[str]) -> tuple:
     return tuple(row)
 
 
-def _read_visit_log(directory: Path) -> tuple[tuple[VisitEvent, ...], dict[str, RestaurantRecord]]:
-    """The visits and the registry of the dataset in ``directory``."""
-    visits, restaurants = load_visit_log(DatasetPaths.in_dir(directory))
-    return visits, {r.restaurant_id: r for r in restaurants}
-
-
 class Run:
     """An artifact directory and the inputs its stages share.
 
@@ -178,10 +172,11 @@ class Run:
     def keep(self, **inputs) -> None:
         self._inputs.update(inputs)
 
-    def release(self, name: str) -> None:
-        """Forget the kept input ``name``, which no later stage uses, so the
-        run does not hold it to the end."""
-        self._inputs.pop(name, None)
+    def release(self, *names: str) -> None:
+        """Forget the kept inputs ``names``, which no later stage uses, so
+        the run does not hold them to the end."""
+        for name in names:
+            self._inputs.pop(name, None)
 
     def get(self, name: str, make: Callable[[], object]):
         """The kept input ``name``, made and kept first if it is missing."""
@@ -198,20 +193,14 @@ class Run:
             "dataset", dataset_dir(self.out), lambda d: load_dataset(DatasetPaths.in_dir(d))
         )
 
-    # The parts of the dataset that some stages use alone, so that those
-    # stages read only their own files of it.
-
     @property
-    def visits(self) -> tuple[VisitEvent, ...]:
-        return self._visit_log[0]
-
-    @property
-    def registry(self) -> dict[str, RestaurantRecord]:
-        return self._visit_log[1]
-
-    @property
-    def _visit_log(self) -> tuple[tuple[VisitEvent, ...], dict[str, RestaurantRecord]]:
-        return self._input("visit_log", dataset_dir(self.out), _read_visit_log)
+    def visit_log(self) -> tuple[tuple[VisitEvent, ...], dict[str, RestaurantRecord]]:
+        """The visits and the registry: taken from the dataset while it is
+        kept, else read from their own two files of it."""
+        dataset = self._inputs.get("dataset")
+        if dataset is not None:
+            return self.get("visit_log", lambda: (dataset.visits, dataset.registry()))
+        return self._input("visit_log", dataset_dir(self.out), lambda d: load_visit_log(DatasetPaths.in_dir(d)))
 
     @property
     def background_inspections(self) -> tuple[InspectionRecord, ...]:
@@ -355,13 +344,13 @@ def _list_row(list_date: str, rec: RestaurantRecord, cell: ReleasedAggregate) ->
 
 def compute_daily_lists(
     config: RunConfig,
-    dataset: Dataset,
+    visits: tuple[VisitEvent, ...],
+    registry: dict[str, RestaurantRecord],
     links: tuple[ExposureLink, ...],
 ) -> DailyOutputs:
     """Per-day aggregation over a trailing window, privacy release (or exact
     counts with privacy off), ranking, and per-city shortlist selection with
     a listing cooldown."""
-    registry = dataset.registry()
     policy = PrivacyPolicy(epsilon=config.privacy.epsilon, suppress_below=config.privacy.suppress_below)
     released_rows: list[tuple] = []
     daily_rows: list[tuple] = []
@@ -370,7 +359,7 @@ def compute_daily_lists(
         Period(max(0, (day + 1 - config.locmodel.agg_window_days) * DAY_S), (day + 1) * DAY_S)
         for day in range(config.days)
     ]
-    for day, aggregates in enumerate(sliding_aggregates(dataset.visits, links, windows)):
+    for day, aggregates in enumerate(sliding_aggregates(visits, links, windows)):
         list_date = day_to_date(day + 1).isoformat()  # delivered next morning
         if config.privacy.enabled:
             cells = release(aggregates, policy, derive_seed(config.seed, "privacy", day))
@@ -521,13 +510,7 @@ def stage_simulate(config: RunConfig, out: Path | Run) -> None:
     save_ground_truth(truth, private_dir(run.out) / GROUND_TRUTH_FILE)
     # The simulator emits every stream in the order loading would give it,
     # so later stages see the same dataset as after a read-back.
-    run.keep(
-        world=world,
-        dataset=dataset,
-        visit_log=(dataset.visits, dataset.registry()),
-        background_inspections=dataset.inspections,
-        truth=truth,
-    )
+    run.keep(world=world, dataset=dataset, background_inspections=dataset.inspections, truth=truth)
 
     report = validate_dataset(dataset)
     with open(run.out / VALIDATION_FILE, "w", encoding="utf-8") as fh:
@@ -559,7 +542,7 @@ def stage_eval_wsm(config: RunConfig, out: Path | Run) -> None:
     dataset, model, truth = run.dataset, run.model, run.truth
     labeled = run.get("labeled", lambda: compute_weak_labels(config, dataset))
     metrics = compute_wsm_evaluation(config, dataset, truth, model, labeled.texts())
-    run.release("truth")
+    run.release("truth", "labeled")
     report_mod.write_csv(
         run.out / report_mod.METRICS_CSV,
         report_mod.METRICS_HEADER,
@@ -578,8 +561,12 @@ def compute_weak_labels(config: RunConfig, dataset: Dataset) -> LabeledSet:
 
 def stage_rank(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
-    dataset = run.dataset
-    scored, links = compute_exposures(config, dataset, run.model)
+    scored, links = compute_exposures(config, run.dataset, run.model)
+    visits, registry = run.visit_log
+    # Neither the rest of this stage nor a later one reads the query log or
+    # the model, and the daily lists, where this stage peaks, reuse the
+    # memory they free.
+    run.release("dataset", "model")
     report_mod.write_csv(
         run.out / SCORED_CSV,
         SCORED_HEADER,
@@ -594,7 +581,7 @@ def stage_rank(config: RunConfig, out: Path | Run) -> None:
             for l in links
         ],
     )
-    daily = compute_daily_lists(config, dataset, links)
+    daily = compute_daily_lists(config, visits, registry, links)
     report_mod.write_csv(run.out / report_mod.RELEASED_CSV, report_mod.RELEASED_HEADER, daily.released_rows)
     report_mod.write_csv(run.out / report_mod.DAILY_LISTS_CSV, report_mod.DAILY_LIST_HEADER, daily.daily_rows)
     run.keep(links=links, daily_rows=daily.daily_rows)
@@ -611,7 +598,8 @@ def stage_inspect(config: RunConfig, out: Path | Run) -> None:
 
 def stage_evaluate(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
-    tables = compute_evaluation_tables(config, run.visits, run.registry, run.all_inspections, run.links)
+    visits, registry = run.visit_log
+    tables = compute_evaluation_tables(config, visits, registry, run.all_inspections, run.links)
     report_mod.write_csv(
         run.out / report_mod.PRECISION_CSV, report_mod.PRECISION_HEADER, tables["precision"]
     )

@@ -306,10 +306,16 @@ def _weighted_sample_without_replacement(
     k: int,
     rng: np.random.Generator,
 ) -> list[str]:
-    # Efraimidis-Spirakis reservoir keys: take the k largest u^(1/w).
+    # Efraimidis-Spirakis reservoir keys: take the k largest u^(1/w). Only
+    # the items whose key reaches the k-th largest can be among them, so
+    # only those get a sort key, not every item of a long stream.
     u = rng.random(len(items))
+    if k == 0:
+        return []
     keys = u ** (1.0 / np.asarray(weights, dtype=float))
-    order = sorted(range(len(items)), key=lambda i: (-keys[i], items[i]))
+    kth = np.partition(keys, len(keys) - k)[len(keys) - k]
+    candidates = np.flatnonzero(keys >= kth).tolist()
+    order = sorted(candidates, key=lambda i: (-keys[i], items[i]))
     return [items[i] for i in order[:k]]
 
 

@@ -246,7 +246,7 @@ def test_criterion_8_end_to_end_directionality():
         world, dataset, _ = compute_simulation(config)
         _, model = compute_model(config, dataset)
         _, links = compute_exposures(config, dataset, model)
-        daily = compute_daily_lists(config, dataset, links)
+        daily = compute_daily_lists(config, dataset.visits, dataset.registry(), links)
         finder = compute_finder_inspections(config, world, daily.daily_rows)
         for rec in tuple(dataset.inspections) + finder:
             name = rec.trigger.value

@@ -387,6 +387,17 @@ def test_run_never_reads_the_dataset_back(monkeypatch, tmp_path):
     assert calls == []  # simulate keeps the dataset and ground truth it wrote for the later stages
 
 
+def test_run_drops_inputs_once_no_later_stage_needs_them(tmp_path):
+    run = pipeline.Run(tmp_path)
+    kept = {}
+    for stage in pipeline.STAGES:
+        stage(small_config(), run)
+        kept[stage.command] = set(run._inputs)
+    assert {"truth", "labeled"} & kept["eval-wsm"] == set()
+    assert {"dataset", "model"} & kept["rank"] == set()
+    assert "visit_log" in kept["rank"]  # taken from the dataset for the daily lists and evaluate
+
+
 def test_evaluate_reads_no_query_log(tmp_path, small_run):
     out = tmp_path / "run"
     shutil.copytree(small_run[0], out)

@@ -19,6 +19,7 @@ from foodwatch.wsm import (
     is_weak_positive,
     load_model,
     _sigmoid,
+    _weighted_sample_without_replacement,
     loss_and_gradient,
     roc_auc,
     save_model,
@@ -340,6 +341,28 @@ def test_eval_sample_small_stratum_reports_count():
 def test_eval_sample_odd_n_rejected():
     with pytest.raises(ValueError):
         build_eval_sample(make_stream(), 3, seed=0)
+
+
+# Weights of 1e300 make u ** (1 / w) round to 1.0, so keys tie and the text
+# decides the order.
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.text(max_size=6), unique=True, max_size=30).flatmap(
+        lambda items: st.tuples(
+            st.just(items),
+            st.lists(st.sampled_from([1, 2, 7, 1e300]), min_size=len(items), max_size=len(items)),
+            st.integers(0, len(items)),
+            st.integers(0, 2**32 - 1),
+        )
+    )
+)
+def test_weighted_sample_equals_the_full_sort(case):
+    items, weights, k, seed = case
+    u = make_rng(seed, "sample").random(len(items))
+    keys = u ** (1.0 / np.asarray(weights, dtype=float))
+    order = sorted(range(len(items)), key=lambda i: (-keys[i], items[i]))
+    expected = [items[i] for i in order[:k]]
+    assert _weighted_sample_without_replacement(items, weights, k, make_rng(seed, "sample")) == expected
 
 
 # --- metrics -----------------------------------------------------------------
