@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date as Date, timedelta
 from pathlib import Path
 from typing import Sequence
@@ -734,7 +734,7 @@ def planted_exposures(
     return tuple(visits), tuple(queries), tuple(planted_counts)
 
 
-def _cfg_to_json(cfg: SimConfig) -> dict:
+def cfg_to_json(cfg: SimConfig) -> dict:
     payload = {}
     for name in cfg.__dataclass_fields__:
         value = getattr(cfg, name)
@@ -787,14 +787,3 @@ def load_ground_truth(path: Path) -> GroundTruth:
         query_labels=tuple(int(x) for x in payload["query_labels"]),
     )
 
-
-def anonymize_ground_truth(truth: GroundTruth, hash_key: int) -> GroundTruth:
-    """Apply the same keyed pseudonyms used for the dataset streams."""
-    from .privacy import pseudonymize
-
-    return GroundTruth(
-        infections=tuple(
-            replace(r, user_id=pseudonymize(hash_key, r.user_id)) for r in truth.infections
-        ),
-        query_labels=truth.query_labels,
-    )

@@ -5,7 +5,9 @@ Config files hold one ``dotted.key=value`` per line (``#`` starts a comment).
 Unknown keys are rejected. Values are coerced to the target field type;
 ``sim.cities`` uses ``name:count`` pairs separated by commas and the triples
 ``sim.risk_mix`` / ``sim.unsafe_prob`` use three comma-separated numbers.
-Query template pools are code-level defaults and are not settable here.
+Which keys exist follows from the field types: a field is settable exactly
+when its type has a parser, so the query template pools are code-level
+defaults and are not settable here.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from pathlib import Path
 
 from .citysim import SimConfig
 from .errors import UsageError
-
-DEFAULT_HASH_KEY_HEX = "6f0d6b65792d746573742d6f6e6c7921"  # test-only default secret
+from .locmodel import INCUBATION_WINDOW_S
+from .privacy import PrivacySettings
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class WsmSettings:
 
 @dataclass(frozen=True)
 class LocSettings:
-    window_s: int = 259_200
+    window_s: int = INCUBATION_WINDOW_S
     p_star: float = 0.7
     min_visitors: int = 20
     cutoff: float = 0.03
@@ -52,30 +54,6 @@ class LocSettings:
             raise UsageError(f"locmodel.agg_window_days must be >= 1, got {self.agg_window_days}")
         if not 0.0 <= self.cutoff <= 1.0:
             raise UsageError(f"locmodel.cutoff must be in [0, 1], got {self.cutoff}")
-
-
-@dataclass(frozen=True)
-class PrivacySettings:
-    enabled: bool = True
-    epsilon: float = 1.0
-    suppress_below: int = 30
-    hash_key: str = DEFAULT_HASH_KEY_HEX  # hex-encoded 128-bit secret
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise UsageError(f"privacy.epsilon must be > 0, got {self.epsilon}")
-        if self.suppress_below < 0:
-            raise UsageError(f"privacy.suppress_below must be >= 0, got {self.suppress_below}")
-        self.hash_key_int()  # rejects a key that is not hex or is zero
-
-    def hash_key_int(self) -> int:
-        try:
-            value = int(self.hash_key, 16)
-        except ValueError:
-            raise UsageError(f"privacy.hash_key must be hex, got {self.hash_key!r}") from None
-        if value == 0:
-            raise UsageError("privacy.hash_key must be non-zero")
-        return value
 
 
 @dataclass(frozen=True)
@@ -96,23 +74,19 @@ class RunConfig:
     cli: CliSettings = field(default_factory=CliSettings)
 
 
-_SIM_SCALARS = {
-    f.name: f.type
-    for f in fields(SimConfig)
-    if f.name
-    not in (
-        "cities",
-        "risk_mix",
-        "unsafe_prob",
-        "positive_templates",
-        "positive_modifiers",
-        "background_templates",
-        "ambiguous_foodborne_templates",
-        "ambiguous_other_templates",
-        "background_suffixes",
-        "localities",
-    )
-}
+def _parse_number(kind: type):
+    def parse(raw: str, key: str):
+        raw = raw.strip()
+        try:
+            return kind(raw)
+        except ValueError:
+            raise UsageError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
+
+    return parse
+
+
+_parse_int = _parse_number(int)
+_parse_float = _parse_number(float)
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -124,20 +98,6 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise UsageError(f"{key}: expected a boolean, got {raw!r}")
 
 
-def _parse_scalar(raw: str, kind: str, key: str):
-    raw = raw.strip()
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            return _parse_bool(raw, key)
-        return raw
-    except ValueError:
-        raise UsageError(f"{key}: expected {kind}, got {raw!r}") from None
-
-
 def _parse_cities(raw: str, key: str) -> dict[str, int]:
     cities: dict[str, int] = {}
     for part in raw.split(","):
@@ -147,7 +107,7 @@ def _parse_cities(raw: str, key: str) -> dict[str, int]:
         if ":" not in part:
             raise UsageError(f"{key}: expected name:count pairs, got {part!r}")
         name, count = part.split(":", 1)
-        cities[name.strip()] = _parse_scalar(count, "int", key)
+        cities[name.strip()] = _parse_int(count, key)
     if not cities:
         raise UsageError(f"{key}: no cities given")
     return cities
@@ -157,38 +117,54 @@ def _parse_triple(raw: str, key: str) -> tuple[float, float, float]:
     parts = [p for p in raw.split(",") if p.strip()]
     if len(parts) != 3:
         raise UsageError(f"{key}: expected three comma-separated numbers")
-    return tuple(_parse_scalar(p, "float", key) for p in parts)  # type: ignore[return-value]
+    return tuple(_parse_float(p, key) for p in parts)  # type: ignore[return-value]
+
+
+# Field type (as annotated) -> (parse raw text, render a value). A field is
+# settable exactly when its type is listed here; the query template pools
+# (``tuple[str, ...]``) are not, so they stay code-level defaults.
+_PARSERS = {
+    "int": (_parse_int, str),
+    "float": (_parse_float, str),
+    "bool": (_parse_bool, str),
+    "str": (lambda raw, key: raw.strip(), str),
+    "dict[str, int]": (_parse_cities, lambda d: ",".join(f"{k}:{n}" for k, n in sorted(d.items()))),
+    "tuple[float, float, float]": (_parse_triple, lambda t: ",".join(str(x) for x in t)),
+}
+
+
+def _settable_keys() -> dict[str, tuple[str | None, str, str]]:
+    """Every settable dotted key, in listing order: (section, field, type).
+
+    Top-level fields of ``RunConfig`` with a parser are keys themselves; every
+    other field is a settings section whose fields with a parser are keys.
+    """
+    keys: dict[str, tuple[str | None, str, str]] = {}
+    for top in fields(RunConfig):
+        if top.type in _PARSERS:
+            keys[top.name] = (None, top.name, top.type)
+            continue
+        members = [f for f in fields(top.default_factory) if f.type in _PARSERS]
+        if top.name == "sim":
+            # numbers alphabetically, then cities and the triples: the order
+            # every config hash so far was taken in
+            members.sort(key=lambda f: (f.type not in ("int", "float"), f.name))
+        for f in members:
+            keys[f"{top.name}.{f.name}"] = (top.name, f.name, f.type)
+    return keys
+
+
+_KEYS = _settable_keys()
 
 
 def set_key(config: RunConfig, key: str, raw: str) -> RunConfig:
     """Apply one dotted key=value assignment, rejecting unknown keys."""
-    if key == "seed":
-        return replace(config, seed=_parse_scalar(raw, "int", key))
-    if key == "days":
-        return replace(config, days=_parse_scalar(raw, "int", key))
-
-    if "." not in key:
+    if key not in _KEYS:
         raise UsageError(f"unknown config key {key!r}")
-    section, name = key.split(".", 1)
-    if section == "sim":
-        if name == "cities":
-            return replace(config, sim=replace(config.sim, cities=_parse_cities(raw, key)))
-        if name in ("risk_mix", "unsafe_prob"):
-            return replace(config, sim=replace(config.sim, **{name: _parse_triple(raw, key)}))
-        if name in _SIM_SCALARS:
-            kind = "int" if _SIM_SCALARS[name] in ("int",) else "float"
-            return replace(config, sim=replace(config.sim, **{name: _parse_scalar(raw, kind, key)}))
-        raise UsageError(f"unknown config key {key!r}")
-
-    section_types = {"wsm": WsmSettings, "locmodel": LocSettings, "privacy": PrivacySettings, "cli": CliSettings}
-    if section not in section_types:
-        raise UsageError(f"unknown config key {key!r}")
-    cls = section_types[section]
-    matching = {f.name: f.type for f in fields(cls)}
-    if name not in matching:
-        raise UsageError(f"unknown config key {key!r}")
-    kind = {"int": "int", "float": "float", "bool": "bool", "str": "str"}.get(matching[name], "str")
-    value = _parse_scalar(raw, kind, key)
+    section, name, kind = _KEYS[key]
+    value = _PARSERS[kind][0](raw, key)
+    if section is None:
+        return replace(config, **{name: value})
     return replace(config, **{section: replace(getattr(config, section), **{name: value})})
 
 
@@ -224,16 +200,10 @@ def apply_overrides(config: RunConfig, assignments: list[str]) -> RunConfig:
 
 def config_lines(config: RunConfig) -> list[str]:
     """Canonical flat key=value rendering (also documents every known key)."""
-    lines = [f"seed={config.seed}", f"days={config.days}"]
-    for name in sorted(_SIM_SCALARS):
-        lines.append(f"sim.{name}={getattr(config.sim, name)}")
-    lines.append("sim.cities=" + ",".join(f"{c}:{n}" for c, n in sorted(config.sim.cities.items())))
-    lines.append("sim.risk_mix=" + ",".join(str(x) for x in config.sim.risk_mix))
-    lines.append("sim.unsafe_prob=" + ",".join(str(x) for x in config.sim.unsafe_prob))
-    for section in ("wsm", "locmodel", "privacy", "cli"):
-        obj = getattr(config, section)
-        for f in fields(obj):
-            lines.append(f"{section}.{f.name}={getattr(obj, f.name)}")
+    lines = []
+    for key, (section, name, kind) in _KEYS.items():
+        owner = config if section is None else getattr(config, section)
+        lines.append(f"{key}={_PARSERS[kind][1](getattr(owner, name))}")
     return lines
 
 

@@ -16,7 +16,6 @@ with one ``np.sort``.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from itertools import chain
@@ -74,11 +73,6 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-# One event at a time, a run would hash about a million feature strings but
-# only a few thousand distinct ones. The cache is bounded because a log of
-# mostly unique queries has over a hundred thousand distinct strings, which
-# would stay resident.
-@functools.lru_cache(maxsize=4096)
 def bucket(feature: str) -> int:
     return fnv1a64(feature.encode("utf-8")) % DIM
 

@@ -23,8 +23,8 @@ from .citysim import (
     DAY_S,
     GroundTruth,
     World,
-    anonymize_ground_truth,
     cfg_from_json,
+    cfg_to_json,
     day_to_date,
     generate_world,
     load_ground_truth,
@@ -32,7 +32,6 @@ from .citysim import (
     simulate,
     simulate_inspection,
     simulate_raters,
-    _cfg_to_json,
 )
 from .config import RunConfig, config_hash
 from .errors import DataError, DataFormatError, FoodwatchError
@@ -62,11 +61,10 @@ from .logdata import (
     write_inspections,
 )
 from .privacy import (
-    PrivacyPolicy,
     ReleasedAggregate,
+    anonymize_ground_truth,
     anonymize_ids,
     cap_contributions,
-    exact_counts,
     release,
 )
 from .raters import krippendorff_alpha, majority_labels
@@ -120,7 +118,7 @@ def save_world_recipe(world: World, path: Path) -> None:
     """The (cfg, seed) recipe regenerates the world deterministically, so the
     artifact carries no user identifiers or latent-state dump."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"seed": world.seed, "cfg": _cfg_to_json(world.cfg)}, fh)
+        json.dump({"seed": world.seed, "cfg": cfg_to_json(world.cfg)}, fh)
 
 
 def load_world_recipe(path: Path) -> World:
@@ -348,10 +346,8 @@ def compute_daily_lists(
     registry: dict[str, RestaurantRecord],
     links: tuple[ExposureLink, ...],
 ) -> DailyOutputs:
-    """Per-day aggregation over a trailing window, privacy release (or exact
-    counts with privacy off), ranking, and per-city shortlist selection with
-    a listing cooldown."""
-    policy = PrivacyPolicy(epsilon=config.privacy.epsilon, suppress_below=config.privacy.suppress_below)
+    """Per-day aggregation over a trailing window, privacy release, ranking,
+    and per-city shortlist selection with a listing cooldown."""
     released_rows: list[tuple] = []
     daily_rows: list[tuple] = []
     last_listed: dict[str, int] = {}
@@ -361,10 +357,7 @@ def compute_daily_lists(
     ]
     for day, aggregates in enumerate(sliding_aggregates(visits, links, windows)):
         list_date = day_to_date(day + 1).isoformat()  # delivered next morning
-        if config.privacy.enabled:
-            cells = release(aggregates, policy, derive_seed(config.seed, "privacy", day))
-        else:
-            cells = exact_counts(aggregates)
+        cells = release(aggregates, config.privacy, derive_seed(config.seed, "privacy", day))
         for rid in sorted(cells):
             cell = cells[rid]
             released_rows.append(_list_row(list_date, registry[rid], cell) + (cell.suppressed,))

@@ -1,12 +1,13 @@
-"""Anonymization, contribution capping, and noisy count release.
+"""Privacy settings, anonymization, contribution capping, and count release.
 
 User ids are replaced by a keyed pseudorandom function before anything else
 touches the data, links are capped to one per (user, restaurant) so each
 released count has L1 sensitivity 1, and with privacy on (the default) counts
-leave the pipeline only with Laplace noise added and small cells suppressed. Noise draws are keyed by
-(seed, restaurant_id) with a counter-based construction, so parallel release
-produces exactly the serial output. With privacy switched off the pipeline
-releases the raw counts instead, in the same record shape.
+leave the pipeline only with Laplace noise added and small cells suppressed.
+Noise draws are keyed by (seed, restaurant_id) with a counter-based
+construction, so parallel release produces exactly the serial output. With
+privacy switched off ``release`` returns the raw counts instead, in the same
+record shape.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
+from .citysim import GroundTruth
+from .errors import UsageError
 from .locmodel import ExposureLink, RestaurantAggregate, wilson_lower_bound
 from .logdata import Dataset, QueryEvent, VisitEvent
 from .seeding import (
@@ -28,16 +31,31 @@ from .seeding import (
 SENSITIVITY = 1.0
 
 
+DEFAULT_HASH_KEY_HEX = "6f0d6b65792d746573742d6f6e6c7921"  # test-only default secret
+
+
 @dataclass(frozen=True)
-class PrivacyPolicy:
+class PrivacySettings:
+    enabled: bool = True  # off: release exact counts, unnoised and unsuppressed
     epsilon: float = 1.0  # budget per released count
     suppress_below: int = 30
+    hash_key: str = DEFAULT_HASH_KEY_HEX  # hex-encoded 128-bit secret
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not self.epsilon > 0:  # also refuses nan
+            raise UsageError(f"privacy.epsilon must be > 0, got {self.epsilon}")
         if self.suppress_below < 0:
-            raise ValueError("suppress_below must be >= 0")
+            raise UsageError(f"privacy.suppress_below must be >= 0, got {self.suppress_below}")
+        self.hash_key_int()  # rejects a key that is not hex or is zero
+
+    def hash_key_int(self) -> int:
+        try:
+            value = int(self.hash_key, 16)
+        except ValueError:
+            raise UsageError(f"privacy.hash_key must be hex, got {self.hash_key!r}") from None
+        if value == 0:
+            raise UsageError("privacy.hash_key must be non-zero")
+        return value
 
 
 @dataclass(frozen=True)
@@ -45,7 +63,7 @@ class ReleasedAggregate:
     """One restaurant's released cell, in the shape of a daily-list row.
 
     With privacy on the counts are noised and real-valued, and a suppressed
-    cell carries none of them; ``exact_counts`` gives the raw integer counts.
+    cell carries none of them; with privacy off they are the raw integers.
     """
 
     restaurant_id: str
@@ -97,6 +115,16 @@ def anonymize_ids(dataset: Dataset, hash_key: int) -> Dataset:
     return replace(dataset, queries=queries, visits=visits)
 
 
+def anonymize_ground_truth(truth: GroundTruth, hash_key: int) -> GroundTruth:
+    """Apply the same keyed pseudonyms used for the dataset streams."""
+    return GroundTruth(
+        infections=tuple(
+            replace(r, user_id=pseudonymize(hash_key, r.user_id)) for r in truth.infections
+        ),
+        query_labels=truth.query_labels,
+    )
+
+
 def cap_contributions(links: Sequence[ExposureLink]) -> tuple[ExposureLink, ...]:
     """At most one link per (user, restaurant), keeping the earliest visit.
 
@@ -114,23 +142,29 @@ def cap_contributions(links: Sequence[ExposureLink]) -> tuple[ExposureLink, ...]
 
 def release(
     aggregates: Mapping[str, RestaurantAggregate],
-    policy: PrivacyPolicy,
+    settings: PrivacySettings,
     rng_seed: int,
 ) -> dict[str, ReleasedAggregate]:
     """Laplace-noised counts per restaurant, with small-count suppression.
 
     Each count gets an independent Laplace(SENSITIVITY/epsilon) draw. Noised
     counts stay real-valued so the released proportion is unbiased; the
-    proportion is clamped to [0, 1].
+    proportion is clamped to [0, 1]. With privacy off the exact counts are
+    released as they are.
     """
-    scale = SENSITIVITY / policy.epsilon
+    if not settings.enabled:
+        return {
+            rid: ReleasedAggregate(rid, False, agg.visitors, agg.affected, agg.proportion, agg.signal)
+            for rid, agg in aggregates.items()
+        }
+    scale = SENSITIVITY / settings.epsilon
     released: dict[str, ReleasedAggregate] = {}
     rids = sorted(aggregates)
     for rid, rng in zip(rids, make_rngs(rng_seed, [("release", rid) for rid in rids])):
         agg = aggregates[rid]
         noised_visitors = agg.visitors + rng.laplace(0.0, scale)
         noised_affected = agg.affected + rng.laplace(0.0, scale)
-        if noised_visitors < policy.suppress_below:
+        if noised_visitors < settings.suppress_below:
             released[rid] = ReleasedAggregate(rid, True, None, None, None, None)
         else:
             proportion = min(max(noised_affected / max(noised_visitors, 1.0), 0.0), 1.0)
@@ -146,10 +180,3 @@ def release(
             )
     return released
 
-
-def exact_counts(aggregates: Mapping[str, RestaurantAggregate]) -> dict[str, ReleasedAggregate]:
-    """The raw counts in the released shape, for runs with privacy off."""
-    return {
-        rid: ReleasedAggregate(rid, False, agg.visitors, agg.affected, agg.proportion, agg.signal)
-        for rid, agg in aggregates.items()
-    }

@@ -25,7 +25,7 @@ from foodwatch.pipeline import (
     compute_simulation,
     run_pipeline,
 )
-from foodwatch.privacy import PrivacyPolicy, cap_contributions, release
+from foodwatch.privacy import PrivacySettings, cap_contributions, release
 from foodwatch.raters import JudgmentMatrix, krippendorff_alpha, majority_labels
 from foodwatch.seeding import make_rng
 from foodwatch.stats import (
@@ -208,7 +208,7 @@ def test_criterion_6_attribution_recovery():
 def test_criterion_7_privacy(default_run):
     # Laplace moments
     n = 20_000
-    policy = PrivacyPolicy(epsilon=1.0, suppress_below=0)
+    policy = PrivacySettings(epsilon=1.0, suppress_below=0)
     from foodwatch.locmodel import RestaurantAggregate
 
     aggs = {f"r{i:05d}": RestaurantAggregate(f"r{i:05d}", 100, 0) for i in range(n)}

@@ -6,8 +6,8 @@ import pytest
 
 from foodwatch.citysim import (
     SimConfig,
-    _cfg_to_json,
     cfg_from_json,
+    cfg_to_json,
     day_to_date,
     generate_world,
     load_ground_truth,
@@ -223,7 +223,7 @@ def test_rater_truth_length_mismatch():
 def test_world_round_trip():
     # the pipeline persists a world as its (cfg, seed) recipe
     world = generate_world(TINY, seed=19)
-    payload = json.loads(json.dumps(_cfg_to_json(world.cfg)))
+    payload = json.loads(json.dumps(cfg_to_json(world.cfg)))
     assert cfg_from_json(payload) == world.cfg
     assert generate_world(cfg_from_json(payload), seed=19) == world
 

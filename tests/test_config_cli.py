@@ -1,3 +1,5 @@
+from dataclasses import fields, is_dataclass, replace
+
 import pytest
 
 from foodwatch import cli, pipeline
@@ -27,6 +29,52 @@ def test_config_lines_round_trip_through_set_key():
         rebuilt = set_key(rebuilt, key, value)
     assert rebuilt == config
     assert config_hash(rebuilt) == config_hash(config)
+
+
+def _changed(value):
+    """A different value of the same type that every settings check accepts."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 2  # keeps wsm.eval_size even
+    if isinstance(value, float):
+        return value + 0.5
+    if isinstance(value, str):
+        return value[::-1]
+    if isinstance(value, dict):
+        return {**value, "Z": 3}
+    return tuple(reversed(value))
+
+
+def test_every_field_is_listed_and_round_trips_or_is_refused():
+    config = RunConfig()
+    listed = dict(line.split("=", 1) for line in config_lines(config))
+    refused = {}
+    for top in fields(RunConfig):
+        section = getattr(config, top.name)
+        if not is_dataclass(section):
+            members = [(top.name, None, top.name, section)]
+        else:
+            members = [(f"{top.name}.{f.name}", top.name, f.name, getattr(section, f.name))
+                       for f in fields(section)]
+        for key, section_name, name, value in members:
+            if key not in listed:
+                with pytest.raises(UsageError, match="unknown config key"):
+                    set_key(config, key, "x")
+                refused[key] = value
+                continue
+            if section_name is None:
+                changed = replace(config, **{name: _changed(value)})
+            else:
+                owner = getattr(config, section_name)
+                changed = replace(config, **{section_name: replace(owner, **{name: _changed(value)})})
+            rendered = dict(line.split("=", 1) for line in config_lines(changed))
+            assert set_key(config, key, rendered[key]) == changed, key
+            del listed[key]
+    assert not listed  # config_lines lists no key that is not a field
+    assert {"sim.positive_templates", "sim.localities"} <= set(refused)
+    # only the query template pools are out of reach of config files
+    assert all(isinstance(v, tuple) and all(isinstance(s, str) for s in v) for v in refused.values())
 
 
 def test_unknown_key_rejected():
@@ -133,6 +181,7 @@ def test_cli_missing_artifacts_are_data_errors(tmp_path, capsys):
     "command, setting, exit_code",
     [
         ("rank", "privacy.epsilon=0", cli.EXIT_USAGE),
+        ("rank", "privacy.epsilon=nan", cli.EXIT_USAGE),
         ("rank", "privacy.suppress_below=-1", cli.EXIT_USAGE),
         ("rank", "privacy.hash_key=zz", cli.EXIT_USAGE),
         ("rank", "locmodel.cutoff=2", cli.EXIT_USAGE),

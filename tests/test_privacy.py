@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foodwatch.errors import UsageError
 from foodwatch.locmodel import ExposureLink, RestaurantAggregate
 from foodwatch.logdata import Dataset
 from foodwatch.privacy import (
-    PrivacyPolicy,
+    PrivacySettings,
     anonymize_ids,
     cap_contributions,
     pseudonymize,
@@ -18,6 +19,7 @@ from foodwatch.privacy import (
 from foodwatch.seeding import make_rng
 
 from conftest import query, visit
+from oracles import wilson_oracle
 
 KEY = 0xDEADBEEF_CAFEBABE_0123456789ABCDEF
 
@@ -123,7 +125,7 @@ def agg(rid="r1", visitors=100, affected=10):
 
 
 def test_huge_epsilon_recovers_counts():
-    policy = PrivacyPolicy(epsilon=1e6, suppress_below=0)
+    policy = PrivacySettings(epsilon=1e6, suppress_below=0)
     rel = release(agg(), policy, rng_seed=4)["r1"]
     assert abs(rel.visitors - 100) < 1e-3
     assert abs(rel.affected - 10) < 1e-3
@@ -131,7 +133,7 @@ def test_huge_epsilon_recovers_counts():
 
 
 def test_laplace_moments_match_oracle():
-    policy = PrivacyPolicy(epsilon=1.0, suppress_below=0)
+    policy = PrivacySettings(epsilon=1.0, suppress_below=0)
     n = 20_000
     aggs = {f"r{i:05d}": RestaurantAggregate(f"r{i:05d}", 100, 0) for i in range(n)}
     rel = release(aggs, policy, rng_seed=17)
@@ -143,7 +145,7 @@ def test_laplace_moments_match_oracle():
 
 
 def test_suppression_exposes_no_counts():
-    policy = PrivacyPolicy(epsilon=1.0, suppress_below=30)
+    policy = PrivacySettings(epsilon=1.0, suppress_below=30)
     rel = release(agg(visitors=5, affected=2), policy, rng_seed=1)["r1"]
     assert rel.suppressed
     assert rel.visitors is None and rel.affected is None
@@ -151,7 +153,7 @@ def test_suppression_exposes_no_counts():
 
 
 def test_release_proportion_clamped():
-    policy = PrivacyPolicy(epsilon=0.2, suppress_below=0)
+    policy = PrivacySettings(epsilon=0.2, suppress_below=0)
     aggs = {f"r{i}": RestaurantAggregate(f"r{i}", 3, 3) for i in range(200)}
     for rel in release(aggs, policy, rng_seed=3).values():
         if not rel.suppressed:
@@ -159,7 +161,7 @@ def test_release_proportion_clamped():
 
 
 def test_release_deterministic_and_order_independent():
-    policy = PrivacyPolicy(epsilon=1.0, suppress_below=0)
+    policy = PrivacySettings(epsilon=1.0, suppress_below=0)
     aggs = {
         "rA": RestaurantAggregate("rA", 50, 5),
         "rB": RestaurantAggregate("rB", 60, 6),
@@ -171,8 +173,30 @@ def test_release_deterministic_and_order_independent():
     assert a == release(aggs, policy, rng_seed=9)
 
 
+def test_release_with_privacy_off_is_exact():
+    policy = PrivacySettings(enabled=False, epsilon=0.01, suppress_below=1000)
+    aggs = {
+        "rA": RestaurantAggregate("rA", 50, 5),
+        "rB": RestaurantAggregate("rB", 3, 0),  # far below suppress_below
+        "rC": RestaurantAggregate("rC", 0, 0),
+    }
+    for seed in (0, 1):
+        rel = release(aggs, policy, rng_seed=seed)
+        assert sorted(rel) == sorted(aggs)
+        for rid, cell in rel.items():
+            exact = aggs[rid]
+            assert not cell.suppressed
+            assert type(cell.visitors) is int and cell.visitors == exact.visitors
+            assert type(cell.affected) is int and cell.affected == exact.affected
+            assert cell.proportion == (exact.affected / exact.visitors if exact.visitors else 0.0)
+            assert cell.signal == pytest.approx(wilson_oracle(exact.affected, exact.visitors), abs=1e-12)
+
+
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        PrivacyPolicy(epsilon=0.0)
-    with pytest.raises(ValueError):
-        PrivacyPolicy(epsilon=1.0, suppress_below=-1)
+    for epsilon in (0.0, float("nan")):
+        with pytest.raises(UsageError, match="privacy.epsilon"):
+            PrivacySettings(epsilon=epsilon)
+    with pytest.raises(UsageError, match="privacy.suppress_below"):
+        PrivacySettings(epsilon=1.0, suppress_below=-1)
+    with pytest.raises(UsageError, match="privacy.hash_key"):
+        PrivacySettings(hash_key="0")

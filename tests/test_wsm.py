@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foodwatch.errors import DataError, NumericalError
-from foodwatch.features import DIM, FeatureRows, bucket, feature_key, feature_strings, featurize
+from foodwatch.features import DIM, FeatureRows, bucket, feature_key, featurize
 from foodwatch.seeding import make_rng
 from foodwatch.wsm import (
     LabeledSet,
@@ -194,6 +194,7 @@ def test_single_class_errors():
         train_wsm(labeled, seed=0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_divergence_is_reported():
     with pytest.raises(NumericalError, match="diverged"):
         train_wsm(separable_set(), TrainConfig(learning_rate=1e200, epochs=3), seed=0)
@@ -268,7 +269,6 @@ def test_batch_scores_equal_per_event_scores():
         pages = tuple(page(p.url, p.title, p.snippet, tuple(p.concept_tags), clicked) for p in pages)
         events.append(query(f"u{int(rng.integers(50))}", ts, text, pages))
     assert len({feature_key(e) for e in events}) < len({(e.text, e.results) for e in events})
-    assert len({f for e in events for f in feature_strings(e)}) > bucket.cache_info().maxsize
 
     scores = score_queries(model, events)
     assert scores.tolist() == [score_query(model, e) for e in events]
