@@ -64,8 +64,17 @@ def test_food_poisoning_exact_indices():
     vec = featurize(event)
     assert list(vec) == expected
     assert all(i < DIM for i in vec)
-    strings = [f"q:w{i}" for i in range(5096)]
-    assert [bucket(s) for s in strings] == [fnv_oracle(s.encode()) % DIM for s in strings]
+
+
+def test_buckets_after_cache_eviction_match_oracle():
+    # bucket keeps no cache; over more strings than the former 4,096-entry
+    # cache held, a string hashed again after thousands of others still gets
+    # the FNV-1a bucket it got the first time
+    strings = [f"q:evict{i}" for i in range(5096)]
+    first = [bucket(s) for s in strings]
+    again = [bucket(s) for s in strings[:1000]]
+    assert again == first[:1000]
+    assert first == [fnv_oracle(s.encode()) % DIM for s in strings]
 
 
 def test_empty_event_is_empty_vector():
