@@ -7,19 +7,25 @@ Each namespaced feature string is hashed with FNV-1a 64-bit and bucketed by
 modulo; values are binary presence, so duplicates collapse to one index.
 
 Two implementations give the same indices. :func:`featurize` does one event
-in pure Python and is the reference. :func:`featurize_rows` does a list of
-events in blocks: it tokenizes each distinct field value of a block once,
-hashes the feature strings of those values in one vectorized FNV-1a pass
-(:func:`fnv1a64_array`) and sorts and de-duplicates every row of the block
-with one ``np.sort``.
+in pure Python, from its feature strings, and is the reference.
+:func:`featurize_rows` does a list of events in blocks and builds no feature
+string. It tokenizes each distinct field value of a block once, to bytes,
+and lays every token (and every whole concept tag) of the block out in one
+buffer, joined by ``_``: a unigram is a token's span, and the bigram of two
+neighbouring tokens is the span from the first's start to the second's end,
+the bytes ``a_b``. FNV-1a is a left fold, so hashing ``prefix + span`` is
+folding the span from the prefix's state; :func:`fnv1a64_spans` hashes all
+spans of the block in one vectorized pass. One ``np.sort`` then sorts and
+de-duplicates every row of the block.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Iterator, Sequence
+from itertools import chain, count
+from operator import attrgetter
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,9 +66,7 @@ class FeatureRows:
         """The given rows, in the given order."""
         starts = np.cumsum(self.lengths) - self.lengths
         lengths = self.lengths[rows]
-        new_starts = np.cumsum(lengths) - lengths
-        offsets = np.repeat(starts[rows] - new_starts, lengths)
-        return FeatureRows(self.indices[np.arange(len(offsets)) + offsets], lengths)
+        return FeatureRows(self.indices[_ranges(starts[rows], lengths)], lengths)
 
 
 def fnv1a64(data: bytes) -> int:
@@ -130,100 +134,137 @@ def featurize(event: QueryEvent) -> tuple[int, ...]:
     return tuple(sorted({bucket(f) for f in feature_strings(event)}))
 
 
-def fnv1a64_array(data: Sequence[bytes]) -> np.ndarray:
-    """:func:`fnv1a64` of each byte string, as ``uint64``.
+def fnv1a64_spans(
+    buffer: np.ndarray, starts: np.ndarray, lengths: np.ndarray, states: np.ndarray
+) -> np.ndarray:
+    """The FNV-1a fold of each span ``buffer[starts[i] : starts[i] + lengths[i]]``
+    of a ``uint8`` buffer, started from the 64-bit state ``states[i]``, as
+    ``uint64``.
 
-    One vectorized step per byte position runs over the strings that are
-    longer than it; ``uint64`` products wrap modulo 2**64 as the scalar
-    mask does.
+    FNV-1a is a left fold over bytes, so a span started from
+    ``fnv1a64(prefix)`` hashes to ``fnv1a64(prefix + span)``. One vectorized
+    step per byte position runs over the spans that are longer than it;
+    ``uint64`` products wrap modulo 2**64 as the scalar mask does.
     """
-    n = len(data)
-    lengths = np.fromiter(map(len, data), dtype=np.intp, count=n)
+    n = len(starts)
     # longest first, by sorting (longest - length, index) packed into one
     # integer: the same integer sort that de-duplicates feature rows, as each
     # further numpy sort routine adds its code pages to a stage's peak RSS
     order = np.sort((lengths.max(initial=0) - lengths) * n + np.arange(n)) % n
-    starts = (np.cumsum(lengths) - lengths)[order]
-    # longer[p]: how many strings have a byte at position p
+    starts = starts[order]
+    # longer[p]: how many spans have a byte at position p
     longer = n - np.cumsum(np.bincount(lengths))[:-1]
-    buffer = np.frombuffer(b"".join(data), dtype=np.uint8)
-    h = np.full(n, _FNV_OFFSET, dtype=np.uint64)
+    h = states[order]
     prime = np.uint64(_FNV_PRIME)
-    for position, count in enumerate(longer.tolist()):
-        h[:count] ^= buffer[starts[:count] + position]
-        h[:count] *= prime
+    for position, active in enumerate(longer.tolist()):
+        h[:active] ^= buffer[starts[:active] + position]
+        h[:active] *= prime
     hashes = np.empty_like(h)
     hashes[order] = h
     return hashes
 
 
-def _ngram_strings(tokens: list[str], unigram: str, bigram: str) -> list[str]:
-    return [unigram + t for t in tokens] + [f"{bigram}{a}_{b}" for a, b in zip(tokens, tokens[1:])]
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The integers of each range ``[starts[i], starts[i] + lengths[i])``,
+    range after range."""
+    offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return np.arange(len(offsets)) + offsets
 
 
-# The feature strings of one field value, as feature_strings makes them.
-def _text_strings(text: str) -> list[str]:
-    return _ngram_strings(tokenize(text), "q:", "qb:")
+# UTF-8 encodes every non-ASCII character as bytes >= 0x80, so mapping each
+# byte outside [a-z0-9] to a space and splitting gives :func:`tokenize`'s
+# tokens, as bytes.
+_ALNUM = b"abcdefghijklmnopqrstuvwxyz0123456789"
+_TOKEN_BYTES = bytes(b if b in _ALNUM else 0x20 for b in range(256))
 
 
-def _url_strings(url: str) -> list[str]:
-    return ["u:" + t for t in tokenize_url(url)]
+# Each returns the spans of every value it is given, a list per value.
+def _text_spans(texts: Iterable[str]) -> list[list[bytes]]:
+    return [text.lower().encode("utf-8").translate(_TOKEN_BYTES).split() for text in texts]
 
 
-def _title_strings(title: str) -> list[str]:
-    return _ngram_strings(tokenize(title), "t:", "tb:")
+def _url_spans(urls: Iterable[str]) -> list[list[bytes]]:
+    return _text_spans(_SCHEME_RE.sub("", url) for url in urls)
 
 
-def _snippet_strings(snippet: str) -> list[str]:
-    return _ngram_strings(tokenize(snippet), "s:", "sb:")
+def _tag_spans(tag_sets: Iterable[frozenset[str]]) -> list[list[bytes]]:
+    # each tag whole: neither lowercased nor split
+    return [[tag.encode("utf-8") for tag in tags] for tags in tag_sets]
 
 
-def _tag_strings(tags: frozenset[str]) -> list[str]:
-    return ["k:" + tag for tag in tags]
+# The text of an event, then the fields of its result pages: how to read
+# each field and how one of its values splits into spans.
+_FIELDS = (
+    (attrgetter("text"), _text_spans),
+    (attrgetter("url"), _url_spans),
+    (attrgetter("title"), _text_spans),
+    (attrgetter("snippet"), _text_spans),
+    (attrgetter("concept_tags"), _tag_spans),
+)
+# The FNV-1a states after each field's unigram and bigram namespace prefixes
+# (0: no bigrams).
+_UNIGRAM_STATES = np.array([fnv1a64(p) for p in (b"q:", b"u:", b"t:", b"s:", b"k:")], dtype=np.uint64)
+_BIGRAM_STATES = np.array([fnv1a64(b"qb:"), 0, fnv1a64(b"tb:"), fnv1a64(b"sb:"), 0], dtype=np.uint64)
 
-
-# Events featurized together. A block's memo, strings and arrays are freed
+# Events featurized together. A block's values, spans and arrays are freed
 # before the next block starts, so featurization holds no more at once for a
 # long list of events than for a short one.
 FEATURE_BLOCK = 256
 
 
 def _featurize_block(events: Sequence[QueryEvent]) -> tuple[np.ndarray, np.ndarray]:
-    """The indices and lengths of :func:`featurize_rows` for one block."""
-    strings: list[str] = []
-    # per field, the range of ``strings`` that holds each distinct value's
-    # feature strings, so a value repeated within the block is tokenized once
-    texts: dict = {}
-    urls: dict = {}
-    titles: dict = {}
-    snippets: dict = {}
-    tags: dict = {}
+    """The indices and lengths of :func:`featurize_rows` for one block, hashed
+    from the token spans of its distinct field values."""
+    pages = [page for event in events for page in event.results]
+    page_rows = np.repeat(np.arange(len(events)), [len(event.results) for event in events])
+    spans: list[bytes] = []
+    counts: list[int] = []  # per distinct value, numbered across fields: its spans
+    # per field: the distinct value and the row of each occurrence, and the
+    # number of distinct values
+    field_values, field_rows, distinct = [], [], []
+    for (read, split), items, item_rows in zip(
+        _FIELDS, [events] + [pages] * 4, [np.arange(len(events))] + [page_rows] * 4
+    ):
+        occurrences = list(map(read, items))
+        # each distinct value's number, in order of first occurrence
+        number = dict(zip(dict.fromkeys(occurrences), count(len(counts))))
+        field_values.append(np.fromiter(map(number.__getitem__, occurrences), np.intp, len(occurrences)))
+        field_rows.append(item_rows)
+        distinct.append(len(number))
+        value_spans = split(number)
+        spans += chain.from_iterable(value_spans)
+        counts += map(len, value_spans)
 
-    def ids(memo: dict, value, strings_of: Callable[..., list[str]]) -> range:
-        found = memo.get(value)
-        if found is None:
-            new = strings_of(value)
-            found = memo[value] = range(len(strings), len(strings) + len(new))
-            strings.extend(new)
-        return found
+    counts = np.array(counts, dtype=np.intp)
+    bigram_states = np.repeat(_BIGRAM_STATES, distinct)
+    bigram_counts = np.where(bigram_states != 0, np.maximum(counts - 1, 0), 0)
+    lengths = np.fromiter(map(len, spans), dtype=np.intp, count=len(spans))
+    starts = np.cumsum(lengths + 1) - (lengths + 1)
+    first_span = np.cumsum(counts) - counts
+    firsts = _ranges(first_span, bigram_counts)  # each bigram's first token
+    # unigrams, then bigrams: from the first token's start to the second's
+    # end, which holds the bytes ``a_b``
+    hashes = fnv1a64_spans(
+        np.frombuffer(b"_".join(spans), dtype=np.uint8),
+        np.concatenate([starts, starts[firsts]]),
+        np.concatenate([lengths, starts[firsts + 1] + lengths[firsts + 1] - starts[firsts]]),
+        np.concatenate(
+            [np.repeat(np.repeat(_UNIGRAM_STATES, distinct), counts), np.repeat(bigram_states, bigram_counts)]
+        ),
+    )
+    buckets = (hashes % np.uint64(DIM)).astype(np.intp)
 
-    flat: list[int] = []  # each event's string ids, event after event
-    counts = np.empty(len(events), dtype=np.intp)
-    for i, event in enumerate(events):
-        start = len(flat)
-        flat += ids(texts, event.text, _text_strings)
-        for page in event.results:
-            flat += ids(urls, page.url, _url_strings)
-            flat += ids(titles, page.title, _title_strings)
-            flat += ids(snippets, page.snippet, _snippet_strings)
-            flat += ids(tags, page.concept_tags, _tag_strings)
-        counts[i] = len(flat) - start
-
-    buckets = fnv1a64_array([s.encode("utf-8") for s in strings]) % np.uint64(DIM)
-    rows = np.repeat(np.arange(len(events)), counts)
+    # a value's unigrams are numbered as its spans, and its bigrams follow
+    # all unigrams, value after value
+    first_bigram = len(spans) + np.cumsum(bigram_counts) - bigram_counts
+    values = np.concatenate(field_values)
+    rows = np.concatenate(field_rows)
+    feature_counts = np.concatenate([counts[values], bigram_counts[values]])
+    ids = _ranges(np.concatenate([first_span[values], first_bigram[values]]), feature_counts)
+    rows = np.repeat(np.concatenate([rows, rows]), feature_counts)
     # sorted by row, then by bucket; np.sort is several times faster than
     # np.unique on these short keys
-    keys = np.sort(rows * DIM + buckets.astype(np.intp)[np.array(flat, dtype=np.intp)])
+    keys = np.sort(rows * DIM + buckets[ids])
     keys = keys[np.diff(keys, prepend=-1) != 0]  # each (row, bucket) pair once
     return keys % DIM, np.bincount(keys // DIM, minlength=len(events))
 

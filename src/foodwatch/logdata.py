@@ -78,9 +78,6 @@ class ResultPage:
     clicked: bool
     dwell_s: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "concept_tags", frozenset(self.concept_tags))
-
 
 @dataclass(frozen=True, slots=True)
 class QueryEvent:
@@ -88,9 +85,6 @@ class QueryEvent:
     ts: int
     text: str
     results: tuple[ResultPage, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "results", tuple(self.results))
 
 
 @dataclass(frozen=True, slots=True)

@@ -163,20 +163,22 @@ def release(
     for rid, rng in zip(rids, make_rngs(rng_seed, [("release", rid) for rid in rids])):
         agg = aggregates[rid]
         noised_visitors = agg.visitors + rng.laplace(0.0, scale)
-        noised_affected = agg.affected + rng.laplace(0.0, scale)
         if noised_visitors < settings.suppress_below:
+            # each cell has its own generator, so skipping the affected
+            # draw here changes no other cell's noise
             released[rid] = ReleasedAggregate(rid, True, None, None, None, None)
-        else:
-            proportion = min(max(noised_affected / max(noised_visitors, 1.0), 0.0), 1.0)
-            trials = max(noised_visitors, 1.0)
-            successes = min(max(noised_affected, 0.0), trials)
-            released[rid] = ReleasedAggregate(
-                restaurant_id=rid,
-                suppressed=False,
-                visitors=noised_visitors,
-                affected=noised_affected,
-                proportion=proportion,
-                signal=wilson_lower_bound(successes, trials),
-            )
+            continue
+        noised_affected = agg.affected + rng.laplace(0.0, scale)
+        proportion = min(max(noised_affected / max(noised_visitors, 1.0), 0.0), 1.0)
+        trials = max(noised_visitors, 1.0)
+        successes = min(max(noised_affected, 0.0), trials)
+        released[rid] = ReleasedAggregate(
+            restaurant_id=rid,
+            suppressed=False,
+            visitors=noised_visitors,
+            affected=noised_affected,
+            proportion=proportion,
+            signal=wilson_lower_bound(successes, trials),
+        )
     return released
 

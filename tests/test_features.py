@@ -14,7 +14,7 @@ from foodwatch.features import (
     featurize_rows,
     feature_strings,
     fnv1a64,
-    fnv1a64_array,
+    fnv1a64_spans,
     tokenize,
     tokenize_url,
 )
@@ -48,9 +48,39 @@ def test_fnv_matches_fold_oracle(data):
 @example([b""])
 @example([b"", b"a", b"foobar", b""])
 def test_vectorized_fnv_matches_fold_oracle(data):
-    hashes = fnv1a64_array(data)
+    lengths = np.array([len(d) for d in data], dtype=np.intp)
+    hashes = fnv1a64_spans(
+        np.frombuffer(b"".join(data), dtype=np.uint8),
+        np.cumsum(lengths) - lengths,
+        lengths,
+        np.full(len(data), fnv1a64(b""), dtype=np.uint64),
+    )
     assert hashes.dtype == np.uint64
     assert hashes.tolist() == [fnv_oracle(d) for d in data]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.binary(max_size=120),
+    st.lists(
+        st.tuples(st.integers(0, 120), st.integers(0, 120), st.binary(max_size=4)),
+        max_size=30,
+    ),
+)
+@example(b"", [(0, 0, b""), (0, 0, b"q:")])
+@example(b"food_poisoning" + b"x" * 70, [(0, 14, b"qb:"), (5, 79, b"s:"), (14, 0, b"k:")])
+def test_span_kernel_matches_prefixed_fnv(buffer, spans):
+    # a span hashed from the state after a prefix is the FNV-1a of prefix + span
+    starts = np.array([min(s, len(buffer)) for s, _, _ in spans], dtype=np.intp)
+    lengths = np.array(
+        [min(n, len(buffer) - s) for s, (_, n, _) in zip(starts.tolist(), spans)], dtype=np.intp
+    )
+    states = np.array([fnv1a64(prefix) for _, _, prefix in spans], dtype=np.uint64)
+    hashes = fnv1a64_spans(np.frombuffer(buffer, dtype=np.uint8), starts, lengths, states)
+    assert hashes.tolist() == [
+        fnv_oracle(prefix + buffer[s : s + n])
+        for (_, _, prefix), s, n in zip(spans, starts.tolist(), lengths.tolist())
+    ]
 
 
 def test_food_poisoning_exact_indices():
@@ -163,6 +193,14 @@ _events = st.builds(query, text=_field, results=st.lists(_pages, max_size=3))
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_events, max_size=12), st.sampled_from([1, 2, 5, FEATURE_BLOCK]))
+# lower() makes ASCII of the Kelvin sign and a longer string of "İ"
+@example([query(text="K"), query(text="İstanbul İ"), query(text="KELVIN K9")], FEATURE_BLOCK)
+@example([query(text="Food\tPOISONING\nafter\r\x0b\x0c2 Days", results=[page(title="A\tB", snippet="C\nD")])], 2)
+# tags are whole spans: never lowercased or split
+@example([query(text="", results=[page(tags=("a_b", "a b", "", "Café", "食品", "FOO"))])], FEATURE_BLOCK)
+@example([query(text="x", results=[page(url="HTTPS://Ex.org/A"), page(url="Ftp://B.io/ÜC_d")])], 1)
+@example([query(text="no pages"), query(text=""), query(text="a", results=[page()])], FEATURE_BLOCK)
+@example([query(text="go " + "ab" * 40 + " " + "é" * 40 + "z" * 70, results=[page(snippet="y" * 65 + " k")])], 5)
 def test_featurize_rows_equals_featurize_per_event(events, block):
     with mock.patch.object(features, "FEATURE_BLOCK", block):
         rows = featurize_rows(events)
@@ -186,6 +224,29 @@ def test_featurize_rows_across_block_boundaries():
         )
         for i in range(2 * FEATURE_BLOCK + 3)
     ]
+    rows = featurize_rows(events)
+    assert rows.lengths.tolist() == [len(featurize(e)) for e in events]
+    assert rows.indices.tolist() == [i for e in events for i in featurize(e)]
+
+
+def test_featurize_rows_on_long_tail_shaped_events():
+    # as the long_tail benchmark log: a unique token appended to every text
+    # and snippet, so no event repeats another's content
+    from foodwatch.seeding import make_rng
+
+    rng = make_rng(3, "long tail")
+    texts = ["food poisoning", "sick after eating", "weather today", ""]
+    urls = ["https://en.wikipedia.org/wiki/Foodborne_illness", "http://news.example.com/local"]
+    events = [
+        query(
+            text=f"{texts[int(rng.integers(0, len(texts)))]} lt{i:012x}",
+            results=[
+                page(url=urls[i % 2], title="Foodborne illness", snippet=f"symptoms and causes lt{i:012x}")
+            ],
+        )
+        for i in range(600)
+    ]
+    assert len(events) > 2 * FEATURE_BLOCK
     rows = featurize_rows(events)
     assert rows.lengths.tolist() == [len(featurize(e)) for e in events]
     assert rows.indices.tolist() == [i for e in events for i in featurize(e)]

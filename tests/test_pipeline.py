@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foodwatch import pipeline
+from foodwatch import features, pipeline
 from foodwatch import report as report_mod
 from foodwatch.citysim import DAY_S, SIM_EPOCH_DATE, load_ground_truth, save_ground_truth
 from foodwatch.cli import main as cli_main
@@ -429,6 +429,28 @@ def test_simulated_dataset_equals_its_reload(tmp_path, seed, extra):
     assert truth.infections
     save_ground_truth(truth, tmp_path / "truth.json")
     assert load_ground_truth(tmp_path / "truth.json") == truth
+
+
+def test_simulated_and_loaded_events_carry_tuples_and_frozensets(tmp_path):
+    # the event classes take their containers as given, without re-wrapping
+    _, dataset, _ = pipeline.compute_simulation(small_config())
+    paths = DatasetPaths.in_dir(tmp_path)
+    write_dataset(dataset, paths)
+    for queries in (dataset.queries, load_dataset(paths).queries):
+        assert queries
+        assert all(type(q.results) is tuple for q in queries)
+        assert all(type(p.concept_tags) is frozenset for q in queries for p in q.results)
+
+
+def test_run_never_calls_the_per_string_reference(monkeypatch, tmp_path):
+    # featurize_rows hashes token spans; the per-string path stays a test oracle
+    def refuse(*args):
+        raise AssertionError("the pipeline called the per-string featurizer")
+
+    monkeypatch.setattr(features, "feature_strings", refuse)
+    monkeypatch.setattr(features, "bucket", refuse)
+    run_pipeline(small_config(), tmp_path)
+    assert (tmp_path / "manifest.json").exists()
 
 
 def test_benchmark_trace_entry_points_resolve(monkeypatch):

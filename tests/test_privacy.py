@@ -173,6 +173,39 @@ def test_release_deterministic_and_order_independent():
     assert a == release(aggs, policy, rng_seed=9)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(
+        st.text("abcr0123456789", min_size=1, max_size=6),
+        st.tuples(st.integers(0, 60), st.integers(0, 60)),
+        max_size=25,
+    ),
+    st.integers(0, 2**32),
+)
+def test_release_matches_per_cell_bruteforce(cells, seed):
+    # brute force: a fresh generator per cell that always draws both
+    # noises, visitors first; a suppressed cell's unused affected draw must
+    # not shift any other cell's noise
+    policy = PrivacySettings(epsilon=0.5, suppress_below=30)
+    aggs = {rid: RestaurantAggregate(rid, v, min(a, v)) for rid, (v, a) in cells.items()}
+    rel = release(aggs, policy, rng_seed=seed)
+    assert sorted(rel) == sorted(aggs)
+    for rid, exact in aggs.items():
+        rng = make_rng(seed, "release", rid)
+        visitors = exact.visitors + rng.laplace(0.0, 2.0)
+        affected = exact.affected + rng.laplace(0.0, 2.0)
+        cell = rel[rid]
+        assert cell.suppressed == (visitors < 30)
+        if cell.suppressed:
+            assert (cell.visitors, cell.affected, cell.proportion, cell.signal) == (None,) * 4
+            continue
+        assert (cell.visitors, cell.affected) == (visitors, affected)
+        assert cell.proportion == min(max(affected / max(visitors, 1.0), 0.0), 1.0)
+        trials = max(visitors, 1.0)
+        expected = wilson_oracle(min(max(affected, 0.0), trials), trials)
+        assert cell.signal == pytest.approx(expected, abs=1e-12)
+
+
 def test_release_with_privacy_off_is_exact():
     policy = PrivacySettings(enabled=False, epsilon=0.01, suppress_below=1000)
     aggs = {
