@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, UsageError
 from .logdata import (
     Dataset,
     InspectionRecord,
@@ -256,42 +256,35 @@ class SimConfig:
     background_suffixes: tuple[str, ...] = BACKGROUND_SUFFIXES
     localities: tuple[str, ...] = LOCALITIES
 
-    def validate(self) -> None:
-        probs = {
-            "p_infect_unsafe": self.p_infect_unsafe,
-            "p_infect_safe": self.p_infect_safe,
-            "p_search_given_ill": self.p_search_given_ill,
-            "p_complaint_given_ill": self.p_complaint_given_ill,
-            "p_blame_last": self.p_blame_last,
-            "inspector_sensitivity": self.inspector_sensitivity,
-            "inspector_false_positive": self.inspector_false_positive,
-            "p_background_foodclick": self.p_background_foodclick,
-            "p_positive_click": self.p_positive_click,
-            "p_frivolous_complaint": self.p_frivolous_complaint,
-            "rater_flip_md": self.rater_flip_md,
-            "rater_flip_other": self.rater_flip_other,
-        }
-        for name, p in probs.items():
-            if not 0.0 <= p <= 1.0:
-                raise DataError(f"{name} must be in [0, 1], got {p}")
-        for name, triple in (("risk_mix", self.risk_mix), ("unsafe_prob", self.unsafe_prob)):
+    def __post_init__(self) -> None:
+        probs = (
+            "p_infect_unsafe", "p_infect_safe", "p_search_given_ill", "p_complaint_given_ill",
+            "p_blame_last", "inspector_sensitivity", "inspector_false_positive",
+            "p_background_foodclick", "p_positive_click", "p_frivolous_complaint",
+            "rater_flip_md", "rater_flip_other",
+        )
+        for name in probs:
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise UsageError(f"sim.{name} must be in [0, 1], got {getattr(self, name)}")
+        for name in ("risk_mix", "unsafe_prob"):
+            triple = getattr(self, name)
             if len(triple) != 3 or any(not 0.0 <= p <= 1.0 for p in triple):
-                raise DataError(f"{name} must be three probabilities")
+                raise UsageError(f"sim.{name} must be three probabilities")
         if abs(sum(self.risk_mix) - 1.0) > 1e-9:
-            raise DataError(f"risk_mix must sum to 1, got {sum(self.risk_mix)}")
+            raise UsageError(f"sim.risk_mix must sum to 1, got {sum(self.risk_mix)}")
         if self.incubation_sigma < 0:
-            raise DataError("incubation_sigma must be >= 0")
+            raise UsageError("sim.incubation_sigma must be >= 0")
         if self.incubation_sigma == 0 and not 6.0 < self.incubation_median_h <= 72.0:
-            raise DataError("with zero sigma, incubation_median_h must lie in (6, 72]")
+            raise UsageError("with zero sim.incubation_sigma, sim.incubation_median_h must lie in (6, 72]")
         if any(n <= 0 for n in self.cities.values()):
-            raise DataError("every listed city needs at least one restaurant")
+            raise UsageError("sim.cities: every listed city needs at least one restaurant")
         if self.cities == {} and self.n_users > 0:
-            raise DataError("users need at least one city to live in")
+            raise UsageError("sim.cities: users need at least one city to live in")
         if self.n_users < 0:
-            raise DataError("n_users must be >= 0")
+            raise UsageError("sim.n_users must be >= 0")
         for name in ("meals_per_day", "background_queries_per_day"):
             if getattr(self, name) < 0:
-                raise DataError(f"{name} must be >= 0, got {getattr(self, name)}")
+                raise UsageError(f"sim.{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -331,7 +324,6 @@ def day_to_date(day: int) -> Date:
 def generate_world(cfg: SimConfig, seed: int) -> World:
     """Restaurants with risk levels and latent safety states, plus the user
     population with per-user visit propensities. Deterministic under seed."""
-    cfg.validate()
     rng = make_rng(seed, "world")
     levels = (RiskLevel.HIGH, RiskLevel.MEDIUM, RiskLevel.LOW)
 
@@ -507,7 +499,6 @@ def simulate(world: World, days: int, seed: int) -> tuple[Dataset, GroundTruth]:
     if days < 1:
         raise DataError("days >= 1")
     cfg = world.cfg
-    cfg.validate()
 
     visits: list[VisitEvent] = []
     labeled_queries: list[tuple[QueryEvent, int]] = []

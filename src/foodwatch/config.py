@@ -1,6 +1,11 @@
 """Run configuration: documented defaults, flat key-value config files, and
 flag overrides.
 
+``RunConfig`` holds one settings section per module it configures, each
+declared and checked in that module: ``sim`` is ``citysim.SimConfig``,
+``wsm`` is ``wsm.WsmSettings``, ``locmodel`` is ``locmodel.LocSettings`` and
+``privacy`` is ``privacy.PrivacySettings``; only ``cli`` lives here.
+
 Config files hold one ``dotted.key=value`` per line (``#`` starts a comment).
 Unknown keys are rejected. Values are coerced to the target field type;
 ``sim.cities`` uses ``name:count`` pairs separated by commas and the triples
@@ -18,42 +23,9 @@ from pathlib import Path
 
 from .citysim import SimConfig
 from .errors import UsageError
-from .locmodel import INCUBATION_WINDOW_S
+from .locmodel import LocSettings
 from .privacy import PrivacySettings
-
-
-@dataclass(frozen=True)
-class WsmSettings:
-    dwell_threshold_s: float = 30.0
-    neg_ratio: int = 10
-    l2: float = 1e-5
-    batch_size: int = 256
-    epochs: int = 60
-    learning_rate: float = 1.0
-    threshold: float = 0.5
-    eval_size: int = 200
-
-    def __post_init__(self) -> None:
-        for name in ("neg_ratio", "batch_size", "epochs"):
-            if getattr(self, name) < 1:
-                raise UsageError(f"wsm.{name} must be >= 1, got {getattr(self, name)}")
-        if self.eval_size < 2 or self.eval_size % 2:
-            raise UsageError(f"wsm.eval_size must be a positive even number, got {self.eval_size}")
-
-
-@dataclass(frozen=True)
-class LocSettings:
-    window_s: int = INCUBATION_WINDOW_S
-    p_star: float = 0.7
-    min_visitors: int = 20
-    cutoff: float = 0.03
-    agg_window_days: int = 14
-
-    def __post_init__(self) -> None:
-        if self.agg_window_days < 1:
-            raise UsageError(f"locmodel.agg_window_days must be >= 1, got {self.agg_window_days}")
-        if not 0.0 <= self.cutoff <= 1.0:
-            raise UsageError(f"locmodel.cutoff must be in [0, 1], got {self.cutoff}")
+from .wsm import WsmSettings
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,28 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DataError
+from .errors import DataError, UsageError
 from .logdata import VisitEvent
 
 INCUBATION_WINDOW_S = 259_200  # 72 hours after leaving the restaurant
 ONE_SIDED_95_Z = 1.6448536269514722  # standard normal 95th percentile
+
+
+@dataclass(frozen=True)
+class LocSettings:
+    """The ``locmodel.*`` settings: linking, aggregation and ranking."""
+
+    window_s: int = INCUBATION_WINDOW_S
+    p_star: float = 0.7
+    min_visitors: int = 20
+    cutoff: float = 0.03
+    agg_window_days: int = 14
+
+    def __post_init__(self) -> None:
+        if self.agg_window_days < 1:
+            raise UsageError(f"locmodel.agg_window_days must be >= 1, got {self.agg_window_days}")
+        if not 0.0 <= self.cutoff <= 1.0:
+            raise UsageError(f"locmodel.cutoff must be in [0, 1], got {self.cutoff}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,8 +119,7 @@ def first_positive_queries(
 def link_exposures(
     visits: Sequence[VisitEvent],
     scored_queries: Sequence[ScoredQuery],
-    window_s: int = INCUBATION_WINDOW_S,
-    p_star: float = 0.7,
+    settings: LocSettings = LocSettings(),
 ) -> tuple[ExposureLink, ...]:
     """One link per (affected user, restaurant) with a qualifying visit.
 
@@ -112,7 +128,7 @@ def link_exposures(
     all qualifying visits by descending exit; duplicates of a (user,
     restaurant) pair are then collapsed keeping the earliest qualifying visit.
     """
-    anchors = first_positive_queries(scored_queries, p_star)
+    anchors = first_positive_queries(scored_queries, settings.p_star)
     visits_by_user: dict[str, list[VisitEvent]] = {}
     for v in visits:
         if v.user_id in anchors:
@@ -124,7 +140,7 @@ def link_exposures(
         qualifying = [
             v
             for v in visits_by_user.get(user_id, [])
-            if 0 < t_q - v.exit_ts <= window_s
+            if 0 < t_q - v.exit_ts <= settings.window_s
         ]
         if not qualifying:
             continue
@@ -237,16 +253,11 @@ def sliding_aggregates(
 
 def rank_restaurants(
     aggregates: Iterable[RestaurantAggregate],
-    min_visitors: int = 20,
-    cutoff: float = 0.0,
+    settings: LocSettings = LocSettings(),
 ) -> list[RestaurantAggregate]:
-    """Inspection shortlist: enough visitors, signal at or above the cutoff,
-    strongest signal first (ties: more visitors, then id)."""
-    if not 0.0 <= cutoff <= 1.0:
-        raise ValueError("cutoff must be in [0, 1]")
-    eligible = [
-        a for a in aggregates if a.visitors >= min_visitors and a.signal >= cutoff
-    ]
+    """Inspection shortlist: at least ``min_visitors`` visitors, signal at or
+    above ``cutoff``, strongest signal first (ties: more visitors, then id)."""
+    eligible = [a for a in aggregates if a.visitors >= settings.min_visitors and a.signal >= settings.cutoff]
     eligible.sort(key=lambda a: (-a.signal, -a.visitors, a.restaurant_id))
     return eligible
 

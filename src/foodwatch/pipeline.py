@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date as Date, datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -34,7 +34,7 @@ from .citysim import (
     simulate_raters,
 )
 from .config import RunConfig, config_hash
-from .errors import DataError, DataFormatError, FoodwatchError
+from .errors import DataError, DataFormatError, FoodwatchError, UsageError
 from .locmodel import (
     ExposureLink,
     Period,
@@ -78,7 +78,6 @@ from .stats import (
 from .wsm import (
     LabeledSet,
     Provenance,
-    TrainConfig,
     build_eval_sample,
     evaluate_wsm,
     load_model,
@@ -131,11 +130,11 @@ def load_world_recipe(path: Path) -> World:
 
 
 def _read_artifact(path: Path, read: Callable[[Path], object]):
-    """``read(path)``, with any malformed content reported as a data error
-    that names the file."""
+    """``read(path)``, with any malformed content, out-of-range settings
+    included, reported as a data error that names the file."""
     try:
         return read(path)
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError, UsageError) as exc:
         raise DataFormatError(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from exc
 
 
@@ -252,13 +251,7 @@ def compute_simulation(config: RunConfig) -> tuple[World, Dataset, GroundTruth]:
 
 def compute_model(config: RunConfig, dataset: Dataset) -> tuple[LabeledSet, object]:
     labeled = compute_weak_labels(config, dataset)
-    hyper = TrainConfig(
-        l2=config.wsm.l2,
-        batch_size=config.wsm.batch_size,
-        epochs=config.wsm.epochs,
-        learning_rate=config.wsm.learning_rate,
-    )
-    model = train_wsm(labeled, hyper, seed=derive_seed(config.seed, "wsm-train"))
+    model = train_wsm(labeled, config.wsm, seed=derive_seed(config.seed, "wsm-train"))
     return labeled, model
 
 
@@ -311,12 +304,7 @@ def compute_exposures(
 ) -> tuple[list[ScoredQuery], tuple[ExposureLink, ...]]:
     scores = score_queries(model, dataset.queries).tolist()
     scored = [ScoredQuery(q.user_id, q.ts, s) for q, s in zip(dataset.queries, scores)]
-    links = link_exposures(
-        dataset.visits,
-        scored,
-        window_s=config.locmodel.window_s,
-        p_star=config.locmodel.p_star,
-    )
+    links = link_exposures(dataset.visits, scored, config.locmodel)
     return scored, cap_contributions(links)
 
 
@@ -364,11 +352,7 @@ def compute_daily_lists(
 
         if day < config.cli.warmup_days:  # too little data for confident lists
             continue
-        ranked = rank_restaurants(
-            [cell for cell in cells.values() if not cell.suppressed],
-            min_visitors=config.locmodel.min_visitors,
-            cutoff=config.locmodel.cutoff,
-        )
+        ranked = rank_restaurants([cell for cell in cells.values() if not cell.suppressed], config.locmodel)
         per_city: dict[str, int] = {}
         for cell in ranked:
             rid = cell.restaurant_id
@@ -507,18 +491,7 @@ def stage_simulate(config: RunConfig, out: Path | Run) -> None:
 
     report = validate_dataset(dataset)
     with open(run.out / VALIDATION_FILE, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "query_count": report.query_count,
-                "visit_count": report.visit_count,
-                "restaurant_count": report.restaurant_count,
-                "inspection_count": report.inspection_count,
-                "ts_min": report.ts_min,
-                "ts_max": report.ts_max,
-                "violations": list(report.violations),
-            },
-            fh,
-        )
+        json.dump(asdict(report), fh)
     if not report.ok:
         raise DataError(f"dataset has {len(report.violations)} invariant violations")
 
@@ -544,12 +517,7 @@ def stage_eval_wsm(config: RunConfig, out: Path | Run) -> None:
 
 
 def compute_weak_labels(config: RunConfig, dataset: Dataset) -> LabeledSet:
-    return weak_label(
-        dataset.queries,
-        dwell_threshold_s=config.wsm.dwell_threshold_s,
-        neg_ratio=config.wsm.neg_ratio,
-        seed=derive_seed(config.seed, "wsm-weak"),
-    )
+    return weak_label(dataset.queries, config.wsm, seed=derive_seed(config.seed, "wsm-weak"))
 
 
 def stage_rank(config: RunConfig, out: Path | Run) -> None:

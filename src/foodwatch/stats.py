@@ -58,12 +58,6 @@ class RegressionFit:
     iterations: int
     ll_trace: tuple[float, ...] = ()
 
-    def coef(self, name: str) -> float:
-        return self.coefficients[self.columns.index(name)]
-
-    def se(self, name: str) -> float:
-        return self.standard_errors[self.columns.index(name)]
-
 
 @dataclass(frozen=True)
 class LinearFit:

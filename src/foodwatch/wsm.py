@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, UsageError
 from .features import (
     DIM,
     FeatureRows,
@@ -48,18 +48,31 @@ class LabeledSet:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    l2: float = 1e-4
+class WsmSettings:
+    """The ``wsm.*`` settings: weak labeling, training and evaluation."""
+
+    dwell_threshold_s: float = 30.0
+    neg_ratio: int = 10  # sampled negatives per weak positive
+    l2: float = 1e-5
     batch_size: int = 256
-    epochs: int = 5
-    learning_rate: float = 0.1  # step at update t is learning_rate / sqrt(t)
+    epochs: int = 60
+    learning_rate: float = 1.0  # step at update t is learning_rate / sqrt(t)
+    threshold: float = 0.5
+    eval_size: int = 200
+
+    def __post_init__(self) -> None:
+        for name in ("neg_ratio", "batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"wsm.{name} must be >= 1, got {getattr(self, name)}")
+        if self.eval_size < 2 or self.eval_size % 2:
+            raise UsageError(f"wsm.eval_size must be a positive even number, got {self.eval_size}")
 
 
 @dataclass(frozen=True, eq=False)
 class WsmModel:
     weights: np.ndarray  # dense, length DIM
     intercept: float
-    hyper: TrainConfig
+    hyper: WsmSettings  # the settings the model was trained under
     train_seed: int
     final_loss: float
     epoch_losses: tuple[float, ...] = ()
@@ -88,8 +101,7 @@ def is_weak_positive(event: QueryEvent, dwell_threshold_s: float) -> bool:
 
 def weak_label(
     queries: Sequence[QueryEvent],
-    dwell_threshold_s: float = 30.0,
-    neg_ratio: int = 10,
+    settings: WsmSettings = WsmSettings(),
     seed: int = 0,
 ) -> LabeledSet:
     """Automatically labeled training set: dwell-anchored positives plus a
@@ -101,15 +113,13 @@ def weak_label(
     """
     if not queries:
         raise DataError("query stream is empty")
-    if neg_ratio < 1:
-        raise ValueError("neg_ratio must be >= 1")
 
     positives: list[QueryEvent] = []
     positive_texts: set[str] = set()
     negative_pool: list[QueryEvent] = []
     pool_texts: set[str] = set()
     for event in queries:
-        if is_weak_positive(event, dwell_threshold_s):
+        if is_weak_positive(event, settings.dwell_threshold_s):
             if event.text not in positive_texts:
                 positive_texts.add(event.text)
                 positives.append(event)
@@ -120,7 +130,7 @@ def weak_label(
         raise DataError("no weak positives")
 
     negative_pool = [e for e in negative_pool if e.text not in positive_texts]
-    wanted = neg_ratio * len(positives)
+    wanted = settings.neg_ratio * len(positives)
     if len(negative_pool) < wanted:
         raise DataError(
             f"negative pool too small: need {wanted}, have {len(negative_pool)}"
@@ -180,15 +190,15 @@ def loss_and_gradient(
 
 def train_wsm(
     labeled: LabeledSet,
-    hyper: TrainConfig | None = None,
+    settings: WsmSettings = WsmSettings(),
     seed: int = 0,
 ) -> WsmModel:
     """Mini-batch gradient descent, deterministic under the seed.
 
-    Step size decays as learning_rate / sqrt(t) over global update count t.
+    Step size decays as ``settings.learning_rate / sqrt(t)`` over global
+    update count t.
     Raises on single-class input and on non-finite loss.
     """
-    hyper = hyper or TrainConfig()
     labels = np.array([y for _, y in labeled.examples], dtype=float)
     if len(labeled.examples) == 0 or len(set(labels.tolist())) < 2:
         raise DataError("training set must contain both classes")
@@ -201,29 +211,29 @@ def train_wsm(
     n = len(features)
     step_count = 0
     epoch_losses: list[float] = []
-    for _ in range(hyper.epochs):
+    for _ in range(settings.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, hyper.batch_size):
-            batch = order[start : start + hyper.batch_size]
+        for start in range(0, n, settings.batch_size):
+            batch = order[start : start + settings.batch_size]
             step_count += 1
-            step = hyper.learning_rate / math.sqrt(step_count)
+            step = settings.learning_rate / math.sqrt(step_count)
             _, grad_w, grad_b = loss_and_gradient(
-                weights, intercept, features.take(batch), labels[batch], hyper.l2
+                weights, intercept, features.take(batch), labels[batch], settings.l2
             )
             weights -= step * grad_w
             intercept -= step * grad_b
-        epoch_loss = _mean_loss(_margins(weights, intercept, features), labels, weights, hyper.l2)
+        epoch_loss = _mean_loss(_margins(weights, intercept, features), labels, weights, settings.l2)
         if not math.isfinite(epoch_loss):
             raise NumericalError("diverged")
         epoch_losses.append(epoch_loss)
 
-    final_loss = _mean_loss(_margins(weights, intercept, features), labels, weights, hyper.l2)
+    final_loss = _mean_loss(_margins(weights, intercept, features), labels, weights, settings.l2)
     if not math.isfinite(final_loss) or not np.all(np.isfinite(weights)):
         raise NumericalError("diverged")
     return WsmModel(
         weights=weights,
         intercept=intercept,
-        hyper=hyper,
+        hyper=settings,
         train_seed=seed,
         final_loss=final_loss,
         epoch_losses=tuple(epoch_losses),
@@ -293,7 +303,7 @@ def load_model(path: Path) -> WsmModel:
     return WsmModel(
         weights=weights,
         intercept=float(payload["intercept"]),
-        hyper=TrainConfig(**payload["hyper"]),
+        hyper=WsmSettings(**payload["hyper"]),
         train_seed=int(payload["train_seed"]),
         final_loss=float(payload["final_loss"]),
         epoch_losses=tuple(payload.get("epoch_losses", ())),
@@ -396,7 +406,7 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
 def evaluate_wsm(
     model: WsmModel,
     eval_set: LabeledSet,
-    threshold: float = 0.5,
+    threshold: float,
 ) -> WsmMetrics:
     labels = np.array([y for _, y in eval_set.examples], dtype=int)
     if labels.sum() in (0, len(labels)):

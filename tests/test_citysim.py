@@ -17,7 +17,7 @@ from foodwatch.citysim import (
     simulate_inspection,
     simulate_raters,
 )
-from foodwatch.errors import DataError
+from foodwatch.errors import DataError, UsageError
 from foodwatch.logdata import (
     DatasetPaths,
     Outcome,
@@ -57,10 +57,11 @@ def test_world_generation_deterministic():
 
 
 def test_invalid_probabilities_rejected():
-    with pytest.raises(DataError):
-        generate_world(replace(TINY, p_infect_unsafe=1.5), seed=0)
-    with pytest.raises(DataError):
-        generate_world(replace(TINY, risk_mix=(0.9, 0.2, 0.2)), seed=0)
+    # a SimConfig is checked when it is built, so no world is ever made from a bad one
+    with pytest.raises(UsageError, match="sim.p_infect_unsafe"):
+        replace(TINY, p_infect_unsafe=1.5)
+    with pytest.raises(UsageError, match="sim.risk_mix"):
+        replace(TINY, risk_mix=(0.9, 0.2, 0.2))
 
 
 def test_zero_infection_rates_mean_no_positive_template_queries():

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foodwatch.citysim import DAY_S
-from foodwatch.errors import DataError
+from foodwatch.errors import DataError, UsageError
 from foodwatch.locmodel import (
     INCUBATION_WINDOW_S,
     ExposureLink,
+    LocSettings,
     Period,
     RestaurantAggregate,
     ScoredQuery,
@@ -267,14 +268,14 @@ def test_sliding_window_rejects_periods_that_move_backwards():
 
 def test_all_below_cutoff_is_empty():
     aggs = [RestaurantAggregate("r1", visitors=100, affected=1)]
-    assert rank_restaurants(aggs, min_visitors=20, cutoff=0.9) == []
+    assert rank_restaurants(aggs, LocSettings(min_visitors=20, cutoff=0.9)) == []
 
 
 def test_tie_order_is_deterministic():
     a = RestaurantAggregate("rB", visitors=50, affected=10)
     b = RestaurantAggregate("rA", visitors=50, affected=10)
     c = RestaurantAggregate("rC", visitors=80, affected=16)
-    ranked = rank_restaurants([a, b, c], min_visitors=20, cutoff=0.0)
+    ranked = rank_restaurants([a, b, c], LocSettings(min_visitors=20, cutoff=0.0))
     # equal signal: more visitors first, then id ascending
     assert [r.restaurant_id for r in ranked][-2:] == ["rA", "rB"]
 
@@ -291,7 +292,7 @@ def test_ranking_matches_bruteforce_oracle():
         RestaurantAggregate(a.restaurant_id, a.visitors, int(rng.integers(0, a.visitors + 1)))
         for a in aggs
     ]
-    got = rank_restaurants(aggs, min_visitors=20, cutoff=0.05)
+    got = rank_restaurants(aggs, LocSettings(min_visitors=20, cutoff=0.05))
     expected = sorted(
         (a for a in aggs if a.visitors >= 20 and a.signal >= 0.05),
         key=lambda a: (-a.signal, -a.visitors, a.restaurant_id),
@@ -300,8 +301,8 @@ def test_ranking_matches_bruteforce_oracle():
 
 
 def test_cutoff_validation():
-    with pytest.raises(ValueError):
-        rank_restaurants([], cutoff=1.5)
+    with pytest.raises(UsageError, match="locmodel.cutoff"):
+        LocSettings(cutoff=1.5)
 
 
 # --- attribution -------------------------------------------------------------

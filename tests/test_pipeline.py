@@ -328,6 +328,25 @@ def _drop_world_cfg(out):
     return str(path)
 
 
+def _edit_json(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+def _negative_meals_in_world_recipe(out):
+    # a recipe whose settings a config file could not hold: rejected as data, naming the file
+    path = private_dir(out) / WORLD_FILE
+    _edit_json(path, lambda payload: payload["cfg"].update(meals_per_day=-1))
+    return f"{path}: malformed artifact (UsageError: sim.meals_per_day must be >= 0"
+
+
+def _zero_epochs_in_model_hyper(out):
+    path = out / MODEL_FILE
+    _edit_json(path, lambda payload: payload["hyper"].update(epochs=0))
+    return f"{path}: malformed artifact (UsageError: wsm.epochs must be >= 1"
+
+
 @pytest.mark.parametrize(
     "command, corrupt",
     [
@@ -345,6 +364,8 @@ def _drop_world_cfg(out):
         ("report", _rename_violations_column),
         ("report", _rename_attribution_column),
         ("report", _rename_metrics_column),
+        ("inspect", _negative_meals_in_world_recipe),
+        ("rank", _zero_epochs_in_model_hyper),
     ],
 )
 def test_corrupt_intermediates_are_data_errors(tmp_path, small_run, capsys, command, corrupt):

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foodwatch.errors import DataError, NumericalError
+from foodwatch.errors import DataError, NumericalError, UsageError
 from foodwatch.features import DIM, FeatureRows, bucket, feature_key, featurize
 from foodwatch.seeding import make_rng
 from foodwatch.wsm import (
     LabeledSet,
     Provenance,
-    TrainConfig,
     WsmModel,
+    WsmSettings,
     build_eval_sample,
     evaluate_wsm,
     has_foodborne_click,
@@ -64,7 +64,7 @@ def make_stream(n_pos=10, n_neg=300, n_lowdwell=0):
 
 def test_weak_label_counts_and_disjointness_vs_bruteforce():
     stream = make_stream()
-    labeled = weak_label(stream, dwell_threshold_s=30, neg_ratio=10, seed=7)
+    labeled = weak_label(stream, WsmSettings(dwell_threshold_s=30, neg_ratio=10), seed=7)
     positives = {e.text for e, y in labeled.examples if y == 1}
     negatives = {e.text for e, y in labeled.examples if y == 0}
     # oracle: brute-force filter over the stream
@@ -86,7 +86,7 @@ def test_weak_label_dedups_by_first_occurrence():
         query("c", 2, "other"),
         query("d", 3, "another"),
     ]
-    labeled = weak_label(stream, neg_ratio=1, seed=0)
+    labeled = weak_label(stream, WsmSettings(neg_ratio=1), seed=0)
     pos = [e for e, y in labeled.examples if y == 1]
     assert len(pos) == 1 and pos[0].user_id == "a"
     texts = [e.text for e, _ in labeled.examples]
@@ -116,15 +116,17 @@ def separable_set(n_per_class=10):
 
 
 def test_zero_epochs_scores_half():
-    model = train_wsm(separable_set(), TrainConfig(epochs=0), seed=0)
-    assert np.all(model.weights == 0) and model.intercept == 0
+    # zero epochs is refused as a setting, so build the untrained model directly
+    with pytest.raises(UsageError, match="wsm.epochs"):
+        WsmSettings(epochs=0)
+    model = zero_model()
     for e, _ in separable_set().examples:
         assert score_query(model, e) == 0.5
 
 
 def test_separable_set_reaches_perfect_accuracy():
     labeled = separable_set()
-    model = train_wsm(labeled, TrainConfig(epochs=40), seed=0)
+    model = train_wsm(labeled, WsmSettings(l2=1e-4, epochs=40, learning_rate=0.1), seed=0)
     correct = sum(
         (score_query(model, e) >= 0.5) == bool(y) for e, y in labeled.examples
     )
@@ -132,7 +134,7 @@ def test_separable_set_reaches_perfect_accuracy():
 
 
 def test_loss_non_increasing_across_epochs_default_schedule():
-    model = train_wsm(separable_set(), TrainConfig(epochs=8), seed=3)
+    model = train_wsm(separable_set(), WsmSettings(l2=1e-4, epochs=8, learning_rate=0.1), seed=3)
     losses = model.epoch_losses
     assert all(losses[i + 1] <= losses[i] + 1e-12 for i in range(len(losses) - 1))
 
@@ -197,12 +199,12 @@ def test_single_class_errors():
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_divergence_is_reported():
     with pytest.raises(NumericalError, match="diverged"):
-        train_wsm(separable_set(), TrainConfig(learning_rate=1e200, epochs=3), seed=0)
+        train_wsm(separable_set(), WsmSettings(l2=1e-4, epochs=3, learning_rate=1e200), seed=0)
 
 
 def test_training_deterministic_under_seed():
-    a = train_wsm(separable_set(), TrainConfig(epochs=5), seed=9)
-    b = train_wsm(separable_set(), TrainConfig(epochs=5), seed=9)
+    a = train_wsm(separable_set(), WsmSettings(l2=1e-4, epochs=5, learning_rate=0.1), seed=9)
+    b = train_wsm(separable_set(), WsmSettings(l2=1e-4, epochs=5, learning_rate=0.1), seed=9)
     assert np.array_equal(a.weights, b.weights) and a.intercept == b.intercept
 
 
@@ -211,7 +213,7 @@ def test_training_deterministic_under_seed():
 
 def zero_model():
     return WsmModel(
-        weights=np.zeros(DIM), intercept=0.0, hyper=TrainConfig(), train_seed=0,
+        weights=np.zeros(DIM), intercept=0.0, hyper=WsmSettings(), train_seed=0,
         final_loss=math.log(2),
     )
 
@@ -225,7 +227,7 @@ def test_zero_model_scores_half_everywhere():
 def test_single_feature_ln3_scores_three_quarters():
     weights = np.zeros(DIM)
     weights[bucket("q:marker")] = math.log(3)
-    model = WsmModel(weights=weights, intercept=0.0, hyper=TrainConfig(), train_seed=0, final_loss=0.0)
+    model = WsmModel(weights=weights, intercept=0.0, hyper=WsmSettings(), train_seed=0, final_loss=0.0)
     assert abs(score_query(model, query(text="marker")) - 0.75) < 1e-12
 
 
@@ -233,14 +235,14 @@ def test_single_feature_ln3_scores_three_quarters():
 @given(st.text(max_size=40), st.integers(0, 2**32 - 1))
 def test_scores_stay_in_open_unit_interval(text, seed):
     weights = make_rng(seed, "w").normal(0, 2, DIM)
-    model = WsmModel(weights=weights, intercept=-0.5, hyper=TrainConfig(), train_seed=0, final_loss=0.0)
+    model = WsmModel(weights=weights, intercept=-0.5, hyper=WsmSettings(), train_seed=0, final_loss=0.0)
     assert 0.0 < score_query(model, query(text=text)) < 1.0
 
 
 def test_scores_in_unit_interval_for_ten_thousand_events():
     rng = make_rng(99, "bulk")
     weights = rng.normal(0, 3, DIM)
-    model = WsmModel(weights=weights, intercept=0.7, hyper=TrainConfig(), train_seed=0, final_loss=0.0)
+    model = WsmModel(weights=weights, intercept=0.7, hyper=WsmSettings(), train_seed=0, final_loss=0.0)
     vocab = [f"tok{i}" for i in range(500)]
     for _ in range(10_000):
         words = [vocab[int(k)] for k in rng.integers(0, len(vocab), size=4)]
@@ -252,7 +254,7 @@ def test_batch_scores_equal_per_event_scores():
     rng = make_rng(11, "batch-score")
     weights = rng.normal(0, 1, DIM)
     intercept = -0.2
-    model = WsmModel(weights=weights, intercept=intercept, hyper=TrainConfig(), train_seed=0, final_loss=0.0)
+    model = WsmModel(weights=weights, intercept=intercept, hyper=WsmSettings(), train_seed=0, final_loss=0.0)
     # per text: no page, one page, and that page with one field changed, so
     # a dedupe key that missed a field would merge contents that differ
     contents = [("", ())]
@@ -279,7 +281,7 @@ def test_batch_scores_equal_per_event_scores():
 
 
 def test_model_file_round_trip(tmp_path):
-    model = train_wsm(separable_set(), TrainConfig(epochs=2), seed=1)
+    model = train_wsm(separable_set(), WsmSettings(l2=1e-4, epochs=2, learning_rate=0.1), seed=1)
     save_model(model, tmp_path / "m.json")
     loaded = load_model(tmp_path / "m.json")
     assert np.array_equal(loaded.weights, model.weights)
@@ -288,7 +290,7 @@ def test_model_file_round_trip(tmp_path):
 
 
 def test_model_dim_mismatch_rejected(tmp_path):
-    model = train_wsm(separable_set(), TrainConfig(epochs=1), seed=1)
+    model = train_wsm(separable_set(), WsmSettings(l2=1e-4, epochs=1, learning_rate=0.1), seed=1)
     save_model(model, tmp_path / "m.json")
     payload = (tmp_path / "m.json").read_text().replace("50000", "49999", 1)
     (tmp_path / "bad.json").write_text(payload)
@@ -327,7 +329,7 @@ def test_eval_sample_stratum_membership_brute_force():
 
 def test_eval_sample_disjoint_from_training():
     stream = make_stream(n_pos=40, n_neg=600, n_lowdwell=30)
-    labeled = weak_label(stream, neg_ratio=2, seed=1)
+    labeled = weak_label(stream, WsmSettings(neg_ratio=2), seed=1)
     sample = build_eval_sample(stream, 20, seed=2, exclude_texts=labeled.texts())
     assert not ({e.text for e in sample} & labeled.texts())
 
@@ -410,13 +412,13 @@ def test_evaluate_single_class_errors():
     model = zero_model()
     eval_set = LabeledSet(tuple((query(text=f"t{i}"), 1) for i in range(4)), Provenance.RATER)
     with pytest.raises(DataError):
-        evaluate_wsm(model, eval_set)
+        evaluate_wsm(model, eval_set, threshold=0.5)
 
 
 def test_f1_definition():
     weights = np.zeros(DIM)
     weights[bucket("q:hit")] = 5.0
-    model = WsmModel(weights=weights, intercept=-1.0, hyper=TrainConfig(), train_seed=0, final_loss=0.0)
+    model = WsmModel(weights=weights, intercept=-1.0, hyper=WsmSettings(), train_seed=0, final_loss=0.0)
     examples = (
         (query(text="hit one"), 1),
         (query(text="hit two"), 0),
