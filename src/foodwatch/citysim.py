@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import date as Date, timedelta
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -218,6 +218,15 @@ _GENERIC_PAGES = (
     ),
 )
 
+# Built once and shared by every event that shows them: pages are immutable.
+_FOODBORNE_TAGS = frozenset({FOODBORNE_TAG, "health"})
+_HEALTH_TAGS = frozenset({"health"})
+_LOCAL_TAGS = frozenset({"local"})
+_UNCLICKED_GENERIC_PAGES = tuple(
+    ResultPage(url, title, snippet, _LOCAL_TAGS, clicked=False, dwell_s=0.0)
+    for url, title, snippet in _GENERIC_PAGES
+)
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -415,14 +424,7 @@ def _positive_query(
                 1,
             )
         )
-    page = ResultPage(
-        url=url,
-        title=title,
-        snippet=snippet,
-        concept_tags=frozenset({FOODBORNE_TAG, "health"}),
-        clicked=clicked,
-        dwell_s=dwell,
-    )
+    page = ResultPage(url, title, snippet, _FOODBORNE_TAGS, clicked, dwell)
     return QueryEvent(user_id=user_id, ts=ts, text=text, results=(page,))
 
 
@@ -452,49 +454,44 @@ def _background_query(
             text = _ambiguify(rng, cfg, _pick(rng, cfg.ambiguous_foodborne_templates))
             label = 1
             url, title, snippet = _FOODBORNE_PAGES[int(rng.integers(len(_FOODBORNE_PAGES)))]
-            tags = frozenset({FOODBORNE_TAG, "health"})
+            tags = _FOODBORNE_TAGS
             dwell_mean = 20.0
         else:
             text = _ambiguify(rng, cfg, _pick(rng, cfg.ambiguous_other_templates))
             dwell_mean = 8.0
             if rng.random() < 0.5:
                 url, title, snippet = _FOODBORNE_PAGES[int(rng.integers(len(_FOODBORNE_PAGES)))]
-                tags = frozenset({FOODBORNE_TAG, "health"})
+                tags = _FOODBORNE_TAGS
             else:
                 url, title, snippet = _GENERAL_HEALTH_PAGE
-                tags = frozenset({"health"})
+                tags = _HEALTH_TAGS
         dwell = float(round(rng.exponential(dwell_mean), 1))
-        page = ResultPage(
-            url=url,
-            title=title,
-            snippet=snippet,
-            concept_tags=tags,
-            clicked=True,
-            dwell_s=dwell,
-        )
+        page = ResultPage(url, title, snippet, tags, True, dwell)
     else:
         text = _background_text(rng, cfg)
-        url, title, snippet = _GENERIC_PAGES[int(rng.integers(len(_GENERIC_PAGES)))]
-        clicked = bool(rng.random() < 0.5)
-        dwell = float(round(rng.exponential(40.0), 1)) if clicked else 0.0
-        page = ResultPage(
-            url=url,
-            title=title,
-            snippet=snippet,
-            concept_tags=frozenset({"local"}),
-            clicked=clicked,
-            dwell_s=dwell,
-        )
+        i = int(rng.integers(len(_GENERIC_PAGES)))
+        if rng.random() < 0.5:
+            url, title, snippet = _GENERIC_PAGES[i]
+            page = ResultPage(url, title, snippet, _LOCAL_TAGS, True, float(round(rng.exponential(40.0), 1)))
+        else:
+            page = _UNCLICKED_GENERIC_PAGES[i]
     return QueryEvent(user_id=user_id, ts=ts, text=text, results=(page,)), label
 
 
-def simulate(world: World, days: int, seed: int) -> tuple[Dataset, GroundTruth]:
+def simulate(
+    world: World, days: int, seed: int, user_ids: Mapping[str, str]
+) -> tuple[Dataset, GroundTruth]:
     """Run the city for ``days`` days.
 
     Emits visits, queries (positive-template queries from infected searchers
     plus everyone's background queries), complaint-triggered and routine
     inspections, and the ground truth (true source meal per infection, plus
     a positive/background label per query). Deterministic under (world, seed).
+
+    ``user_ids`` maps each raw user id to the id that every visit, query,
+    infection record and complaint carries: the pipeline passes keyed
+    pseudonyms, so raw ids never leave the simulator. The draws are keyed by
+    the raw id, so the map changes ids and nothing else.
     """
     if days < 1:
         raise DataError("days >= 1")
@@ -514,13 +511,14 @@ def simulate(world: World, days: int, seed: int) -> tuple[Dataset, GroundTruth]:
         user_rngs = make_rngs(seed, [("user", uid, day) for uid in world.users])
         for uid, rng in zip(world.users, user_rngs):
             pool = by_city[world.home_city[uid]]
+            pid = user_ids[uid]
 
             n_meals = int(rng.poisson(world.propensity[uid]))
             for _ in range(n_meals):
                 rid = pool[int(rng.integers(len(pool)))]
                 entry = day_start + int(rng.integers(6 * 3600, 21 * 3600))
                 exit_ts = entry + int(rng.integers(1800, 5400))
-                visits.append(VisitEvent(uid, rid, entry, exit_ts))
+                visits.append(VisitEvent(pid, rid, entry, exit_ts))
                 p_infect = (
                     cfg.p_infect_unsafe
                     if world.latent_unsafe[rid]
@@ -532,23 +530,23 @@ def simulate(world: World, days: int, seed: int) -> tuple[Dataset, GroundTruth]:
                     query_ts = symptom_ts if searched else None
                     if searched:
                         labeled_queries.append(
-                            (_positive_query(rng, cfg, uid, symptom_ts), 1)
+                            (_positive_query(rng, cfg, pid, symptom_ts), 1)
                         )
                     infections.append(
-                        InfectionRecord(uid, rid, exit_ts, symptom_ts, searched, query_ts)
+                        InfectionRecord(pid, rid, exit_ts, symptom_ts, searched, query_ts)
                     )
                     if rng.random() < cfg.p_complaint_given_ill:
                         blame_last = bool(rng.random() < cfg.p_blame_last)
-                        ill_complaints.append((uid, symptom_ts, blame_last, rid))
+                        ill_complaints.append((pid, symptom_ts, blame_last, rid))
 
             n_bg = int(rng.poisson(cfg.background_queries_per_day))
             for _ in range(n_bg):
                 ts = day_start + int(rng.integers(0, DAY_S))
-                labeled_queries.append(_background_query(rng, cfg, uid, ts))
+                labeled_queries.append(_background_query(rng, cfg, pid, ts))
 
             if rng.random() < cfg.p_frivolous_complaint:
                 ts = day_start + int(rng.integers(0, DAY_S))
-                frivolous_complaints.append((uid, ts, float(rng.random())))
+                frivolous_complaints.append((pid, ts, float(rng.random())))
 
     visits.sort(key=lambda v: v.exit_ts)
     labeled_queries.sort(key=lambda pair: pair[0].ts)

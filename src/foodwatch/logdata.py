@@ -21,9 +21,11 @@ a data error that names the file and line.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from datetime import date as Date
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -358,32 +360,52 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
     )
 
 
-def _result_to_json(page: ResultPage) -> dict:
-    return {
+def _json_scalar(value) -> str:
+    """``json.dumps(value, ensure_ascii=False)``, with the types that a query
+    line holds spelled out instead of passed through the encoder."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    return json.dumps(value, ensure_ascii=False)
+
+
+def _page_content_json(page: ResultPage) -> str:
+    """A result's JSON up to its click fields: the object without its ``}``."""
+    content = {
         "url": page.url,
         "title": page.title,
         "snippet": page.snippet,
         "concept_tags": sorted(page.concept_tags),
-        "clicked": page.clicked,
-        "dwell_s": page.dwell_s,
     }
+    return json.dumps(content, ensure_ascii=False)[:-1]
 
 
 def write_queries(events: Iterable[QueryEvent], path: Path) -> None:
+    """One JSON object per event and line, byte for byte what ``json.dumps(
+    ..., ensure_ascii=False)`` gives. Result pages repeat a few contents, so
+    each distinct (url, title, snippet, concept_tags) is encoded once; each
+    line encodes only its user, time, text, clicks and dwell times."""
+    contents: dict[tuple, str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for event in events:
-            fh.write(
-                json.dumps(
-                    {
-                        "user_id": event.user_id,
-                        "ts": event.ts,
-                        "text": event.text,
-                        "results": [_result_to_json(r) for r in event.results],
-                    },
-                    ensure_ascii=False,
+            pages = []
+            for page in event.results:
+                key = (page.url, page.title, page.snippet, page.concept_tags)
+                content = contents.get(key)
+                if content is None:
+                    content = contents[key] = _page_content_json(page)
+                pages.append(
+                    f'{content}, "clicked": {_json_scalar(page.clicked)}, '
+                    f'"dwell_s": {_json_scalar(page.dwell_s)}}}'
                 )
+            fh.write(
+                f'{{"user_id": {_json_scalar(event.user_id)}, "ts": {_json_scalar(event.ts)}, '
+                f'"text": {_json_scalar(event.text)}, "results": [{", ".join(pages)}]}}\n'
             )
-            fh.write("\n")
 
 
 def write_visits(visits: Iterable[VisitEvent], path: Path) -> None:

@@ -62,9 +62,10 @@ from .logdata import (
 )
 from .privacy import (
     ReleasedAggregate,
-    anonymize_ground_truth,
-    anonymize_ids,
+    anonymize_ground_truth,  # unused here; the benchmark tracer wraps it
+    anonymize_ids,  # unused here; the benchmark tracer wraps it
     cap_contributions,
+    pseudonyms,
     release,
 )
 from .raters import krippendorff_alpha, majority_labels
@@ -244,9 +245,9 @@ class Run:
 def compute_simulation(config: RunConfig) -> tuple[World, Dataset, GroundTruth]:
     sim_seed = derive_seed(config.seed, "citysim")
     world = generate_world(config.sim, sim_seed)
-    dataset, truth = simulate(world, config.days, sim_seed)
-    key = config.privacy.hash_key_int()
-    return world, anonymize_ids(dataset, key), anonymize_ground_truth(truth, key)
+    user_ids = pseudonyms(world.users, config.privacy.hash_key_int())
+    dataset, truth = simulate(world, config.days, sim_seed, user_ids)
+    return world, dataset, truth
 
 
 def compute_model(config: RunConfig, dataset: Dataset) -> tuple[LabeledSet, object]:

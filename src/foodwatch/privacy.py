@@ -1,9 +1,13 @@
 """Privacy settings, anonymization, contribution capping, and count release.
 
 User ids are replaced by a keyed pseudorandom function before anything else
-touches the data, links are capped to one per (user, restaurant) so each
-released count has L1 sensitivity 1, and with privacy on (the default) counts
-leave the pipeline only with Laplace noise added and small cells suppressed.
+touches the data: the simulator takes the map from :func:`pseudonyms` and
+writes the pseudonym into every event it emits, so raw ids never leave it.
+``anonymize_ids`` and ``anonymize_ground_truth`` apply the same map to events
+already built, and serve as its reference. Links are capped to one per
+(user, restaurant) so each released count has L1 sensitivity 1, and with
+privacy on (the default) counts leave the pipeline only with Laplace noise
+added and small cells suppressed.
 Noise draws are keyed by (seed, restaurant_id) with a counter-based
 construction, so parallel release produces exactly the serial output. With
 privacy switched off ``release`` returns the raw counts instead, in the same
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .citysim import GroundTruth
 from .errors import UsageError
@@ -82,6 +86,13 @@ def pseudonymize(hash_key: int, user_id: str) -> str:
     return hashlib.blake2b(
         user_id.encode("utf-8"), key=key_bytes, digest_size=16
     ).hexdigest()
+
+
+def pseudonyms(user_ids: Iterable[str], hash_key: int) -> dict[str, str]:
+    """The keyed pseudonym of each raw id, one hash per distinct id."""
+    if hash_key == 0:
+        raise ValueError("hash_key must be non-zero")
+    return {user_id: pseudonymize(hash_key, user_id) for user_id in user_ids}
 
 
 def anonymize_ids(dataset: Dataset, hash_key: int) -> Dataset:

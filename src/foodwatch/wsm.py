@@ -338,7 +338,9 @@ def build_eval_sample(
     """Evaluation sample: half frequency-weighted from the high-recall stratum
     (queries with a clicked foodborne-tagged result), half frequency-weighted
     from the full stream. Deduplicated by text and disjoint from
-    ``exclude_texts`` (the training set).
+    ``exclude_texts`` (the training set). A stratum with fewer than ``n/2``
+    distinct texts gives all of them, and the full stream fills the sample
+    up to ``n``.
     """
     if n % 2 != 0:
         raise ValueError("n must be even")
@@ -358,25 +360,23 @@ def build_eval_sample(
         if has_foodborne_click(event):
             stratum_counts[event.text] = stratum_counts.get(event.text, 0) + 1
 
-    half = n // 2
-    if len(stratum_counts) < half:
-        raise DataError(
-            f"high-recall stratum too small: need {half} distinct texts, have {len(stratum_counts)}"
-        )
     rng = make_rng(seed, "eval-sample")
     stratum_texts = list(stratum_counts)  # insertion order: first occurrence in stream
+    from_stratum = min(n // 2, len(stratum_texts))
     picked = _weighted_sample_without_replacement(
-        stratum_texts, [stratum_counts[t] for t in stratum_texts], half, rng
+        stratum_texts, [stratum_counts[t] for t in stratum_texts], from_stratum, rng
     )
     picked_set = set(picked)
 
     remaining = [t for t in full_counts if t not in picked_set]
-    if len(remaining) < half:
+    rest = n - len(picked)
+    if len(remaining) < rest:
         raise DataError(
-            f"traffic stratum too small: need {half} distinct texts, have {len(remaining)}"
+            f"stream too small: need {n} distinct texts outside the training set, "
+            f"have {len(full_counts)}"
         )
     picked += _weighted_sample_without_replacement(
-        remaining, [full_counts[t] for t in remaining], half, rng
+        remaining, [full_counts[t] for t in remaining], rest, rng
     )
     return tuple(first_event[t] for t in picked)
 

@@ -3,10 +3,11 @@
 These deliberately take different computational routes from the library code
 they check: closed-form 2x2 odds ratios, Simpson quadrature for the
 chi-square tail, pairwise-disagreement Krippendorff alpha, brute-force
-majority voting, O(n^2) pairwise AUC, and a per-example logistic loss and
-gradient.
+majority voting, O(n^2) pairwise AUC, a per-example logistic loss and
+gradient, and a query log written with one ``json.dumps`` per event.
 """
 
+import json
 import math
 
 import numpy as np
@@ -111,3 +112,23 @@ def logistic_oracle(weights, intercept, vectors, labels, l2, sigmoid):
     for idx, e in zip(vectors, err):
         np.add.at(grad_w, idx, e)
     return loss, grad_w, float(err.sum())
+
+
+def write_queries_per_event(events, path):
+    """The query log as one ``json.dumps`` of the whole event per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for event in events:
+            results = [
+                {
+                    "url": page.url,
+                    "title": page.title,
+                    "snippet": page.snippet,
+                    "concept_tags": sorted(page.concept_tags),
+                    "clicked": page.clicked,
+                    "dwell_s": page.dwell_s,
+                }
+                for page in event.results
+            ]
+            record = {"user_id": event.user_id, "ts": event.ts, "text": event.text, "results": results}
+            fh.write(json.dumps(record, ensure_ascii=False))
+            fh.write("\n")

@@ -32,10 +32,15 @@ from foodwatch.seeding import make_rng
 TINY = SimConfig(cities={"A": 10, "B": 10}, n_users=40)
 
 
+def raw_ids(world):
+    """The id map under which every event carries its raw user id."""
+    return {uid: uid for uid in world.users}
+
+
 def test_empty_world():
     world = generate_world(SimConfig(cities={}, n_users=0), seed=1)
     assert world.restaurants == () and world.users == ()
-    ds, truth = simulate(world, days=2, seed=1)
+    ds, truth = simulate(world, days=2, seed=1, user_ids=raw_ids(world))
     assert ds.queries == () and ds.visits == () and ds.inspections == ()
     assert truth.infections == ()
 
@@ -67,7 +72,7 @@ def test_invalid_probabilities_rejected():
 def test_zero_infection_rates_mean_no_positive_template_queries():
     cfg = replace(TINY, p_infect_unsafe=0.0, p_infect_safe=0.0)
     world = generate_world(cfg, seed=5)
-    ds, truth = simulate(world, days=4, seed=5)
+    ds, truth = simulate(world, days=4, seed=5, user_ids=raw_ids(world))
     assert truth.infections == ()
     assert not any(
         q.text.startswith(t) for q in ds.queries for t in cfg.positive_templates
@@ -84,7 +89,7 @@ def test_incubation_at_truncation_bound_is_exact():
         p_infect_safe=1.0,
     )
     world = generate_world(cfg, seed=9)
-    _, truth = simulate(world, days=2, seed=9)
+    _, truth = simulate(world, days=2, seed=9, user_ids=raw_ids(world))
     assert len(truth.infections) > 0
     for rec in truth.infections:
         assert rec.searched and rec.query_ts == rec.meal_exit_ts + 72 * 3600
@@ -104,7 +109,7 @@ def test_infection_counts_match_binomial_moments():
     total_infections = 0
     for run in range(200):
         world = generate_world(cfg, seed=run)
-        ds, truth = simulate(world, days=2, seed=run)
+        ds, truth = simulate(world, days=2, seed=run, user_ids=raw_ids(world))
         total_meals += len(ds.visits)
         total_infections += len(truth.infections)
     p = 0.3
@@ -115,14 +120,14 @@ def test_infection_counts_match_binomial_moments():
 
 def test_simulation_deterministic():
     world = generate_world(TINY, seed=21)
-    a = simulate(world, days=3, seed=21)
-    b = simulate(world, days=3, seed=21)
+    a = simulate(world, days=3, seed=21, user_ids=raw_ids(world))
+    b = simulate(world, days=3, seed=21, user_ids=raw_ids(world))
     assert a[0] == b[0] and a[1] == b[1]
 
 
 def test_background_queries_have_no_dwell_when_unclicked():
     world = generate_world(TINY, seed=2)
-    ds, _ = simulate(world, days=3, seed=2)
+    ds, _ = simulate(world, days=3, seed=2, user_ids=raw_ids(world))
     for q in ds.queries:
         for page in q.results:
             if not page.clicked:
@@ -173,7 +178,7 @@ def test_violation_count_means_recovered():
 def test_routine_unsafe_rate_converges_to_mixture():
     cfg = SimConfig(cities={"A": 400}, n_users=0, routine_inspections_per_day=50)
     world = generate_world(cfg, seed=17)
-    ds, _ = simulate(world, days=40, seed=17)
+    ds, _ = simulate(world, days=40, seed=17, user_ids=raw_ids(world))
     routine = [r for r in ds.inspections if r.trigger is Trigger.ROUTINE]
     rate = sum(r.outcome is Outcome.UNSAFE for r in routine) / len(routine)
     mix, unsafe = cfg.risk_mix, cfg.unsafe_prob
@@ -231,14 +236,14 @@ def test_world_round_trip():
 
 def test_ground_truth_round_trip(tmp_path):
     world = generate_world(TINY, seed=23)
-    _, truth = simulate(world, days=2, seed=23)
+    _, truth = simulate(world, days=2, seed=23, user_ids=raw_ids(world))
     save_ground_truth(truth, tmp_path / "gt.json")
     assert load_ground_truth(tmp_path / "gt.json") == truth
 
 
 def test_dataset_files_leak_no_latent_state(tmp_path):
     world = generate_world(TINY, seed=29)
-    ds, _ = simulate(world, days=3, seed=29)
+    ds, _ = simulate(world, days=3, seed=29, user_ids=raw_ids(world))
     paths = DatasetPaths.in_dir(tmp_path)
     write_dataset(ds, paths)
     # schema audit: exactly the documented fields, nothing else

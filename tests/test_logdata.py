@@ -13,15 +13,18 @@ from foodwatch.logdata import (
     Outcome,
     QueryEvent,
     RestaurantRecord,
+    ResultPage,
     RiskLevel,
     Trigger,
     VisitEvent,
     load_dataset,
     validate_dataset,
     write_dataset,
+    write_queries,
 )
 
 from conftest import page, query, visit
+from oracles import write_queries_per_event
 
 
 def write_files(tmp_path, queries="", visits="user_id,restaurant_id,entry_ts,exit_ts\n",
@@ -226,3 +229,47 @@ def test_roundtrip_property(tmp_path_factory, items):
     loaded = load_dataset(paths)
     assert sorted(q.text for q in loaded.queries) == sorted(q.text for q in ds.queries)
     assert [q.ts for q in loaded.queries] == sorted(q.ts for q in ds.queries)
+
+
+# Strings that JSON escapes or that ensure_ascii=False passes through as is.
+AWKWARD_TEXT = st.one_of(
+    st.sampled_from(["", 'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "line\u2028sep\u2029",
+                     "café", "食中毒", "emoji \U0001f922"]),
+    st.text(max_size=12),
+)
+DWELLS = st.one_of(st.sampled_from([0.0, 123.4, 1e16, 5e-324, 0.1]), st.floats(0, 1e300))
+
+
+@st.composite
+def query_logs(draw):
+    # a few page contents, shared across events, and some differing only in tags
+    contents = draw(st.lists(
+        st.tuples(AWKWARD_TEXT, AWKWARD_TEXT, AWKWARD_TEXT, st.frozensets(AWKWARD_TEXT, max_size=3)),
+        min_size=1, max_size=4,
+    ))
+    events = []
+    for _ in range(draw(st.integers(0, 6))):
+        pages = []
+        for _ in range(draw(st.integers(0, 3))):
+            url, title, snippet, tags = draw(st.sampled_from(contents))
+            clicked = draw(st.booleans())
+            pages.append(ResultPage(url, title, snippet, tags, clicked, draw(DWELLS) if clicked else 0.0))
+        events.append(QueryEvent(draw(AWKWARD_TEXT), draw(st.integers(0, 2**40)), draw(AWKWARD_TEXT), tuple(pages)))
+    return events
+
+
+@settings(max_examples=300, deadline=None)
+@given(query_logs())
+def test_query_writer_matches_one_dumps_per_event(tmp_path_factory, events):
+    d = tmp_path_factory.mktemp("writer")
+    write_queries(events, d / "fast.jsonl")
+    write_queries_per_event(events, d / "oracle.jsonl")
+    assert (d / "fast.jsonl").read_bytes() == (d / "oracle.jsonl").read_bytes()
+
+
+def test_query_writer_spells_numbers_as_json_does(tmp_path):
+    # an integer dwell (as tests build them) and non-finite floats
+    events = [query("u1", 3, "x", [page(dwell=dwell)]) for dwell in (45, float("inf"), float("nan"))]
+    write_queries(events, tmp_path / "fast.jsonl")
+    write_queries_per_event(events, tmp_path / "oracle.jsonl")
+    assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foodwatch import features, pipeline
+from foodwatch import features, pipeline, privacy
 from foodwatch import report as report_mod
 from foodwatch.citysim import DAY_S, SIM_EPOCH_DATE, load_ground_truth, save_ground_truth
 from foodwatch.cli import main as cli_main
@@ -26,7 +26,8 @@ from foodwatch.pipeline import (
     private_dir,
     run_pipeline,
 )
-from foodwatch.wsm import weak_label
+from foodwatch.seeding import derive_seed
+from foodwatch.wsm import build_eval_sample, has_foodborne_click, weak_label
 from oracles import wilson_oracle
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -472,6 +473,69 @@ def test_run_never_calls_the_per_string_reference(monkeypatch, tmp_path):
     monkeypatch.setattr(features, "bucket", refuse)
     run_pipeline(small_config(), tmp_path)
     assert (tmp_path / "manifest.json").exists()
+
+
+def test_run_never_calls_the_anonymizers(monkeypatch, tmp_path):
+    # the simulator emits pseudonyms; the anonymizers stay as its test reference
+    def refuse(*args):
+        raise AssertionError("the pipeline called an anonymizer")
+
+    for name in ("anonymize_ids", "anonymize_ground_truth"):
+        monkeypatch.setattr(pipeline, name, refuse)
+        monkeypatch.setattr(privacy, name, refuse)
+    run_pipeline(small_config(), tmp_path)
+    assert (tmp_path / MANIFEST).exists()
+
+
+# sha256 of every file the simulate stage writes. None of them depends on
+# BLAS, so the pin holds on any thread count. A change that alters these
+# files on purpose re-records the hashes and says why.
+SIMULATE_HASHES = {
+    "small-seed5": {
+        "dataset/queries.jsonl": "1514927e1c7d76210626d451f3f8f09e9990718fb327d20f056e17f4d72b4acb",
+        "dataset/visits.csv": "97a14e509feb74654f98f0ea09e6ab52019578a3d16146e5a472d43226bc6c0d",
+        "dataset/restaurants.csv": "1dd9ab4951fdacb4eadb9ee6461d137d6b8d94d6432146f210cf40197262755e",
+        "dataset/inspections.csv": "9006ec7efc32fcac0b6185f3a5dda1bc2d8309698851279e082d5d3f1c5ab9bb",
+        "private/world.json": "ee012d04b0ba2643bdfd7d2156e2aa2d0e2fa0f19b87844be520f94a40a1336e",
+        "private/ground_truth.json": "02643ce57d8dcd61f180f16f271044afa180231ac22d8f9f165610429398e6c2",
+        "validation.json": "166b3ee34a9da04500bcd725e5c0c06e2db0324e078dc2148ebb8952cf6acf6f",
+    },
+    "default-seed0": {
+        "dataset/queries.jsonl": "30538b0dfb702933882fd771a828816b73e4b03dc9dc943788c14962e4a421f0",
+        "dataset/visits.csv": "8df1cd345111aa2b79920475fd4e40dd1e1d0ee6cd80de10e706529ac893bd55",
+        "dataset/restaurants.csv": "ef77265412e51a91dff6bad95ad4b047d947673c9623286ae7adbb1ddab8594d",
+        "dataset/inspections.csv": "a42a3bafa2e3345f083202585dd1bbda503171442d3a367f07510e9db0777604",
+        "private/world.json": "04d661c1e600a56c9c5543a6e7530d85025167f59807bfb0819fe75a77037a15",
+        "private/ground_truth.json": "04bd442627198bd8d98ef40ba7d2a5fe535c677c2c6bc8edf3d8fd6d6a091627",
+        "validation.json": "9f6e23ae0c2b79d58e4ad5bccbdaa1135e421699ebddf5e185c14ac2282d1f97",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_HASHES))
+def test_simulate_stage_bytes_are_pinned(tmp_path, name):
+    config = small_config(5) if name == "small-seed5" else RunConfig(seed=0)
+    pipeline.stage_simulate(config, tmp_path)
+    written = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()}
+    assert written == set(SIMULATE_HASHES[name])
+    got = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() for rel in written}
+    assert got == SIMULATE_HASHES[name]
+
+
+def test_short_high_recall_stratum_still_gives_a_full_eval_sample():
+    # at seed 54 the default run's stratum holds fewer than eval_size / 2
+    # texts outside the training set, so the full stream tops the sample up
+    config = RunConfig(seed=54)
+    _, dataset, _ = pipeline.compute_simulation(config)
+    train_texts = pipeline.compute_weak_labels(config, dataset).texts()
+    stratum = {e.text for e in dataset.queries if has_foodborne_click(e)} - train_texts
+    assert len(stratum) < config.wsm.eval_size // 2
+    sample = build_eval_sample(
+        dataset.queries, config.wsm.eval_size, derive_seed(54, "wsm-eval"), exclude_texts=train_texts
+    )
+    texts = {e.text for e in sample}
+    assert len(texts) == len(sample) == config.wsm.eval_size
+    assert stratum <= texts and not (texts & train_texts)
 
 
 def test_benchmark_trace_entry_points_resolve(monkeypatch):

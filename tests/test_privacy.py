@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foodwatch.citysim import SimConfig, generate_world, simulate
 from foodwatch.errors import UsageError
 from foodwatch.locmodel import ExposureLink, RestaurantAggregate
-from foodwatch.logdata import Dataset
+from foodwatch.logdata import Dataset, Trigger
 from foodwatch.privacy import (
     PrivacySettings,
+    anonymize_ground_truth,
     anonymize_ids,
     cap_contributions,
     pseudonymize,
+    pseudonyms,
     release,
 )
 from foodwatch.seeding import make_rng
@@ -52,7 +55,33 @@ def test_zero_key_rejected():
     with pytest.raises(ValueError):
         anonymize_ids(Dataset(), 0)
     with pytest.raises(ValueError):
+        pseudonyms((), 0)
+    with pytest.raises(ValueError):
         pseudonymize(0, "alice")
+
+
+# Infections and complaints are common here, so every stream carries ids.
+SICK_CITY = SimConfig(
+    cities={"A": 6, "B": 4}, n_users=60, unsafe_prob=(0.6, 0.6, 0.6), p_infect_unsafe=0.5,
+    p_complaint_given_ill=0.5, p_frivolous_complaint=0.1,
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_simulating_with_pseudonyms_equals_anonymizing_after(seed):
+    world = generate_world(SICK_CITY, seed)
+    dataset, truth = simulate(world, 4, seed, pseudonyms(world.users, KEY))
+    raw_dataset, raw_truth = simulate(world, 4, seed, {uid: uid for uid in world.users})
+    assert raw_truth.infections and any(r.trigger is Trigger.COMPLAINT for r in raw_dataset.inspections)
+    assert dataset == anonymize_ids(raw_dataset, KEY)
+    assert truth == anonymize_ground_truth(raw_truth, KEY)
+
+
+def test_pseudonyms_match_per_id_hash():
+    assert pseudonyms(["alice", "bob", "alice"], KEY) == {
+        "alice": pseudonymize(KEY, "alice"),
+        "bob": pseudonymize(KEY, "bob"),
+    }
 
 
 def test_million_users_no_collision():

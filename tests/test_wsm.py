@@ -334,9 +334,18 @@ def test_eval_sample_disjoint_from_training():
     assert not ({e.text for e in sample} & labeled.texts())
 
 
-def test_eval_sample_small_stratum_reports_count():
+def test_eval_sample_short_stratum_is_filled_from_stream():
+    # 3 stratum texts where 20 are asked for: all 3, then 37 from the stream
     stream = make_stream(n_pos=3, n_neg=100)
-    with pytest.raises(DataError, match="have 3"):
+    texts = [e.text for e in build_eval_sample(stream, 40, seed=0)]
+    assert len(texts) == len(set(texts)) == 40
+    assert set(texts[:3]) == {"sick query 0", "sick query 1", "sick query 2"}
+    assert all(t.startswith("background query") for t in texts[3:])
+
+
+def test_eval_sample_too_few_texts_reports_count():
+    stream = make_stream(n_pos=3, n_neg=30) * 2  # 66 events, 33 distinct texts
+    with pytest.raises(DataError, match="have 33"):
         build_eval_sample(stream, 40, seed=0)
 
 
