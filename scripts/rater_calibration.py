@@ -34,7 +34,7 @@ def main() -> int:
         (0.10, 0.20),
     ):
         cfg = replace(SimConfig(), rater_flip_md=md_flip, rater_flip_other=other_flip)
-        judgments = simulate_raters([None] * args.units, truth, cfg, seed=args.seed)
+        judgments = simulate_raters(truth, cfg, seed=args.seed)
         alpha = krippendorff_alpha(judgments)
         accuracy = float(np.mean(majority_labels(judgments) == truth))
         print(f"{md_flip:7.2f}  {other_flip:10.2f}  {alpha:5.3f}  {accuracy:12.4f}")

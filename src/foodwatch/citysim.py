@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, UsageError
+from .locmodel import ScoredQuery
 from .logdata import (
     Dataset,
     InspectionRecord,
@@ -257,13 +258,6 @@ class SimConfig:
     positive_dwell_median_s: float = 60.0
     positive_dwell_sigma: float = 0.5
     routine_inspections_per_day: int = 8
-    positive_templates: tuple[str, ...] = POSITIVE_TEMPLATES
-    positive_modifiers: tuple[str, ...] = POSITIVE_MODIFIERS
-    background_templates: tuple[str, ...] = BACKGROUND_TEMPLATES
-    ambiguous_foodborne_templates: tuple[str, ...] = AMBIGUOUS_FOODBORNE_TEMPLATES
-    ambiguous_other_templates: tuple[str, ...] = AMBIGUOUS_OTHER_TEMPLATES
-    background_suffixes: tuple[str, ...] = BACKGROUND_SUFFIXES
-    localities: tuple[str, ...] = LOCALITIES
 
     def __post_init__(self) -> None:
         probs = (
@@ -281,19 +275,23 @@ class SimConfig:
                 raise UsageError(f"sim.{name} must be three probabilities")
         if abs(sum(self.risk_mix) - 1.0) > 1e-9:
             raise UsageError(f"sim.risk_mix must sum to 1, got {sum(self.risk_mix)}")
-        if self.incubation_sigma < 0:
-            raise UsageError("sim.incubation_sigma must be >= 0")
+        for name in ("incubation_median_h", "positive_dwell_median_s"):  # lognormal medians
+            if not getattr(self, name) > 0:  # also refuses nan
+                raise UsageError(f"sim.{name} must be > 0, got {getattr(self, name)}")
+        nonnegative = (
+            "n_users", "incubation_sigma", "positive_dwell_sigma", "meals_per_day",
+            "background_queries_per_day", "routine_inspections_per_day", "unsafe_critical_mean",
+            "unsafe_major_mean", "safe_critical_mean", "safe_major_mean",
+        )
+        for name in nonnegative:
+            if not getattr(self, name) >= 0:
+                raise UsageError(f"sim.{name} must be >= 0, got {getattr(self, name)}")
         if self.incubation_sigma == 0 and not 6.0 < self.incubation_median_h <= 72.0:
             raise UsageError("with zero sim.incubation_sigma, sim.incubation_median_h must lie in (6, 72]")
         if any(n <= 0 for n in self.cities.values()):
             raise UsageError("sim.cities: every listed city needs at least one restaurant")
         if self.cities == {} and self.n_users > 0:
             raise UsageError("sim.cities: users need at least one city to live in")
-        if self.n_users < 0:
-            raise UsageError("sim.n_users must be >= 0")
-        for name in ("meals_per_day", "background_queries_per_day"):
-            if getattr(self, name) < 0:
-                raise UsageError(f"sim.{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -387,30 +385,30 @@ def _pick(rng: np.random.Generator, pool: tuple[str, ...]) -> str:
     return pool[int(rng.integers(len(pool)))]
 
 
-def _positive_text(rng: np.random.Generator, cfg: SimConfig) -> str:
-    text = _pick(rng, cfg.positive_templates)
+def _positive_text(rng: np.random.Generator) -> str:
+    text = _pick(rng, POSITIVE_TEMPLATES)
     if rng.random() < 0.65:
-        text = f"{text} {_pick(rng, cfg.positive_modifiers)}"
+        text = f"{text} {_pick(rng, POSITIVE_MODIFIERS)}"
     return text
 
 
-def _background_text(rng: np.random.Generator, cfg: SimConfig) -> str:
+def _background_text(rng: np.random.Generator) -> str:
     # head-heavy mix: bare templates repeat a lot, long combinations are rare
-    text = _pick(rng, cfg.background_templates)
+    text = _pick(rng, BACKGROUND_TEMPLATES)
     r = rng.random()
     if r < 0.35:
         return text
     if r < 0.75:
-        return f"{text} {_pick(rng, cfg.background_suffixes)}"
+        return f"{text} {_pick(rng, BACKGROUND_SUFFIXES)}"
     if r < 0.90:
-        return f"{text} {_pick(rng, cfg.localities)}"
-    return f"{text} {_pick(rng, cfg.background_suffixes)} {_pick(rng, cfg.localities)}"
+        return f"{text} {_pick(rng, LOCALITIES)}"
+    return f"{text} {_pick(rng, BACKGROUND_SUFFIXES)} {_pick(rng, LOCALITIES)}"
 
 
 def _positive_query(
     rng: np.random.Generator, cfg: SimConfig, user_id: str, ts: int
 ) -> QueryEvent:
-    text = _positive_text(rng, cfg)
+    text = _positive_text(rng)
     url, title, snippet = _FOODBORNE_PAGES[int(rng.integers(len(_FOODBORNE_PAGES)))]
     clicked = bool(rng.random() < cfg.p_positive_click)
     dwell = 0.0
@@ -428,12 +426,12 @@ def _positive_query(
     return QueryEvent(user_id=user_id, ts=ts, text=text, results=(page,))
 
 
-def _ambiguify(rng: np.random.Generator, cfg: SimConfig, template: str) -> str:
+def _ambiguify(rng: np.random.Generator, template: str) -> str:
     r = rng.random()
     if r < 0.45:
-        return f"{template} {_pick(rng, cfg.background_suffixes)}"
+        return f"{template} {_pick(rng, BACKGROUND_SUFFIXES)}"
     if r < 0.80:
-        return f"{template} {_pick(rng, cfg.localities)}"
+        return f"{template} {_pick(rng, LOCALITIES)}"
     return template
 
 
@@ -451,13 +449,13 @@ def _background_query(
         # dwell tracks topical relevance: genuinely foodborne research holds
         # the reader, off-topic curiosity bounces quickly
         if rng.random() < 0.6:
-            text = _ambiguify(rng, cfg, _pick(rng, cfg.ambiguous_foodborne_templates))
+            text = _ambiguify(rng, _pick(rng, AMBIGUOUS_FOODBORNE_TEMPLATES))
             label = 1
             url, title, snippet = _FOODBORNE_PAGES[int(rng.integers(len(_FOODBORNE_PAGES)))]
             tags = _FOODBORNE_TAGS
             dwell_mean = 20.0
         else:
-            text = _ambiguify(rng, cfg, _pick(rng, cfg.ambiguous_other_templates))
+            text = _ambiguify(rng, _pick(rng, AMBIGUOUS_OTHER_TEMPLATES))
             dwell_mean = 8.0
             if rng.random() < 0.5:
                 url, title, snippet = _FOODBORNE_PAGES[int(rng.integers(len(_FOODBORNE_PAGES)))]
@@ -468,7 +466,7 @@ def _background_query(
         dwell = float(round(rng.exponential(dwell_mean), 1))
         page = ResultPage(url, title, snippet, tags, True, dwell)
     else:
-        text = _background_text(rng, cfg)
+        text = _background_text(rng)
         i = int(rng.integers(len(_GENERIC_PAGES)))
         if rng.random() < 0.5:
             url, title, snippet = _GENERIC_PAGES[i]
@@ -640,16 +638,9 @@ def simulate_inspection(
     )
 
 
-def simulate_raters(
-    queries: Sequence[QueryEvent],
-    truth_labels: Sequence[int],
-    cfg: SimConfig,
-    seed: int,
-) -> JudgmentMatrix:
-    """Six independent votes per query: the truth flipped with the rater-class
-    flip rate (three MD votes, three non-MD votes)."""
-    if len(queries) != len(truth_labels):
-        raise DataError("need one truth label per query")
+def simulate_raters(truth_labels: Sequence[int], cfg: SimConfig, seed: int) -> JudgmentMatrix:
+    """Six independent votes per query: its truth label flipped with the
+    rater-class flip rate (three MD votes, three non-MD votes)."""
     truth = np.asarray(truth_labels, dtype=int).reshape(-1, 1)
     rng = make_rng(seed, "raters")
     md_flips = rng.random((len(truth), 3)) < cfg.rater_flip_md
@@ -692,7 +683,6 @@ def planted_exposures(
     queries: list = []
     planted_counts = [0, 0, 0, 0]
     gap = 12 * 3600
-    from .locmodel import ScoredQuery  # local import to avoid a cycle
 
     for i in range(n_users):
         uid = f"p{i:06d}"
@@ -721,22 +711,6 @@ def planted_exposures(
     visits.sort(key=lambda v: v.exit_ts)
     queries.sort(key=lambda q: q.ts)
     return tuple(visits), tuple(queries), tuple(planted_counts)
-
-
-def cfg_to_json(cfg: SimConfig) -> dict:
-    payload = {}
-    for name in cfg.__dataclass_fields__:
-        value = getattr(cfg, name)
-        payload[name] = list(value) if isinstance(value, tuple) else value
-    return payload
-
-
-def cfg_from_json(payload: dict) -> SimConfig:
-    kwargs = dict(payload)
-    for name, value in kwargs.items():
-        if isinstance(value, list):
-            kwargs[name] = tuple(value)
-    return SimConfig(**kwargs)
 
 
 def save_ground_truth(truth: GroundTruth, path: Path) -> None:

@@ -10,9 +10,7 @@ Config files hold one ``dotted.key=value`` per line (``#`` starts a comment).
 Unknown keys are rejected. Values are coerced to the target field type;
 ``sim.cities`` uses ``name:count`` pairs separated by commas and the triples
 ``sim.risk_mix`` / ``sim.unsafe_prob`` use three comma-separated numbers.
-Which keys exist follows from the field types: a field is settable exactly
-when its type has a parser, so the query template pools are code-level
-defaults and are not settable here.
+Every field of every settings section is a key.
 """
 
 from __future__ import annotations
@@ -33,6 +31,11 @@ class CliSettings:
     max_daily_inspections: int = 1  # per city, per day
     cooldown_days: int = 30
     warmup_days: int = 6  # no lists until this much data has accumulated
+
+    def __post_init__(self) -> None:
+        for name in ("max_daily_inspections", "cooldown_days", "warmup_days"):
+            if getattr(self, name) < 0:
+                raise UsageError(f"cli.{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,7 @@ def _parse_triple(raw: str, key: str) -> tuple[float, float, float]:
     return tuple(_parse_float(p, key) for p in parts)  # type: ignore[return-value]
 
 
-# Field type (as annotated) -> (parse raw text, render a value). A field is
-# settable exactly when its type is listed here; the query template pools
-# (``tuple[str, ...]``) are not, so they stay code-level defaults.
+# Field type (as annotated) -> (parse raw text, render a value).
 _PARSERS = {
     "int": (_parse_int, str),
     "float": (_parse_float, str),
@@ -109,14 +110,14 @@ def _settable_keys() -> dict[str, tuple[str | None, str, str]]:
     """Every settable dotted key, in listing order: (section, field, type).
 
     Top-level fields of ``RunConfig`` with a parser are keys themselves; every
-    other field is a settings section whose fields with a parser are keys.
+    other field is a settings section whose fields are keys.
     """
     keys: dict[str, tuple[str | None, str, str]] = {}
     for top in fields(RunConfig):
         if top.type in _PARSERS:
             keys[top.name] = (None, top.name, top.type)
             continue
-        members = [f for f in fields(top.default_factory) if f.type in _PARSERS]
+        members = list(fields(top.default_factory))
         if top.name == "sim":
             # numbers alphabetically, then cities and the triples: the order
             # every config hash so far was taken in

@@ -34,8 +34,12 @@ class LocSettings:
     def __post_init__(self) -> None:
         if self.agg_window_days < 1:
             raise UsageError(f"locmodel.agg_window_days must be >= 1, got {self.agg_window_days}")
-        if not 0.0 <= self.cutoff <= 1.0:
-            raise UsageError(f"locmodel.cutoff must be in [0, 1], got {self.cutoff}")
+        for name in ("window_s", "min_visitors"):
+            if getattr(self, name) < 0:
+                raise UsageError(f"locmodel.{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("p_star", "cutoff"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise UsageError(f"locmodel.{name} must be in [0, 1], got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from datetime import date as Date
 from enum import Enum
@@ -173,8 +174,11 @@ def _parse_result(obj: object) -> ResultPage:
     dwell = obj["dwell_s"]
     if not isinstance(clicked, bool):
         raise ValueError("clicked must be a boolean")
-    if not isinstance(dwell, (int, float)) or isinstance(dwell, bool) or dwell < 0:
-        raise ValueError("dwell_s must be a non-negative number")
+    # json.loads reads NaN and Infinity; the upper bound refuses those and
+    # integers too large for a float
+    finite = isinstance(dwell, (int, float)) and not isinstance(dwell, bool) and 0 <= dwell <= sys.float_info.max
+    if not finite:
+        raise ValueError("dwell_s must be a finite non-negative number")
     tags = obj["concept_tags"]
     if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
         raise ValueError("concept_tags must be a list of strings")

@@ -23,8 +23,6 @@ from .citysim import (
     DAY_S,
     GroundTruth,
     World,
-    cfg_from_json,
-    cfg_to_json,
     day_to_date,
     generate_world,
     load_ground_truth,
@@ -33,7 +31,7 @@ from .citysim import (
     simulate_inspection,
     simulate_raters,
 )
-from .config import RunConfig, config_hash
+from .config import RunConfig, apply_overrides, config_hash, config_lines
 from .errors import DataError, DataFormatError, FoodwatchError, UsageError
 from .locmodel import (
     ExposureLink,
@@ -78,7 +76,6 @@ from .stats import (
 )
 from .wsm import (
     LabeledSet,
-    Provenance,
     build_eval_sample,
     evaluate_wsm,
     load_model,
@@ -115,16 +112,20 @@ def private_dir(out: Path) -> Path:
 
 
 def save_world_recipe(world: World, path: Path) -> None:
-    """The (cfg, seed) recipe regenerates the world deterministically, so the
-    artifact carries no user identifiers or latent-state dump."""
+    """The seed and the ``sim.*`` config lines regenerate the world
+    deterministically, so the artifact carries no user identifiers or
+    latent-state dump."""
+    sim = [line for line in config_lines(RunConfig(sim=world.cfg)) if line.startswith("sim.")]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"seed": world.seed, "cfg": cfg_to_json(world.cfg)}, fh)
+        json.dump({"seed": world.seed, "sim": sim}, fh)
 
 
 def load_world_recipe(path: Path) -> World:
+    """The world a recipe describes; its ``sim.*`` lines are parsed and
+    checked as ``--set`` overrides are."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    return generate_world(cfg_from_json(payload["cfg"]), int(payload["seed"]))
+    return generate_world(apply_overrides(RunConfig(), payload["sim"]).sim, int(payload["seed"]))
 
 
 # --- the run: one artifact directory and the inputs its stages share ---------
@@ -279,14 +280,9 @@ def compute_wsm_evaluation(
     )
     by_text = truth_label_by_text(dataset, truth)
     truth_labels = [by_text[e.text] for e in eval_events]
-    judgments = simulate_raters(
-        eval_events, truth_labels, config.sim, seed=derive_seed(config.seed, "raters")
-    )
+    judgments = simulate_raters(truth_labels, config.sim, seed=derive_seed(config.seed, "raters"))
     labels = majority_labels(judgments)
-    eval_set = LabeledSet(
-        examples=tuple((e, int(l)) for e, l in zip(eval_events, labels)),
-        provenance=Provenance.RATER,
-    )
+    eval_set = LabeledSet(examples=tuple((e, int(l)) for e, l in zip(eval_events, labels)))
     metrics = evaluate_wsm(model, eval_set, threshold=config.wsm.threshold)
     return {
         "roc_auc": metrics.roc_auc,

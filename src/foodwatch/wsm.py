@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,15 +32,9 @@ from .seeding import make_rng
 FOODBORNE_TAG = "foodborne_illness"
 
 
-class Provenance(Enum):
-    WEAK_AUTO = "weak_auto"
-    RATER = "rater"
-
-
 @dataclass(frozen=True)
 class LabeledSet:
     examples: tuple[tuple[QueryEvent, int], ...]
-    provenance: Provenance
 
     def texts(self) -> set[str]:
         return {e.text for e, _ in self.examples}
@@ -140,7 +133,7 @@ def weak_label(
     negatives = [negative_pool[i] for i in sorted(chosen)]
 
     examples = [(e, 1) for e in positives] + [(e, 0) for e in negatives]
-    return LabeledSet(examples=tuple(examples), provenance=Provenance.WEAK_AUTO)
+    return LabeledSet(examples=tuple(examples))
 
 
 def _sigmoid(z: np.ndarray | float):

@@ -183,7 +183,7 @@ def test_criterion_5_rater_protocol():
         checked += 1
 
     truth = (make_rng(5, "truth").random(15_000) < 0.5).astype(int)
-    judgments = simulate_raters([None] * len(truth), truth, SimConfig(), seed=55)
+    judgments = simulate_raters(truth, SimConfig(), seed=55)
     alpha = krippendorff_alpha(judgments)
     assert 0.75 <= alpha <= 0.85, alpha
     _passed(5, f"vote aggregation exact; alpha oracle matches; 15k-unit alpha={alpha:.3f}")

@@ -78,9 +78,7 @@ def test_every_field_is_listed_and_round_trips_or_is_refused():
             assert set_key(config, key, rendered[key]) == changed, key
             del listed[key]
     assert not listed  # config_lines lists no key that is not a field
-    assert {"sim.positive_templates", "sim.localities"} <= set(refused)
-    # only the query template pools are out of reach of config files
-    assert all(isinstance(v, tuple) and all(isinstance(s, str) for s in v) for v in refused.values())
+    assert not refused  # every settings field is a config key
 
 
 def test_unknown_key_rejected():
@@ -207,6 +205,15 @@ def test_cli_missing_artifacts_are_data_errors(tmp_path, capsys):
         ("train-wsm", "wsm.epochs=-1", cli.EXIT_USAGE),
         ("simulate", "sim.meals_per_day=-1", cli.EXIT_USAGE),
         ("simulate", "sim.background_queries_per_day=-0.5", cli.EXIT_USAGE),
+        ("simulate", "sim.positive_dwell_median_s=0", cli.EXIT_USAGE),
+        ("simulate", "sim.incubation_median_h=-5", cli.EXIT_USAGE),
+        ("simulate", "sim.unsafe_critical_mean=-1", cli.EXIT_USAGE),
+        ("simulate", "sim.routine_inspections_per_day=-1", cli.EXIT_USAGE),
+        ("simulate", "sim.positive_dwell_sigma=-1", cli.EXIT_USAGE),
+        ("rank", "locmodel.p_star=2", cli.EXIT_USAGE),
+        ("rank", "locmodel.window_s=-1", cli.EXIT_USAGE),
+        ("rank", "locmodel.min_visitors=-1", cli.EXIT_USAGE),
+        ("rank", "cli.cooldown_days=-5", cli.EXIT_USAGE),
     ],
 )
 def test_cli_out_of_range_settings_are_rejected(tmp_path, capsys, command, setting, exit_code):

@@ -122,6 +122,16 @@ def test_field_mismatch_names_missing_and_unknown_fields(tmp_path, record, messa
     assert str(excinfo.value) == f"{paths.queries}:2: {message}"
 
 
+@pytest.mark.parametrize("dwell", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "-1"])
+def test_dwell_must_be_finite_and_non_negative(tmp_path, dwell):
+    # json.loads reads NaN and Infinity, which no dwell time can be
+    record = {"user_id": "u1", "ts": 0, "text": "x", "results": [{**_RESULT, "clicked": True, "dwell_s": "D"}]}
+    paths = write_files(tmp_path, queries=query_line() + "\n" + json.dumps(record).replace('"D"', dwell) + "\n")
+    with pytest.raises(DataFormatError) as excinfo:
+        load_dataset(paths)
+    assert str(excinfo.value) == f"{paths.queries}:2: dwell_s must be a finite non-negative number"
+
+
 def test_bad_csv_header_rejected(tmp_path):
     paths = write_files(tmp_path, visits="user,rest,entry,exit\n")
     with pytest.raises(DataFormatError, match="expected header"):

@@ -1,19 +1,29 @@
+import contextlib
 import hashlib
 import importlib
 import json
 import shutil
+from dataclasses import fields
 from datetime import date as Date
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foodwatch import features, pipeline, privacy
 from foodwatch import report as report_mod
-from foodwatch.citysim import DAY_S, SIM_EPOCH_DATE, load_ground_truth, save_ground_truth
+from foodwatch.citysim import (
+    DAY_S,
+    SIM_EPOCH_DATE,
+    SimConfig,
+    generate_world,
+    load_ground_truth,
+    save_ground_truth,
+)
 from foodwatch.cli import main as cli_main
 from foodwatch.config import RunConfig, apply_overrides
+from foodwatch.errors import UsageError
 from foodwatch.logdata import DatasetPaths, load_dataset, write_dataset
 from foodwatch.pipeline import (
     ALL_INSPECTIONS_CSV,
@@ -25,6 +35,7 @@ from foodwatch.pipeline import (
     load_world_recipe,
     private_dir,
     run_pipeline,
+    save_world_recipe,
 )
 from foodwatch.seeding import derive_seed
 from foodwatch.wsm import build_eval_sample, has_foodborne_click, weak_label
@@ -151,7 +162,47 @@ def test_world_recipe_regenerates_world(small_run):
     world = load_world_recipe(private_dir(out) / "world.json")
     assert len(world.restaurants) == 120
     payload = json.loads((private_dir(out) / "world.json").read_text())
-    assert set(payload) == {"seed", "cfg"}  # no users, no latent dump
+    assert set(payload) == {"seed", "sim"}  # no users, no latent dump
+    assert all(line.startswith("sim.") for line in payload["sim"])
+    assert "sim.cities=A:60,B:60" in payload["sim"]
+
+
+# A value text of each SimConfig field type, as a config line spells it. The
+# first two numbers of a triple leave room for a third that sums to 1.
+_FLOAT = st.floats(0.0, 1.0) | st.floats(0.0, 100.0)
+_VALUE_TEXT = {
+    "int": st.integers(0, 40).map(str),
+    "float": _FLOAT.map(repr),
+    "tuple[float, float, float]": st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+        lambda ab: f"{ab[0]!r},{(1 - ab[0]) * ab[1]!r},{1 - ab[0] - (1 - ab[0]) * ab[1]!r}"
+    ),
+    "dict[str, int]": st.dictionaries(
+        st.text("ABab09_", min_size=1, max_size=3), st.integers(1, 4), min_size=1, max_size=3
+    ).map(lambda cities: ",".join(f"{name}:{n}" for name, n in cities.items())),
+}
+_SIM_LINES = st.lists(
+    st.sampled_from(fields(SimConfig)).flatmap(
+        lambda f: _VALUE_TEXT[f.type].map(lambda raw: f"sim.{f.name}={raw}")
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(["sim.p_infect_safe=0.30000000000000004", "sim.incubation_sigma=0", "sim.cities=B:2,A:3"], 7)
+@example([], 0)
+@given(_SIM_LINES, st.integers(0, 2**64 - 1))
+def test_world_recipe_round_trips_every_expressible_sim_config(tmp_path_factory, lines, seed):
+    config = RunConfig()
+    for line in lines:
+        with contextlib.suppress(UsageError):  # a refused line expresses no config
+            config = apply_overrides(config, [line])
+    world = generate_world(config.sim, seed)
+    path = tmp_path_factory.mktemp("recipe") / WORLD_FILE
+    save_world_recipe(world, path)
+    loaded = load_world_recipe(path)
+    assert loaded.cfg == config.sim
+    assert loaded == world
 
 
 def test_stage_commands_reproduce_run_artifacts(tmp_path, small_run):
@@ -324,7 +375,7 @@ def _rename_metrics_column(out):
 def _drop_world_cfg(out):
     path = private_dir(out) / WORLD_FILE
     payload = json.loads(path.read_text())
-    del payload["cfg"]
+    del payload["sim"]
     path.write_text(json.dumps(payload))
     return str(path)
 
@@ -336,9 +387,9 @@ def _edit_json(path, edit):
 
 
 def _negative_meals_in_world_recipe(out):
-    # a recipe whose settings a config file could not hold: rejected as data, naming the file
+    # a recipe line that a config file would be refused for: rejected as data, naming the file
     path = private_dir(out) / WORLD_FILE
-    _edit_json(path, lambda payload: payload["cfg"].update(meals_per_day=-1))
+    _edit_json(path, lambda payload: payload["sim"].append("sim.meals_per_day=-1"))
     return f"{path}: malformed artifact (UsageError: sim.meals_per_day must be >= 0"
 
 
@@ -496,7 +547,7 @@ SIMULATE_HASHES = {
         "dataset/visits.csv": "97a14e509feb74654f98f0ea09e6ab52019578a3d16146e5a472d43226bc6c0d",
         "dataset/restaurants.csv": "1dd9ab4951fdacb4eadb9ee6461d137d6b8d94d6432146f210cf40197262755e",
         "dataset/inspections.csv": "9006ec7efc32fcac0b6185f3a5dda1bc2d8309698851279e082d5d3f1c5ab9bb",
-        "private/world.json": "ee012d04b0ba2643bdfd7d2156e2aa2d0e2fa0f19b87844be520f94a40a1336e",
+        "private/world.json": "c3b340fb4e52f1e07e4a92d386ca9863e541c95e32a663b7715b495aad834289",
         "private/ground_truth.json": "02643ce57d8dcd61f180f16f271044afa180231ac22d8f9f165610429398e6c2",
         "validation.json": "166b3ee34a9da04500bcd725e5c0c06e2db0324e078dc2148ebb8952cf6acf6f",
     },
@@ -505,7 +556,7 @@ SIMULATE_HASHES = {
         "dataset/visits.csv": "8df1cd345111aa2b79920475fd4e40dd1e1d0ee6cd80de10e706529ac893bd55",
         "dataset/restaurants.csv": "ef77265412e51a91dff6bad95ad4b047d947673c9623286ae7adbb1ddab8594d",
         "dataset/inspections.csv": "a42a3bafa2e3345f083202585dd1bbda503171442d3a367f07510e9db0777604",
-        "private/world.json": "04d661c1e600a56c9c5543a6e7530d85025167f59807bfb0819fe75a77037a15",
+        "private/world.json": "2e9b954a5a2ea54c4bc50c8a73dac856891904de30bb7a04b707c9fe85436e5d",
         "private/ground_truth.json": "04bd442627198bd8d98ef40ba7d2a5fe535c677c2c6bc8edf3d8fd6d6a091627",
         "validation.json": "9f6e23ae0c2b79d58e4ad5bccbdaa1135e421699ebddf5e185c14ac2282d1f97",
     },

@@ -10,7 +10,6 @@ from foodwatch.features import DIM, FeatureRows, bucket, feature_key, featurize
 from foodwatch.seeding import make_rng
 from foodwatch.wsm import (
     LabeledSet,
-    Provenance,
     WsmModel,
     WsmSettings,
     build_eval_sample,
@@ -112,7 +111,7 @@ def separable_set(n_per_class=10):
     pos = [query(f"p{i}", i, f"alpha bravo {i}") for i in range(n_per_class)]
     neg = [query(f"n{i}", i, f"zulu yankee {i}") for i in range(n_per_class)]
     examples = [(e, 1) for e in pos] + [(e, 0) for e in neg]
-    return LabeledSet(tuple(examples), Provenance.WEAK_AUTO)
+    return LabeledSet(tuple(examples))
 
 
 def test_zero_epochs_scores_half():
@@ -191,7 +190,7 @@ def test_loss_and_gradient_match_per_example_oracle():
 
 
 def test_single_class_errors():
-    labeled = LabeledSet(tuple((query(text=f"t{i}"), 1) for i in range(5)), Provenance.WEAK_AUTO)
+    labeled = LabeledSet(tuple((query(text=f"t{i}"), 1) for i in range(5)))
     with pytest.raises(DataError, match="both classes"):
         train_wsm(labeled, seed=0)
 
@@ -419,7 +418,7 @@ def test_auc_invariant_under_monotone_transform(seed):
 
 def test_evaluate_single_class_errors():
     model = zero_model()
-    eval_set = LabeledSet(tuple((query(text=f"t{i}"), 1) for i in range(4)), Provenance.RATER)
+    eval_set = LabeledSet(tuple((query(text=f"t{i}"), 1) for i in range(4)))
     with pytest.raises(DataError):
         evaluate_wsm(model, eval_set, threshold=0.5)
 
@@ -434,6 +433,6 @@ def test_f1_definition():
         (query(text="miss"), 1),
         (query(text="other"), 0),
     )
-    metrics = evaluate_wsm(model, LabeledSet(examples, Provenance.RATER), threshold=0.5)
+    metrics = evaluate_wsm(model, LabeledSet(examples), threshold=0.5)
     assert metrics.precision == 0.5 and metrics.recall == 0.5
     assert metrics.f1 == pytest.approx(0.5)
