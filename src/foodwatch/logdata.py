@@ -12,6 +12,16 @@ by its timestamp (queries by ts, visits by exit_ts, inspections by date) with
 a stable sort, so downstream joins can assume order. Datasets are immutable
 after loading and safe to share across threads.
 
+Logs repeat a few values across many events, so each load keeps one object
+per distinct value: in the query log every equal user id, text, url, title,
+snippet and concept-tag set, in the visit log every equal user and
+restaurant id, is the same object. Only strings and frozensets of strings
+are shared, because equality tells them apart completely; floats are not
+(``-0.0 == 0.0``), so neither are result pages, which hold a dwell time.
+Nothing may depend on object identity, nor on the iteration order of a tag
+set: the writer sorts the tags, and featurization de-duplicates and sorts
+them.
+
 The CSV streams go through ``report.read_csv``, the pipeline's one CSV
 reader. Each must start with its header line: a file without one, even a
 zero-byte file, is a data error, not an empty stream. A malformed record is
@@ -165,7 +175,7 @@ def _field_mismatch(what: str, obj: dict, expected: frozenset[str]) -> ValueErro
     )
 
 
-def _parse_result(obj: object) -> ResultPage:
+def _parse_result(obj: object, share: Callable[[T, T], T]) -> ResultPage:
     if not isinstance(obj, dict):
         raise ValueError("result entry is not an object")
     if obj.keys() != _RESULT_KEYS:
@@ -182,17 +192,19 @@ def _parse_result(obj: object) -> ResultPage:
     tags = obj["concept_tags"]
     if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
         raise ValueError("concept_tags must be a list of strings")
+    url, title, snippet, tags = str(obj["url"]), str(obj["title"]), str(obj["snippet"]), frozenset(tags)
+    # not the page itself: its dwell_s is a float, and -0.0 == 0.0
     return ResultPage(
-        url=str(obj["url"]),
-        title=str(obj["title"]),
-        snippet=str(obj["snippet"]),
-        concept_tags=frozenset(tags),
+        url=share(url, url),
+        title=share(title, title),
+        snippet=share(snippet, snippet),
+        concept_tags=share(tags, tags),
         clicked=clicked,
         dwell_s=float(dwell),
     )
 
 
-def _parse_query(line: str) -> QueryEvent:
+def _parse_query(line: str, share: Callable[[T, T], T]) -> QueryEvent:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
@@ -206,22 +218,24 @@ def _parse_query(line: str) -> QueryEvent:
         raise ValueError("results must be a list")
     if len(results) > MAX_RESULTS_PER_QUERY:
         raise ValueError(f"more than {MAX_RESULTS_PER_QUERY} results")
+    user_id, text = str(obj["user_id"]), str(obj["text"])
     return QueryEvent(
-        user_id=str(obj["user_id"]),
+        user_id=share(user_id, user_id),
         ts=ts,
-        text=str(obj["text"]),
-        results=tuple(_parse_result(r) for r in results),
+        text=share(text, text),
+        results=tuple(_parse_result(r, share) for r in results),
     )
 
 
 def load_queries(path: Path) -> tuple[QueryEvent, ...]:
     events: list[QueryEvent] = []
+    share = {}.setdefault  # share(v, v): the first loaded value equal to v
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                events.append(_parse_query(line))
+                events.append(_parse_query(line, share))
             except ValueError as exc:  # json.JSONDecodeError included
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
     events.sort(key=lambda e: e.ts)  # list.sort is stable: input order breaks ties
@@ -246,13 +260,19 @@ def _int_field(raw: str, name: str) -> int:
     return value
 
 
-def _parse_visit(row: list[str]) -> VisitEvent:
-    user_id, restaurant_id, entry_s, exit_s = row
-    return VisitEvent(user_id, restaurant_id, _int_field(entry_s, "entry_ts"), _int_field(exit_s, "exit_ts"))
-
-
 def load_visits(path: Path) -> tuple[VisitEvent, ...]:
-    _, visits = read_csv(path, VISIT_HEADER, _parse_visit)
+    share = {}.setdefault
+
+    def parse(row: list[str]) -> VisitEvent:
+        user_id, restaurant_id, entry_s, exit_s = row
+        return VisitEvent(
+            share(user_id, user_id),
+            share(restaurant_id, restaurant_id),
+            _int_field(entry_s, "entry_ts"),
+            _int_field(exit_s, "exit_ts"),
+        )
+
+    _, visits = read_csv(path, VISIT_HEADER, parse)
     visits.sort(key=lambda v: v.exit_ts)
     return tuple(visits)
 

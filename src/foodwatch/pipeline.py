@@ -47,12 +47,14 @@ from .logdata import (
     Dataset,
     DatasetPaths,
     InspectionRecord,
+    QueryEvent,
     RestaurantRecord,
     RiskLevel,
     Trigger,
     VisitEvent,
     load_dataset,
     load_inspections,
+    load_queries,
     load_visit_log,
     validate_dataset,
     write_dataset,
@@ -193,6 +195,15 @@ class Run:
         )
 
     @property
+    def queries(self) -> tuple[QueryEvent, ...]:
+        """The query log: taken from the dataset while it is kept, else read
+        from its own file of it."""
+        dataset = self._inputs.get("dataset")
+        if dataset is not None:
+            return self.get("queries", lambda: dataset.queries)
+        return self._input("queries", DatasetPaths.in_dir(dataset_dir(self.out)).queries, load_queries)
+
+    @property
     def visit_log(self) -> tuple[tuple[VisitEvent, ...], dict[str, RestaurantRecord]]:
         """The visits and the registry: taken from the dataset while it is
         kept, else read from their own two files of it."""
@@ -251,34 +262,34 @@ def compute_simulation(config: RunConfig) -> tuple[World, Dataset, GroundTruth]:
     return world, dataset, truth
 
 
-def compute_model(config: RunConfig, dataset: Dataset) -> tuple[LabeledSet, object]:
-    labeled = compute_weak_labels(config, dataset)
+def compute_model(config: RunConfig, queries: tuple[QueryEvent, ...]) -> tuple[LabeledSet, object]:
+    labeled = compute_weak_labels(config, queries)
     model = train_wsm(labeled, config.wsm, seed=derive_seed(config.seed, "wsm-train"))
     return labeled, model
 
 
-def truth_label_by_text(dataset: Dataset, truth: GroundTruth) -> dict[str, int]:
+def truth_label_by_text(queries: tuple[QueryEvent, ...], truth: GroundTruth) -> dict[str, int]:
     """Ground-truth topical label per query text (consistent by construction)."""
     labels: dict[str, int] = {}
-    for event, label in zip(dataset.queries, truth.query_labels):
+    for event, label in zip(queries, truth.query_labels):
         labels.setdefault(event.text, int(label))
     return labels
 
 
 def compute_wsm_evaluation(
     config: RunConfig,
-    dataset: Dataset,
+    queries: tuple[QueryEvent, ...],
     truth: GroundTruth,
     model,
     train_texts: set[str],
 ) -> dict[str, float]:
     eval_events = build_eval_sample(
-        dataset.queries,
+        queries,
         config.wsm.eval_size,
         seed=derive_seed(config.seed, "wsm-eval"),
         exclude_texts=train_texts,
     )
-    by_text = truth_label_by_text(dataset, truth)
+    by_text = truth_label_by_text(queries, truth)
     truth_labels = [by_text[e.text] for e in eval_events]
     judgments = simulate_raters(truth_labels, config.sim, seed=derive_seed(config.seed, "raters"))
     labels = majority_labels(judgments)
@@ -495,16 +506,16 @@ def stage_simulate(config: RunConfig, out: Path | Run) -> None:
 
 def stage_train(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
-    labeled, model = compute_model(config, run.dataset)
+    labeled, model = compute_model(config, run.queries)
     save_model(model, run.out / MODEL_FILE)
     run.keep(model=model, labeled=labeled)
 
 
 def stage_eval_wsm(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
-    dataset, model, truth = run.dataset, run.model, run.truth
-    labeled = run.get("labeled", lambda: compute_weak_labels(config, dataset))
-    metrics = compute_wsm_evaluation(config, dataset, truth, model, labeled.texts())
+    queries, model, truth = run.queries, run.model, run.truth
+    labeled = run.get("labeled", lambda: compute_weak_labels(config, queries))
+    metrics = compute_wsm_evaluation(config, queries, truth, model, labeled.texts())
     run.release("truth", "labeled")
     report_mod.write_csv(
         run.out / report_mod.METRICS_CSV,
@@ -513,8 +524,8 @@ def stage_eval_wsm(config: RunConfig, out: Path | Run) -> None:
     )
 
 
-def compute_weak_labels(config: RunConfig, dataset: Dataset) -> LabeledSet:
-    return weak_label(dataset.queries, config.wsm, seed=derive_seed(config.seed, "wsm-weak"))
+def compute_weak_labels(config: RunConfig, queries: tuple[QueryEvent, ...]) -> LabeledSet:
+    return weak_label(queries, config.wsm, seed=derive_seed(config.seed, "wsm-weak"))
 
 
 def stage_rank(config: RunConfig, out: Path | Run) -> None:
@@ -524,7 +535,7 @@ def stage_rank(config: RunConfig, out: Path | Run) -> None:
     # Neither the rest of this stage nor a later one reads the query log or
     # the model, and the daily lists, where this stage peaks, reuse the
     # memory they free.
-    run.release("dataset", "model")
+    run.release("dataset", "queries", "model")
     report_mod.write_csv(
         run.out / SCORED_CSV,
         SCORED_HEADER,

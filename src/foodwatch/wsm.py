@@ -59,6 +59,13 @@ class WsmSettings:
                 raise UsageError(f"wsm.{name} must be >= 1, got {getattr(self, name)}")
         if self.eval_size < 2 or self.eval_size % 2:
             raise UsageError(f"wsm.eval_size must be a positive even number, got {self.eval_size}")
+        for name in ("dwell_threshold_s", "l2"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # also refuses nan
+                raise UsageError(f"wsm.{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise UsageError(f"wsm.learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise UsageError(f"wsm.threshold must be in [0, 1], got {self.threshold}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,13 +300,25 @@ def load_model(path: Path) -> WsmModel:
     weights = np.asarray(payload["weights"], dtype=float)
     if weights.shape != (DIM,):
         raise DataError("model weights have the wrong shape")
+    intercept = float(payload["intercept"])
+    final_loss = float(payload["final_loss"])
+    epoch_losses = tuple(float(loss) for loss in payload.get("epoch_losses", ()))
+    # json reads NaN and Infinity, which would score every query alike
+    for name, values in (
+        ("weights", weights),
+        ("intercept", intercept),
+        ("final_loss", final_loss),
+        ("epoch_losses", epoch_losses),
+    ):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"model {name} must be finite")
     return WsmModel(
         weights=weights,
-        intercept=float(payload["intercept"]),
+        intercept=intercept,
         hyper=WsmSettings(**payload["hyper"]),
         train_seed=int(payload["train_seed"]),
-        final_loss=float(payload["final_loss"]),
-        epoch_losses=tuple(payload.get("epoch_losses", ())),
+        final_loss=final_loss,
+        epoch_losses=epoch_losses,
     )
 
 

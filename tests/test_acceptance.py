@@ -244,7 +244,7 @@ def test_criterion_8_end_to_end_directionality():
     for seed in range(20):
         config = RunConfig(seed=seed)
         world, dataset, _ = compute_simulation(config)
-        _, model = compute_model(config, dataset)
+        _, model = compute_model(config, dataset.queries)
         _, links = compute_exposures(config, dataset, model)
         daily = compute_daily_lists(config, dataset.visits, dataset.registry(), links)
         finder = compute_finder_inspections(config, world, daily.daily_rows)

@@ -203,6 +203,17 @@ def test_cli_missing_artifacts_are_data_errors(tmp_path, capsys):
         ("train-wsm", "wsm.neg_ratio=0", cli.EXIT_USAGE),
         ("train-wsm", "wsm.batch_size=0", cli.EXIT_USAGE),
         ("train-wsm", "wsm.epochs=-1", cli.EXIT_USAGE),
+        ("train-wsm", "wsm.l2=-1", cli.EXIT_USAGE),
+        ("train-wsm", "wsm.l2=nan", cli.EXIT_USAGE),
+        ("train-wsm", "wsm.l2=inf", cli.EXIT_USAGE),
+        ("train-wsm", "wsm.learning_rate=0", cli.EXIT_USAGE),
+        ("train-wsm", "wsm.learning_rate=-1", cli.EXIT_USAGE),
+        ("train-wsm", "wsm.learning_rate=inf", cli.EXIT_USAGE),
+        ("train-wsm", "wsm.dwell_threshold_s=nan", cli.EXIT_USAGE),
+        ("train-wsm", "wsm.dwell_threshold_s=-1", cli.EXIT_USAGE),
+        ("eval-wsm", "wsm.threshold=2", cli.EXIT_USAGE),
+        ("eval-wsm", "wsm.threshold=-0.1", cli.EXIT_USAGE),
+        ("eval-wsm", "wsm.threshold=nan", cli.EXIT_USAGE),
         ("simulate", "sim.meals_per_day=-1", cli.EXIT_USAGE),
         ("simulate", "sim.background_queries_per_day=-0.5", cli.EXIT_USAGE),
         ("simulate", "sim.positive_dwell_median_s=0", cli.EXIT_USAGE),

@@ -1,4 +1,5 @@
 import json
+import math
 from datetime import date
 
 import pytest
@@ -18,9 +19,12 @@ from foodwatch.logdata import (
     Trigger,
     VisitEvent,
     load_dataset,
+    load_queries,
+    load_visits,
     validate_dataset,
     write_dataset,
     write_queries,
+    write_visits,
 )
 
 from conftest import page, query, visit
@@ -283,3 +287,80 @@ def test_query_writer_spells_numbers_as_json_does(tmp_path):
     write_queries(events, tmp_path / "fast.jsonl")
     write_queries_per_event(events, tmp_path / "oracle.jsonl")
     assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+
+
+# --- one object per distinct value ------------------------------------------
+
+
+def _shared_values(events):
+    """Every string and tag set that a query log's fields hold."""
+    for event in events:
+        yield event.user_id
+        yield event.text
+        for page in event.results:
+            yield from (page.url, page.title, page.snippet, page.concept_tags)
+
+
+def _spelled(events):
+    """The events with each dwell time as written, so that -0.0 and 0.0 differ."""
+    return [
+        (e.user_id, e.ts, e.text, [(p.url, p.title, p.snippet, p.concept_tags, p.clicked, repr(p.dwell_s))
+                                   for p in e.results])
+        for e in events
+    ]
+
+
+@st.composite
+def repetitive_query_logs(draw):
+    # every field drawn from a small pool, so that values repeat across events
+    pool = lambda values: st.sampled_from(draw(st.lists(values, min_size=1, max_size=3)))
+    users, texts, urls, titles, snippets = (pool(AWKWARD_TEXT) for _ in range(5))
+    tag_sets = pool(st.frozensets(st.sampled_from(["a", "b", "foodborne_illness"])))
+    dwells = st.sampled_from([-0.0, 0.0, 30.0, 0.1])
+    return [
+        QueryEvent(
+            draw(users),
+            draw(st.integers(0, 5)),
+            draw(texts),
+            tuple(
+                ResultPage(draw(urls), draw(titles), draw(snippets), draw(tag_sets), draw(st.booleans()), draw(dwells))
+                for _ in range(draw(st.integers(0, 3)))
+            ),
+        )
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(repetitive_query_logs())
+def test_loaded_query_log_shares_one_object_per_distinct_value(tmp_path_factory, events):
+    path = tmp_path_factory.mktemp("shared") / "queries.jsonl"
+    write_queries(events, path)
+    loaded = load_queries(path)
+    assert _spelled(loaded) == _spelled(sorted(events, key=lambda e: e.ts))
+    first: dict = {}
+    for value in _shared_values(loaded):
+        assert first.setdefault(value, value) is value
+
+
+@pytest.mark.parametrize("dwells", [(-0.0, 0.0), (0.0, -0.0)])
+def test_equal_pages_keep_the_sign_of_their_own_zero_dwell(tmp_path, dwells):
+    # -0.0 == 0.0, so a loader that shared dwell times, or whole pages,
+    # would give the second page the first one's sign
+    events = [query("u1", ts, "x", [page(dwell=dwell)]) for ts, dwell in enumerate(dwells)]
+    write_queries(events, tmp_path / "queries.jsonl")
+    loaded = load_queries(tmp_path / "queries.jsonl")
+    assert [math.copysign(1.0, e.results[0].dwell_s) for e in loaded] == [math.copysign(1.0, d) for d in dwells]
+    assert loaded[0].results[0].url is loaded[1].results[0].url
+
+
+def test_loaded_visits_share_one_object_per_distinct_id(tmp_path):
+    visits = [visit(f"u{i % 3}", f"r{i % 2}", 10 * i, 10 * i + 5) for i in range(12)]
+    write_visits(visits, tmp_path / "visits.csv")
+    loaded = load_visits(tmp_path / "visits.csv")
+    assert loaded == tuple(visits)
+    first: dict = {}
+    for v in loaded:
+        assert first.setdefault(v.user_id, v.user_id) is v.user_id
+        assert first.setdefault(v.restaurant_id, v.restaurant_id) is v.restaurant_id
+    assert len(first) == 5

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import importlib
 import json
+import math
 import shutil
 from dataclasses import fields
 from datetime import date as Date
@@ -399,6 +400,15 @@ def _zero_epochs_in_model_hyper(out):
     return f"{path}: malformed artifact (UsageError: wsm.epochs must be >= 1"
 
 
+def _non_finite_model_numbers(out):
+    # json reads NaN and Infinity; such a model would score every query 1.0
+    path = out / MODEL_FILE
+    _edit_json(
+        path, lambda payload: payload.update(weights=[math.nan] + payload["weights"][1:], intercept=math.inf)
+    )
+    return f"{path}: malformed artifact (ValueError: model weights must be finite"
+
+
 @pytest.mark.parametrize(
     "command, corrupt",
     [
@@ -407,8 +417,8 @@ def _zero_epochs_in_model_hyper(out):
         ("inspect", _drop_world_cfg),
         ("report", _shorten_risk_row),
         ("report", _rename_precision_column),
-        ("train-wsm", _empty_visits),
-        ("train-wsm", _non_integer_exit_ts),
+        ("rank", _empty_visits),
+        ("rank", _non_integer_exit_ts),
         ("evaluate", _blank_line_before_short_link_row),
         ("evaluate", _shorten_inspection_row),
         ("evaluate", _visit_unregistered_restaurant),
@@ -418,6 +428,8 @@ def _zero_epochs_in_model_hyper(out):
         ("report", _rename_metrics_column),
         ("inspect", _negative_meals_in_world_recipe),
         ("rank", _zero_epochs_in_model_hyper),
+        ("rank", _non_finite_model_numbers),
+        ("eval-wsm", _non_finite_model_numbers),
     ],
 )
 def test_corrupt_intermediates_are_data_errors(tmp_path, small_run, capsys, command, corrupt):
@@ -454,7 +466,7 @@ def test_run_weak_labels_once(monkeypatch, tmp_path):
 
 def test_run_never_reads_the_dataset_back(monkeypatch, tmp_path):
     calls = []
-    for loader in ("load_dataset", "load_visit_log", "load_inspections", "load_ground_truth"):
+    for loader in ("load_dataset", "load_queries", "load_visit_log", "load_inspections", "load_ground_truth"):
         monkeypatch.setattr(pipeline, loader, lambda path, name=loader: calls.append(name))
     run_pipeline(small_config(), tmp_path)
     assert calls == []  # simulate keeps the dataset and ground truth it wrote for the later stages
@@ -467,7 +479,7 @@ def test_run_drops_inputs_once_no_later_stage_needs_them(tmp_path):
         stage(small_config(), run)
         kept[stage.command] = set(run._inputs)
     assert {"truth", "labeled"} & kept["eval-wsm"] == set()
-    assert {"dataset", "model"} & kept["rank"] == set()
+    assert {"dataset", "queries", "model"} & kept["rank"] == set()
     assert "visit_log" in kept["rank"]  # taken from the dataset for the daily lists and evaluate
 
 
@@ -487,6 +499,21 @@ def test_evaluate_reads_no_query_log(tmp_path, small_run):
     assert cli_main(["evaluate"] + args) == 0
     for table in tables:
         assert (out / table).read_bytes() == (small_run[0] / table).read_bytes(), table
+
+
+def test_classifier_stages_read_only_the_query_log(tmp_path, small_run):
+    out = tmp_path / "run"
+    shutil.copytree(small_run[0], out)
+    for name in ("visits.csv", "restaurants.csv", "inspections.csv"):
+        (dataset_dir(out) / name).unlink()
+    outputs = (MODEL_FILE, report_mod.METRICS_CSV)
+    for name in outputs:
+        (out / name).unlink()
+    args = ["--out", str(out), "--seed", "5"] + [f"--set={kv}" for kv in SMALL]
+    assert cli_main(["train-wsm"] + args) == 0
+    assert cli_main(["eval-wsm"] + args) == 0
+    for name in outputs:
+        assert (out / name).read_bytes() == (small_run[0] / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("extra", [(), ("days=20", "sim.cities=A:60,B:40")])
@@ -578,7 +605,7 @@ def test_short_high_recall_stratum_still_gives_a_full_eval_sample():
     # texts outside the training set, so the full stream tops the sample up
     config = RunConfig(seed=54)
     _, dataset, _ = pipeline.compute_simulation(config)
-    train_texts = pipeline.compute_weak_labels(config, dataset).texts()
+    train_texts = pipeline.compute_weak_labels(config, dataset.queries).texts()
     stratum = {e.text for e in dataset.queries if has_foodborne_click(e)} - train_texts
     assert len(stratum) < config.wsm.eval_size // 2
     sample = build_eval_sample(

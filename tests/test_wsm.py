@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -295,6 +296,25 @@ def test_model_dim_mismatch_rejected(tmp_path):
     (tmp_path / "bad.json").write_text(payload)
     with pytest.raises(DataError, match="dimension"):
         load_model(tmp_path / "bad.json")
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("weights", lambda p: p["weights"].__setitem__(7, math.nan)),
+        ("intercept", lambda p: p.update(intercept=math.inf)),
+        ("final_loss", lambda p: p.update(final_loss=-math.inf)),
+        ("epoch_losses", lambda p: p["epoch_losses"].__setitem__(0, math.nan)),
+    ],
+)
+def test_model_with_non_finite_numbers_rejected(tmp_path, field, edit):
+    model = train_wsm(separable_set(), WsmSettings(l2=1e-4, epochs=2, learning_rate=0.1), seed=1)
+    save_model(model, tmp_path / "m.json")
+    payload = json.loads((tmp_path / "m.json").read_text())
+    edit(payload)
+    (tmp_path / "m.json").write_text(json.dumps(payload))  # NaN and Infinity, as json writes them
+    with pytest.raises(ValueError, match=f"model {field} must be finite"):
+        load_model(tmp_path / "m.json")
 
 
 # --- eval sampling -----------------------------------------------------------
