@@ -732,21 +732,32 @@ def save_ground_truth(truth: GroundTruth, path: Path) -> None:
         json.dump(payload, fh)
 
 
+def _json_int(value, name: str) -> int:
+    if type(value) is not int:  # a bool is an int to isinstance, but no timestamp
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def load_ground_truth(path: Path) -> GroundTruth:
+    """The ground truth :func:`save_ground_truth` wrote; a field of another
+    JSON type, or a query label other than 0 or 1, is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    return GroundTruth(
-        infections=tuple(
+    infections = []
+    for r in payload["infections"]:
+        if type(r["searched"]) is not bool:
+            raise ValueError(f"searched must be true or false, got {r['searched']!r}")
+        infections.append(
             InfectionRecord(
                 user_id=r["user_id"],
                 source_restaurant_id=r["source_restaurant_id"],
-                meal_exit_ts=int(r["meal_exit_ts"]),
-                symptom_ts=int(r["symptom_ts"]),
-                searched=bool(r["searched"]),
-                query_ts=None if r["query_ts"] is None else int(r["query_ts"]),
+                meal_exit_ts=_json_int(r["meal_exit_ts"], "meal_exit_ts"),
+                symptom_ts=_json_int(r["symptom_ts"], "symptom_ts"),
+                searched=r["searched"],
+                query_ts=None if r["query_ts"] is None else _json_int(r["query_ts"], "query_ts"),
             )
-            for r in payload["infections"]
-        ),
-        query_labels=tuple(int(x) for x in payload["query_labels"]),
-    )
-
+        )
+    labels = payload["query_labels"]
+    if not all(type(x) is int and x in (0, 1) for x in labels):
+        raise ValueError("query_labels must each be 0 or 1")
+    return GroundTruth(infections=tuple(infections), query_labels=tuple(labels))

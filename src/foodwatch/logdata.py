@@ -311,40 +311,25 @@ def load_inspections(path: Path) -> tuple[InspectionRecord, ...]:
     return tuple(records)
 
 
-def load_dataset(paths: DatasetPaths) -> Dataset:
-    """Load and cross-check the four streams.
-
-    Every visit must reference a registered restaurant; offenders are listed
-    in the raised error. Loading is deterministic: identical bytes in,
-    identical Dataset out.
-    """
-    dataset = Dataset(
-        queries=load_queries(paths.queries),
-        visits=load_visits(paths.visits),
-        restaurants=load_restaurants(paths.restaurants),
-        inspections=load_inspections(paths.inspections),
-    )
-    _check_references(dataset.visits, dataset.restaurants)
-    return dataset
-
-
 def load_visit_log(paths: DatasetPaths) -> tuple[tuple[VisitEvent, ...], dict[str, RestaurantRecord]]:
-    """The visits and the registry by restaurant id, cross-checked as
-    :func:`load_dataset` does; neither the query log nor the inspections
-    are read."""
+    """The visits and the registry by restaurant id; neither the query log
+    nor the inspections are read. Every visit must reference a registered
+    restaurant; offenders are listed in the raised error."""
     visits = load_visits(paths.visits)
-    restaurants = load_restaurants(paths.restaurants)
-    _check_references(visits, restaurants)
-    return visits, {r.restaurant_id: r for r in restaurants}
-
-
-def _check_references(visits: tuple[VisitEvent, ...], restaurants: tuple[RestaurantRecord, ...]) -> None:
-    known = {r.restaurant_id for r in restaurants}
-    dangling = sorted({v.restaurant_id for v in visits} - known)
+    registry = {r.restaurant_id: r for r in load_restaurants(paths.restaurants)}
+    dangling = sorted({v.restaurant_id for v in visits} - registry.keys())
     if dangling:
-        raise ReferentialError(
-            f"visits reference unknown restaurants: {', '.join(dangling)}"
-        )
+        raise ReferentialError(f"visits reference unknown restaurants: {', '.join(dangling)}")
+    return visits, registry
+
+
+def load_dataset(paths: DatasetPaths) -> Dataset:
+    """The four streams, each through its own loader, with the visits
+    cross-checked as :func:`load_visit_log` does. Loading is deterministic:
+    identical bytes in, identical Dataset out."""
+    queries = load_queries(paths.queries)
+    visits, registry = load_visit_log(paths)
+    return Dataset(queries, visits, tuple(registry.values()), load_inspections(paths.inspections))
 
 
 def validate_dataset(dataset: Dataset) -> ValidationReport:

@@ -52,7 +52,7 @@ from .logdata import (
     RiskLevel,
     Trigger,
     VisitEvent,
-    load_dataset,
+    load_dataset,  # unused here; the benchmark tracer wraps it
     load_inspections,
     load_queries,
     load_visit_log,
@@ -189,27 +189,12 @@ class Run:
         return self.get(name, lambda: _read_artifact(path, read))
 
     @property
-    def dataset(self) -> Dataset:
-        return self._input(
-            "dataset", dataset_dir(self.out), lambda d: load_dataset(DatasetPaths.in_dir(d))
-        )
-
-    @property
     def queries(self) -> tuple[QueryEvent, ...]:
-        """The query log: taken from the dataset while it is kept, else read
-        from its own file of it."""
-        dataset = self._inputs.get("dataset")
-        if dataset is not None:
-            return self.get("queries", lambda: dataset.queries)
         return self._input("queries", DatasetPaths.in_dir(dataset_dir(self.out)).queries, load_queries)
 
     @property
     def visit_log(self) -> tuple[tuple[VisitEvent, ...], dict[str, RestaurantRecord]]:
-        """The visits and the registry: taken from the dataset while it is
-        kept, else read from their own two files of it."""
-        dataset = self._inputs.get("dataset")
-        if dataset is not None:
-            return self.get("visit_log", lambda: (dataset.visits, dataset.registry()))
+        """The visits and the registry by restaurant id."""
         return self._input("visit_log", dataset_dir(self.out), lambda d: load_visit_log(DatasetPaths.in_dir(d)))
 
     @property
@@ -271,7 +256,7 @@ def compute_model(config: RunConfig, queries: tuple[QueryEvent, ...]) -> tuple[L
 def truth_label_by_text(queries: tuple[QueryEvent, ...], truth: GroundTruth) -> dict[str, int]:
     """Ground-truth topical label per query text (consistent by construction)."""
     labels: dict[str, int] = {}
-    for event, label in zip(queries, truth.query_labels):
+    for event, label in zip(queries, truth.query_labels, strict=True):
         labels.setdefault(event.text, int(label))
     return labels
 
@@ -308,11 +293,11 @@ def compute_wsm_evaluation(
 
 
 def compute_exposures(
-    config: RunConfig, dataset: Dataset, model
+    config: RunConfig, queries: tuple[QueryEvent, ...], visits: tuple[VisitEvent, ...], model
 ) -> tuple[list[ScoredQuery], tuple[ExposureLink, ...]]:
-    scores = score_queries(model, dataset.queries).tolist()
-    scored = [ScoredQuery(q.user_id, q.ts, s) for q, s in zip(dataset.queries, scores)]
-    links = link_exposures(dataset.visits, scored, config.locmodel)
+    scores = score_queries(model, queries).tolist()
+    scored = [ScoredQuery(q.user_id, q.ts, s) for q, s in zip(queries, scores)]
+    links = link_exposures(visits, scored, config.locmodel)
     return scored, cap_contributions(links)
 
 
@@ -494,8 +479,14 @@ def stage_simulate(config: RunConfig, out: Path | Run) -> None:
     save_world_recipe(world, private_dir(run.out) / WORLD_FILE)
     save_ground_truth(truth, private_dir(run.out) / GROUND_TRUTH_FILE)
     # The simulator emits every stream in the order loading would give it,
-    # so later stages see the same dataset as after a read-back.
-    run.keep(world=world, dataset=dataset, background_inspections=dataset.inspections, truth=truth)
+    # so later stages see the same streams as after a read-back.
+    run.keep(
+        world=world,
+        queries=dataset.queries,
+        visit_log=(dataset.visits, dataset.registry()),
+        background_inspections=dataset.inspections,
+        truth=truth,
+    )
 
     report = validate_dataset(dataset)
     with open(run.out / VALIDATION_FILE, "w", encoding="utf-8") as fh:
@@ -514,6 +505,11 @@ def stage_train(config: RunConfig, out: Path | Run) -> None:
 def stage_eval_wsm(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
     queries, model, truth = run.queries, run.model, run.truth
+    if len(truth.query_labels) != len(queries):
+        raise DataFormatError(
+            f"{private_dir(run.out) / GROUND_TRUTH_FILE}: "
+            f"{len(truth.query_labels)} query labels for {len(queries)} queries"
+        )
     labeled = run.get("labeled", lambda: compute_weak_labels(config, queries))
     metrics = compute_wsm_evaluation(config, queries, truth, model, labeled.texts())
     run.release("truth", "labeled")
@@ -530,12 +526,12 @@ def compute_weak_labels(config: RunConfig, queries: tuple[QueryEvent, ...]) -> L
 
 def stage_rank(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
-    scored, links = compute_exposures(config, run.dataset, run.model)
     visits, registry = run.visit_log
+    scored, links = compute_exposures(config, run.queries, visits, run.model)
     # Neither the rest of this stage nor a later one reads the query log or
     # the model, and the daily lists, where this stage peaks, reuse the
     # memory they free.
-    run.release("dataset", "queries", "model")
+    run.release("queries", "model")
     report_mod.write_csv(
         run.out / SCORED_CSV,
         SCORED_HEADER,

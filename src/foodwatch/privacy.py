@@ -8,8 +8,9 @@ already built, and serve as its reference. Links are capped to one per
 (user, restaurant) so each released count has L1 sensitivity 1, and with
 privacy on (the default) counts leave the pipeline only with Laplace noise
 added and small cells suppressed.
-Noise draws are keyed by (seed, restaurant_id) with a counter-based
-construction, so parallel release produces exactly the serial output. With
+Each cell draws its noise from a PCG64 generator of its own, which
+``seeding.make_rngs`` seeds for the key (day seed, ``"release"``,
+restaurant_id), so no cell's noise depends on another cell. With
 privacy switched off ``release`` returns the raw counts instead, in the same
 record shape.
 """

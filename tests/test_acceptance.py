@@ -245,7 +245,7 @@ def test_criterion_8_end_to_end_directionality():
         config = RunConfig(seed=seed)
         world, dataset, _ = compute_simulation(config)
         _, model = compute_model(config, dataset.queries)
-        _, links = compute_exposures(config, dataset, model)
+        _, links = compute_exposures(config, dataset.queries, dataset.visits, model)
         daily = compute_daily_lists(config, dataset.visits, dataset.registry(), links)
         finder = compute_finder_inspections(config, world, daily.daily_rows)
         for rec in tuple(dataset.inspections) + finder:

@@ -28,9 +28,11 @@ from foodwatch.errors import UsageError
 from foodwatch.logdata import DatasetPaths, load_dataset, write_dataset
 from foodwatch.pipeline import (
     ALL_INSPECTIONS_CSV,
+    GROUND_TRUTH_FILE,
     LINKS_CSV,
     MANIFEST,
     MODEL_FILE,
+    SCORED_CSV,
     WORLD_FILE,
     dataset_dir,
     load_world_recipe,
@@ -409,6 +411,63 @@ def _non_finite_model_numbers(out):
     return f"{path}: malformed artifact (ValueError: model weights must be finite"
 
 
+def _shorten_background_inspection_row(out):
+    path = dataset_dir(out) / "inspections.csv"
+    _edit_line(path, 2, lambda line: line.split(",")[0])
+    return f"{path}:3: expected 6 fields, got 1"
+
+
+def _edit_ground_truth(out, edit):
+    path = private_dir(out) / GROUND_TRUTH_FILE
+    _edit_json(path, edit)
+    return path
+
+
+def _resize_query_labels(out, size):
+    path = private_dir(out) / GROUND_TRUTH_FILE
+    n = len(json.loads(path.read_text())["query_labels"])
+    _edit_json(path, lambda payload: payload.update(query_labels=(payload["query_labels"] + [0] * 5)[: size(n)]))
+    return f"{path}: {size(n)} query labels for {n} queries"
+
+
+def _halve_query_labels(out):
+    return _resize_query_labels(out, lambda n: n // 2)
+
+
+def _extra_query_labels(out):
+    return _resize_query_labels(out, lambda n: n + 5)
+
+
+def _non_binary_query_labels(out):
+    path = _edit_ground_truth(
+        out, lambda payload: payload.update(query_labels=[7] * len(payload["query_labels"]))
+    )
+    return f"{path}: malformed artifact (ValueError: query_labels must each be 0 or 1)"
+
+
+def _string_searched(out):
+    path = _edit_ground_truth(out, lambda payload: payload["infections"][0].update(searched="false"))
+    return f"{path}: malformed artifact (ValueError: searched must be true or false, got 'false')"
+
+
+def _string_meal_exit_ts(out):
+    def edit(payload):
+        record = payload["infections"][0]
+        record["meal_exit_ts"] = str(record["meal_exit_ts"])
+
+    path = _edit_ground_truth(out, edit)
+    return f"{path}: malformed artifact (ValueError: meal_exit_ts must be an integer, got '"
+
+
+def _fractional_query_ts(out):
+    def edit(payload):
+        record = next(r for r in payload["infections"] if r["query_ts"] is not None)
+        record["query_ts"] += 0.5
+
+    path = _edit_ground_truth(out, edit)
+    return f"{path}: malformed artifact (ValueError: query_ts must be an integer, got "
+
+
 @pytest.mark.parametrize(
     "command, corrupt",
     [
@@ -430,6 +489,13 @@ def _non_finite_model_numbers(out):
         ("rank", _zero_epochs_in_model_hyper),
         ("rank", _non_finite_model_numbers),
         ("eval-wsm", _non_finite_model_numbers),
+        ("inspect", _shorten_background_inspection_row),
+        ("eval-wsm", _halve_query_labels),
+        ("eval-wsm", _extra_query_labels),
+        ("eval-wsm", _non_binary_query_labels),
+        ("eval-wsm", _string_searched),
+        ("eval-wsm", _string_meal_exit_ts),
+        ("eval-wsm", _fractional_query_ts),
     ],
 )
 def test_corrupt_intermediates_are_data_errors(tmp_path, small_run, capsys, command, corrupt):
@@ -469,7 +535,7 @@ def test_run_never_reads_the_dataset_back(monkeypatch, tmp_path):
     for loader in ("load_dataset", "load_queries", "load_visit_log", "load_inspections", "load_ground_truth"):
         monkeypatch.setattr(pipeline, loader, lambda path, name=loader: calls.append(name))
     run_pipeline(small_config(), tmp_path)
-    assert calls == []  # simulate keeps the dataset and ground truth it wrote for the later stages
+    assert calls == []  # simulate keeps the streams and ground truth it wrote for the later stages
 
 
 def test_run_drops_inputs_once_no_later_stage_needs_them(tmp_path):
@@ -478,9 +544,23 @@ def test_run_drops_inputs_once_no_later_stage_needs_them(tmp_path):
     for stage in pipeline.STAGES:
         stage(small_config(), run)
         kept[stage.command] = set(run._inputs)
+    assert all("dataset" not in names for names in kept.values())  # each stream is kept by itself
     assert {"truth", "labeled"} & kept["eval-wsm"] == set()
-    assert {"dataset", "queries", "model"} & kept["rank"] == set()
-    assert "visit_log" in kept["rank"]  # taken from the dataset for the daily lists and evaluate
+    assert {"queries", "model"} & kept["rank"] == set()
+    assert "visit_log" in kept["rank"]  # kept by simulate for the daily lists and evaluate
+
+
+def test_rank_reads_no_inspections(tmp_path, small_run):
+    out = tmp_path / "run"
+    shutil.copytree(small_run[0], out)
+    (dataset_dir(out) / "inspections.csv").unlink()
+    outputs = (SCORED_CSV, LINKS_CSV, report_mod.RELEASED_CSV, report_mod.DAILY_LISTS_CSV)
+    for name in outputs:
+        (out / name).unlink()
+    args = ["--out", str(out), "--seed", "5"] + [f"--set={kv}" for kv in SMALL]
+    assert cli_main(["rank"] + args) == 0
+    for name in outputs:
+        assert (out / name).read_bytes() == (small_run[0] / name).read_bytes(), name
 
 
 def test_evaluate_reads_no_query_log(tmp_path, small_run):
