@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, UsageError
-from .locmodel import ScoredQuery
+from .locmodel import ScoredQueries
 from .logdata import (
     Dataset,
     InspectionRecord,
@@ -30,6 +30,7 @@ from .logdata import (
     RiskLevel,
     Trigger,
     VisitEvent,
+    VisitLog,
 )
 from .raters import JudgmentMatrix
 from .seeding import make_rng, make_rngs
@@ -667,7 +668,7 @@ def planted_exposures(
     ``rank_probs`` (over ranks 1, 2, 3, >=4) and is a dedicated high-signal
     restaurant, while decoy restaurants are diluted by unaffected padding
     visitors so their signal stays low. Returns (visits, scored_queries,
-    planted_rank_counts).
+    planted_rank_counts), the first two as a visit log and scored queries.
     """
     if len(rank_probs) != 4 or abs(sum(rank_probs) - 1.0) > 0.01:
         raise ValueError("rank_probs must be four probabilities summing to ~1")
@@ -700,7 +701,7 @@ def planted_exposures(
             exit_ts = query_ts - 3600 - pos * gap
             rid = source if pos == rank - 1 else decoys.pop()
             visits.append(VisitEvent(uid, rid, exit_ts - 1800, exit_ts))
-        queries.append(ScoredQuery(user_id=uid, ts=query_ts, score=0.99))
+        queries.append((uid, query_ts, 0.99))
 
     for i in range(n_decoy * padding_per_decoy):
         uid = f"pad{i:06d}"
@@ -709,8 +710,8 @@ def planted_exposures(
         visits.append(VisitEvent(uid, rid, exit_ts - 1800, exit_ts))
 
     visits.sort(key=lambda v: v.exit_ts)
-    queries.sort(key=lambda q: q.ts)
-    return tuple(visits), tuple(queries), tuple(planted_counts)
+    queries.sort(key=lambda q: q[1])
+    return VisitLog.of(visits), ScoredQueries.of(queries), tuple(planted_counts)
 
 
 def save_ground_truth(truth: GroundTruth, path: Path) -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain, count, islice
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -117,15 +117,6 @@ def feature_strings(event: QueryEvent) -> Iterator[str]:
             yield "sb:" + bg
         for tag in sorted(page.concept_tags):
             yield "k:" + tag
-
-
-def feature_key(event: QueryEvent) -> tuple:
-    """Everything :func:`feature_strings` reads from an event, as one flat
-    tuple: events with equal keys have equal features."""
-    key = [event.text]
-    for page in event.results:
-        key += (page.url, page.title, page.snippet, page.concept_tags)
-    return tuple(key)
 
 
 def featurize(event: QueryEvent) -> tuple[int, ...]:
@@ -269,17 +260,17 @@ def _featurize_block(events: Sequence[QueryEvent]) -> tuple[np.ndarray, np.ndarr
     return keys % DIM, np.bincount(keys // DIM, minlength=len(events))
 
 
-def featurize_rows(events: Sequence[QueryEvent]) -> FeatureRows:
+def featurize_rows(events: Iterable[QueryEvent]) -> FeatureRows:
     """``featurize`` of every event, as one :class:`FeatureRows`."""
-    lengths = np.empty(len(events), dtype=np.intp)
+    lengths: list[np.ndarray] = []
     indices = np.empty(0, dtype=np.intp)
-    for start in range(0, len(events), FEATURE_BLOCK):
-        block = events[start : start + FEATURE_BLOCK]
+    events = iter(events)
+    while block := list(islice(events, FEATURE_BLOCK)):
         block_indices, block_lengths = _featurize_block(block)
         end = len(indices)
         # grown in place, where concatenating a list of parts would hold
         # every index twice; nothing else refers to the array yet
         indices.resize(end + len(block_indices), refcheck=False)
         indices[end:] = block_indices
-        lengths[start : start + len(block)] = block_lengths
-    return FeatureRows(indices, lengths)
+        lengths.append(block_lengths)
+    return FeatureRows(indices, np.concatenate(lengths) if lengths else np.empty(0, dtype=np.intp))

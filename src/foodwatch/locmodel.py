@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import DataError, UsageError
-from .logdata import VisitEvent
+from .logdata import Columns, VisitEvent, VisitLog, first_occurrences
 
 INCUBATION_WINDOW_S = 259_200  # 72 hours after leaving the restaurant
 ONE_SIDED_95_Z = 1.6448536269514722  # standard normal 95th percentile
@@ -42,11 +44,42 @@ class LocSettings:
                 raise UsageError(f"locmodel.{name} must be in [0, 1], got {getattr(self, name)}")
 
 
-@dataclass(frozen=True, slots=True)
-class ScoredQuery:
-    user_id: str
-    ts: int
-    score: float
+@dataclass(frozen=True, eq=False)
+class ScoredQueries(Columns):
+    """Scored query events in stream order, as columns: each event's user (a
+    code into ``users``), time and score. Its items are ``(user_id, ts,
+    score)`` rows, those of ``scored_queries.csv``."""
+
+    users: Sequence[str]
+    user: np.ndarray
+    ts: np.ndarray
+    score: np.ndarray
+
+    @classmethod
+    def of(cls, rows: Iterable[tuple[str, int, float]]) -> ScoredQueries:
+        """``rows`` itself if it is scored queries, else columns of the
+        ``(user_id, ts, score)`` rows."""
+        if isinstance(rows, ScoredQueries):
+            return rows
+        rows = list(rows)
+        codes: dict[str, int] = {}
+        user = [codes.setdefault(user_id, len(codes)) for user_id, _, _ in rows]
+        return cls(
+            tuple(codes),
+            np.array(user, dtype=np.int32),
+            np.array([ts for _, ts, _ in rows], dtype=np.int64),
+            np.array([score for _, _, score in rows], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def _views(self, start: int, stop: int) -> Iterator[tuple[str, int, float]]:
+        return zip(
+            map(self.users.__getitem__, self.user[start:stop].tolist()),
+            self.ts[start:stop].tolist(),
+            self.score[start:stop].tolist(),
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,23 +139,22 @@ def wilson_lower_bound(successes: float, trials: float, z: float = ONE_SIDED_95_
 
 
 def first_positive_queries(
-    scored_queries: Iterable[ScoredQuery], p_star: float
+    scored_queries: Iterable[tuple[str, int, float]], p_star: float
 ) -> dict[str, int]:
     """Per affected user, the timestamp of their first query scoring >= p_star.
 
     Input is expected in ascending ts order (the loader's contract); the first
     qualifying occurrence wins, so later positives never move the anchor.
     """
-    anchors: dict[str, int] = {}
-    for q in scored_queries:
-        if q.score >= p_star and q.user_id not in anchors:
-            anchors[q.user_id] = q.ts
-    return anchors
+    scored = ScoredQueries.of(scored_queries)
+    hits = np.flatnonzero(scored.score >= p_star)
+    anchors = hits[first_occurrences(scored.user[hits])]
+    return dict(zip(map(scored.users.__getitem__, scored.user[anchors].tolist()), scored.ts[anchors].tolist()))
 
 
 def link_exposures(
     visits: Sequence[VisitEvent],
-    scored_queries: Sequence[ScoredQuery],
+    scored_queries: Iterable[tuple[str, int, float]],
     settings: LocSettings = LocSettings(),
 ) -> tuple[ExposureLink, ...]:
     """One link per (affected user, restaurant) with a qualifying visit.
@@ -131,38 +163,69 @@ def link_exposures(
     leaving, inclusive at the window edge). Recency ranks are assigned over
     all qualifying visits by descending exit; duplicates of a (user,
     restaurant) pair are then collapsed keeping the earliest qualifying visit.
+    Each anchor's visits are found by binary search over the visits sorted
+    by (user, exit).
     """
     anchors = first_positive_queries(scored_queries, settings.p_star)
-    visits_by_user: dict[str, list[VisitEvent]] = {}
-    for v in visits:
-        if v.user_id in anchors:
-            visits_by_user.setdefault(v.user_id, []).append(v)
+    visits = VisitLog.of(visits)
+    order = np.lexsort((visits.exit_ts, visits.user))
+    user, exit_ts = visits.user[order], visits.exit_ts[order]
+    code_of = {user_id: code for code, user_id in enumerate(visits.users)}
 
     links: list[ExposureLink] = []
     for user_id in sorted(anchors):
-        t_q = anchors[user_id]
-        qualifying = [
-            v
-            for v in visits_by_user.get(user_id, [])
-            if 0 < t_q - v.exit_ts <= settings.window_s
-        ]
-        if not qualifying:
+        code = code_of.get(user_id)
+        if code is None:
             continue
-        qualifying.sort(key=lambda v: (-v.exit_ts, v.restaurant_id, v.entry_ts))
-        kept: dict[str, ExposureLink] = {}
-        for rank, v in enumerate(qualifying, start=1):
-            link = ExposureLink(
-                user_id=user_id,
-                restaurant_id=v.restaurant_id,
-                visit_exit_ts=v.exit_ts,
-                first_positive_query_ts=t_q,
-                recency_rank=rank,
+        t_q = anchors[user_id]
+        lo, hi = np.searchsorted(user, [code, code + 1])
+        # exits in [t_q - window_s, t_q)
+        first, last = lo + np.searchsorted(exit_ts[lo:hi], [t_q - settings.window_s, t_q])
+        qualifying = sorted(
+            (-x, visits.restaurants[r], entry)
+            for x, r, entry in zip(
+                exit_ts[first:last].tolist(),
+                visits.restaurant[order[first:last]].tolist(),
+                visits.entry_ts[order[first:last]].tolist(),
             )
-            prev = kept.get(v.restaurant_id)
-            if prev is None or link.visit_exit_ts < prev.visit_exit_ts:
-                kept[v.restaurant_id] = link
+        )
+        kept: dict[str, ExposureLink] = {}
+        for rank, (neg_exit, restaurant_id, _) in enumerate(qualifying, start=1):
+            prev = kept.get(restaurant_id)
+            if prev is None or -neg_exit < prev.visit_exit_ts:
+                kept[restaurant_id] = ExposureLink(user_id, restaurant_id, -neg_exit, t_q, rank)
         links.extend(sorted(kept.values(), key=lambda l: l.recency_rank))
     return tuple(links)
+
+
+def _link_pairs(visits: VisitLog, links: Sequence[ExposureLink]) -> tuple[np.ndarray, np.ndarray]:
+    """Each link's (restaurant, user) pair as a visit-log pair code, and its
+    visit exit; a link whose user or restaurant never visits is dropped, as
+    it can count for no restaurant's visitors."""
+    users = {user_id: code for code, user_id in enumerate(visits.users)}
+    restaurants = {rid: code for code, rid in enumerate(visits.restaurants)}
+    kept = [
+        (restaurants[l.restaurant_id] * max(len(users), 1) + users[l.user_id], l.visit_exit_ts)
+        for l in links
+        if l.user_id in users and l.restaurant_id in restaurants
+    ]
+    return np.array([p for p, _ in kept], dtype=np.int64), np.array([x for _, x in kept], dtype=np.int64)
+
+
+def _contains(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Whether each of ``codes`` is in the sorted array ``sorted_codes``."""
+    at = np.searchsorted(sorted_codes, codes)
+    return sorted_codes[np.minimum(at, len(sorted_codes) - 1)] == codes if len(sorted_codes) else at < 0
+
+
+def _aggregates(visits: VisitLog, visitors: np.ndarray, affected: np.ndarray) -> dict[str, RestaurantAggregate]:
+    """Per restaurant code with visitors, in id order, its counts."""
+    return {
+        visits.restaurants[r]: RestaurantAggregate(visits.restaurants[r], v, a)
+        for r, v, a in zip(
+            np.flatnonzero(visitors).tolist(), visitors[visitors > 0].tolist(), affected[visitors > 0].tolist()
+        )
+    }
 
 
 def aggregate_restaurants(
@@ -173,25 +236,19 @@ def aggregate_restaurants(
     """Distinct visitor and affected-visitor counts per restaurant.
 
     Both counts are restricted to visits whose exit falls in the period, so
-    affected <= visitors holds by construction.
+    affected <= visitors holds by construction. Each count is a count of
+    distinct (restaurant, user) code pairs, from one scan of the period.
     """
-    visitor_sets: dict[str, set[str]] = {}
-    for v in visits:
-        if period.contains(v.exit_ts):
-            visitor_sets.setdefault(v.restaurant_id, set()).add(v.user_id)
-    affected_sets: dict[str, set[str]] = {}
-    for link in links:
-        if period.contains(link.visit_exit_ts):
-            affected_sets.setdefault(link.restaurant_id, set()).add(link.user_id)
-
-    aggregates: dict[str, RestaurantAggregate] = {}
-    for rid in sorted(visitor_sets):
-        visitors = visitor_sets[rid]
-        affected = affected_sets.get(rid, set()) & visitors
-        aggregates[rid] = RestaurantAggregate(
-            restaurant_id=rid, visitors=len(visitors), affected=len(affected)
-        )
-    return aggregates
+    visits = VisitLog.of(visits)
+    n_users = max(len(visits.users), 1)
+    link_pair, link_exit = _link_pairs(visits, links)
+    inside = (period.start_ts <= visits.exit_ts) & (visits.exit_ts < period.end_ts)
+    pairs = np.sort(visits.restaurant[inside].astype(np.int64) * n_users + visits.user[inside])
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # each pair once
+    linked = np.sort(link_pair[(period.start_ts <= link_exit) & (link_exit < period.end_ts)])
+    both = pairs[_contains(linked, pairs)]
+    n = len(visits.restaurants)
+    return _aggregates(visits, np.bincount(pairs // n_users, minlength=n), np.bincount(both // n_users, minlength=n))
 
 
 def sliding_aggregates(
@@ -203,33 +260,44 @@ def sliding_aggregates(
     turn, computed in one pass.
 
     Periods must start and end in non-decreasing order. Every visit and link
-    enters the window once and leaves it once, so the cost is O(visits +
-    links + periods x restaurants) instead of a full scan per period.
+    enters the window once and leaves it once, as a slice of the visits or
+    links sorted by exit; the window keeps a count per (restaurant, user)
+    code pair that visits, and per restaurant its distinct visitors and
+    affected visitors, updated only where a pair's count becomes or stops
+    being non-zero. The cost is O(visits + links + periods x restaurants)
+    instead of a full scan per period.
     """
-    visits = sorted(visits, key=lambda v: v.exit_ts)
-    links = sorted(links, key=lambda l: l.visit_exit_ts)
-    visitors: dict[str, dict[str, int]] = {}  # rid -> user -> visits in the window
-    linked: dict[str, dict[str, int]] = {}  # rid -> user -> links in the window
-    affected: dict[str, int] = {}  # rid -> users both visiting and linked
+    visits = VisitLog.of(visits)
+    n_users = max(len(visits.users), 1)
+    visit_exit, restaurant, user = visits.exit_ts, visits.restaurant, visits.user
+    if np.any(visit_exit[1:] < visit_exit[:-1]):  # a loaded log is sorted already
+        order = np.argsort(visit_exit, kind="stable")
+        visit_exit, restaurant, user = visit_exit[order], restaurant[order], user[order]
+    pair_codes, visit_pair = np.unique(restaurant.astype(np.int64) * n_users + user, return_inverse=True)
+    visit_pair = visit_pair.astype(np.int32)
+    link_pair, link_exit = _link_pairs(visits, links)
+    # a link counts only where its user visits its restaurant
+    visited = _contains(pair_codes, link_pair)
+    link_order = np.argsort(link_exit[visited], kind="stable")
+    link_exit = link_exit[visited][link_order]
+    link_pair = np.searchsorted(pair_codes, link_pair[visited][link_order])
+    pair_restaurant = (pair_codes // n_users).astype(np.int32)
+    n = len(visits.restaurants)
 
-    def enter(counts, other, rid: str, uid: str) -> None:
-        users = counts.setdefault(rid, {})
-        n = users.get(uid, 0)
-        users[uid] = n + 1
-        if n == 0 and uid in other.get(rid, ()):
-            affected[rid] = affected.get(rid, 0) + 1
+    in_window = np.zeros(len(pair_codes), dtype=np.int32)  # visits of each pair in the window
+    linked = np.zeros(len(pair_codes), dtype=np.int32)  # links of each pair in the window
+    del pair_codes, visited, link_order
+    visitors = np.zeros(n, dtype=np.int64)
+    affected = np.zeros(n, dtype=np.int64)
 
-    def leave(counts, other, rid: str, uid: str) -> None:
-        users = counts[rid]
-        n = users[uid] - 1
-        if n:
-            users[uid] = n
-            return
-        del users[uid]
-        if not users:
-            del counts[rid]
-        if uid in other.get(rid, ()):
-            affected[rid] -= 1
+    def move(counts, other, pairs: np.ndarray, sign: int, distinct: np.ndarray | None) -> None:
+        pairs, times = np.unique(pairs, return_counts=True)
+        was = counts[pairs] > 0
+        counts[pairs] += sign * times
+        changed = pairs[was != (counts[pairs] > 0)]
+        if distinct is not None:
+            distinct += sign * np.bincount(pair_restaurant[changed], minlength=n)
+        affected[:] += sign * np.bincount(pair_restaurant[changed[other[changed] > 0]], minlength=n)
 
     v_in = v_out = l_in = l_out = 0  # the window holds visits[v_out:v_in], links[l_out:l_in]
     last: Period | None = None
@@ -237,22 +305,17 @@ def sliding_aggregates(
         if last and (period.start_ts < last.start_ts or period.end_ts < last.end_ts):
             raise ValueError(f"periods must not move backwards: {period} after {last}")
         last = period
-        while v_in < len(visits) and visits[v_in].exit_ts < period.end_ts:
-            enter(visitors, linked, visits[v_in].restaurant_id, visits[v_in].user_id)
-            v_in += 1
-        while l_in < len(links) and links[l_in].visit_exit_ts < period.end_ts:
-            enter(linked, visitors, links[l_in].restaurant_id, links[l_in].user_id)
-            l_in += 1
-        while v_out < v_in and visits[v_out].exit_ts < period.start_ts:
-            leave(visitors, linked, visits[v_out].restaurant_id, visits[v_out].user_id)
-            v_out += 1
-        while l_out < l_in and links[l_out].visit_exit_ts < period.start_ts:
-            leave(linked, visitors, links[l_out].restaurant_id, links[l_out].user_id)
-            l_out += 1
-        yield {
-            rid: RestaurantAggregate(rid, len(visitors[rid]), affected.get(rid, 0))
-            for rid in sorted(visitors)
-        }
+        v_end = int(np.searchsorted(visit_exit, period.end_ts))
+        l_end = int(np.searchsorted(link_exit, period.end_ts))
+        move(in_window, linked, visit_pair[v_in:v_end], 1, visitors)
+        move(linked, in_window, link_pair[l_in:l_end], 1, None)
+        v_in, l_in = max(v_in, v_end), max(l_in, l_end)
+        v_start = min(int(np.searchsorted(visit_exit, period.start_ts)), v_in)
+        l_start = min(int(np.searchsorted(link_exit, period.start_ts)), l_in)
+        move(in_window, linked, visit_pair[v_out:v_start], -1, visitors)
+        move(linked, in_window, link_pair[l_out:l_start], -1, None)
+        v_out, l_out = max(v_out, v_start), max(l_out, l_start)
+        yield _aggregates(visits, visitors, affected)
 
 
 def rank_restaurants(

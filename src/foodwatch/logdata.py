@@ -12,15 +12,23 @@ by its timestamp (queries by ts, visits by exit_ts, inspections by date) with
 a stable sort, so downstream joins can assume order. Datasets are immutable
 after loading and safe to share across threads.
 
-Logs repeat a few values across many events, so each load keeps one object
-per distinct value: in the query log every equal user id, text, url, title,
-snippet and concept-tag set, in the visit log every equal user and
-restaurant id, is the same object. Only strings and frozensets of strings
-are shared, because equality tells them apart completely; floats are not
-(``-0.0 == 0.0``), so neither are result pages, which hold a dwell time.
-Nothing may depend on object identity, nor on the iteration order of a tag
-set: the writer sorts the tags, and featurization de-duplicates and sorts
-them.
+The query and visit logs are held as columns: a :class:`QueryLog` or
+:class:`VisitLog` keeps one read-only numpy array per field, with an entry
+per event (and, for the fields of a result page, an entry per page), beside
+tables that hold each distinct user id, text, url, title, snippet, tag set
+and restaurant id once. A column of codes indexes its table. Logs repeat a
+few values across many events, so the tables are short and the columns hold
+numbers only. A page's click and dwell time are plain columns: ``-0.0 ==
+0.0``, and a dwell keeps its sign.
+
+Indexing or iterating a log yields :class:`QueryEvent` and
+:class:`VisitEvent` objects, built on demand from the columns, for code that
+reads events one at a time; the pipeline's own steps count and join the
+codes instead. ``QueryLog.of`` and ``VisitLog.of`` turn a plain list of
+events into a log, and a log equals the list of events it yields. Codes
+carry no order of their own in a query log; whatever depends on first
+occurrence finds it from positions in the stream. A visit log tables its
+user and restaurant ids sorted, so its codes ascend with the ids.
 
 The CSV streams go through ``report.read_csv``, the pipeline's one CSV
 reader. Each must start with its header line: a file without one, even a
@@ -33,12 +41,16 @@ from __future__ import annotations
 import json
 import math
 import sys
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date as Date
 from enum import Enum
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
+
+import numpy as np
 
 from .errors import DataFormatError, ReferentialError
 # Bound at import, so a wrapper later put on ``report.read_csv`` or
@@ -48,6 +60,7 @@ from .report import read_csv, write_csv
 T = TypeVar("T")
 
 MAX_RESULTS_PER_QUERY = 10
+MAX_TS = 2**63 - 1  # timestamps are held as int64
 
 QUERY_FIELDS = ("user_id", "ts", "text", "results")
 RESULT_FIELDS = ("url", "title", "snippet", "concept_tags", "clicked", "dwell_s")
@@ -108,6 +121,290 @@ class VisitEvent:
     exit_ts: int
 
 
+def first_occurrences(codes: np.ndarray) -> np.ndarray:
+    """The position of the first occurrence of each distinct code, in
+    ascending order."""
+    _, first = np.unique(codes, return_index=True)
+    return np.sort(first)
+
+
+# Items a column sequence turns into objects at a time while it is iterated.
+VIEW_CHUNK = 4096
+
+
+def _column(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``."""
+    column = np.asarray(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
+
+
+class Columns(Sequence):
+    """A sequence held as columns, whose items are built on demand: by
+    index, or a chunk at a time while iterated. It equals any tuple or list
+    of the items it yields."""
+
+    __slots__ = ()
+
+    def _views(self, start: int, stop: int) -> Iterator:
+        raise NotImplementedError
+
+    def __getitem__(self, index: int):
+        i = range(len(self))[index]  # an IndexError past either end
+        return next(self._views(i, i + 1))
+
+    def __iter__(self) -> Iterator:
+        for start in range(0, len(self), VIEW_CHUNK):
+            yield from self._views(start, min(start + VIEW_CHUNK, len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Columns, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
+# The fields of a result page that have a table of distinct values, in the
+# order of ResultPage's fields.
+PAGE_FIELDS = ("url", "title", "snippet", "concept_tags")
+
+
+@dataclass(frozen=True, eq=False)
+class QueryLog(Columns):
+    """A query log as columns: per event its user, time and text codes and a
+    span ``page_start[i]:page_start[i + 1]`` of the page columns, which hold
+    each result page's url, title, snippet and tag-set codes, its click and
+    its dwell time."""
+
+    users: tuple[str, ...]
+    texts: tuple[str, ...]
+    urls: tuple[str, ...]
+    titles: tuple[str, ...]
+    snippets: tuple[str, ...]
+    tag_sets: tuple[frozenset[str], ...]
+    user: np.ndarray
+    ts: np.ndarray
+    text: np.ndarray
+    page_start: np.ndarray  # one entry per event, plus the end of the last span
+    url: np.ndarray
+    title: np.ndarray
+    snippet: np.ndarray
+    concept_tags: np.ndarray
+    clicked: np.ndarray
+    dwell_s: np.ndarray
+
+    @classmethod
+    def of(cls, events: Iterable[QueryEvent]) -> QueryLog:
+        """``events`` itself if it is a log, else a log of the events in the
+        given order."""
+        if isinstance(events, QueryLog):
+            return events
+        columns = _QueryColumns()
+        for event in events:
+            columns.event(event.user_id, event.ts, event.text)
+            for page in event.results:
+                columns.page(page.url, page.title, page.snippet, page.concept_tags, page.clicked, page.dwell_s)
+        return columns.log()
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def page_columns(self) -> tuple[np.ndarray, ...]:
+        """The code column of each of ``PAGE_FIELDS``."""
+        return self.url, self.title, self.snippet, self.concept_tags
+
+    def take(self, events: np.ndarray) -> QueryLog:
+        """The log of the given events, in the given order, over the same
+        tables."""
+        lengths = np.diff(self.page_start)[events]
+        page_start = np.concatenate([[0], np.cumsum(lengths)])
+        pages = np.repeat(self.page_start[events] - page_start[:-1], lengths) + np.arange(page_start[-1])
+        return QueryLog(
+            self.users,
+            self.texts,
+            self.urls,
+            self.titles,
+            self.snippets,
+            self.tag_sets,
+            *(_column(column[events], column.dtype) for column in (self.user, self.ts, self.text)),
+            _column(page_start, np.int64),
+            *(_column(column[pages], column.dtype) for column in (*self.page_columns(), self.clicked, self.dwell_s)),
+        )
+
+    def distinct_contents(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first event of each distinct key, the text and page contents
+        of an event, in order of first occurrence; and for every event the
+        position of its key among them."""
+        if not len(self):
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        page_event = self.page_event()
+        slot = np.arange(len(page_event)) - self.page_start[page_event]
+        # a row per event: its text, then each page's field codes, -1 past its last page
+        keys = np.full((len(self), 1 + len(PAGE_FIELDS) * np.diff(self.page_start).max()), -1, dtype=np.int32)
+        keys[:, 0] = self.text
+        for field, column in enumerate(self.page_columns()):
+            keys[page_event, 1 + len(PAGE_FIELDS) * slot + field] = column
+        _, first, rows = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        return first[order], position[rows.reshape(-1)]
+
+    def page_event(self) -> np.ndarray:
+        """The event of each result page."""
+        return np.repeat(np.arange(len(self)), np.diff(self.page_start))
+
+    def any_page(self, flags: np.ndarray) -> np.ndarray:
+        """Per event, whether any of its pages has its flag set."""
+        return np.bincount(self.page_event()[flags], minlength=len(self)) > 0
+
+    def _views(self, start: int, stop: int) -> Iterator[QueryEvent]:
+        first, last = self.page_start[start], self.page_start[stop]
+        urls, titles, snippets, tag_sets = self.urls, self.titles, self.snippets, self.tag_sets
+        pages = [
+            ResultPage(urls[u], titles[t], snippets[s], tag_sets[g], clicked, dwell)
+            for u, t, s, g, clicked, dwell in zip(
+                *(column[first:last].tolist() for column in (*self.page_columns(), self.clicked, self.dwell_s))
+            )
+        ]
+        bounds = (self.page_start[start : stop + 1] - first).tolist()
+        users, texts = self.users, self.texts
+        for u, ts, x, lo, hi in zip(
+            self.user[start:stop].tolist(), self.ts[start:stop].tolist(), self.text[start:stop].tolist(), bounds, bounds[1:]
+        ):
+            yield QueryEvent(users[u], ts, texts[x], tuple(pages[lo:hi]))
+
+
+class _QueryColumns:
+    """A query log built one event and page at a time, each distinct value
+    of a field tabled when it first appears."""
+
+    def __init__(self) -> None:
+        self.users: dict[str, int] = {}
+        self.texts: dict[str, int] = {}
+        self.urls: dict[str, int] = {}
+        self.titles: dict[str, int] = {}
+        self.snippets: dict[str, int] = {}
+        self.tag_sets: dict[frozenset[str], int] = {}
+        # typecodes of the columns' dtypes, so that the columns share the
+        # arrays' buffers instead of copying them
+        self.user, self.ts, self.text = array("i"), array("q"), array("i")
+        self.page_start = array("q", [0])
+        self.url, self.title, self.snippet, self.concept_tags = (array("i") for _ in PAGE_FIELDS)
+        self.clicked, self.dwell_s = array("b"), array("d")
+
+    def event(self, user_id: str, ts: int, text: str) -> None:
+        self.user.append(self.users.setdefault(user_id, len(self.users)))
+        self.ts.append(ts)
+        self.text.append(self.texts.setdefault(text, len(self.texts)))
+        self.page_start.append(self.page_start[-1])
+
+    def page(self, url: str, title: str, snippet: str, tags: frozenset[str], clicked: bool, dwell_s: float) -> None:
+        """A result page of the last event."""
+        self.url.append(self.urls.setdefault(url, len(self.urls)))
+        self.title.append(self.titles.setdefault(title, len(self.titles)))
+        self.snippet.append(self.snippets.setdefault(snippet, len(self.snippets)))
+        self.concept_tags.append(self.tag_sets.setdefault(tags, len(self.tag_sets)))
+        self.clicked.append(clicked)
+        self.dwell_s.append(dwell_s)
+        self.page_start[-1] += 1
+
+    def log(self) -> QueryLog:
+        return QueryLog(
+            *map(tuple, (self.users, self.texts, self.urls, self.titles, self.snippets, self.tag_sets)),
+            user=_column(self.user, np.int32),
+            ts=_column(self.ts, np.int64),
+            text=_column(self.text, np.int32),
+            page_start=_column(self.page_start, np.int64),
+            url=_column(self.url, np.int32),
+            title=_column(self.title, np.int32),
+            snippet=_column(self.snippet, np.int32),
+            concept_tags=_column(self.concept_tags, np.int32),
+            clicked=_column(np.frombuffer(self.clicked, dtype=bool), bool),
+            dwell_s=_column(self.dwell_s, np.float64),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class VisitLog(Columns):
+    """A visit log as columns: per visit its user and restaurant codes,
+    entry and exit times. Both tables are sorted."""
+
+    users: tuple[str, ...]
+    restaurants: tuple[str, ...]
+    user: np.ndarray
+    restaurant: np.ndarray
+    entry_ts: np.ndarray
+    exit_ts: np.ndarray
+
+    @classmethod
+    def of(cls, visits: Iterable[VisitEvent]) -> VisitLog:
+        """``visits`` itself if it is a log, else a log of the visits in the
+        given order."""
+        if isinstance(visits, VisitLog):
+            return visits
+        columns = _VisitColumns()
+        for v in visits:
+            columns.visit(v.user_id, v.restaurant_id, v.entry_ts, v.exit_ts)
+        return columns.log()
+
+    def __len__(self) -> int:
+        return len(self.exit_ts)
+
+    def take(self, visits: np.ndarray) -> VisitLog:
+        """The log of the given visits, in the given order."""
+        return VisitLog(
+            self.users,
+            self.restaurants,
+            *(_column(column[visits], column.dtype) for column in (self.user, self.restaurant, self.entry_ts, self.exit_ts)),
+        )
+
+    def _views(self, start: int, stop: int) -> Iterator[VisitEvent]:
+        users, restaurants = self.users, self.restaurants
+        for u, r, entry, exit_ts in zip(
+            self.user[start:stop].tolist(),
+            self.restaurant[start:stop].tolist(),
+            self.entry_ts[start:stop].tolist(),
+            self.exit_ts[start:stop].tolist(),
+        ):
+            yield VisitEvent(users[u], restaurants[r], entry, exit_ts)
+
+
+def _sorted_table(codes: dict[str, int], column: array) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct values sorted, and the column recoded to match."""
+    table = sorted(codes)
+    recode = np.empty(len(table), dtype=np.int32)
+    recode[[codes[value] for value in table]] = np.arange(len(table), dtype=np.int32)
+    return tuple(table), _column(recode[np.asarray(column)], np.int32)
+
+
+class _VisitColumns:
+    """A visit log built one visit at a time."""
+
+    def __init__(self) -> None:
+        self.users: dict[str, int] = {}
+        self.restaurants: dict[str, int] = {}
+        self.user, self.restaurant, self.entry_ts, self.exit_ts = array("i"), array("i"), array("q"), array("q")
+
+    def visit(self, user_id: str, restaurant_id: str, entry_ts: int, exit_ts: int) -> None:
+        self.user.append(self.users.setdefault(user_id, len(self.users)))
+        self.restaurant.append(self.restaurants.setdefault(restaurant_id, len(self.restaurants)))
+        self.entry_ts.append(entry_ts)
+        self.exit_ts.append(exit_ts)
+
+    def log(self) -> VisitLog:
+        users, user = _sorted_table(self.users, self.user)
+        restaurants, restaurant = _sorted_table(self.restaurants, self.restaurant)
+        entry_ts, exit_ts = _column(self.entry_ts, np.int64), _column(self.exit_ts, np.int64)
+        return VisitLog(users, restaurants, user, restaurant, entry_ts, exit_ts)
+
+
+def _sorted_by(log, times: np.ndarray):
+    """``log`` sorted stably by ``times``; ``log`` itself if it already is."""
+    return log.take(np.argsort(times, kind="stable")) if np.any(times[1:] < times[:-1]) else log
+
+
 @dataclass(frozen=True)
 class RestaurantRecord:
     restaurant_id: str
@@ -127,8 +424,11 @@ class InspectionRecord:
 
 @dataclass(frozen=True)
 class Dataset:
-    queries: tuple[QueryEvent, ...] = ()
-    visits: tuple[VisitEvent, ...] = ()
+    """The four streams: the query and visit logs as event sequences, the
+    simulator's tuples or loaded logs alike."""
+
+    queries: Sequence[QueryEvent] = ()
+    visits: Sequence[VisitEvent] = ()
     restaurants: tuple[RestaurantRecord, ...] = ()
     inspections: tuple[InspectionRecord, ...] = ()
 
@@ -175,7 +475,14 @@ def _field_mismatch(what: str, obj: dict, expected: frozenset[str]) -> ValueErro
     )
 
 
-def _parse_result(obj: object, share: Callable[[T, T], T]) -> ResultPage:
+def _not_a_string(obj: dict, names: tuple[str, ...]) -> ValueError:
+    """The error for the first of the fields ``names`` of ``obj`` that is not
+    a JSON string."""
+    name = next(name for name in names if type(obj[name]) is not str)
+    return ValueError(f"{name} must be a string, got {type(obj[name]).__name__}")
+
+
+def _parse_page(obj: object, columns: _QueryColumns) -> None:
     if not isinstance(obj, dict):
         raise ValueError("result entry is not an object")
     if obj.keys() != _RESULT_KEYS:
@@ -192,19 +499,13 @@ def _parse_result(obj: object, share: Callable[[T, T], T]) -> ResultPage:
     tags = obj["concept_tags"]
     if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
         raise ValueError("concept_tags must be a list of strings")
-    url, title, snippet, tags = str(obj["url"]), str(obj["title"]), str(obj["snippet"]), frozenset(tags)
-    # not the page itself: its dwell_s is a float, and -0.0 == 0.0
-    return ResultPage(
-        url=share(url, url),
-        title=share(title, title),
-        snippet=share(snippet, snippet),
-        concept_tags=share(tags, tags),
-        clicked=clicked,
-        dwell_s=float(dwell),
-    )
+    url, title, snippet = obj["url"], obj["title"], obj["snippet"]
+    if not type(url) is type(title) is type(snippet) is str:
+        raise _not_a_string(obj, ("url", "title", "snippet"))
+    columns.page(url, title, snippet, frozenset(tags), clicked, float(dwell))
 
 
-def _parse_query(line: str, share: Callable[[T, T], T]) -> QueryEvent:
+def _parse_query(line: str, columns: _QueryColumns) -> None:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
@@ -213,33 +514,34 @@ def _parse_query(line: str, share: Callable[[T, T], T]) -> QueryEvent:
     ts = obj["ts"]
     if not isinstance(ts, int) or isinstance(ts, bool) or ts < 0:
         raise ValueError("ts must be a non-negative integer")
+    if ts > MAX_TS:
+        raise ValueError(f"ts must be <= {MAX_TS}")
     results = obj["results"]
     if not isinstance(results, list):
         raise ValueError("results must be a list")
     if len(results) > MAX_RESULTS_PER_QUERY:
         raise ValueError(f"more than {MAX_RESULTS_PER_QUERY} results")
-    user_id, text = str(obj["user_id"]), str(obj["text"])
-    return QueryEvent(
-        user_id=share(user_id, user_id),
-        ts=ts,
-        text=share(text, text),
-        results=tuple(_parse_result(r, share) for r in results),
-    )
+    user_id, text = obj["user_id"], obj["text"]
+    if not type(user_id) is type(text) is str:
+        raise _not_a_string(obj, ("user_id", "text"))
+    columns.event(user_id, ts, text)
+    for result in results:
+        _parse_page(result, columns)
 
 
-def load_queries(path: Path) -> tuple[QueryEvent, ...]:
-    events: list[QueryEvent] = []
-    share = {}.setdefault  # share(v, v): the first loaded value equal to v
+def load_queries(path: Path) -> QueryLog:
+    """The query log, read and checked in one pass, sorted stably by time."""
+    columns = _QueryColumns()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                events.append(_parse_query(line, share))
+                _parse_query(line, columns)
             except ValueError as exc:  # json.JSONDecodeError included
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    events.sort(key=lambda e: e.ts)  # list.sort is stable: input order breaks ties
-    return tuple(events)
+    log = columns.log()
+    return _sorted_by(log, log.ts)
 
 
 def _field(parse: Callable[[str], T], raw: str, what: str) -> T:
@@ -260,21 +562,28 @@ def _int_field(raw: str, name: str) -> int:
     return value
 
 
-def load_visits(path: Path) -> tuple[VisitEvent, ...]:
-    share = {}.setdefault
+def _ts_field(raw: str, name: str) -> int:
+    value = _int_field(raw, name)
+    if value > MAX_TS:
+        raise ValueError(f"{name} must be <= {MAX_TS}, got {value}")
+    return value
 
-    def parse(row: list[str]) -> VisitEvent:
+
+def load_visits(path: Path) -> VisitLog:
+    """The visit log, sorted stably by exit time. A visit must not end
+    before it starts."""
+    columns = _VisitColumns()
+
+    def parse(row: list[str]) -> None:
         user_id, restaurant_id, entry_s, exit_s = row
-        return VisitEvent(
-            share(user_id, user_id),
-            share(restaurant_id, restaurant_id),
-            _int_field(entry_s, "entry_ts"),
-            _int_field(exit_s, "exit_ts"),
-        )
+        entry_ts, exit_ts = _ts_field(entry_s, "entry_ts"), _ts_field(exit_s, "exit_ts")
+        if entry_ts > exit_ts:
+            raise ValueError(f"entry_ts {entry_ts} > exit_ts {exit_ts}")
+        columns.visit(user_id, restaurant_id, entry_ts, exit_ts)
 
-    _, visits = read_csv(path, VISIT_HEADER, parse)
-    visits.sort(key=lambda v: v.exit_ts)
-    return tuple(visits)
+    read_csv(path, VISIT_HEADER, parse)
+    log = columns.log()
+    return _sorted_by(log, log.exit_ts)
 
 
 def load_restaurants(path: Path) -> tuple[RestaurantRecord, ...]:
@@ -311,13 +620,13 @@ def load_inspections(path: Path) -> tuple[InspectionRecord, ...]:
     return tuple(records)
 
 
-def load_visit_log(paths: DatasetPaths) -> tuple[tuple[VisitEvent, ...], dict[str, RestaurantRecord]]:
+def load_visit_log(paths: DatasetPaths) -> tuple[VisitLog, dict[str, RestaurantRecord]]:
     """The visits and the registry by restaurant id; neither the query log
     nor the inspections are read. Every visit must reference a registered
     restaurant; offenders are listed in the raised error."""
     visits = load_visits(paths.visits)
     registry = {r.restaurant_id: r for r in load_restaurants(paths.restaurants)}
-    dangling = sorted({v.restaurant_id for v in visits} - registry.keys())
+    dangling = sorted(set(visits.restaurants) - registry.keys())
     if dangling:
         raise ReferentialError(f"visits reference unknown restaurants: {', '.join(dangling)}")
     return visits, registry

@@ -36,7 +36,7 @@ from .errors import DataError, DataFormatError, FoodwatchError, UsageError
 from .locmodel import (
     ExposureLink,
     Period,
-    ScoredQuery,
+    ScoredQueries,
     aggregate_restaurants,
     attribute_sources,
     link_exposures,
@@ -47,11 +47,12 @@ from .logdata import (
     Dataset,
     DatasetPaths,
     InspectionRecord,
-    QueryEvent,
+    QueryLog,
     RestaurantRecord,
     RiskLevel,
     Trigger,
-    VisitEvent,
+    VisitLog,
+    first_occurrences,
     load_dataset,  # unused here; the benchmark tracer wraps it
     load_inspections,
     load_queries,
@@ -189,13 +190,22 @@ class Run:
         return self.get(name, lambda: _read_artifact(path, read))
 
     @property
-    def queries(self) -> tuple[QueryEvent, ...]:
-        return self._input("queries", DatasetPaths.in_dir(dataset_dir(self.out)).queries, load_queries)
+    def queries(self) -> QueryLog:
+        # the simulator's events become columns on first use, so a simulate
+        # stage run on its own converts nothing
+        queries = QueryLog.of(self._input("queries", DatasetPaths.in_dir(dataset_dir(self.out)).queries, load_queries))
+        self.keep(queries=queries)
+        return queries
 
     @property
-    def visit_log(self) -> tuple[tuple[VisitEvent, ...], dict[str, RestaurantRecord]]:
+    def visit_log(self) -> tuple[VisitLog, dict[str, RestaurantRecord]]:
         """The visits and the registry by restaurant id."""
-        return self._input("visit_log", dataset_dir(self.out), lambda d: load_visit_log(DatasetPaths.in_dir(d)))
+        visits, registry = self._input(
+            "visit_log", dataset_dir(self.out), lambda d: load_visit_log(DatasetPaths.in_dir(d))
+        )
+        visit_log = VisitLog.of(visits), registry
+        self.keep(visit_log=visit_log)
+        return visit_log
 
     @property
     def background_inspections(self) -> tuple[InspectionRecord, ...]:
@@ -247,23 +257,24 @@ def compute_simulation(config: RunConfig) -> tuple[World, Dataset, GroundTruth]:
     return world, dataset, truth
 
 
-def compute_model(config: RunConfig, queries: tuple[QueryEvent, ...]) -> tuple[LabeledSet, object]:
+def compute_model(config: RunConfig, queries: QueryLog) -> tuple[LabeledSet, object]:
     labeled = compute_weak_labels(config, queries)
     model = train_wsm(labeled, config.wsm, seed=derive_seed(config.seed, "wsm-train"))
     return labeled, model
 
 
-def truth_label_by_text(queries: tuple[QueryEvent, ...], truth: GroundTruth) -> dict[str, int]:
-    """Ground-truth topical label per query text (consistent by construction)."""
-    labels: dict[str, int] = {}
-    for event, label in zip(queries, truth.query_labels, strict=True):
-        labels.setdefault(event.text, int(label))
-    return labels
+def truth_label_by_text(queries: QueryLog, truth: GroundTruth) -> dict[str, int]:
+    """Ground-truth topical label per query text (consistent by construction),
+    read at each text code's first event."""
+    if len(truth.query_labels) != len(queries):
+        raise ValueError(f"{len(truth.query_labels)} query labels for {len(queries)} queries")
+    first = first_occurrences(queries.text).tolist()
+    return {queries.texts[queries.text[i]]: int(truth.query_labels[i]) for i in first}
 
 
 def compute_wsm_evaluation(
     config: RunConfig,
-    queries: tuple[QueryEvent, ...],
+    queries: QueryLog,
     truth: GroundTruth,
     model,
     train_texts: set[str],
@@ -293,10 +304,9 @@ def compute_wsm_evaluation(
 
 
 def compute_exposures(
-    config: RunConfig, queries: tuple[QueryEvent, ...], visits: tuple[VisitEvent, ...], model
-) -> tuple[list[ScoredQuery], tuple[ExposureLink, ...]]:
-    scores = score_queries(model, queries).tolist()
-    scored = [ScoredQuery(q.user_id, q.ts, s) for q, s in zip(queries, scores)]
+    config: RunConfig, queries: QueryLog, visits: VisitLog, model
+) -> tuple[ScoredQueries, tuple[ExposureLink, ...]]:
+    scored = ScoredQueries(queries.users, queries.user, queries.ts, score_queries(model, queries))
     links = link_exposures(visits, scored, config.locmodel)
     return scored, cap_contributions(links)
 
@@ -323,7 +333,7 @@ def _list_row(list_date: str, rec: RestaurantRecord, cell: ReleasedAggregate) ->
 
 def compute_daily_lists(
     config: RunConfig,
-    visits: tuple[VisitEvent, ...],
+    visits: VisitLog,
     registry: dict[str, RestaurantRecord],
     links: tuple[ExposureLink, ...],
 ) -> DailyOutputs:
@@ -375,7 +385,7 @@ def compute_finder_inspections(
 
 def compute_evaluation_tables(
     config: RunConfig,
-    visits: tuple[VisitEvent, ...],
+    visits: VisitLog,
     registry: dict[str, RestaurantRecord],
     all_inspections,
     links: tuple[ExposureLink, ...],
@@ -479,7 +489,8 @@ def stage_simulate(config: RunConfig, out: Path | Run) -> None:
     save_world_recipe(world, private_dir(run.out) / WORLD_FILE)
     save_ground_truth(truth, private_dir(run.out) / GROUND_TRUTH_FILE)
     # The simulator emits every stream in the order loading would give it,
-    # so later stages see the same streams as after a read-back.
+    # so later stages see the same streams as after a read-back; the query
+    # and visit logs become the loaders' columns when a stage first asks.
     run.keep(
         world=world,
         queries=dataset.queries,
@@ -520,7 +531,7 @@ def stage_eval_wsm(config: RunConfig, out: Path | Run) -> None:
     )
 
 
-def compute_weak_labels(config: RunConfig, queries: tuple[QueryEvent, ...]) -> LabeledSet:
+def compute_weak_labels(config: RunConfig, queries: QueryLog) -> LabeledSet:
     return weak_label(queries, config.wsm, seed=derive_seed(config.seed, "wsm-weak"))
 
 
@@ -532,11 +543,7 @@ def stage_rank(config: RunConfig, out: Path | Run) -> None:
     # the model, and the daily lists, where this stage peaks, reuse the
     # memory they free.
     run.release("queries", "model")
-    report_mod.write_csv(
-        run.out / SCORED_CSV,
-        SCORED_HEADER,
-        [[s.user_id, s.ts, s.score] for s in scored],
-    )
+    report_mod.write_csv(run.out / SCORED_CSV, SCORED_HEADER, scored)
     del scored  # the daily lists, where this stage peaks, do not need the scores
     report_mod.write_csv(
         run.out / LINKS_CSV,

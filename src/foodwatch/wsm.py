@@ -22,11 +22,10 @@ from .errors import DataError, NumericalError, UsageError
 from .features import (
     DIM,
     FeatureRows,
-    feature_key,
     featurize,  # unused here; the benchmark tracer wraps wsm.featurize
     featurize_rows,
 )
-from .logdata import QueryEvent
+from .logdata import QueryEvent, QueryLog, first_occurrences
 from .seeding import make_rng
 
 FOODBORNE_TAG = "foodborne_illness"
@@ -87,16 +86,24 @@ class WsmMetrics:
     threshold: float
 
 
-def has_foodborne_click(event: QueryEvent) -> bool:
-    """True if any result was clicked and carries the foodborne concept tag."""
-    return any(p.clicked and FOODBORNE_TAG in p.concept_tags for p in event.results)
+def _foodborne_clicks(log: QueryLog) -> np.ndarray:
+    """Per result page: clicked, and tagged with the foodborne concept."""
+    tagged = np.array([FOODBORNE_TAG in tags for tags in log.tag_sets], dtype=bool)
+    return log.clicked & tagged[log.concept_tags]
 
 
-def is_weak_positive(event: QueryEvent, dwell_threshold_s: float) -> bool:
-    return any(
-        p.clicked and FOODBORNE_TAG in p.concept_tags and p.dwell_s >= dwell_threshold_s
-        for p in event.results
-    )
+def has_foodborne_click(queries: Sequence[QueryEvent]) -> np.ndarray:
+    """Per event: whether any result was clicked and carries the foodborne
+    concept tag."""
+    log = QueryLog.of(queries)
+    return log.any_page(_foodborne_clicks(log))
+
+
+def is_weak_positive(queries: Sequence[QueryEvent], dwell_threshold_s: float) -> np.ndarray:
+    """Per event: whether a clicked foodborne result held the user for at
+    least ``dwell_threshold_s``."""
+    log = QueryLog.of(queries)
+    return log.any_page(_foodborne_clicks(log) & (log.dwell_s >= dwell_threshold_s))
 
 
 def weak_label(
@@ -111,25 +118,21 @@ def weak_label(
     negatives, so a text satisfying the positive rule anywhere in the stream
     never reappears as a negative.
     """
-    if not queries:
+    log = QueryLog.of(queries)
+    if not len(log):
         raise DataError("query stream is empty")
 
-    positives: list[QueryEvent] = []
-    positive_texts: set[str] = set()
-    negative_pool: list[QueryEvent] = []
-    pool_texts: set[str] = set()
-    for event in queries:
-        if is_weak_positive(event, settings.dwell_threshold_s):
-            if event.text not in positive_texts:
-                positive_texts.add(event.text)
-                positives.append(event)
-        elif event.text not in pool_texts:
-            pool_texts.add(event.text)
-            negative_pool.append(event)
-    if not positives:
+    positive = is_weak_positive(log, settings.dwell_threshold_s)
+    hits, others = np.flatnonzero(positive), np.flatnonzero(~positive)
+    # the first event of each text, among the positive events and among the rest
+    positives = hits[first_occurrences(log.text[hits])]
+    if not len(positives):
         raise DataError("no weak positives")
+    pool = others[first_occurrences(log.text[others])]
+    positive_text = np.zeros(len(log.texts), dtype=bool)
+    positive_text[log.text[positives]] = True
+    negative_pool = pool[~positive_text[log.text[pool]]]
 
-    negative_pool = [e for e in negative_pool if e.text not in positive_texts]
     wanted = settings.neg_ratio * len(positives)
     if len(negative_pool) < wanted:
         raise DataError(
@@ -137,9 +140,9 @@ def weak_label(
         )
     rng = make_rng(seed, "weak-label")
     chosen = rng.choice(len(negative_pool), size=wanted, replace=False)
-    negatives = [negative_pool[i] for i in sorted(chosen)]
+    negatives = negative_pool[np.sort(chosen)]
 
-    examples = [(e, 1) for e in positives] + [(e, 0) for e in negatives]
+    examples = [(e, 1) for e in log.take(positives)] + [(e, 0) for e in log.take(negatives)]
     return LabeledSet(examples=tuple(examples))
 
 
@@ -240,34 +243,22 @@ def train_wsm(
     )
 
 
-def _distinct_contents(events: Sequence[QueryEvent]) -> tuple[list[QueryEvent], np.ndarray]:
-    """The first event of each distinct feature key, and for every event the
-    position of its key among them."""
-    row_of_key: dict[tuple, int] = {}
-    distinct: list[QueryEvent] = []
-    rows = np.empty(len(events), dtype=np.intp)
-    for i, event in enumerate(events):
-        row = row_of_key.setdefault(feature_key(event), len(distinct))
-        if row == len(distinct):
-            distinct.append(event)
-        rows[i] = row
-    return distinct, rows
-
-
 # Distinct contents featurized and scored together. Blocks keep the flat
 # arrays near a megabyte however many distinct queries a log holds.
 SCORE_BLOCK = 1024
 
 
-def score_queries(model: WsmModel, events: Sequence[QueryEvent]) -> np.ndarray:
+def score_queries(model: WsmModel, queries: Sequence[QueryEvent]) -> np.ndarray:
     """Per event, the probability in (0, 1) that the query concerns
-    foodborne illness. Events with equal feature content (users, times and
-    clicks aside) are featurized and scored once."""
-    distinct, rows = _distinct_contents(events)
-    margins = np.empty(len(distinct))
-    for start in range(0, len(distinct), SCORE_BLOCK):
-        block = distinct[start : start + SCORE_BLOCK]
-        features = featurize_rows(block)
+    foodborne illness. Events with equal text and page contents (users,
+    times and clicks aside) are featurized and scored once, and each event
+    gathers the score of its contents by code."""
+    log = QueryLog.of(queries)
+    first, rows = log.distinct_contents()
+    margins = np.empty(len(first))
+    for start in range(0, len(first), SCORE_BLOCK):
+        block = first[start : start + SCORE_BLOCK]
+        features = featurize_rows(log.take(block))
         margins[start : start + len(block)] = _margins(model.weights, model.intercept, features)
     return _sigmoid(margins)[rows]
 
@@ -323,22 +314,24 @@ def load_model(path: Path) -> WsmModel:
 
 
 def _weighted_sample_without_replacement(
-    items: Sequence[str],
-    weights: Sequence[float],
+    codes: np.ndarray,
+    weights: np.ndarray,
     k: int,
     rng: np.random.Generator,
-) -> list[str]:
-    # Efraimidis-Spirakis reservoir keys: take the k largest u^(1/w). Only
-    # the items whose key reaches the k-th largest can be among them, so
-    # only those get a sort key, not every item of a long stream.
-    u = rng.random(len(items))
+    names: Sequence[str],
+) -> list[int]:
+    # Efraimidis-Spirakis reservoir keys: take the k largest u^(1/w), equal
+    # keys by name. Only the codes whose key reaches the k-th largest can be
+    # among them, so only those get a sort key, not every code of a long
+    # stream.
+    u = rng.random(len(codes))
     if k == 0:
         return []
     keys = u ** (1.0 / np.asarray(weights, dtype=float))
     kth = np.partition(keys, len(keys) - k)[len(keys) - k]
     candidates = np.flatnonzero(keys >= kth).tolist()
-    order = sorted(candidates, key=lambda i: (-keys[i], items[i]))
-    return [items[i] for i in order[:k]]
+    order = sorted(candidates, key=lambda i: (-keys[i], names[codes[i]]))
+    return [int(codes[i]) for i in order[:k]]
 
 
 def build_eval_sample(
@@ -352,45 +345,44 @@ def build_eval_sample(
     from the full stream. Deduplicated by text and disjoint from
     ``exclude_texts`` (the training set). A stratum with fewer than ``n/2``
     distinct texts gives all of them, and the full stream fills the sample
-    up to ``n``.
+    up to ``n``. Texts are counted by code, each list of them in order of
+    first occurrence.
     """
     if n % 2 != 0:
         raise ValueError("n must be even")
-    if len(stream) < n:
-        raise DataError(f"stream has {len(stream)} events, need at least {n}")
+    log = QueryLog.of(stream)
+    if len(log) < n:
+        raise DataError(f"stream has {len(log)} events, need at least {n}")
     excluded = set(exclude_texts)
+    kept = ~np.array([text in excluded for text in log.texts], dtype=bool)[log.text]
 
-    first_event: dict[str, QueryEvent] = {}
-    full_counts: dict[str, int] = {}
-    stratum_counts: dict[str, int] = {}
-    for event in stream:
-        if event.text in excluded:
-            continue
-        if event.text not in first_event:
-            first_event[event.text] = event
-        full_counts[event.text] = full_counts.get(event.text, 0) + 1
-        if has_foodborne_click(event):
-            stratum_counts[event.text] = stratum_counts.get(event.text, 0) + 1
+    events = np.flatnonzero(kept)
+    first_event = events[first_occurrences(log.text[events])]
+    full_codes = log.text[first_event]
+    full_counts = np.bincount(log.text[events], minlength=len(log.texts))
+    stratum = np.flatnonzero(kept & has_foodborne_click(log))
+    stratum_codes = log.text[stratum[first_occurrences(log.text[stratum])]]
+    stratum_counts = np.bincount(log.text[stratum], minlength=len(log.texts))
 
     rng = make_rng(seed, "eval-sample")
-    stratum_texts = list(stratum_counts)  # insertion order: first occurrence in stream
-    from_stratum = min(n // 2, len(stratum_texts))
+    from_stratum = min(n // 2, len(stratum_codes))
     picked = _weighted_sample_without_replacement(
-        stratum_texts, [stratum_counts[t] for t in stratum_texts], from_stratum, rng
+        stratum_codes, stratum_counts[stratum_codes], from_stratum, rng, log.texts
     )
-    picked_set = set(picked)
 
-    remaining = [t for t in full_counts if t not in picked_set]
+    is_picked = np.zeros(len(log.texts), dtype=bool)
+    is_picked[picked] = True
+    remaining = full_codes[~is_picked[full_codes]]
     rest = n - len(picked)
     if len(remaining) < rest:
         raise DataError(
             f"stream too small: need {n} distinct texts outside the training set, "
-            f"have {len(full_counts)}"
+            f"have {len(full_codes)}"
         )
-    picked += _weighted_sample_without_replacement(
-        remaining, [full_counts[t] for t in remaining], rest, rng
-    )
-    return tuple(first_event[t] for t in picked)
+    picked += _weighted_sample_without_replacement(remaining, full_counts[remaining], rest, rng, log.texts)
+    first_of_text = np.zeros(len(log.texts), dtype=np.intp)
+    first_of_text[full_codes] = first_event
+    return tuple(log.take(first_of_text[picked]))
 
 
 def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:

@@ -4,13 +4,19 @@ These deliberately take different computational routes from the library code
 they check: closed-form 2x2 odds ratios, Simpson quadrature for the
 chi-square tail, pairwise-disagreement Krippendorff alpha, brute-force
 majority voting, O(n^2) pairwise AUC, a per-example logistic loss and
-gradient, and a query log written with one ``json.dumps`` per event.
+gradient, a query log written with one ``json.dumps`` per event, and the
+query and visit logs loaded as one object per event and page.
 """
 
 import json
 import math
+import sys
 
 import numpy as np
+
+from foodwatch.errors import DataFormatError
+from foodwatch.logdata import MAX_RESULTS_PER_QUERY, QueryEvent, ResultPage, VisitEvent
+from foodwatch.report import read_csv
 
 
 def crossproduct_oracle(a, b, c, d):
@@ -132,3 +138,87 @@ def write_queries_per_event(events, path):
             record = {"user_id": event.user_id, "ts": event.ts, "text": event.text, "results": results}
             fh.write(json.dumps(record, ensure_ascii=False))
             fh.write("\n")
+
+
+def _fields(obj, expected, what):
+    if set(obj) != set(expected):
+        raise ValueError(
+            f"{what} fields: missing {sorted(set(expected) - set(obj))}, unknown {sorted(set(obj) - set(expected))}"
+        )
+
+
+def _string(obj, name):
+    if type(obj[name]) is not str:
+        raise ValueError(f"{name} must be a string, got {type(obj[name]).__name__}")
+    return obj[name]
+
+
+def _result_object(obj):
+    if not isinstance(obj, dict):
+        raise ValueError("result entry is not an object")
+    _fields(obj, ("url", "title", "snippet", "concept_tags", "clicked", "dwell_s"), "result")
+    clicked, dwell, tags = obj["clicked"], obj["dwell_s"], obj["concept_tags"]
+    if not isinstance(clicked, bool):
+        raise ValueError("clicked must be a boolean")
+    if isinstance(dwell, bool) or not isinstance(dwell, (int, float)) or not 0 <= dwell <= sys.float_info.max:
+        raise ValueError("dwell_s must be a finite non-negative number")
+    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+        raise ValueError("concept_tags must be a list of strings")
+    url, title, snippet = (_string(obj, name) for name in ("url", "title", "snippet"))
+    return ResultPage(url, title, snippet, frozenset(tags), clicked, float(dwell))
+
+
+def _query_object(line):
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("line is not a JSON object")
+    _fields(obj, ("user_id", "ts", "text", "results"), "query")
+    ts, results = obj["ts"], obj["results"]
+    if not isinstance(ts, int) or isinstance(ts, bool) or ts < 0:
+        raise ValueError("ts must be a non-negative integer")
+    if not isinstance(results, list):
+        raise ValueError("results must be a list")
+    if len(results) > MAX_RESULTS_PER_QUERY:
+        raise ValueError(f"more than {MAX_RESULTS_PER_QUERY} results")
+    user_id, text = _string(obj, "user_id"), _string(obj, "text")
+    return QueryEvent(user_id, ts, text, tuple(_result_object(r) for r in results))
+
+
+def load_query_objects(path):
+    """The query log as one QueryEvent per line and one ResultPage per
+    result, sorted stably by ts: the object loader that the columnar query
+    log replaced, with the same checks and messages."""
+    events = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                events.append(_query_object(line))
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+    return sorted(events, key=lambda e: e.ts)
+
+
+def _timestamp(raw, name):
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def _visit_object(row):
+    user_id, restaurant_id, entry_s, exit_s = row
+    entry_ts, exit_ts = _timestamp(entry_s, "entry_ts"), _timestamp(exit_s, "exit_ts")
+    if entry_ts > exit_ts:
+        raise ValueError(f"entry_ts {entry_ts} > exit_ts {exit_ts}")
+    return VisitEvent(user_id, restaurant_id, entry_ts, exit_ts)
+
+
+def load_visit_objects(path):
+    """The visit log as one VisitEvent per row, sorted stably by exit_ts."""
+    _, visits = read_csv(path, ["user_id", "restaurant_id", "entry_ts", "exit_ts"], _visit_object)
+    return sorted(visits, key=lambda v: v.exit_ts)

@@ -16,7 +16,7 @@ from foodwatch.citysim import SimConfig, planted_exposures, simulate_raters
 from foodwatch.config import RunConfig
 from foodwatch.features import DIM, FeatureRows, featurize
 from foodwatch.locmodel import Period, aggregate_restaurants, attribute_sources, link_exposures
-from foodwatch.logdata import Outcome
+from foodwatch.logdata import Outcome, QueryLog, VisitLog
 from foodwatch.pipeline import (
     compute_daily_lists,
     compute_exposures,
@@ -244,9 +244,10 @@ def test_criterion_8_end_to_end_directionality():
     for seed in range(20):
         config = RunConfig(seed=seed)
         world, dataset, _ = compute_simulation(config)
-        _, model = compute_model(config, dataset.queries)
-        _, links = compute_exposures(config, dataset.queries, dataset.visits, model)
-        daily = compute_daily_lists(config, dataset.visits, dataset.registry(), links)
+        queries, visits = QueryLog.of(dataset.queries), VisitLog.of(dataset.visits)
+        _, model = compute_model(config, queries)
+        _, links = compute_exposures(config, queries, visits, model)
+        daily = compute_daily_lists(config, visits, dataset.registry(), links)
         finder = compute_finder_inspections(config, world, daily.daily_rows)
         for rec in tuple(dataset.inspections) + finder:
             name = rec.trigger.value

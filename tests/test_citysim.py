@@ -258,6 +258,6 @@ def test_planted_exposures_window_geometry():
     by_user = {}
     for v in visits:
         by_user.setdefault(v.user_id, []).append(v)
-    for q in queries:
-        for v in by_user[q.user_id]:
-            assert 0 < q.ts - v.exit_ts <= 259_200
+    for user_id, ts, _ in queries:
+        for v in by_user[user_id]:
+            assert 0 < ts - v.exit_ts <= 259_200

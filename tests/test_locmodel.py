@@ -1,5 +1,6 @@
 import math
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from foodwatch.locmodel import (
     LocSettings,
     Period,
     RestaurantAggregate,
-    ScoredQuery,
     aggregate_restaurants,
     attribute_sources,
     link_exposures,
@@ -29,8 +29,16 @@ from conftest import visit
 H72 = INCUBATION_WINDOW_S
 
 
+class Scored(NamedTuple):
+    """A scored query, as a row of scored_queries.csv."""
+
+    user_id: str
+    ts: int
+    score: float
+
+
 def positive(user, ts, score=0.9):
-    return ScoredQuery(user_id=user, ts=ts, score=score)
+    return Scored(user, ts, score)
 
 
 # --- linking -----------------------------------------------------------------

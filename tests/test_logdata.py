@@ -13,11 +13,13 @@ from foodwatch.logdata import (
     InspectionRecord,
     Outcome,
     QueryEvent,
+    QueryLog,
     RestaurantRecord,
     ResultPage,
     RiskLevel,
     Trigger,
     VisitEvent,
+    VisitLog,
     load_dataset,
     load_queries,
     load_visits,
@@ -28,7 +30,7 @@ from foodwatch.logdata import (
 )
 
 from conftest import page, query, visit
-from oracles import write_queries_per_event
+from oracles import load_query_objects, load_visit_objects, write_queries_per_event
 
 
 def write_files(tmp_path, queries="", visits="user_id,restaurant_id,entry_ts,exit_ts\n",
@@ -116,6 +118,22 @@ _RESULT = {"url": "u", "title": "t", "snippet": "s", "concept_tags": [], "clicke
         (
             {"user_id": "u1", "ts": 0, "text": "x", "results": [{k: v for k, v in _RESULT.items() if k != "dwell_s"}]},
             "result fields: missing ['dwell_s'], unknown []",
+        ),
+        # str() would load these as "7", "None" or "['a']"
+        ({"user_id": 7, "ts": 0, "text": None, "results": []}, "user_id must be a string, got int"),
+        ({"user_id": "u1", "ts": 0, "text": None, "results": []}, "text must be a string, got NoneType"),
+        ({"user_id": "u1", "ts": 0, "text": 1.5, "results": []}, "text must be a string, got float"),
+        (
+            {"user_id": "u1", "ts": 0, "text": "x", "results": [{**_RESULT, "url": ["a"]}]},
+            "url must be a string, got list",
+        ),
+        (
+            {"user_id": "u1", "ts": 0, "text": "x", "results": [{**_RESULT, "title": 3}]},
+            "title must be a string, got int",
+        ),
+        (
+            {"user_id": "u1", "ts": 0, "text": "x", "results": [{**_RESULT, "snippet": {"a": 1}}]},
+            "snippet must be a string, got dict",
         ),
     ],
 )
@@ -289,16 +307,7 @@ def test_query_writer_spells_numbers_as_json_does(tmp_path):
     assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
 
 
-# --- one object per distinct value ------------------------------------------
-
-
-def _shared_values(events):
-    """Every string and tag set that a query log's fields hold."""
-    for event in events:
-        yield event.user_id
-        yield event.text
-        for page in event.results:
-            yield from (page.url, page.title, page.snippet, page.concept_tags)
+# --- columns against the object loaders ---------------------------------------
 
 
 def _spelled(events):
@@ -331,16 +340,82 @@ def repetitive_query_logs(draw):
     ]
 
 
-@settings(max_examples=200, deadline=None)
-@given(repetitive_query_logs())
-def test_loaded_query_log_shares_one_object_per_distinct_value(tmp_path_factory, events):
-    path = tmp_path_factory.mktemp("shared") / "queries.jsonl"
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(query_logs(), repetitive_query_logs()))
+def test_query_log_yields_what_the_object_loader_gives(tmp_path_factory, events):
+    path = tmp_path_factory.mktemp("columns") / "queries.jsonl"
     write_queries(events, path)
     loaded = load_queries(path)
-    assert _spelled(loaded) == _spelled(sorted(events, key=lambda e: e.ts))
-    first: dict = {}
-    for value in _shared_values(loaded):
-        assert first.setdefault(value, value) is value
+    expected = _spelled(sorted(events, key=lambda e: e.ts))
+    assert _spelled(loaded) == _spelled(load_query_objects(path)) == expected
+    assert _spelled(loaded[i] for i in range(len(loaded))) == expected
+    assert _spelled(QueryLog.of(events)) == _spelled(events)
+    # each table holds each distinct value once
+    for table in (loaded.users, loaded.texts, loaded.urls, loaded.titles, loaded.snippets, loaded.tag_sets):
+        assert len(set(table)) == len(table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["u1", "u2", "b"]), st.sampled_from(["r1", "r0"]), st.integers(0, 9), st.integers(0, 9)),
+        max_size=12,
+    )
+)
+def test_visit_log_yields_what_the_object_loader_gives(tmp_path_factory, rows):
+    visits = [visit(u, r, min(a, b), max(a, b)) for u, r, a, b in rows]
+    path = tmp_path_factory.mktemp("visits") / "visits.csv"
+    write_visits(visits, path)
+    expected = sorted(visits, key=lambda v: v.exit_ts)
+    assert list(load_visits(path)) == load_visit_objects(path) == expected
+    assert list(VisitLog.of(visits)) == visits
+
+
+BAD_QUERY_LINES = [
+    "{oops",
+    "[1, 2]",
+    json.dumps({"user_id": "u1", "ts": 0, "text": "x"}),
+    json.dumps({"user_id": "u1", "ts": -1, "text": "x", "results": []}),
+    json.dumps({"user_id": "u1", "ts": True, "text": "x", "results": []}),
+    json.dumps({"user_id": "u1", "ts": 0.5, "text": "x", "results": []}),
+    json.dumps({"user_id": "u1", "ts": 0, "text": "x", "results": {}}),
+    json.dumps({"user_id": "u1", "ts": 0, "text": "x", "results": [_RESULT] * 11}),
+    json.dumps({"user_id": 7, "ts": 0, "text": None, "results": []}),
+    json.dumps({"user_id": "u1", "ts": 0, "text": ["x"], "results": []}),
+    json.dumps({"user_id": "u1", "ts": 0, "text": "x", "results": [1]}),
+    json.dumps({"user_id": "u1", "ts": 0, "text": "x", "results": [{**_RESULT, "rank": 1}]}),
+    json.dumps({"user_id": "u1", "ts": 0, "text": "x", "results": [{**_RESULT, "clicked": 1}]}),
+    json.dumps({"user_id": "u1", "ts": 0, "text": "x", "results": [{**_RESULT, "dwell_s": -1}]}),
+    json.dumps({"user_id": "u1", "ts": 0, "text": "x", "results": [{**_RESULT, "dwell_s": "5"}]}),
+    json.dumps({"user_id": "u1", "ts": 0, "text": "x", "results": [{**_RESULT, "concept_tags": "ab"}]}),
+    json.dumps({"user_id": "u1", "ts": 0, "text": "x", "results": [{**_RESULT, "concept_tags": [1]}]}),
+    json.dumps({"user_id": "u1", "ts": 0, "text": "x", "results": [{**_RESULT, "url": None}]}),
+    json.dumps({"user_id": "u1", "ts": 0, "text": "x", "results": [_RESULT, {**_RESULT, "snippet": 2}]}),
+]
+
+
+@pytest.mark.parametrize("line", BAD_QUERY_LINES)
+def test_bad_query_line_gets_the_object_loaders_message(tmp_path, line):
+    path = tmp_path / "queries.jsonl"
+    path.write_text(query_line() + "\n" + line + "\n")
+    with pytest.raises(DataFormatError) as expected:
+        load_query_objects(path)
+    with pytest.raises(DataFormatError) as got:
+        load_queries(path)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith(f"{path}:2: ")
+
+
+@pytest.mark.parametrize("row", ["u1,r1,x,5", "u1,r1,-1,5", "u1,r1,5,1.5", "u1,r1,500,100", "u1,r1,5"])
+def test_bad_visit_row_gets_the_object_loaders_message(tmp_path, row):
+    path = tmp_path / "visits.csv"
+    path.write_text("user_id,restaurant_id,entry_ts,exit_ts\nu1,r1,0,1\n" + row + "\n")
+    with pytest.raises(DataFormatError) as expected:
+        load_visit_objects(path)
+    with pytest.raises(DataFormatError) as got:
+        load_visits(path)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith(f"{path}:3: ")
 
 
 @pytest.mark.parametrize("dwells", [(-0.0, 0.0), (0.0, -0.0)])

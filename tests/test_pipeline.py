@@ -332,6 +332,18 @@ def _non_integer_exit_ts(out):
     return f"{path}:3: exit_ts must be an integer"
 
 
+def _inverted_visit(out):
+    # a visit that ends before it starts: the simulator never writes one
+    path = dataset_dir(out) / "visits.csv"
+
+    def edit(line):
+        user_id, restaurant_id, entry_ts, exit_ts = line.split(",")
+        return ",".join([user_id, restaurant_id, exit_ts, entry_ts])
+
+    _edit_line(path, 2, edit)
+    return f"{path}:3: entry_ts "
+
+
 def _blank_line_before_short_link_row(out):
     path = out / LINKS_CSV
     _edit_line(path, 2, lambda line: ",".join(line.split(",")[:3]))
@@ -496,6 +508,8 @@ def _fractional_query_ts(out):
         ("eval-wsm", _string_searched),
         ("eval-wsm", _string_meal_exit_ts),
         ("eval-wsm", _fractional_query_ts),
+        ("rank", _inverted_visit),
+        ("evaluate", _inverted_visit),
     ],
 )
 def test_corrupt_intermediates_are_data_errors(tmp_path, small_run, capsys, command, corrupt):
@@ -686,7 +700,7 @@ def test_short_high_recall_stratum_still_gives_a_full_eval_sample():
     config = RunConfig(seed=54)
     _, dataset, _ = pipeline.compute_simulation(config)
     train_texts = pipeline.compute_weak_labels(config, dataset.queries).texts()
-    stratum = {e.text for e in dataset.queries if has_foodborne_click(e)} - train_texts
+    stratum = {e.text for e, hit in zip(dataset.queries, has_foodborne_click(dataset.queries)) if hit} - train_texts
     assert len(stratum) < config.wsm.eval_size // 2
     sample = build_eval_sample(
         dataset.queries, config.wsm.eval_size, derive_seed(54, "wsm-eval"), exclude_texts=train_texts

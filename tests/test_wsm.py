@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foodwatch.errors import DataError, NumericalError, UsageError
-from foodwatch.features import DIM, FeatureRows, bucket, feature_key, featurize
+from foodwatch.features import DIM, FeatureRows, bucket, featurize
 from foodwatch.seeding import make_rng
 from foodwatch.wsm import (
     LabeledSet,
@@ -38,17 +38,17 @@ from oracles import logistic_oracle
 
 def test_dwell_rule_positive():
     event = query(results=[page(dwell=45.0)])
-    assert is_weak_positive(event, 30.0)
+    assert is_weak_positive([event], 30.0).tolist() == [True]
 
 
 def test_unclicked_page_never_positive():
     event = query(results=[page(clicked=False, dwell=0.0)])
-    assert not is_weak_positive(event, 30.0)
-    assert not has_foodborne_click(event)
+    assert is_weak_positive([event], 30.0).tolist() == [False]
+    assert has_foodborne_click([event]).tolist() == [False]
 
 
 def test_short_dwell_not_positive():
-    assert not is_weak_positive(query(results=[page(dwell=29.9)]), 30.0)
+    assert is_weak_positive([query(results=[page(dwell=29.9)])], 30.0).tolist() == [False]
 
 
 def make_stream(n_pos=10, n_neg=300, n_lowdwell=0):
@@ -270,7 +270,8 @@ def test_batch_scores_equal_per_event_scores():
         clicked = bool(rng.integers(2))
         pages = tuple(page(p.url, p.title, p.snippet, tuple(p.concept_tags), clicked) for p in pages)
         events.append(query(f"u{int(rng.integers(50))}", ts, text, pages))
-    assert len({feature_key(e) for e in events}) < len({(e.text, e.results) for e in events})
+    contents = {(e.text, tuple((p.url, p.title, p.snippet, p.concept_tags) for p in e.results)) for e in events}
+    assert len(contents) < len({(e.text, e.results) for e in events})
 
     scores = score_queries(model, events)
     assert scores.tolist() == [score_query(model, e) for e in events]
@@ -339,7 +340,7 @@ def test_eval_sample_deterministic():
 def test_eval_sample_stratum_membership_brute_force():
     stream = make_stream(n_pos=40, n_neg=600)
     sample = build_eval_sample(stream, 40, seed=5)
-    stratum_texts = {e.text for e in stream if has_foodborne_click(e)}
+    stratum_texts = {e.text for e in stream if any(p.clicked and FOOD_TAG in p.concept_tags for p in e.results)}
     in_stratum = sum(e.text in stratum_texts for e in sample[:20])
     assert in_stratum == 20  # first half comes from the high-recall stratum
     texts = [e.text for e in sample]
@@ -392,7 +393,8 @@ def test_weighted_sample_equals_the_full_sort(case):
     keys = u ** (1.0 / np.asarray(weights, dtype=float))
     order = sorted(range(len(items)), key=lambda i: (-keys[i], items[i]))
     expected = [items[i] for i in order[:k]]
-    assert _weighted_sample_without_replacement(items, weights, k, make_rng(seed, "sample")) == expected
+    codes = _weighted_sample_without_replacement(np.arange(len(items)), weights, k, make_rng(seed, "sample"), items)
+    assert [items[c] for c in codes] == expected
 
 
 # --- metrics -----------------------------------------------------------------
