@@ -57,10 +57,7 @@ class ScoredQueries(Columns):
 
     @classmethod
     def of(cls, rows: Iterable[tuple[str, int, float]]) -> ScoredQueries:
-        """``rows`` itself if it is scored queries, else columns of the
-        ``(user_id, ts, score)`` rows."""
-        if isinstance(rows, ScoredQueries):
-            return rows
+        """Columns of the ``(user_id, ts, score)`` rows, in the given order."""
         rows = list(rows)
         codes: dict[str, int] = {}
         user = [codes.setdefault(user_id, len(codes)) for user_id, _, _ in rows]
@@ -138,23 +135,20 @@ def wilson_lower_bound(successes: float, trials: float, z: float = ONE_SIDED_95_
     return max(0.0, (center - half) / (1 + z2 / trials))
 
 
-def first_positive_queries(
-    scored_queries: Iterable[tuple[str, int, float]], p_star: float
-) -> dict[str, int]:
+def first_positive_queries(scored: ScoredQueries, p_star: float) -> dict[str, int]:
     """Per affected user, the timestamp of their first query scoring >= p_star.
 
     Input is expected in ascending ts order (the loader's contract); the first
     qualifying occurrence wins, so later positives never move the anchor.
     """
-    scored = ScoredQueries.of(scored_queries)
     hits = np.flatnonzero(scored.score >= p_star)
     anchors = hits[first_occurrences(scored.user[hits])]
     return dict(zip(map(scored.users.__getitem__, scored.user[anchors].tolist()), scored.ts[anchors].tolist()))
 
 
 def link_exposures(
-    visits: Sequence[VisitEvent],
-    scored_queries: Iterable[tuple[str, int, float]],
+    visits: VisitLog,
+    scored_queries: ScoredQueries,
     settings: LocSettings = LocSettings(),
 ) -> tuple[ExposureLink, ...]:
     """One link per (affected user, restaurant) with a qualifying visit.
@@ -167,7 +161,6 @@ def link_exposures(
     by (user, exit).
     """
     anchors = first_positive_queries(scored_queries, settings.p_star)
-    visits = VisitLog.of(visits)
     order = np.lexsort((visits.exit_ts, visits.user))
     user, exit_ts = visits.user[order], visits.exit_ts[order]
     code_of = {user_id: code for code, user_id in enumerate(visits.users)}
@@ -229,30 +222,38 @@ def _aggregates(visits: VisitLog, visitors: np.ndarray, affected: np.ndarray) ->
 
 
 def aggregate_restaurants(
-    visits: Sequence[VisitEvent],
+    visits: Iterable[VisitEvent],
     links: Sequence[ExposureLink],
     period: Period,
 ) -> dict[str, RestaurantAggregate]:
     """Distinct visitor and affected-visitor counts per restaurant.
 
     Both counts are restricted to visits whose exit falls in the period, so
-    affected <= visitors holds by construction. Each count is a count of
-    distinct (restaurant, user) code pairs, from one scan of the period.
+    affected <= visitors holds by construction. The counts are sizes of
+    per-restaurant user sets, built from the visits one event at a time, so
+    this is also the brute-force reference for ``sliding_aggregates``.
     """
-    visits = VisitLog.of(visits)
-    n_users = max(len(visits.users), 1)
-    link_pair, link_exit = _link_pairs(visits, links)
-    inside = (period.start_ts <= visits.exit_ts) & (visits.exit_ts < period.end_ts)
-    pairs = np.sort(visits.restaurant[inside].astype(np.int64) * n_users + visits.user[inside])
-    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # each pair once
-    linked = np.sort(link_pair[(period.start_ts <= link_exit) & (link_exit < period.end_ts)])
-    both = pairs[_contains(linked, pairs)]
-    n = len(visits.restaurants)
-    return _aggregates(visits, np.bincount(pairs // n_users, minlength=n), np.bincount(both // n_users, minlength=n))
+    visitor_sets: dict[str, set[str]] = {}
+    for v in visits:
+        if period.contains(v.exit_ts):
+            visitor_sets.setdefault(v.restaurant_id, set()).add(v.user_id)
+    affected_sets: dict[str, set[str]] = {}
+    for link in links:
+        if period.contains(link.visit_exit_ts):
+            affected_sets.setdefault(link.restaurant_id, set()).add(link.user_id)
+
+    aggregates: dict[str, RestaurantAggregate] = {}
+    for rid in sorted(visitor_sets):
+        visitors = visitor_sets[rid]
+        affected = affected_sets.get(rid, set()) & visitors
+        aggregates[rid] = RestaurantAggregate(
+            restaurant_id=rid, visitors=len(visitors), affected=len(affected)
+        )
+    return aggregates
 
 
 def sliding_aggregates(
-    visits: Sequence[VisitEvent],
+    visits: VisitLog,
     links: Sequence[ExposureLink],
     periods: Iterable[Period],
 ) -> Iterator[dict[str, RestaurantAggregate]]:
@@ -267,7 +268,6 @@ def sliding_aggregates(
     being non-zero. The cost is O(visits + links + periods x restaurants)
     instead of a full scan per period.
     """
-    visits = VisitLog.of(visits)
     n_users = max(len(visits.users), 1)
     visit_exit, restaurant, user = visits.exit_ts, visits.restaurant, visits.user
     if np.any(visit_exit[1:] < visit_exit[:-1]):  # a loaded log is sorted already

@@ -24,8 +24,10 @@ numbers only. A page's click and dwell time are plain columns: ``-0.0 ==
 Indexing or iterating a log yields :class:`QueryEvent` and
 :class:`VisitEvent` objects, built on demand from the columns, for code that
 reads events one at a time; the pipeline's own steps count and join the
-codes instead. ``QueryLog.of`` and ``VisitLog.of`` turn a plain list of
-events into a log, and a log equals the list of events it yields. Codes
+codes instead, and take logs only. ``QueryLog.of`` and ``VisitLog.of`` turn
+a plain list of events into a log, once, where the events are made (the
+simulator's output, a test's events); a log equals the list of events it
+yields. Codes
 carry no order of their own in a query log; whatever depends on first
 occurrence finds it from positions in the stream. A visit log tables its
 user and restaurant ids sorted, so its codes ascend with the ids.
@@ -196,10 +198,7 @@ class QueryLog(Columns):
 
     @classmethod
     def of(cls, events: Iterable[QueryEvent]) -> QueryLog:
-        """``events`` itself if it is a log, else a log of the events in the
-        given order."""
-        if isinstance(events, QueryLog):
-            return events
+        """A log of the events, in the given order."""
         columns = _QueryColumns()
         for event in events:
             columns.event(event.user_id, event.ts, event.text)
@@ -340,10 +339,7 @@ class VisitLog(Columns):
 
     @classmethod
     def of(cls, visits: Iterable[VisitEvent]) -> VisitLog:
-        """``visits`` itself if it is a log, else a log of the visits in the
-        given order."""
-        if isinstance(visits, VisitLog):
-            return visits
+        """A log of the visits, in the given order."""
         columns = _VisitColumns()
         for v in visits:
             columns.visit(v.user_id, v.restaurant_id, v.entry_ts, v.exit_ts)

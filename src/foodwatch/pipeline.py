@@ -191,21 +191,12 @@ class Run:
 
     @property
     def queries(self) -> QueryLog:
-        # the simulator's events become columns on first use, so a simulate
-        # stage run on its own converts nothing
-        queries = QueryLog.of(self._input("queries", DatasetPaths.in_dir(dataset_dir(self.out)).queries, load_queries))
-        self.keep(queries=queries)
-        return queries
+        return self._input("queries", DatasetPaths.in_dir(dataset_dir(self.out)).queries, load_queries)
 
     @property
     def visit_log(self) -> tuple[VisitLog, dict[str, RestaurantRecord]]:
         """The visits and the registry by restaurant id."""
-        visits, registry = self._input(
-            "visit_log", dataset_dir(self.out), lambda d: load_visit_log(DatasetPaths.in_dir(d))
-        )
-        visit_log = VisitLog.of(visits), registry
-        self.keep(visit_log=visit_log)
-        return visit_log
+        return self._input("visit_log", dataset_dir(self.out), lambda d: load_visit_log(DatasetPaths.in_dir(d)))
 
     @property
     def background_inspections(self) -> tuple[InspectionRecord, ...]:
@@ -489,12 +480,12 @@ def stage_simulate(config: RunConfig, out: Path | Run) -> None:
     save_world_recipe(world, private_dir(run.out) / WORLD_FILE)
     save_ground_truth(truth, private_dir(run.out) / GROUND_TRUTH_FILE)
     # The simulator emits every stream in the order loading would give it,
-    # so later stages see the same streams as after a read-back; the query
-    # and visit logs become the loaders' columns when a stage first asks.
+    # so later stages see the same streams, in the loaders' forms, as after
+    # a read-back.
     run.keep(
         world=world,
-        queries=dataset.queries,
-        visit_log=(dataset.visits, dataset.registry()),
+        queries=QueryLog.of(dataset.queries),
+        visit_log=(VisitLog.of(dataset.visits), dataset.registry()),
         background_inspections=dataset.inspections,
         truth=truth,
     )

@@ -92,22 +92,20 @@ def _foodborne_clicks(log: QueryLog) -> np.ndarray:
     return log.clicked & tagged[log.concept_tags]
 
 
-def has_foodborne_click(queries: Sequence[QueryEvent]) -> np.ndarray:
+def has_foodborne_click(log: QueryLog) -> np.ndarray:
     """Per event: whether any result was clicked and carries the foodborne
     concept tag."""
-    log = QueryLog.of(queries)
     return log.any_page(_foodborne_clicks(log))
 
 
-def is_weak_positive(queries: Sequence[QueryEvent], dwell_threshold_s: float) -> np.ndarray:
+def is_weak_positive(log: QueryLog, dwell_threshold_s: float) -> np.ndarray:
     """Per event: whether a clicked foodborne result held the user for at
     least ``dwell_threshold_s``."""
-    log = QueryLog.of(queries)
     return log.any_page(_foodborne_clicks(log) & (log.dwell_s >= dwell_threshold_s))
 
 
 def weak_label(
-    queries: Sequence[QueryEvent],
+    log: QueryLog,
     settings: WsmSettings = WsmSettings(),
     seed: int = 0,
 ) -> LabeledSet:
@@ -118,7 +116,6 @@ def weak_label(
     negatives, so a text satisfying the positive rule anywhere in the stream
     never reappears as a negative.
     """
-    log = QueryLog.of(queries)
     if not len(log):
         raise DataError("query stream is empty")
 
@@ -248,12 +245,11 @@ def train_wsm(
 SCORE_BLOCK = 1024
 
 
-def score_queries(model: WsmModel, queries: Sequence[QueryEvent]) -> np.ndarray:
+def score_queries(model: WsmModel, log: QueryLog) -> np.ndarray:
     """Per event, the probability in (0, 1) that the query concerns
     foodborne illness. Events with equal text and page contents (users,
     times and clicks aside) are featurized and scored once, and each event
     gathers the score of its contents by code."""
-    log = QueryLog.of(queries)
     first, rows = log.distinct_contents()
     margins = np.empty(len(first))
     for start in range(0, len(first), SCORE_BLOCK):
@@ -265,7 +261,7 @@ def score_queries(model: WsmModel, queries: Sequence[QueryEvent]) -> np.ndarray:
 
 def score_query(model: WsmModel, event: QueryEvent) -> float:
     """Probability in (0, 1) that the query concerns foodborne illness."""
-    return float(score_queries(model, [event])[0])
+    return float(score_queries(model, QueryLog.of([event]))[0])
 
 
 def save_model(model: WsmModel, path: Path) -> None:
@@ -335,7 +331,7 @@ def _weighted_sample_without_replacement(
 
 
 def build_eval_sample(
-    stream: Sequence[QueryEvent],
+    log: QueryLog,
     n: int,
     seed: int = 0,
     exclude_texts: Iterable[str] = (),
@@ -350,7 +346,6 @@ def build_eval_sample(
     """
     if n % 2 != 0:
         raise ValueError("n must be even")
-    log = QueryLog.of(stream)
     if len(log) < n:
         raise DataError(f"stream has {len(log)} events, need at least {n}")
     excluded = set(exclude_texts)
@@ -415,7 +410,7 @@ def evaluate_wsm(
     labels = np.array([y for _, y in eval_set.examples], dtype=int)
     if labels.sum() in (0, len(labels)):
         raise DataError("evaluation set must contain both classes")
-    scores = score_queries(model, [e for e, _ in eval_set.examples])
+    scores = score_queries(model, QueryLog.of(e for e, _ in eval_set.examples))
     auc = roc_auc(scores, labels)
     predicted = scores >= threshold
     tp = int(np.sum(predicted & (labels == 1)))

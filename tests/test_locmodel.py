@@ -8,19 +8,21 @@ from hypothesis import strategies as st
 
 from foodwatch.citysim import DAY_S
 from foodwatch.errors import DataError, UsageError
+from foodwatch import locmodel
 from foodwatch.locmodel import (
     INCUBATION_WINDOW_S,
     ExposureLink,
     LocSettings,
     Period,
     RestaurantAggregate,
+    ScoredQueries,
     aggregate_restaurants,
     attribute_sources,
-    link_exposures,
     rank_restaurants,
     sliding_aggregates,
     wilson_lower_bound,
 )
+from foodwatch.logdata import VisitLog
 from foodwatch.seeding import make_rng
 from oracles import wilson_oracle
 
@@ -41,25 +43,30 @@ def positive(user, ts, score=0.9):
     return Scored(user, ts, score)
 
 
+def exposures(visits, queries, settings=LocSettings()):
+    """``locmodel.link_exposures`` over lists of visit events and scored rows."""
+    return locmodel.link_exposures(VisitLog.of(visits), ScoredQueries.of(queries), settings)
+
+
 # --- linking -----------------------------------------------------------------
 
 
 def test_window_inclusive_at_72h():
-    links = link_exposures([visit("u", "r", 0, 1000)], [positive("u", 1000 + H72)])
+    links = exposures([visit("u", "r", 0, 1000)], [positive("u", 1000 + H72)])
     assert len(links) == 1 and links[0].recency_rank == 1
 
 
 def test_window_excludes_past_72h():
-    assert link_exposures([visit("u", "r", 0, 1000)], [positive("u", 1001 + H72)]) == ()
+    assert exposures([visit("u", "r", 0, 1000)], [positive("u", 1001 + H72)]) == ()
 
 
 def test_query_must_be_strictly_after_exit():
-    assert link_exposures([visit("u", "r", 0, 1000)], [positive("u", 1000)]) == ()
+    assert exposures([visit("u", "r", 0, 1000)], [positive("u", 1000)]) == ()
 
 
 def test_two_visits_ranked_by_recency():
     visits = [visit("u", "A", 0, 1000), visit("u", "B", 5000, 6000)]
-    links = link_exposures(visits, [positive("u", 6000 + 2 * 86400)])
+    links = exposures(visits, [positive("u", 6000 + 2 * 86400)])
     ranks = {l.restaurant_id: l.recency_rank for l in links}
     assert ranks == {"B": 1, "A": 2}
 
@@ -70,12 +77,12 @@ def test_first_positive_query_is_the_anchor():
         positive("u", 2000, score=0.71),
         positive("u", 2000 + H72 + 500, score=0.99),  # later positive, ignored
     ]
-    links = link_exposures(visits, queries)
+    links = exposures(visits, queries)
     assert len(links) == 1 and links[0].first_positive_query_ts == 2000
 
 
 def test_below_threshold_scores_do_not_anchor():
-    links = link_exposures([visit("u", "A", 0, 1000)], [positive("u", 2000, score=0.69)])
+    links = exposures([visit("u", "A", 0, 1000)], [positive("u", 2000, score=0.69)])
     assert links == ()
 
 
@@ -86,7 +93,7 @@ def test_repeat_visits_collapse_to_earliest():
         visit("u", "A", 9000, 9500),
         visit("u", "B", 7000, 8000),
     ]
-    links = link_exposures(visits, [positive("u", 20000)])
+    links = exposures(visits, [positive("u", 20000)])
     by_restaurant = {l.restaurant_id: l for l in links}
     assert set(by_restaurant) == {"A", "B"}
     assert by_restaurant["A"].visit_exit_ts == 1000  # earliest kept
@@ -102,7 +109,7 @@ def test_every_link_satisfies_window_invariant():
         for i, t in enumerate(rng.integers(0, 20 * 86400, size=400))
     ]
     queries = [positive(f"u{i}", int(rng.integers(0, 25 * 86400))) for i in range(20)]
-    for link in link_exposures(visits, queries):
+    for link in exposures(visits, queries):
         gap = link.first_positive_query_ts - link.visit_exit_ts
         assert 0 < gap <= H72
 
@@ -120,7 +127,7 @@ def test_zero_affected():
 
 def test_wilson_signal_matches_closed_form_oracle():
     visits = [visit(f"u{i}", "r", 0, 100) for i in range(50)]
-    links = link_exposures(
+    links = exposures(
         visits, [positive(f"u{i}", 200) for i in range(5)]
     )
     agg = aggregate_restaurants(visits, links, Period(0, 1000))["r"]
@@ -150,7 +157,7 @@ def test_counts_match_bruteforce_set_arithmetic():
         for _ in range(300)
     ]
     period = Period(2 * 86400, 9 * 86400)
-    links = link_exposures(visits, queries)
+    links = exposures(visits, queries)
     aggs = aggregate_restaurants(visits, links, period)
 
     # oracle: raw set arithmetic straight off the streams
@@ -177,7 +184,7 @@ def test_aggregation_merges_across_user_shards():
     ]
     queries = [positive(f"u{i}", 90000) for i in range(0, 40, 3)]
     period = Period(0, 200000)
-    links = link_exposures(visits, queries)
+    links = exposures(visits, queries)
     whole = aggregate_restaurants(visits, links, period)
 
     shard_a_users = {f"u{i}" for i in range(20)}
@@ -202,11 +209,11 @@ def test_removing_a_user_never_increases_counts():
     ]
     queries = [positive(f"u{i}", 90000) for i in range(30)]
     period = Period(0, 200000)
-    full = aggregate_restaurants(visits, link_exposures(visits, queries), period)
+    full = aggregate_restaurants(visits, exposures(visits, queries), period)
     dropped = "u7"
     v2 = [v for v in visits if v.user_id != dropped]
     q2 = [q for q in queries if q.user_id != dropped]
-    reduced = aggregate_restaurants(v2, link_exposures(v2, q2), period)
+    reduced = aggregate_restaurants(v2, exposures(v2, q2), period)
     for rid, agg in reduced.items():
         assert agg.visitors <= full[rid].visitors
         assert agg.affected <= full[rid].affected
@@ -219,7 +226,7 @@ def daily_windows(days, window_days):
 
 
 def assert_sliding_matches_oracle(visits, links, periods):
-    slid = [list(aggs.items()) for aggs in sliding_aggregates(visits, links, periods)]
+    slid = [list(aggs.items()) for aggs in sliding_aggregates(VisitLog.of(visits), links, periods)]
     oracle = [list(aggregate_restaurants(visits, links, p).items()) for p in periods]
     assert slid == oracle  # same restaurants in the same (sorted) order, same counts
 
@@ -261,14 +268,14 @@ def test_sliding_window_matches_oracle_on_random_worlds(window_days):
         (positive(f"u{int(rng.integers(300))}", int(rng.integers(0, days * DAY_S))) for _ in range(120)),
         key=lambda q: q.ts,
     )
-    links = list(link_exposures(visits, queries))
+    links = list(exposures(visits, queries))
     rng.shuffle(links)
     assert_sliding_matches_oracle(visits, links, daily_windows(days, window_days))
 
 
 def test_sliding_window_rejects_periods_that_move_backwards():
     with pytest.raises(ValueError):
-        list(sliding_aggregates([], [], [Period(DAY_S, 2 * DAY_S), Period(0, 3 * DAY_S)]))
+        list(sliding_aggregates(VisitLog.of([]), [], [Period(DAY_S, 2 * DAY_S), Period(0, 3 * DAY_S)]))
 
 
 # --- ranking -----------------------------------------------------------------
@@ -321,13 +328,13 @@ def build_linked_case():
         visit("u", "A", 0, 1000),
         visit("u", "B", 5000, 6000),
     ]
-    links = link_exposures(visits, [positive("u", 10000)])
+    links = exposures(visits, [positive("u", 10000)])
     return links
 
 
 def test_single_restaurant_user_trivial_histogram():
     visits = [visit(f"u{i}", "R", 0, 1000) for i in range(5)]
-    links = link_exposures(visits, [positive(f"u{i}", 2000) for i in range(5)])
+    links = exposures(visits, [positive(f"u{i}", 2000) for i in range(5)])
     aggs = aggregate_restaurants(visits, links, Period(0, 10_000))
     assignments, hist = attribute_sources(links, aggs)
     assert all(v == ("R", 1) for v in assignments.values())
@@ -362,7 +369,7 @@ def test_attribution_invariant_under_monotone_signal_rescale():
             t = j * 10_000
             visits.append(visit(u, f"r{int(rng.integers(12))}", t, t + 500))
         queries.append(positive(u, 4 * 10_000 + 600))
-    links = link_exposures(visits, queries)
+    links = exposures(visits, queries)
     signals = {f"r{k}": float(rng.random()) for k in range(12)}
     base = {rid: SimpleNamespace(signal=s) for rid, s in signals.items()}
     rescaled = {rid: SimpleNamespace(signal=math.exp(4 * s) + 2) for rid, s in signals.items()}

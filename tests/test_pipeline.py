@@ -25,7 +25,7 @@ from foodwatch.citysim import (
 from foodwatch.cli import main as cli_main
 from foodwatch.config import RunConfig, apply_overrides
 from foodwatch.errors import UsageError
-from foodwatch.logdata import DatasetPaths, load_dataset, write_dataset
+from foodwatch.logdata import DatasetPaths, QueryLog, load_dataset, write_dataset
 from foodwatch.pipeline import (
     ALL_INSPECTIONS_CSV,
     GROUND_TRUTH_FILE,
@@ -699,12 +699,11 @@ def test_short_high_recall_stratum_still_gives_a_full_eval_sample():
     # texts outside the training set, so the full stream tops the sample up
     config = RunConfig(seed=54)
     _, dataset, _ = pipeline.compute_simulation(config)
-    train_texts = pipeline.compute_weak_labels(config, dataset.queries).texts()
-    stratum = {e.text for e, hit in zip(dataset.queries, has_foodborne_click(dataset.queries)) if hit} - train_texts
+    queries = QueryLog.of(dataset.queries)
+    train_texts = pipeline.compute_weak_labels(config, queries).texts()
+    stratum = {e.text for e, hit in zip(dataset.queries, has_foodborne_click(queries)) if hit} - train_texts
     assert len(stratum) < config.wsm.eval_size // 2
-    sample = build_eval_sample(
-        dataset.queries, config.wsm.eval_size, derive_seed(54, "wsm-eval"), exclude_texts=train_texts
-    )
+    sample = build_eval_sample(queries, config.wsm.eval_size, derive_seed(54, "wsm-eval"), exclude_texts=train_texts)
     texts = {e.text for e in sample}
     assert len(texts) == len(sample) == config.wsm.eval_size
     assert stratum <= texts and not (texts & train_texts)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from foodwatch.errors import DataError, NumericalError, UsageError
 from foodwatch.features import DIM, FeatureRows, bucket, featurize
+from foodwatch.logdata import QueryLog
 from foodwatch.seeding import make_rng
 from foodwatch.wsm import (
     LabeledSet,
@@ -38,17 +39,17 @@ from oracles import logistic_oracle
 
 def test_dwell_rule_positive():
     event = query(results=[page(dwell=45.0)])
-    assert is_weak_positive([event], 30.0).tolist() == [True]
+    assert is_weak_positive(QueryLog.of([event]), 30.0).tolist() == [True]
 
 
 def test_unclicked_page_never_positive():
     event = query(results=[page(clicked=False, dwell=0.0)])
-    assert is_weak_positive([event], 30.0).tolist() == [False]
-    assert has_foodborne_click([event]).tolist() == [False]
+    assert is_weak_positive(QueryLog.of([event]), 30.0).tolist() == [False]
+    assert has_foodborne_click(QueryLog.of([event])).tolist() == [False]
 
 
 def test_short_dwell_not_positive():
-    assert is_weak_positive([query(results=[page(dwell=29.9)])], 30.0).tolist() == [False]
+    assert is_weak_positive(QueryLog.of([query(results=[page(dwell=29.9)])]), 30.0).tolist() == [False]
 
 
 def make_stream(n_pos=10, n_neg=300, n_lowdwell=0):
@@ -64,7 +65,7 @@ def make_stream(n_pos=10, n_neg=300, n_lowdwell=0):
 
 def test_weak_label_counts_and_disjointness_vs_bruteforce():
     stream = make_stream()
-    labeled = weak_label(stream, WsmSettings(dwell_threshold_s=30, neg_ratio=10), seed=7)
+    labeled = weak_label(QueryLog.of(stream), WsmSettings(dwell_threshold_s=30, neg_ratio=10), seed=7)
     positives = {e.text for e, y in labeled.examples if y == 1}
     negatives = {e.text for e, y in labeled.examples if y == 0}
     # oracle: brute-force filter over the stream
@@ -86,7 +87,7 @@ def test_weak_label_dedups_by_first_occurrence():
         query("c", 2, "other"),
         query("d", 3, "another"),
     ]
-    labeled = weak_label(stream, WsmSettings(neg_ratio=1), seed=0)
+    labeled = weak_label(QueryLog.of(stream), WsmSettings(neg_ratio=1), seed=0)
     pos = [e for e, y in labeled.examples if y == 1]
     assert len(pos) == 1 and pos[0].user_id == "a"
     texts = [e.text for e, _ in labeled.examples]
@@ -95,13 +96,13 @@ def test_weak_label_dedups_by_first_occurrence():
 
 def test_weak_label_no_positives_errors():
     with pytest.raises(DataError, match="no weak positives"):
-        weak_label([query(text="nothing here")], seed=0)
+        weak_label(QueryLog.of([query(text="nothing here")]), seed=0)
 
 
 def test_weak_label_deterministic():
     stream = make_stream()
-    a = weak_label(stream, seed=42)
-    b = weak_label(stream, seed=42)
+    a = weak_label(QueryLog.of(stream), seed=42)
+    b = weak_label(QueryLog.of(stream), seed=42)
     assert [(e.text, y) for e, y in a.examples] == [(e.text, y) for e, y in b.examples]
 
 
@@ -273,12 +274,12 @@ def test_batch_scores_equal_per_event_scores():
     contents = {(e.text, tuple((p.url, p.title, p.snippet, p.concept_tags) for p in e.results)) for e in events}
     assert len(contents) < len({(e.text, e.results) for e in events})
 
-    scores = score_queries(model, events)
+    scores = score_queries(model, QueryLog.of(events))
     assert scores.tolist() == [score_query(model, e) for e in events]
     for event, score in zip(events, scores.tolist()):
         z = intercept + sum(weights[j] for j in featurize(event))
         assert score == pytest.approx(1.0 / (1.0 + math.exp(-z)), rel=1e-12)
-    assert score_queries(model, []).shape == (0,)
+    assert score_queries(model, QueryLog.of([])).shape == (0,)
 
 
 def test_model_file_round_trip(tmp_path):
@@ -326,20 +327,20 @@ def test_forced_two_event_sample():
         query("a", 0, "clicked one", [page(dwell=10)]),
         query("b", 1, "plain one"),
     ]
-    sample = build_eval_sample(stream, 2, seed=0)
+    sample = build_eval_sample(QueryLog.of(stream), 2, seed=0)
     assert {e.text for e in sample} == {"clicked one", "plain one"}
 
 
 def test_eval_sample_deterministic():
     stream = make_stream(n_pos=40, n_neg=600)
-    a = build_eval_sample(stream, 40, seed=5)
-    b = build_eval_sample(stream, 40, seed=5)
+    a = build_eval_sample(QueryLog.of(stream), 40, seed=5)
+    b = build_eval_sample(QueryLog.of(stream), 40, seed=5)
     assert [e.text for e in a] == [e.text for e in b]
 
 
 def test_eval_sample_stratum_membership_brute_force():
     stream = make_stream(n_pos=40, n_neg=600)
-    sample = build_eval_sample(stream, 40, seed=5)
+    sample = build_eval_sample(QueryLog.of(stream), 40, seed=5)
     stratum_texts = {e.text for e in stream if any(p.clicked and FOOD_TAG in p.concept_tags for p in e.results)}
     in_stratum = sum(e.text in stratum_texts for e in sample[:20])
     assert in_stratum == 20  # first half comes from the high-recall stratum
@@ -349,15 +350,15 @@ def test_eval_sample_stratum_membership_brute_force():
 
 def test_eval_sample_disjoint_from_training():
     stream = make_stream(n_pos=40, n_neg=600, n_lowdwell=30)
-    labeled = weak_label(stream, WsmSettings(neg_ratio=2), seed=1)
-    sample = build_eval_sample(stream, 20, seed=2, exclude_texts=labeled.texts())
+    labeled = weak_label(QueryLog.of(stream), WsmSettings(neg_ratio=2), seed=1)
+    sample = build_eval_sample(QueryLog.of(stream), 20, seed=2, exclude_texts=labeled.texts())
     assert not ({e.text for e in sample} & labeled.texts())
 
 
 def test_eval_sample_short_stratum_is_filled_from_stream():
     # 3 stratum texts where 20 are asked for: all 3, then 37 from the stream
     stream = make_stream(n_pos=3, n_neg=100)
-    texts = [e.text for e in build_eval_sample(stream, 40, seed=0)]
+    texts = [e.text for e in build_eval_sample(QueryLog.of(stream), 40, seed=0)]
     assert len(texts) == len(set(texts)) == 40
     assert set(texts[:3]) == {"sick query 0", "sick query 1", "sick query 2"}
     assert all(t.startswith("background query") for t in texts[3:])
@@ -366,12 +367,12 @@ def test_eval_sample_short_stratum_is_filled_from_stream():
 def test_eval_sample_too_few_texts_reports_count():
     stream = make_stream(n_pos=3, n_neg=30) * 2  # 66 events, 33 distinct texts
     with pytest.raises(DataError, match="have 33"):
-        build_eval_sample(stream, 40, seed=0)
+        build_eval_sample(QueryLog.of(stream), 40, seed=0)
 
 
 def test_eval_sample_odd_n_rejected():
     with pytest.raises(ValueError):
-        build_eval_sample(make_stream(), 3, seed=0)
+        build_eval_sample(QueryLog.of(make_stream()), 3, seed=0)
 
 
 # Weights of 1e300 make u ** (1 / w) round to 1.0, so keys tie and the text
