@@ -24,9 +24,8 @@ from .logdata import (
     Dataset,
     InspectionRecord,
     Outcome,
-    QueryEvent,
+    QueryColumns,
     RestaurantRecord,
-    ResultPage,
     RiskLevel,
     Trigger,
     VisitEvent,
@@ -220,14 +219,12 @@ _GENERIC_PAGES = (
     ),
 )
 
-# Built once and shared by every event that shows them: pages are immutable.
 _FOODBORNE_TAGS = frozenset({FOODBORNE_TAG, "health"})
 _HEALTH_TAGS = frozenset({"health"})
 _LOCAL_TAGS = frozenset({"local"})
-_UNCLICKED_GENERIC_PAGES = tuple(
-    ResultPage(url, title, snippet, _LOCAL_TAGS, clicked=False, dwell_s=0.0)
-    for url, title, snippet in _GENERIC_PAGES
-)
+
+# A result page's fields: url, title, snippet, concept tags, clicked, dwell_s.
+Page = tuple[str, str, str, frozenset[str], bool, float]
 
 
 @dataclass(frozen=True)
@@ -322,7 +319,7 @@ class InfectionRecord:
 @dataclass(frozen=True)
 class GroundTruth:
     infections: tuple[InfectionRecord, ...]
-    query_labels: tuple[int, ...]  # aligned with Dataset.queries order
+    query_labels: tuple[int, ...]  # one per query event, in the log's order (by ts, stably)
 
 
 def day_to_date(day: int) -> Date:
@@ -406,25 +403,16 @@ def _background_text(rng: np.random.Generator) -> str:
     return f"{text} {_pick(rng, BACKGROUND_SUFFIXES)} {_pick(rng, LOCALITIES)}"
 
 
-def _positive_query(
-    rng: np.random.Generator, cfg: SimConfig, user_id: str, ts: int
-) -> QueryEvent:
+def _positive_query(rng: np.random.Generator, cfg: SimConfig) -> tuple[str, Page]:
+    """An infected searcher's query text and its one result page."""
     text = _positive_text(rng)
     url, title, snippet = _FOODBORNE_PAGES[int(rng.integers(len(_FOODBORNE_PAGES)))]
     clicked = bool(rng.random() < cfg.p_positive_click)
     dwell = 0.0
-    if clicked:
-        dwell = float(
-            round(
-                math.exp(
-                    math.log(cfg.positive_dwell_median_s)
-                    + cfg.positive_dwell_sigma * rng.standard_normal()
-                ),
-                1,
-            )
-        )
-    page = ResultPage(url, title, snippet, _FOODBORNE_TAGS, clicked, dwell)
-    return QueryEvent(user_id=user_id, ts=ts, text=text, results=(page,))
+    if clicked:  # lognormal around the median, to a tenth of a second
+        log_dwell = math.log(cfg.positive_dwell_median_s) + cfg.positive_dwell_sigma * rng.standard_normal()
+        dwell = float(round(math.exp(log_dwell), 1))
+    return text, (url, title, snippet, _FOODBORNE_TAGS, clicked, dwell)
 
 
 def _ambiguify(rng: np.random.Generator, template: str) -> str:
@@ -436,10 +424,9 @@ def _ambiguify(rng: np.random.Generator, template: str) -> str:
     return template
 
 
-def _background_query(
-    rng: np.random.Generator, cfg: SimConfig, user_id: str, ts: int
-) -> tuple[QueryEvent, int]:
-    """One non-illness-driven query plus its ground-truth topical label.
+def _background_query(rng: np.random.Generator, cfg: SimConfig) -> tuple[str, Page, int]:
+    """One non-illness-driven query: its text, its one result page and its
+    ground-truth topical label.
 
     Most are plain background noise; a small fraction are ambiguous health
     research that clicks a foodborne-topic page briefly, split between
@@ -464,17 +451,15 @@ def _background_query(
             else:
                 url, title, snippet = _GENERAL_HEALTH_PAGE
                 tags = _HEALTH_TAGS
-        dwell = float(round(rng.exponential(dwell_mean), 1))
-        page = ResultPage(url, title, snippet, tags, True, dwell)
+        page = (url, title, snippet, tags, True, float(round(rng.exponential(dwell_mean), 1)))
     else:
         text = _background_text(rng)
-        i = int(rng.integers(len(_GENERIC_PAGES)))
+        url, title, snippet = _GENERIC_PAGES[int(rng.integers(len(_GENERIC_PAGES)))]
         if rng.random() < 0.5:
-            url, title, snippet = _GENERIC_PAGES[i]
-            page = ResultPage(url, title, snippet, _LOCAL_TAGS, True, float(round(rng.exponential(40.0), 1)))
+            page = (url, title, snippet, _LOCAL_TAGS, True, float(round(rng.exponential(40.0), 1)))
         else:
-            page = _UNCLICKED_GENERIC_PAGES[i]
-    return QueryEvent(user_id=user_id, ts=ts, text=text, results=(page,)), label
+            page = (url, title, snippet, _LOCAL_TAGS, False, 0.0)
+    return text, page, label
 
 
 def simulate(
@@ -497,7 +482,8 @@ def simulate(
     cfg = world.cfg
 
     visits: list[VisitEvent] = []
-    labeled_queries: list[tuple[QueryEvent, int]] = []
+    queries = QueryColumns()
+    labels: list[int] = []  # per query, as drawn
     infections: list[InfectionRecord] = []
     # illness complaints: (user_id, symptom_ts, blame_last, true_source);
     # frivolous complaints: (user_id, complaint_ts, pick in [0,1))
@@ -528,9 +514,10 @@ def simulate(
                     searched = bool(rng.random() < cfg.p_search_given_ill)
                     query_ts = symptom_ts if searched else None
                     if searched:
-                        labeled_queries.append(
-                            (_positive_query(rng, cfg, pid, symptom_ts), 1)
-                        )
+                        text, page = _positive_query(rng, cfg)
+                        queries.event(pid, symptom_ts, text)
+                        queries.page(*page)
+                        labels.append(1)
                     infections.append(
                         InfectionRecord(pid, rid, exit_ts, symptom_ts, searched, query_ts)
                     )
@@ -541,14 +528,19 @@ def simulate(
             n_bg = int(rng.poisson(cfg.background_queries_per_day))
             for _ in range(n_bg):
                 ts = day_start + int(rng.integers(0, DAY_S))
-                labeled_queries.append(_background_query(rng, cfg, pid, ts))
+                text, page, label = _background_query(rng, cfg)
+                queries.event(pid, ts, text)
+                queries.page(*page)
+                labels.append(label)
 
             if rng.random() < cfg.p_frivolous_complaint:
                 ts = day_start + int(rng.integers(0, DAY_S))
                 frivolous_complaints.append((pid, ts, float(rng.random())))
 
     visits.sort(key=lambda v: v.exit_ts)
-    labeled_queries.sort(key=lambda pair: pair[0].ts)
+    # the order loading gives: by time, stably
+    log = queries.log()
+    order = np.argsort(log.ts, kind="stable")
 
     inspections: list[InspectionRecord] = []
     # illness complaints blame the last restaurant visited before symptoms
@@ -595,14 +587,14 @@ def simulate(
     inspections.sort(key=lambda r: r.date)
 
     dataset = Dataset(
-        queries=tuple(q for q, _ in labeled_queries),
-        visits=tuple(visits),
+        queries=log.take(order),
+        visits=VisitLog.of(visits),
         restaurants=world.restaurants,
         inspections=tuple(inspections),
     )
     truth = GroundTruth(
         infections=tuple(infections),
-        query_labels=tuple(label for _, label in labeled_queries),
+        query_labels=tuple(np.asarray(labels)[order].tolist()),
     )
     return dataset, truth
 
@@ -744,10 +736,15 @@ def load_ground_truth(path: Path) -> GroundTruth:
     JSON type, or a query label other than 0 or 1, is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("ground truth must be a JSON object")
     infections = []
     for r in payload["infections"]:
         if type(r["searched"]) is not bool:
             raise ValueError(f"searched must be true or false, got {r['searched']!r}")
+        for name in ("user_id", "source_restaurant_id"):
+            if type(r[name]) is not str:
+                raise ValueError(f"{name} must be a string, got {r[name]!r}")
         infections.append(
             InfectionRecord(
                 user_id=r["user_id"],

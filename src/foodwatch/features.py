@@ -8,9 +8,10 @@ modulo; values are binary presence, so duplicates collapse to one index.
 
 Two implementations give the same indices. :func:`featurize` does one event
 in pure Python, from its feature strings, and is the reference.
-:func:`featurize_rows` does a list of events in blocks and builds no feature
-string. It tokenizes each distinct field value of a block once, to bytes,
-and lays every token (and every whole concept tag) of the block out in one
+:func:`featurize_rows` does the events of a :class:`~.logdata.QueryLog` in
+blocks and builds no feature string. It reads a block's text and page-field
+codes, tokenizes each table value that the block uses once, to bytes, and
+lays every token (and every whole concept tag) of the block out in one
 buffer, joined by ``_``: a unigram is a token's span, and the bigram of two
 neighbouring tokens is the span from the first's start to the second's end,
 the bytes ``a_b``. FNV-1a is a left fold, so hashing ``prefix + span`` is
@@ -23,13 +24,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, count, islice
-from operator import attrgetter
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .logdata import QueryEvent
+from .logdata import QueryEvent, QueryLog
 
 DIM = 50_000
 
@@ -183,15 +183,6 @@ def _tag_spans(tag_sets: Iterable[frozenset[str]]) -> list[list[bytes]]:
     return [[tag.encode("utf-8") for tag in tags] for tags in tag_sets]
 
 
-# The text of an event, then the fields of its result pages: how to read
-# each field and how one of its values splits into spans.
-_FIELDS = (
-    (attrgetter("text"), _text_spans),
-    (attrgetter("url"), _url_spans),
-    (attrgetter("title"), _text_spans),
-    (attrgetter("snippet"), _text_spans),
-    (attrgetter("concept_tags"), _tag_spans),
-)
 # The FNV-1a states after each field's unigram and bigram namespace prefixes
 # (0: no bigrams).
 _UNIGRAM_STATES = np.array([fnv1a64(p) for p in (b"q:", b"u:", b"t:", b"s:", b"k:")], dtype=np.uint64)
@@ -203,26 +194,33 @@ _BIGRAM_STATES = np.array([fnv1a64(b"qb:"), 0, fnv1a64(b"tb:"), fnv1a64(b"sb:"),
 FEATURE_BLOCK = 256
 
 
-def _featurize_block(events: Sequence[QueryEvent]) -> tuple[np.ndarray, np.ndarray]:
-    """The indices and lengths of :func:`featurize_rows` for one block, hashed
-    from the token spans of its distinct field values."""
-    pages = [page for event in events for page in event.results]
-    page_rows = np.repeat(np.arange(len(events)), [len(event.results) for event in events])
+def _featurize_block(log: QueryLog, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The indices and lengths of :func:`featurize_rows` for the events
+    ``start:stop`` of ``log``, hashed from the token spans of the table values
+    that they use."""
+    first, last = log.page_start[start], log.page_start[stop]
+    page_rows = np.repeat(np.arange(stop - start), np.diff(log.page_start[start : stop + 1]))
+    # the text of each event, then the fields of its result pages: the
+    # field's table, its codes and the row of each, and how one of its values
+    # splits into spans
+    fields = (
+        (log.texts, log.text[start:stop], np.arange(stop - start), _text_spans),
+        (log.urls, log.url[first:last], page_rows, _url_spans),
+        (log.titles, log.title[first:last], page_rows, _text_spans),
+        (log.snippets, log.snippet[first:last], page_rows, _text_spans),
+        (log.tag_sets, log.concept_tags[first:last], page_rows, _tag_spans),
+    )
     spans: list[bytes] = []
-    counts: list[int] = []  # per distinct value, numbered across fields: its spans
-    # per field: the distinct value and the row of each occurrence, and the
-    # number of distinct values
+    counts: list[int] = []  # per value used, numbered across fields: its spans
+    # per field: the number of each code's value, the row of each code, and
+    # the number of values used
     field_values, field_rows, distinct = [], [], []
-    for (read, split), items, item_rows in zip(
-        _FIELDS, [events] + [pages] * 4, [np.arange(len(events))] + [page_rows] * 4
-    ):
-        occurrences = list(map(read, items))
-        # each distinct value's number, in order of first occurrence
-        number = dict(zip(dict.fromkeys(occurrences), count(len(counts))))
-        field_values.append(np.fromiter(map(number.__getitem__, occurrences), np.intp, len(occurrences)))
-        field_rows.append(item_rows)
-        distinct.append(len(number))
-        value_spans = split(number)
+    for table, codes, rows, split in fields:
+        used, value = np.unique(codes, return_inverse=True)
+        field_values.append(value + len(counts))
+        field_rows.append(rows)
+        distinct.append(len(used))
+        value_spans = split([table[code] for code in used.tolist()])
         spans += chain.from_iterable(value_spans)
         counts += map(len, value_spans)
 
@@ -257,16 +255,15 @@ def _featurize_block(events: Sequence[QueryEvent]) -> tuple[np.ndarray, np.ndarr
     # np.unique on these short keys
     keys = np.sort(rows * DIM + buckets[ids])
     keys = keys[np.diff(keys, prepend=-1) != 0]  # each (row, bucket) pair once
-    return keys % DIM, np.bincount(keys // DIM, minlength=len(events))
+    return keys % DIM, np.bincount(keys // DIM, minlength=stop - start)
 
 
-def featurize_rows(events: Iterable[QueryEvent]) -> FeatureRows:
-    """``featurize`` of every event, as one :class:`FeatureRows`."""
+def featurize_rows(log: QueryLog) -> FeatureRows:
+    """``featurize`` of every event of the log, as one :class:`FeatureRows`."""
     lengths: list[np.ndarray] = []
     indices = np.empty(0, dtype=np.intp)
-    events = iter(events)
-    while block := list(islice(events, FEATURE_BLOCK)):
-        block_indices, block_lengths = _featurize_block(block)
+    for start in range(0, len(log), FEATURE_BLOCK):
+        block_indices, block_lengths = _featurize_block(log, start, min(start + FEATURE_BLOCK, len(log)))
         end = len(indices)
         # grown in place, where concatenating a list of parts would hold
         # every index twice; nothing else refers to the array yet

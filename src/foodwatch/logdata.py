@@ -21,16 +21,19 @@ few values across many events, so the tables are short and the columns hold
 numbers only. A page's click and dwell time are plain columns: ``-0.0 ==
 0.0``, and a dwell keeps its sign.
 
-Indexing or iterating a log yields :class:`QueryEvent` and
-:class:`VisitEvent` objects, built on demand from the columns, for code that
-reads events one at a time; the pipeline's own steps count and join the
-codes instead, and take logs only. ``QueryLog.of`` and ``VisitLog.of`` turn
-a plain list of events into a log, once, where the events are made (the
-simulator's output, a test's events); a log equals the list of events it
-yields. Codes
-carry no order of their own in a query log; whatever depends on first
-occurrence finds it from positions in the stream. A visit log tables its
-user and restaurant ids sorted, so its codes ascend with the ids.
+A log is built one event at a time by :class:`QueryColumns` or
+``_VisitColumns``: the loaders fill them from the files, and the simulator
+fills a ``QueryColumns`` as it draws. The pipeline's own steps count and
+join the codes and take logs only; the writers and ``validate_dataset`` read
+the columns too. Indexing or iterating a log yields :class:`QueryEvent` and
+:class:`VisitEvent` objects, built on demand from the columns, as a view
+for code that reads events one at a time (tests, scripts, the benchmark
+harness). ``QueryLog.of`` and ``VisitLog.of`` turn a plain list of events
+into a log (the simulator's visit records, a test's events); a log equals
+the list of events it yields. Codes carry no order of their own in a query
+log; whatever depends on first occurrence finds it from positions in the
+stream. A visit log tables its user and restaurant ids sorted, so its codes
+ascend with the ids.
 
 The CSV streams go through ``report.read_csv``, the pipeline's one CSV
 reader. Each must start with its header line: a file without one, even a
@@ -45,7 +48,7 @@ import math
 import sys
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date as Date
 from enum import Enum
 from json.encoder import encode_basestring
@@ -199,7 +202,7 @@ class QueryLog(Columns):
     @classmethod
     def of(cls, events: Iterable[QueryEvent]) -> QueryLog:
         """A log of the events, in the given order."""
-        columns = _QueryColumns()
+        columns = QueryColumns()
         for event in events:
             columns.event(event.user_id, event.ts, event.text)
             for page in event.results:
@@ -258,24 +261,30 @@ class QueryLog(Columns):
         """Per event, whether any of its pages has its flag set."""
         return np.bincount(self.page_event()[flags], minlength=len(self)) > 0
 
-    def _views(self, start: int, stop: int) -> Iterator[QueryEvent]:
+    def code_rows(self, start: int, stop: int) -> Iterator[tuple[int, int, int, list[tuple]]]:
+        """Per event of ``start:stop``: its user code, time and text code, and
+        the url, title, snippet and tag-set codes, click and dwell time of
+        each of its pages."""
         first, last = self.page_start[start], self.page_start[stop]
-        urls, titles, snippets, tag_sets = self.urls, self.titles, self.snippets, self.tag_sets
-        pages = [
-            ResultPage(urls[u], titles[t], snippets[s], tag_sets[g], clicked, dwell)
-            for u, t, s, g, clicked, dwell in zip(
-                *(column[first:last].tolist() for column in (*self.page_columns(), self.clicked, self.dwell_s))
-            )
-        ]
+        columns = (*self.page_columns(), self.clicked, self.dwell_s)
+        pages = list(zip(*(column[first:last].tolist() for column in columns)))
         bounds = (self.page_start[start : stop + 1] - first).tolist()
-        users, texts = self.users, self.texts
         for u, ts, x, lo, hi in zip(
             self.user[start:stop].tolist(), self.ts[start:stop].tolist(), self.text[start:stop].tolist(), bounds, bounds[1:]
         ):
-            yield QueryEvent(users[u], ts, texts[x], tuple(pages[lo:hi]))
+            yield u, ts, x, pages[lo:hi]
+
+    def _views(self, start: int, stop: int) -> Iterator[QueryEvent]:
+        urls, titles, snippets, tag_sets = self.urls, self.titles, self.snippets, self.tag_sets
+        for u, ts, x, pages in self.code_rows(start, stop):
+            results = tuple(
+                ResultPage(urls[a], titles[b], snippets[c], tag_sets[d], clicked, dwell)
+                for a, b, c, d, clicked, dwell in pages
+            )
+            yield QueryEvent(self.users[u], ts, self.texts[x], results)
 
 
-class _QueryColumns:
+class QueryColumns:
     """A query log built one event and page at a time, each distinct value
     of a field tabled when it first appears."""
 
@@ -420,11 +429,10 @@ class InspectionRecord:
 
 @dataclass(frozen=True)
 class Dataset:
-    """The four streams: the query and visit logs as event sequences, the
-    simulator's tuples or loaded logs alike."""
+    """The four streams, the query and visit logs as columns."""
 
-    queries: Sequence[QueryEvent] = ()
-    visits: Sequence[VisitEvent] = ()
+    queries: QueryLog = field(default_factory=lambda: QueryColumns().log())
+    visits: VisitLog = field(default_factory=lambda: _VisitColumns().log())
     restaurants: tuple[RestaurantRecord, ...] = ()
     inspections: tuple[InspectionRecord, ...] = ()
 
@@ -478,7 +486,7 @@ def _not_a_string(obj: dict, names: tuple[str, ...]) -> ValueError:
     return ValueError(f"{name} must be a string, got {type(obj[name]).__name__}")
 
 
-def _parse_page(obj: object, columns: _QueryColumns) -> None:
+def _parse_page(obj: object, columns: QueryColumns) -> None:
     if not isinstance(obj, dict):
         raise ValueError("result entry is not an object")
     if obj.keys() != _RESULT_KEYS:
@@ -501,7 +509,7 @@ def _parse_page(obj: object, columns: _QueryColumns) -> None:
     columns.page(url, title, snippet, frozenset(tags), clicked, float(dwell))
 
 
-def _parse_query(line: str, columns: _QueryColumns) -> None:
+def _parse_query(line: str, columns: QueryColumns) -> None:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
@@ -527,7 +535,7 @@ def _parse_query(line: str, columns: _QueryColumns) -> None:
 
 def load_queries(path: Path) -> QueryLog:
     """The query log, read and checked in one pass, sorted stably by time."""
-    columns = _QueryColumns()
+    columns = QueryColumns()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -643,87 +651,64 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
     The pipeline refuses to proceed when the report lists any violation.
     """
     violations: list[str] = []
-    for i, visit in enumerate(dataset.visits):
-        if visit.entry_ts > visit.exit_ts:
-            violations.append(
-                f"visit[{i}] user={visit.user_id} restaurant={visit.restaurant_id}: "
-                f"entry_ts {visit.entry_ts} > exit_ts {visit.exit_ts}"
-            )
-    for i, event in enumerate(dataset.queries):
-        for j, page in enumerate(event.results):
-            if not page.clicked and page.dwell_s != 0:
-                violations.append(
-                    f"query[{i}] result[{j}] user={event.user_id}: "
-                    f"dwell_s {page.dwell_s} on unclicked result"
-                )
+    visits, queries = dataset.visits, dataset.queries
+    for i in np.flatnonzero(visits.entry_ts > visits.exit_ts).tolist():
+        violations.append(
+            f"visit[{i}] user={visits.users[visits.user[i]]} restaurant={visits.restaurants[visits.restaurant[i]]}: "
+            f"entry_ts {visits.entry_ts[i]} > exit_ts {visits.exit_ts[i]}"
+        )
+    page_event = queries.page_event()
+    for p in np.flatnonzero(~queries.clicked & (queries.dwell_s != 0)).tolist():
+        i = page_event[p]
+        violations.append(
+            f"query[{i}] result[{p - queries.page_start[i]}] user={queries.users[queries.user[i]]}: "
+            f"dwell_s {float(queries.dwell_s[p])} on unclicked result"
+        )
     for i, rec in enumerate(dataset.inspections):
         if rec.critical_count < 0:
             violations.append(f"inspection[{i}] restaurant={rec.restaurant_id}: negative critical_count")
         if rec.major_count < 0:
             violations.append(f"inspection[{i}] restaurant={rec.restaurant_id}: negative major_count")
 
-    stamps = [q.ts for q in dataset.queries] + [v.exit_ts for v in dataset.visits]
+    stamps = np.concatenate([queries.ts, visits.exit_ts])
     return ValidationReport(
-        query_count=len(dataset.queries),
-        visit_count=len(dataset.visits),
+        query_count=len(queries),
+        visit_count=len(visits),
         restaurant_count=len(dataset.restaurants),
         inspection_count=len(dataset.inspections),
-        ts_min=min(stamps) if stamps else None,
-        ts_max=max(stamps) if stamps else None,
+        ts_min=int(stamps.min()) if len(stamps) else None,
+        ts_max=int(stamps.max()) if len(stamps) else None,
         violations=tuple(violations),
     )
 
 
-def _json_scalar(value) -> str:
-    """``json.dumps(value, ensure_ascii=False)``, with the types that a query
-    line holds spelled out instead of passed through the encoder."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is int or (kind is float and math.isfinite(value)):
-        return repr(value)
-    return json.dumps(value, ensure_ascii=False)
+def _json_float(value: float) -> str:
+    """``json.dumps(value)``, whose spelling of a finite float is its ``repr``."""
+    return repr(value) if math.isfinite(value) else json.dumps(value)
 
 
-def _page_content_json(page: ResultPage) -> str:
-    """A result's JSON up to its click fields: the object without its ``}``."""
-    content = {
-        "url": page.url,
-        "title": page.title,
-        "snippet": page.snippet,
-        "concept_tags": sorted(page.concept_tags),
-    }
-    return json.dumps(content, ensure_ascii=False)[:-1]
-
-
-def write_queries(events: Iterable[QueryEvent], path: Path) -> None:
+def write_queries(log: QueryLog, path: Path) -> None:
     """One JSON object per event and line, byte for byte what ``json.dumps(
-    ..., ensure_ascii=False)`` gives. Result pages repeat a few contents, so
-    each distinct (url, title, snippet, concept_tags) is encoded once; each
-    line encodes only its user, time, text, clicks and dwell times."""
-    contents: dict[tuple, str] = {}
+    ..., ensure_ascii=False)`` gives. Each table value is encoded once; each
+    line joins the encodings of its codes with its time, clicks and dwell
+    times."""
+    tables = (log.users, log.texts, log.urls, log.titles, log.snippets)
+    users, texts, urls, titles, snippets = ([encode_basestring(value) for value in table] for table in tables)
+    tag_sets = [json.dumps(sorted(tags), ensure_ascii=False) for tags in log.tag_sets]
     with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            pages = []
-            for page in event.results:
-                key = (page.url, page.title, page.snippet, page.concept_tags)
-                content = contents.get(key)
-                if content is None:
-                    content = contents[key] = _page_content_json(page)
-                pages.append(
-                    f'{content}, "clicked": {_json_scalar(page.clicked)}, '
-                    f'"dwell_s": {_json_scalar(page.dwell_s)}}}'
+        for start in range(0, len(log), VIEW_CHUNK):  # a chunk's codes at a time, as a view iterates
+            for u, ts, x, pages in log.code_rows(start, min(start + VIEW_CHUNK, len(log))):
+                results = ", ".join(
+                    f'{{"url": {urls[a]}, "title": {titles[b]}, "snippet": {snippets[c]}, '
+                    f'"concept_tags": {tag_sets[d]}, "clicked": {"true" if clicked else "false"}, '
+                    f'"dwell_s": {_json_float(dwell)}}}'
+                    for a, b, c, d, clicked, dwell in pages
                 )
-            fh.write(
-                f'{{"user_id": {_json_scalar(event.user_id)}, "ts": {_json_scalar(event.ts)}, '
-                f'"text": {_json_scalar(event.text)}, "results": [{", ".join(pages)}]}}\n'
-            )
+                fh.write(f'{{"user_id": {users[u]}, "ts": {ts}, "text": {texts[x]}, "results": [{results}]}}\n')
 
 
-def write_visits(visits: Iterable[VisitEvent], path: Path) -> None:
-    write_csv(path, VISIT_HEADER, ((v.user_id, v.restaurant_id, v.entry_ts, v.exit_ts) for v in visits))
+def write_visits(log: VisitLog, path: Path) -> None:
+    write_csv(path, VISIT_HEADER, ((v.user_id, v.restaurant_id, v.entry_ts, v.exit_ts) for v in log))
 
 
 def write_restaurants(records: Iterable[RestaurantRecord], path: Path) -> None:

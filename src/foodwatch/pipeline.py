@@ -18,6 +18,8 @@ from datetime import date as Date, datetime, timezone
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import report as report_mod
 from .citysim import (
     DAY_S,
@@ -128,7 +130,11 @@ def load_world_recipe(path: Path) -> World:
     checked as ``--set`` overrides are."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    return generate_world(apply_overrides(RunConfig(), payload["sim"]).sim, int(payload["seed"]))
+    if not isinstance(payload, dict):
+        raise ValueError("world recipe must be a JSON object")
+    if type(payload["seed"]) is not int:  # int() would truncate 1.7 and take true as 1
+        raise ValueError(f"seed must be an integer, got {payload['seed']!r}")
+    return generate_world(apply_overrides(RunConfig(), payload["sim"]).sim, payload["seed"])
 
 
 # --- the run: one artifact directory and the inputs its stages share ---------
@@ -254,13 +260,15 @@ def compute_model(config: RunConfig, queries: QueryLog) -> tuple[LabeledSet, obj
     return labeled, model
 
 
-def truth_label_by_text(queries: QueryLog, truth: GroundTruth) -> dict[str, int]:
-    """Ground-truth topical label per query text (consistent by construction),
+def truth_label_by_text(queries: QueryLog, truth: GroundTruth) -> np.ndarray:
+    """Ground-truth topical label per text code (consistent by construction),
     read at each text code's first event."""
     if len(truth.query_labels) != len(queries):
         raise ValueError(f"{len(truth.query_labels)} query labels for {len(queries)} queries")
-    first = first_occurrences(queries.text).tolist()
-    return {queries.texts[queries.text[i]]: int(truth.query_labels[i]) for i in first}
+    first = first_occurrences(queries.text)
+    labels = np.zeros(len(queries.texts), dtype=int)
+    labels[queries.text[first]] = np.asarray(truth.query_labels)[first]
+    return labels
 
 
 def compute_wsm_evaluation(
@@ -270,17 +278,15 @@ def compute_wsm_evaluation(
     model,
     train_texts: set[str],
 ) -> dict[str, float]:
-    eval_events = build_eval_sample(
+    sample = build_eval_sample(
         queries,
         config.wsm.eval_size,
         seed=derive_seed(config.seed, "wsm-eval"),
         exclude_texts=train_texts,
     )
-    by_text = truth_label_by_text(queries, truth)
-    truth_labels = [by_text[e.text] for e in eval_events]
+    truth_labels = truth_label_by_text(queries, truth)[sample.text]
     judgments = simulate_raters(truth_labels, config.sim, seed=derive_seed(config.seed, "raters"))
-    labels = majority_labels(judgments)
-    eval_set = LabeledSet(examples=tuple((e, int(l)) for e, l in zip(eval_events, labels)))
+    eval_set = LabeledSet(sample, majority_labels(judgments))
     metrics = evaluate_wsm(model, eval_set, threshold=config.wsm.threshold)
     return {
         "roc_auc": metrics.roc_auc,
@@ -289,7 +295,7 @@ def compute_wsm_evaluation(
         "recall": metrics.recall,
         "threshold": metrics.threshold,
         "krippendorff_alpha": krippendorff_alpha(judgments),
-        "n_eval": len(eval_events),
+        "n_eval": len(sample),
         "final_train_loss": model.final_loss,
     }
 
@@ -484,8 +490,8 @@ def stage_simulate(config: RunConfig, out: Path | Run) -> None:
     # a read-back.
     run.keep(
         world=world,
-        queries=QueryLog.of(dataset.queries),
-        visit_log=(VisitLog.of(dataset.visits), dataset.registry()),
+        queries=dataset.queries,
+        visit_log=(dataset.visits, dataset.registry()),
         background_inspections=dataset.inspections,
         truth=truth,
     )

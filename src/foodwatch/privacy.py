@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 from .citysim import GroundTruth
 from .errors import UsageError
 from .locmodel import ExposureLink, RestaurantAggregate, wilson_lower_bound
-from .logdata import Dataset, QueryEvent, VisitEvent
+from .logdata import Dataset, QueryEvent, QueryLog, VisitEvent, VisitLog
 from .seeding import (
     make_rng,  # unused here; the benchmark tracer wraps privacy.make_rng
     make_rngs,
@@ -111,11 +111,11 @@ def anonymize_ids(dataset: Dataset, hash_key: int) -> Dataset:
             cache[user_id] = pseudonymize(hash_key, user_id)
         return cache[user_id]
 
-    queries = tuple(
+    queries = QueryLog.of(
         QueryEvent(user_id=pseudo(q.user_id), ts=q.ts, text=q.text, results=q.results)
         for q in dataset.queries
     )
-    visits = tuple(
+    visits = VisitLog.of(
         VisitEvent(
             user_id=pseudo(v.user_id),
             restaurant_id=v.restaurant_id,

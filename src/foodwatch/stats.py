@@ -129,7 +129,7 @@ def fit_binomial_logit(
     returning a silently unstable fit.
     """
     y = np.asarray(y, dtype=float)
-    if set(np.unique(y)) - {0.0, 1.0}:
+    if np.any((y != 0) & (y != 1)):  # NaN included; np.unique would import numpy.ma
         raise DataError("outcomes must be binary 0/1")
     if y.min() == y.max():
         raise DataError("outcomes contain a single class")

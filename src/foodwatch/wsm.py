@@ -6,6 +6,10 @@ negatives are sampled at random from the rest of the stream. The classifier
 is a logistic model over hashed binary features (see :mod:`.features`),
 trained by seeded mini-batch gradient descent on mean logistic loss with an
 L2 penalty. The intercept lives outside the hashed space.
+
+A :class:`LabeledSet` holds its examples as a :class:`~.logdata.QueryLog`,
+taken from the stream over the stream's own tables, beside an array of
+labels; training, scoring and evaluation featurize the log's codes.
 """
 
 from __future__ import annotations
@@ -31,12 +35,15 @@ from .seeding import make_rng
 FOODBORNE_TAG = "foodborne_illness"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledSet:
-    examples: tuple[tuple[QueryEvent, int], ...]
+    """Labeled queries: the log of the examples and each one's label, 0 or 1."""
+
+    examples: QueryLog
+    labels: np.ndarray
 
     def texts(self) -> set[str]:
-        return {e.text for e, _ in self.examples}
+        return {self.examples.texts[code] for code in set(self.examples.text.tolist())}
 
 
 @dataclass(frozen=True)
@@ -139,8 +146,8 @@ def weak_label(
     chosen = rng.choice(len(negative_pool), size=wanted, replace=False)
     negatives = negative_pool[np.sort(chosen)]
 
-    examples = [(e, 1) for e in log.take(positives)] + [(e, 0) for e in log.take(negatives)]
-    return LabeledSet(examples=tuple(examples))
+    labels = np.repeat([1, 0], [len(positives), len(negatives)])
+    return LabeledSet(log.take(np.concatenate([positives, negatives])), labels)
 
 
 def _sigmoid(z: np.ndarray | float):
@@ -199,11 +206,11 @@ def train_wsm(
     update count t.
     Raises on single-class input and on non-finite loss.
     """
-    labels = np.array([y for _, y in labeled.examples], dtype=float)
+    labels = np.asarray(labeled.labels, dtype=float)
     if len(labeled.examples) == 0 or len(set(labels.tolist())) < 2:
         raise DataError("training set must contain both classes")
     # weak_label dedupes by text, so every example is a distinct feature key
-    features = featurize_rows([e for e, _ in labeled.examples])
+    features = featurize_rows(labeled.examples)
 
     weights = np.zeros(DIM)
     intercept = 0.0
@@ -282,6 +289,8 @@ def save_model(model: WsmModel, path: Path) -> None:
 def load_model(path: Path) -> WsmModel:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("model must be a JSON object")
     if payload.get("dim") != DIM:
         raise DataError(f"model dimension {payload.get('dim')} != {DIM}")
     weights = np.asarray(payload["weights"], dtype=float)
@@ -335,14 +344,15 @@ def build_eval_sample(
     n: int,
     seed: int = 0,
     exclude_texts: Iterable[str] = (),
-) -> tuple[QueryEvent, ...]:
+) -> QueryLog:
     """Evaluation sample: half frequency-weighted from the high-recall stratum
     (queries with a clicked foodborne-tagged result), half frequency-weighted
     from the full stream. Deduplicated by text and disjoint from
     ``exclude_texts`` (the training set). A stratum with fewer than ``n/2``
     distinct texts gives all of them, and the full stream fills the sample
     up to ``n``. Texts are counted by code, each list of them in order of
-    first occurrence.
+    first occurrence. Returns the log of the first event of each sampled
+    text, in the order sampled.
     """
     if n % 2 != 0:
         raise ValueError("n must be even")
@@ -377,7 +387,7 @@ def build_eval_sample(
     picked += _weighted_sample_without_replacement(remaining, full_counts[remaining], rest, rng, log.texts)
     first_of_text = np.zeros(len(log.texts), dtype=np.intp)
     first_of_text[full_codes] = first_event
-    return tuple(log.take(first_of_text[picked]))
+    return log.take(first_of_text[picked])
 
 
 def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
@@ -407,10 +417,10 @@ def evaluate_wsm(
     eval_set: LabeledSet,
     threshold: float,
 ) -> WsmMetrics:
-    labels = np.array([y for _, y in eval_set.examples], dtype=int)
+    labels = np.asarray(eval_set.labels, dtype=int)
     if labels.sum() in (0, len(labels)):
         raise DataError("evaluation set must contain both classes")
-    scores = score_queries(model, QueryLog.of(e for e, _ in eval_set.examples))
+    scores = score_queries(model, eval_set.examples)
     auc = roc_auc(scores, labels)
     predicted = scores >= threshold
     tp = int(np.sum(predicted & (labels == 1)))

@@ -16,7 +16,7 @@ from foodwatch.citysim import SimConfig, planted_exposures, simulate_raters
 from foodwatch.config import RunConfig
 from foodwatch.features import DIM, FeatureRows, featurize
 from foodwatch.locmodel import Period, aggregate_restaurants, attribute_sources, link_exposures
-from foodwatch.logdata import Outcome, QueryLog, VisitLog
+from foodwatch.logdata import Outcome
 from foodwatch.pipeline import (
     compute_daily_lists,
     compute_exposures,
@@ -244,7 +244,7 @@ def test_criterion_8_end_to_end_directionality():
     for seed in range(20):
         config = RunConfig(seed=seed)
         world, dataset, _ = compute_simulation(config)
-        queries, visits = QueryLog.of(dataset.queries), VisitLog.of(dataset.visits)
+        queries, visits = dataset.queries, dataset.visits
         _, model = compute_model(config, queries)
         _, links = compute_exposures(config, queries, visits, model)
         daily = compute_daily_lists(config, visits, dataset.registry(), links)

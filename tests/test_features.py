@@ -18,6 +18,7 @@ from foodwatch.features import (
     tokenize,
     tokenize_url,
 )
+from foodwatch.logdata import QueryLog
 
 from conftest import page, query
 
@@ -192,21 +193,29 @@ _events = st.builds(query, text=_field, results=st.lists(_pages, max_size=3))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_events, max_size=12), st.sampled_from([1, 2, 5, FEATURE_BLOCK]))
+@given(st.lists(_events, max_size=12), st.sampled_from([1, 2, 5, FEATURE_BLOCK]), st.lists(st.integers(0, 11), max_size=12))
 # lower() makes ASCII of the Kelvin sign and a longer string of "İ"
-@example([query(text="K"), query(text="İstanbul İ"), query(text="KELVIN K9")], FEATURE_BLOCK)
-@example([query(text="Food\tPOISONING\nafter\r\x0b\x0c2 Days", results=[page(title="A\tB", snippet="C\nD")])], 2)
+@example([query(text="K"), query(text="İstanbul İ"), query(text="KELVIN K9")], FEATURE_BLOCK, [2, 0, 0, 1])
+@example([query(text="Food\tPOISONING\nafter\r\x0b\x0c2 Days", results=[page(title="A\tB", snippet="C\nD")])], 2, [2, 0, 0, 1])
 # tags are whole spans: never lowercased or split
-@example([query(text="", results=[page(tags=("a_b", "a b", "", "Café", "食品", "FOO"))])], FEATURE_BLOCK)
-@example([query(text="x", results=[page(url="HTTPS://Ex.org/A"), page(url="Ftp://B.io/ÜC_d")])], 1)
-@example([query(text="no pages"), query(text=""), query(text="a", results=[page()])], FEATURE_BLOCK)
-@example([query(text="go " + "ab" * 40 + " " + "é" * 40 + "z" * 70, results=[page(snippet="y" * 65 + " k")])], 5)
-def test_featurize_rows_equals_featurize_per_event(events, block):
+@example([query(text="", results=[page(tags=("a_b", "a b", "", "Café", "食品", "FOO"))])], FEATURE_BLOCK, [2, 0, 0, 1])
+@example([query(text="x", results=[page(url="HTTPS://Ex.org/A"), page(url="Ftp://B.io/ÜC_d")])], 1, [2, 0, 0, 1])
+@example([query(text="no pages"), query(text=""), query(text="a", results=[page()])], FEATURE_BLOCK, [2, 0, 0, 1])
+@example([query(text="go " + "ab" * 40 + " " + "é" * 40 + "z" * 70, results=[page(snippet="y" * 65 + " k")])], 5, [2, 0, 0, 1])
+def test_featurize_rows_equals_featurize_per_event(events, block, picks):
+    log = QueryLog.of(events)
+    # arbitrary rows, repeats included: the taken log's tables then hold
+    # values that none of its rows uses
+    taken = [pick % len(events) for pick in picks] if events else []
     with mock.patch.object(features, "FEATURE_BLOCK", block):
-        rows = featurize_rows(events)
+        rows = featurize_rows(log)
+        taken_rows = featurize_rows(log.take(np.array(taken, dtype=np.intp)))
     assert rows.lengths.tolist() == [len(featurize(e)) for e in events]
     assert rows.indices.tolist() == [i for e in events for i in featurize(e)]
     assert rows.indices.dtype == rows.lengths.dtype == np.intp
+    assert taken_rows.lengths.tolist() == [len(featurize(events[i])) for i in taken]
+    assert taken_rows.indices.tolist() == [i for row in taken for i in featurize(events[row])]
+    assert taken_rows.indices.dtype == taken_rows.lengths.dtype == np.intp
 
 
 def test_featurize_rows_across_block_boundaries():
@@ -224,7 +233,7 @@ def test_featurize_rows_across_block_boundaries():
         )
         for i in range(2 * FEATURE_BLOCK + 3)
     ]
-    rows = featurize_rows(events)
+    rows = featurize_rows(QueryLog.of(events))
     assert rows.lengths.tolist() == [len(featurize(e)) for e in events]
     assert rows.indices.tolist() == [i for e in events for i in featurize(e)]
 
@@ -247,6 +256,6 @@ def test_featurize_rows_on_long_tail_shaped_events():
         for i in range(600)
     ]
     assert len(events) > 2 * FEATURE_BLOCK
-    rows = featurize_rows(events)
+    rows = featurize_rows(QueryLog.of(events))
     assert rows.lengths.tolist() == [len(featurize(e)) for e in events]
     assert rows.indices.tolist() == [i for e in events for i in featurize(e)]

@@ -191,11 +191,11 @@ def test_load_is_deterministic(tmp_path):
 
 def sample_dataset():
     return Dataset(
-        queries=(
+        queries=QueryLog.of((
             query("u1", 10, "food poisoning", [page()]),
             query("u2", 20, "weather", [page(tags=("local",), clicked=False, dwell=0.0)]),
-        ),
-        visits=(visit("u1", "r1", 0, 100), visit("u2", "r2", 50, 150)),
+        )),
+        visits=VisitLog.of((visit("u1", "r1", 0, 100), visit("u2", "r2", 50, 150))),
         restaurants=(
             RestaurantRecord("r1", "A", RiskLevel.HIGH),
             RestaurantRecord("r2", "B", RiskLevel.LOW),
@@ -221,7 +221,7 @@ def test_validate_clean_dataset():
 
 
 def test_validate_entry_after_exit_is_one_violation():
-    ds = Dataset(visits=(VisitEvent("u1", "r1", 101, 100),))
+    ds = Dataset(visits=VisitLog.of((VisitEvent("u1", "r1", 101, 100),)))
     report = validate_dataset(ds)
     assert len(report.violations) == 1 and "entry_ts" in report.violations[0]
 
@@ -237,7 +237,7 @@ def test_validate_counts_seeded_violations():
     bad_inspection = InspectionRecord(
         "r1", date(2016, 5, 1), Trigger.ROUTINE, Outcome.SAFE, -1, 0
     )
-    ds = Dataset(queries=(bad_query,), visits=bad_visits, inspections=(bad_inspection,))
+    ds = Dataset(queries=QueryLog.of((bad_query,)), visits=VisitLog.of(bad_visits), inspections=(bad_inspection,))
     report = validate_dataset(ds)
     assert len(report.violations) == 5  # 3 visit inversions + 1 dwell + 1 count
 
@@ -251,7 +251,7 @@ def test_validate_counts_seeded_violations():
 )
 def test_roundtrip_property(tmp_path_factory, items):
     ds = Dataset(
-        queries=tuple(
+        queries=QueryLog.of(
             QueryEvent(user_id=f"u{i}", ts=ts, text=text) for i, (ts, text) in enumerate(items)
         )
     )
@@ -294,16 +294,17 @@ def query_logs(draw):
 @given(query_logs())
 def test_query_writer_matches_one_dumps_per_event(tmp_path_factory, events):
     d = tmp_path_factory.mktemp("writer")
-    write_queries(events, d / "fast.jsonl")
+    write_queries(QueryLog.of(events), d / "fast.jsonl")
     write_queries_per_event(events, d / "oracle.jsonl")
     assert (d / "fast.jsonl").read_bytes() == (d / "oracle.jsonl").read_bytes()
 
 
 def test_query_writer_spells_numbers_as_json_does(tmp_path):
-    # an integer dwell (as tests build them) and non-finite floats
+    # an integer dwell (as tests build them, held as a float in the log) and
+    # non-finite floats
     events = [query("u1", 3, "x", [page(dwell=dwell)]) for dwell in (45, float("inf"), float("nan"))]
-    write_queries(events, tmp_path / "fast.jsonl")
-    write_queries_per_event(events, tmp_path / "oracle.jsonl")
+    write_queries(QueryLog.of(events), tmp_path / "fast.jsonl")
+    write_queries_per_event(QueryLog.of(events), tmp_path / "oracle.jsonl")
     assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
 
 
@@ -344,7 +345,7 @@ def repetitive_query_logs(draw):
 @given(st.one_of(query_logs(), repetitive_query_logs()))
 def test_query_log_yields_what_the_object_loader_gives(tmp_path_factory, events):
     path = tmp_path_factory.mktemp("columns") / "queries.jsonl"
-    write_queries(events, path)
+    write_queries(QueryLog.of(events), path)
     loaded = load_queries(path)
     expected = _spelled(sorted(events, key=lambda e: e.ts))
     assert _spelled(loaded) == _spelled(load_query_objects(path)) == expected
@@ -365,7 +366,7 @@ def test_query_log_yields_what_the_object_loader_gives(tmp_path_factory, events)
 def test_visit_log_yields_what_the_object_loader_gives(tmp_path_factory, rows):
     visits = [visit(u, r, min(a, b), max(a, b)) for u, r, a, b in rows]
     path = tmp_path_factory.mktemp("visits") / "visits.csv"
-    write_visits(visits, path)
+    write_visits(VisitLog.of(visits), path)
     expected = sorted(visits, key=lambda v: v.exit_ts)
     assert list(load_visits(path)) == load_visit_objects(path) == expected
     assert list(VisitLog.of(visits)) == visits
@@ -423,7 +424,7 @@ def test_equal_pages_keep_the_sign_of_their_own_zero_dwell(tmp_path, dwells):
     # -0.0 == 0.0, so a loader that shared dwell times, or whole pages,
     # would give the second page the first one's sign
     events = [query("u1", ts, "x", [page(dwell=dwell)]) for ts, dwell in enumerate(dwells)]
-    write_queries(events, tmp_path / "queries.jsonl")
+    write_queries(QueryLog.of(events), tmp_path / "queries.jsonl")
     loaded = load_queries(tmp_path / "queries.jsonl")
     assert [math.copysign(1.0, e.results[0].dwell_s) for e in loaded] == [math.copysign(1.0, d) for d in dwells]
     assert loaded[0].results[0].url is loaded[1].results[0].url
@@ -431,7 +432,7 @@ def test_equal_pages_keep_the_sign_of_their_own_zero_dwell(tmp_path, dwells):
 
 def test_loaded_visits_share_one_object_per_distinct_id(tmp_path):
     visits = [visit(f"u{i % 3}", f"r{i % 2}", 10 * i, 10 * i + 5) for i in range(12)]
-    write_visits(visits, tmp_path / "visits.csv")
+    write_visits(VisitLog.of(visits), tmp_path / "visits.csv")
     loaded = load_visits(tmp_path / "visits.csv")
     assert loaded == tuple(visits)
     first: dict = {}

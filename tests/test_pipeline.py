@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import shutil
+import sys
 from dataclasses import fields
 from datetime import date as Date
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from foodwatch import features, pipeline, privacy
+from foodwatch import features, logdata, pipeline, privacy
 from foodwatch import report as report_mod
 from foodwatch.citysim import (
     DAY_S,
@@ -25,7 +26,7 @@ from foodwatch.citysim import (
 from foodwatch.cli import main as cli_main
 from foodwatch.config import RunConfig, apply_overrides
 from foodwatch.errors import UsageError
-from foodwatch.logdata import DatasetPaths, QueryLog, load_dataset, write_dataset
+from foodwatch.logdata import DatasetPaths, load_dataset, write_dataset
 from foodwatch.pipeline import (
     ALL_INSPECTIONS_CSV,
     GROUND_TRUTH_FILE,
@@ -480,6 +481,24 @@ def _fractional_query_ts(out):
     return f"{path}: malformed artifact (ValueError: query_ts must be an integer, got "
 
 
+def _model_not_an_object(out):
+    path = out / MODEL_FILE
+    path.write_text("[]")
+    return f"{path}: malformed artifact (ValueError: model must be a JSON object)"
+
+
+def _fractional_world_seed(out):
+    # int() would truncate it, and the stage would regenerate another world
+    path = private_dir(out) / WORLD_FILE
+    _edit_json(path, lambda payload: payload.update(seed=1.7))
+    return f"{path}: malformed artifact (ValueError: seed must be an integer, got 1.7)"
+
+
+def _non_string_infection_ids(out):
+    path = _edit_ground_truth(out, lambda payload: payload["infections"][0].update(user_id=1, source_restaurant_id=None))
+    return f"{path}: malformed artifact (ValueError: user_id must be a string, got 1)"
+
+
 @pytest.mark.parametrize(
     "command, corrupt",
     [
@@ -510,6 +529,9 @@ def _fractional_query_ts(out):
         ("eval-wsm", _fractional_query_ts),
         ("rank", _inverted_visit),
         ("evaluate", _inverted_visit),
+        ("rank", _model_not_an_object),
+        ("inspect", _fractional_world_seed),
+        ("eval-wsm", _non_string_infection_ids),
     ],
 )
 def test_corrupt_intermediates_are_data_errors(tmp_path, small_run, capsys, command, corrupt):
@@ -550,6 +572,25 @@ def test_run_never_reads_the_dataset_back(monkeypatch, tmp_path):
         monkeypatch.setattr(pipeline, loader, lambda path, name=loader: calls.append(name))
     run_pipeline(small_config(), tmp_path)
     assert calls == []  # simulate keeps the streams and ground truth it wrote for the later stages
+
+
+def test_run_builds_no_query_event_objects(monkeypatch, tmp_path):
+    # the simulator fills the log's columns and the classifier reads its
+    # codes, so no stage of a run asks the log for its event view
+    built = []
+    for name in ("QueryEvent", "ResultPage"):
+        cls = getattr(logdata, name)
+
+        def counted(*args, cls=cls, **kwargs):
+            built.append(cls.__name__)
+            return cls(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("foodwatch.")]:
+            if getattr(module, name, None) is cls:
+                monkeypatch.setattr(module, name, counted)
+    run_pipeline(small_config(), tmp_path)
+    assert (tmp_path / MANIFEST).exists()
+    assert built == []
 
 
 def test_run_drops_inputs_once_no_later_stage_needs_them(tmp_path):
@@ -699,7 +740,7 @@ def test_short_high_recall_stratum_still_gives_a_full_eval_sample():
     # texts outside the training set, so the full stream tops the sample up
     config = RunConfig(seed=54)
     _, dataset, _ = pipeline.compute_simulation(config)
-    queries = QueryLog.of(dataset.queries)
+    queries = dataset.queries
     train_texts = pipeline.compute_weak_labels(config, queries).texts()
     stratum = {e.text for e, hit in zip(dataset.queries, has_foodborne_click(queries)) if hit} - train_texts
     assert len(stratum) < config.wsm.eval_size // 2

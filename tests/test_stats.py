@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,8 @@ from foodwatch.stats import (
     precision_table,
     wald_p_value,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def design_2x2(a, b, c, d):
@@ -111,6 +117,34 @@ def test_single_class_outcomes_rejected():
     X = DesignMatrix(np.column_stack([np.ones(10), [1] * 5 + [0] * 5]), ("intercept", "group"))
     with pytest.raises(DataError, match="single class"):
         fit_binomial_logit(X, [1] * 10)
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan")])
+def test_non_binary_outcomes_rejected(bad):
+    X, y = design_2x2(10, 10, 10, 10)
+    y = list(y)
+    y[3] = bad
+    with pytest.raises(DataError, match="binary"):
+        fit_binomial_logit(X, y)
+
+
+def test_logit_fit_imports_no_masked_arrays():
+    # np.unique without return_* options imports numpy.ma, 1.25 MB of RSS
+    # that the evaluate stage would carry for its binary check
+    code = (
+        "import sys\n"
+        "from foodwatch.stats import DesignMatrix, fit_binomial_logit\n"
+        "import numpy as np\n"
+        "g = np.array([1.0] * 20 + [0.0] * 20)\n"
+        "X = DesignMatrix(np.column_stack([np.ones(40), g]), ('intercept', 'group'))\n"
+        "assert fit_binomial_logit(X, [1, 0, 0, 1] * 10).converged\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_wald_p_value_reference():

@@ -34,6 +34,17 @@ from conftest import FOOD_TAG, page, query
 from oracles import logistic_oracle
 
 
+def labeled_set(examples):
+    """The labeled set of (event, label) pairs."""
+    examples = list(examples)
+    return LabeledSet(QueryLog.of(e for e, _ in examples), np.array([y for _, y in examples], dtype=int))
+
+
+def pairs(labeled):
+    """The (event, label) pairs of a labeled set."""
+    return list(zip(labeled.examples, labeled.labels.tolist()))
+
+
 # --- weak labeling -----------------------------------------------------------
 
 
@@ -66,8 +77,8 @@ def make_stream(n_pos=10, n_neg=300, n_lowdwell=0):
 def test_weak_label_counts_and_disjointness_vs_bruteforce():
     stream = make_stream()
     labeled = weak_label(QueryLog.of(stream), WsmSettings(dwell_threshold_s=30, neg_ratio=10), seed=7)
-    positives = {e.text for e, y in labeled.examples if y == 1}
-    negatives = {e.text for e, y in labeled.examples if y == 0}
+    positives = {e.text for e, y in pairs(labeled) if y == 1}
+    negatives = {e.text for e, y in pairs(labeled) if y == 0}
     # oracle: brute-force filter over the stream
     rule = lambda e: any(
         p.clicked and "foodborne_illness" in p.concept_tags and p.dwell_s >= 30
@@ -88,9 +99,9 @@ def test_weak_label_dedups_by_first_occurrence():
         query("d", 3, "another"),
     ]
     labeled = weak_label(QueryLog.of(stream), WsmSettings(neg_ratio=1), seed=0)
-    pos = [e for e, y in labeled.examples if y == 1]
+    pos = [e for e, y in pairs(labeled) if y == 1]
     assert len(pos) == 1 and pos[0].user_id == "a"
-    texts = [e.text for e, _ in labeled.examples]
+    texts = [e.text for e, _ in pairs(labeled)]
     assert len(texts) == len(set(texts))
 
 
@@ -103,7 +114,7 @@ def test_weak_label_deterministic():
     stream = make_stream()
     a = weak_label(QueryLog.of(stream), seed=42)
     b = weak_label(QueryLog.of(stream), seed=42)
-    assert [(e.text, y) for e, y in a.examples] == [(e.text, y) for e, y in b.examples]
+    assert [(e.text, y) for e, y in pairs(a)] == [(e.text, y) for e, y in pairs(b)]
 
 
 # --- training ----------------------------------------------------------------
@@ -113,7 +124,7 @@ def separable_set(n_per_class=10):
     pos = [query(f"p{i}", i, f"alpha bravo {i}") for i in range(n_per_class)]
     neg = [query(f"n{i}", i, f"zulu yankee {i}") for i in range(n_per_class)]
     examples = [(e, 1) for e in pos] + [(e, 0) for e in neg]
-    return LabeledSet(tuple(examples))
+    return labeled_set(examples)
 
 
 def test_zero_epochs_scores_half():
@@ -121,7 +132,7 @@ def test_zero_epochs_scores_half():
     with pytest.raises(UsageError, match="wsm.epochs"):
         WsmSettings(epochs=0)
     model = zero_model()
-    for e, _ in separable_set().examples:
+    for e, _ in pairs(separable_set()):
         assert score_query(model, e) == 0.5
 
 
@@ -129,7 +140,7 @@ def test_separable_set_reaches_perfect_accuracy():
     labeled = separable_set()
     model = train_wsm(labeled, WsmSettings(l2=1e-4, epochs=40, learning_rate=0.1), seed=0)
     correct = sum(
-        (score_query(model, e) >= 0.5) == bool(y) for e, y in labeled.examples
+        (score_query(model, e) >= 0.5) == bool(y) for e, y in pairs(labeled)
     )
     assert correct == len(labeled.examples)
 
@@ -142,9 +153,9 @@ def test_loss_non_increasing_across_epochs_default_schedule():
 
 def test_gradient_matches_central_finite_differences():
     labeled = separable_set(8)
-    vectors = [np.array(featurize(e), dtype=np.intp) for e, _ in labeled.examples]
+    vectors = [np.array(featurize(e), dtype=np.intp) for e, _ in pairs(labeled)]
     rows = FeatureRows.of(vectors)
-    labels = np.array([y for _, y in labeled.examples], dtype=float)
+    labels = np.array([y for _, y in pairs(labeled)], dtype=float)
     rng = make_rng(123, "gradcheck")
     weights = rng.normal(0, 0.5, DIM)
     intercept = 0.3
@@ -192,7 +203,7 @@ def test_loss_and_gradient_match_per_example_oracle():
 
 
 def test_single_class_errors():
-    labeled = LabeledSet(tuple((query(text=f"t{i}"), 1) for i in range(5)))
+    labeled = labeled_set((query(text=f"t{i}"), 1) for i in range(5))
     with pytest.raises(DataError, match="both classes"):
         train_wsm(labeled, seed=0)
 
@@ -342,7 +353,7 @@ def test_eval_sample_stratum_membership_brute_force():
     stream = make_stream(n_pos=40, n_neg=600)
     sample = build_eval_sample(QueryLog.of(stream), 40, seed=5)
     stratum_texts = {e.text for e in stream if any(p.clicked and FOOD_TAG in p.concept_tags for p in e.results)}
-    in_stratum = sum(e.text in stratum_texts for e in sample[:20])
+    in_stratum = sum(e.text in stratum_texts for e in list(sample)[:20])
     assert in_stratum == 20  # first half comes from the high-recall stratum
     texts = [e.text for e in sample]
     assert len(texts) == len(set(texts))
@@ -441,7 +452,7 @@ def test_auc_invariant_under_monotone_transform(seed):
 
 def test_evaluate_single_class_errors():
     model = zero_model()
-    eval_set = LabeledSet(tuple((query(text=f"t{i}"), 1) for i in range(4)))
+    eval_set = labeled_set((query(text=f"t{i}"), 1) for i in range(4))
     with pytest.raises(DataError):
         evaluate_wsm(model, eval_set, threshold=0.5)
 
@@ -456,6 +467,6 @@ def test_f1_definition():
         (query(text="miss"), 1),
         (query(text="other"), 0),
     )
-    metrics = evaluate_wsm(model, LabeledSet(examples), threshold=0.5)
+    metrics = evaluate_wsm(model, labeled_set(examples), threshold=0.5)
     assert metrics.precision == 0.5 and metrics.recall == 0.5
     assert metrics.f1 == pytest.approx(0.5)
