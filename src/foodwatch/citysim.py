@@ -28,8 +28,7 @@ from .logdata import (
     RestaurantRecord,
     RiskLevel,
     Trigger,
-    VisitEvent,
-    VisitLog,
+    VisitColumns,
 )
 from .raters import JudgmentMatrix
 from .seeding import make_rng, make_rngs
@@ -481,7 +480,7 @@ def simulate(
         raise DataError("days >= 1")
     cfg = world.cfg
 
-    visits: list[VisitEvent] = []
+    visits = VisitColumns()
     queries = QueryColumns()
     labels: list[int] = []  # per query, as drawn
     infections: list[InfectionRecord] = []
@@ -503,7 +502,7 @@ def simulate(
                 rid = pool[int(rng.integers(len(pool)))]
                 entry = day_start + int(rng.integers(6 * 3600, 21 * 3600))
                 exit_ts = entry + int(rng.integers(1800, 5400))
-                visits.append(VisitEvent(pid, rid, entry, exit_ts))
+                visits.visit(pid, rid, entry, exit_ts)
                 p_infect = (
                     cfg.p_infect_unsafe
                     if world.latent_unsafe[rid]
@@ -537,37 +536,40 @@ def simulate(
                 ts = day_start + int(rng.integers(0, DAY_S))
                 frivolous_complaints.append((pid, ts, float(rng.random())))
 
-    visits.sort(key=lambda v: v.exit_ts)
     # the order loading gives: by time, stably
+    visits = visits.log()
+    visits = visits.take(np.argsort(visits.exit_ts, kind="stable"))
     log = queries.log()
     order = np.argsort(log.ts, kind="stable")
+
+    # a user's visits, in exit order, are a span of the exit-sorted log taken stably by user code
+    by_user = np.argsort(visits.user, kind="stable")
+    user, user_exits = visits.user[by_user], visits.exit_ts[by_user]
+    code_of = {user_id: code for code, user_id in enumerate(visits.users)}
+
+    def visited(uid: str, first_ts: int, last_ts: int) -> np.ndarray:
+        """The restaurant codes of the user's visits ending in [first_ts, last_ts], in exit order."""
+        code = code_of.get(uid, -1)  # below every code: a user without visits has an empty span
+        lo, hi = np.searchsorted(user, [code, code + 1])
+        first, last = lo + np.searchsorted(user_exits[lo:hi], [first_ts, last_ts + 1])
+        return visits.restaurant[by_user[first:last]]
 
     inspections: list[InspectionRecord] = []
     # illness complaints blame the last restaurant visited before symptoms
     # (or, with probability 1 - p_blame_last, the true source); frivolous
     # complaints blame a random visit from the past three days
-    visits_by_user: dict[str, list[VisitEvent]] = {}
-    for v in visits:
-        visits_by_user.setdefault(v.user_id, []).append(v)
     for uid, symptom_ts, blame_last, true_source in ill_complaints:
-        blamed = true_source
-        if blame_last:
-            before = [v for v in visits_by_user[uid] if v.exit_ts <= symptom_ts]
-            if before:
-                blamed = before[-1].restaurant_id
+        before = visited(uid, 0, symptom_ts)
+        blamed = visits.restaurants[before[-1]] if blame_last and len(before) else true_source
         when = day_to_date(symptom_ts // DAY_S + 1)
         inspections.append(
             simulate_inspection(world, blamed, when, seed, trigger=Trigger.COMPLAINT)
         )
     for uid, ts, pick in frivolous_complaints:
-        recent = [
-            v
-            for v in visits_by_user.get(uid, [])
-            if ts - 3 * DAY_S <= v.exit_ts <= ts
-        ]
-        if not recent:
+        recent = visited(uid, ts - 3 * DAY_S, ts)
+        if not len(recent):
             continue
-        blamed = recent[int(pick * len(recent))].restaurant_id
+        blamed = visits.restaurants[recent[int(pick * len(recent))]]
         inspections.append(
             simulate_inspection(
                 world, blamed, day_to_date(ts // DAY_S + 1), seed, trigger=Trigger.COMPLAINT
@@ -588,7 +590,7 @@ def simulate(
 
     dataset = Dataset(
         queries=log.take(order),
-        visits=VisitLog.of(visits),
+        visits=visits,
         restaurants=world.restaurants,
         inspections=tuple(inspections),
     )
@@ -672,7 +674,7 @@ def planted_exposures(
     source_ids = [f"s{i:04d}" for i in range(n_source)]
     decoy_ids = [f"d{i:04d}" for i in range(n_decoy)]
 
-    visits: list[VisitEvent] = []
+    visits = VisitColumns()
     queries: list = []
     planted_counts = [0, 0, 0, 0]
     gap = 12 * 3600
@@ -692,18 +694,18 @@ def planted_exposures(
         for pos in range(visits_per_user):  # pos 0 = most recent visit
             exit_ts = query_ts - 3600 - pos * gap
             rid = source if pos == rank - 1 else decoys.pop()
-            visits.append(VisitEvent(uid, rid, exit_ts - 1800, exit_ts))
+            visits.visit(uid, rid, exit_ts - 1800, exit_ts)
         queries.append((uid, query_ts, 0.99))
 
     for i in range(n_decoy * padding_per_decoy):
         uid = f"pad{i:06d}"
         rid = decoy_ids[i % n_decoy]
         exit_ts = 1_000_000_000 + i  # far from every query window
-        visits.append(VisitEvent(uid, rid, exit_ts - 1800, exit_ts))
+        visits.visit(uid, rid, exit_ts - 1800, exit_ts)
 
-    visits.sort(key=lambda v: v.exit_ts)
+    log = visits.log()
     queries.sort(key=lambda q: q[1])
-    return VisitLog.of(visits), ScoredQueries.of(queries), tuple(planted_counts)
+    return log.take(np.argsort(log.exit_ts, kind="stable")), ScoredQueries.of(queries), tuple(planted_counts)
 
 
 def save_ground_truth(truth: GroundTruth, path: Path) -> None:

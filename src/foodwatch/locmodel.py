@@ -230,8 +230,8 @@ def aggregate_restaurants(
 
     Both counts are restricted to visits whose exit falls in the period, so
     affected <= visitors holds by construction. The counts are sizes of
-    per-restaurant user sets, built from the visits one event at a time, so
-    this is also the brute-force reference for ``sliding_aggregates``.
+    per-restaurant user sets, built from the visit events one at a time: the
+    brute-force reference for ``sliding_aggregates``, which every stage uses.
     """
     visitor_sets: dict[str, set[str]] = {}
     for v in visits:

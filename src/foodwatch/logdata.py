@@ -22,18 +22,17 @@ numbers only. A page's click and dwell time are plain columns: ``-0.0 ==
 0.0``, and a dwell keeps its sign.
 
 A log is built one event at a time by :class:`QueryColumns` or
-``_VisitColumns``: the loaders fill them from the files, and the simulator
-fills a ``QueryColumns`` as it draws. The pipeline's own steps count and
-join the codes and take logs only; the writers and ``validate_dataset`` read
-the columns too. Indexing or iterating a log yields :class:`QueryEvent` and
-:class:`VisitEvent` objects, built on demand from the columns, as a view
-for code that reads events one at a time (tests, scripts, the benchmark
-harness). ``QueryLog.of`` and ``VisitLog.of`` turn a plain list of events
-into a log (the simulator's visit records, a test's events); a log equals
-the list of events it yields. Codes carry no order of their own in a query
-log; whatever depends on first occurrence finds it from positions in the
-stream. A visit log tables its user and restaurant ids sorted, so its codes
-ascend with the ids.
+:class:`VisitColumns`: the loaders fill them from the files, and the
+simulator as it draws. The pipeline's steps, the writers and
+``validate_dataset`` read the columns. Indexing or iterating a log yields
+:class:`QueryEvent` and :class:`VisitEvent` objects, built on demand, as a
+view for code that reads events one at a time (tests, scripts, the benchmark
+harness); no stage asks for it. ``QueryLog.of`` and ``VisitLog.of`` turn
+events into a log (a test's, the per-event references'); a log equals the
+list of events it yields, and a slice of it is a tuple of them. Codes carry
+no order of their own in a query log; whatever depends on first occurrence
+finds it from positions in the stream. A visit log tables its user and
+restaurant ids sorted, so its codes ascend with the ids.
 
 The CSV streams go through ``report.read_csv``, the pipeline's one CSV
 reader. Each must start with its header line: a file without one, even a
@@ -154,13 +153,19 @@ class Columns(Sequence):
     def _views(self, start: int, stop: int) -> Iterator:
         raise NotImplementedError
 
-    def __getitem__(self, index: int):
+    def __getitem__(self, index: int | slice):
+        if isinstance(index, slice):  # a tuple, as the tuples these sequences replaced gave
+            return tuple(map(self.__getitem__, range(len(self))[index]))
         i = range(len(self))[index]  # an IndexError past either end
         return next(self._views(i, i + 1))
 
-    def __iter__(self) -> Iterator:
+    def chunked(self, rows: Callable[[int, int], Iterator]) -> Iterator:
+        """``rows(start, stop)`` over the whole sequence, a chunk at a time."""
         for start in range(0, len(self), VIEW_CHUNK):
-            yield from self._views(start, min(start + VIEW_CHUNK, len(self)))
+            yield from rows(start, min(start + VIEW_CHUNK, len(self)))
+
+    def __iter__(self) -> Iterator:
+        return self.chunked(self._views)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Columns, tuple, list)):
@@ -349,7 +354,7 @@ class VisitLog(Columns):
     @classmethod
     def of(cls, visits: Iterable[VisitEvent]) -> VisitLog:
         """A log of the visits, in the given order."""
-        columns = _VisitColumns()
+        columns = VisitColumns()
         for v in visits:
             columns.visit(v.user_id, v.restaurant_id, v.entry_ts, v.exit_ts)
         return columns.log()
@@ -365,15 +370,17 @@ class VisitLog(Columns):
             *(_column(column[visits], column.dtype) for column in (self.user, self.restaurant, self.entry_ts, self.exit_ts)),
         )
 
-    def _views(self, start: int, stop: int) -> Iterator[VisitEvent]:
-        users, restaurants = self.users, self.restaurants
-        for u, r, entry, exit_ts in zip(
-            self.user[start:stop].tolist(),
-            self.restaurant[start:stop].tolist(),
+    def rows(self, start: int, stop: int) -> Iterator[tuple[str, str, int, int]]:
+        """Per visit of ``start:stop``: its user and restaurant ids, entry and exit times."""
+        return zip(
+            map(self.users.__getitem__, self.user[start:stop].tolist()),
+            map(self.restaurants.__getitem__, self.restaurant[start:stop].tolist()),
             self.entry_ts[start:stop].tolist(),
             self.exit_ts[start:stop].tolist(),
-        ):
-            yield VisitEvent(users[u], restaurants[r], entry, exit_ts)
+        )
+
+    def _views(self, start: int, stop: int) -> Iterator[VisitEvent]:
+        return (VisitEvent(*row) for row in self.rows(start, stop))
 
 
 def _sorted_table(codes: dict[str, int], column: array) -> tuple[tuple[str, ...], np.ndarray]:
@@ -384,7 +391,7 @@ def _sorted_table(codes: dict[str, int], column: array) -> tuple[tuple[str, ...]
     return tuple(table), _column(recode[np.asarray(column)], np.int32)
 
 
-class _VisitColumns:
+class VisitColumns:
     """A visit log built one visit at a time."""
 
     def __init__(self) -> None:
@@ -432,7 +439,7 @@ class Dataset:
     """The four streams, the query and visit logs as columns."""
 
     queries: QueryLog = field(default_factory=lambda: QueryColumns().log())
-    visits: VisitLog = field(default_factory=lambda: _VisitColumns().log())
+    visits: VisitLog = field(default_factory=lambda: VisitColumns().log())
     restaurants: tuple[RestaurantRecord, ...] = ()
     inspections: tuple[InspectionRecord, ...] = ()
 
@@ -576,7 +583,7 @@ def _ts_field(raw: str, name: str) -> int:
 def load_visits(path: Path) -> VisitLog:
     """The visit log, sorted stably by exit time. A visit must not end
     before it starts."""
-    columns = _VisitColumns()
+    columns = VisitColumns()
 
     def parse(row: list[str]) -> None:
         user_id, restaurant_id, entry_s, exit_s = row
@@ -696,19 +703,18 @@ def write_queries(log: QueryLog, path: Path) -> None:
     users, texts, urls, titles, snippets = ([encode_basestring(value) for value in table] for table in tables)
     tag_sets = [json.dumps(sorted(tags), ensure_ascii=False) for tags in log.tag_sets]
     with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(log), VIEW_CHUNK):  # a chunk's codes at a time, as a view iterates
-            for u, ts, x, pages in log.code_rows(start, min(start + VIEW_CHUNK, len(log))):
-                results = ", ".join(
-                    f'{{"url": {urls[a]}, "title": {titles[b]}, "snippet": {snippets[c]}, '
-                    f'"concept_tags": {tag_sets[d]}, "clicked": {"true" if clicked else "false"}, '
-                    f'"dwell_s": {_json_float(dwell)}}}'
-                    for a, b, c, d, clicked, dwell in pages
-                )
-                fh.write(f'{{"user_id": {users[u]}, "ts": {ts}, "text": {texts[x]}, "results": [{results}]}}\n')
+        for u, ts, x, pages in log.chunked(log.code_rows):  # a chunk's codes at a time, as a view iterates
+            results = ", ".join(
+                f'{{"url": {urls[a]}, "title": {titles[b]}, "snippet": {snippets[c]}, '
+                f'"concept_tags": {tag_sets[d]}, "clicked": {"true" if clicked else "false"}, '
+                f'"dwell_s": {_json_float(dwell)}}}'
+                for a, b, c, d, clicked, dwell in pages
+            )
+            fh.write(f'{{"user_id": {users[u]}, "ts": {ts}, "text": {texts[x]}, "results": [{results}]}}\n')
 
 
 def write_visits(log: VisitLog, path: Path) -> None:
-    write_csv(path, VISIT_HEADER, ((v.user_id, v.restaurant_id, v.entry_ts, v.exit_ts) for v in log))
+    write_csv(path, VISIT_HEADER, log.chunked(log.rows))
 
 
 def write_restaurants(records: Iterable[RestaurantRecord], path: Path) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from datetime import date as Date, datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -39,7 +39,7 @@ from .locmodel import (
     ExposureLink,
     Period,
     ScoredQueries,
-    aggregate_restaurants,
+    aggregate_restaurants,  # unused here; the benchmark tracer wraps it
     attribute_sources,
     link_exposures,
     rank_restaurants,
@@ -150,7 +150,12 @@ def _read_artifact(path: Path, read: Callable[[Path], object]):
 
 
 def _parse_link(row: list[str]) -> ExposureLink:
-    return ExposureLink(row[0], row[1], int(row[2]), int(row[3]), int(row[4]))
+    link = ExposureLink(row[0], row[1], int(row[2]), int(row[3]), int(row[4]))
+    if link.recency_rank < 1:
+        raise ValueError(f"recency_rank must be >= 1, got {link.recency_rank}")
+    if link.visit_exit_ts >= link.first_positive_query_ts:
+        raise ValueError(f"visit_exit_ts {link.visit_exit_ts} is not before its anchor {link.first_positive_query_ts}")
+    return link
 
 
 def _parse_daily_row(row: list[str]) -> tuple:
@@ -457,7 +462,7 @@ def compute_evaluation_tables(
         violation_rows = [["critical", None, None, None], ["major", None, None, None]]
 
     full_window = Period(0, (config.days + 4) * DAY_S)
-    aggregates = aggregate_restaurants(visits, links, full_window)
+    aggregates = next(sliding_aggregates(visits, links, [full_window]))
     _, histogram = attribute_sources(links, aggregates)
     attribution_rows = [
         [label, frac]
@@ -542,14 +547,7 @@ def stage_rank(config: RunConfig, out: Path | Run) -> None:
     run.release("queries", "model")
     report_mod.write_csv(run.out / SCORED_CSV, SCORED_HEADER, scored)
     del scored  # the daily lists, where this stage peaks, do not need the scores
-    report_mod.write_csv(
-        run.out / LINKS_CSV,
-        LINKS_HEADER,
-        [
-            [l.user_id, l.restaurant_id, l.visit_exit_ts, l.first_positive_query_ts, l.recency_rank]
-            for l in links
-        ],
-    )
+    report_mod.write_csv(run.out / LINKS_CSV, LINKS_HEADER, [astuple(l) for l in links])
     daily = compute_daily_lists(config, visits, registry, links)
     report_mod.write_csv(run.out / report_mod.RELEASED_CSV, report_mod.RELEASED_HEADER, daily.released_rows)
     report_mod.write_csv(run.out / report_mod.DAILY_LISTS_CSV, report_mod.DAILY_LIST_HEADER, daily.daily_rows)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foodwatch.errors import DataFormatError, ReferentialError
+from foodwatch.locmodel import ScoredQueries
 from foodwatch.logdata import (
     Dataset,
     DatasetPaths,
@@ -440,3 +441,22 @@ def test_loaded_visits_share_one_object_per_distinct_id(tmp_path):
         assert first.setdefault(v.user_id, v.user_id) is v.user_id
         assert first.setdefault(v.restaurant_id, v.restaurant_id) is v.restaurant_id
     assert len(first) == 5
+
+
+LOG_ITEMS = {
+    QueryLog: [query(f"u{i % 2}", i, f"text {i % 4}", [page(dwell=float(i))] * (i % 3)) for i in range(7)],
+    VisitLog: [visit(f"u{i % 3}", f"r{i % 2}", i, i + 5) for i in range(7)],
+    ScoredQueries: [(f"u{i % 2}", i, i / 10) for i in range(7)],
+}
+
+
+@pytest.mark.parametrize(
+    "index",
+    [slice(None), slice(1, 4), slice(None, None, 2), slice(-3, None), slice(-1, 1, -2), slice(5, 2), slice(2, 99)],
+)
+@pytest.mark.parametrize("kind", [QueryLog, VisitLog, ScoredQueries], ids=lambda kind: kind.__name__)
+def test_a_slice_of_a_log_is_a_tuple_of_its_items(kind, index):
+    items = LOG_ITEMS[kind]
+    got = kind.of(items)[index]
+    assert type(got) is tuple
+    assert got == tuple(items)[index]

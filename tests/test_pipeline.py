@@ -352,6 +352,32 @@ def _blank_line_before_short_link_row(out):
     return f"{path}:4: expected 5 fields, got 3"
 
 
+def _set_link_rank(out, rank):
+    path = out / LINKS_CSV
+    _edit_line(path, 1, lambda line: line.rsplit(",", 1)[0] + f",{rank}")
+    return f"{path}:2: recency_rank must be >= 1, got {rank}"
+
+
+def _negative_link_rank(out):
+    return _set_link_rank(out, -5)
+
+
+def _zero_link_rank(out):
+    return _set_link_rank(out, 0)  # ranks start at 1
+
+
+def _link_exit_after_anchor(out):
+    # linking keeps only visits that end before the anchor query
+    path = out / LINKS_CSV
+
+    def edit(line):
+        user_id, restaurant_id, _, anchor, rank = line.split(",")
+        return ",".join([user_id, restaurant_id, str(int(anchor) + 1), anchor, rank])
+
+    _edit_line(path, 1, edit)
+    return f"{path}:2: visit_exit_ts "
+
+
 def _visit_unregistered_restaurant(out):
     def edit(line):
         user_id, _, entry_ts, exit_ts = line.split(",")
@@ -532,6 +558,9 @@ def _non_string_infection_ids(out):
         ("rank", _model_not_an_object),
         ("inspect", _fractional_world_seed),
         ("eval-wsm", _non_string_infection_ids),
+        ("evaluate", _negative_link_rank),
+        ("evaluate", _zero_link_rank),
+        ("evaluate", _link_exit_after_anchor),
     ],
 )
 def test_corrupt_intermediates_are_data_errors(tmp_path, small_run, capsys, command, corrupt):
@@ -574,11 +603,12 @@ def test_run_never_reads_the_dataset_back(monkeypatch, tmp_path):
     assert calls == []  # simulate keeps the streams and ground truth it wrote for the later stages
 
 
-def test_run_builds_no_query_event_objects(monkeypatch, tmp_path):
-    # the simulator fills the log's columns and the classifier reads its
-    # codes, so no stage of a run asks the log for its event view
+def test_run_builds_no_event_objects(monkeypatch, tmp_path):
+    # the simulator fills the logs' columns, the classifier reads query codes
+    # and the aggregation visit codes, so no stage of a run asks a log for its
+    # event view
     built = []
-    for name in ("QueryEvent", "ResultPage"):
+    for name in ("QueryEvent", "ResultPage", "VisitEvent"):
         cls = getattr(logdata, name)
 
         def counted(*args, cls=cls, **kwargs):
@@ -722,12 +752,29 @@ SIMULATE_HASHES = {
         "private/ground_truth.json": "04bd442627198bd8d98ef40ba7d2a5fe535c677c2c6bc8edf3d8fd6d6a091627",
         "validation.json": "9f6e23ae0c2b79d58e4ad5bccbdaa1135e421699ebddf5e185c14ac2282d1f97",
     },
+    # complaints common, so complaint blame is well exercised: 975 complaint
+    # inspections against 30 in small-seed5
+    "small-seed5-complaints": {
+        "dataset/queries.jsonl": "f076a49ed03fb3a91458ca5a754a9ad98f7b70f834999014a745a256ad61f6bd",
+        "dataset/visits.csv": "6cbf2395ddec8f2d3561345d4871a627cf416a3e5586d3f914ff513dcdda957b",
+        "dataset/restaurants.csv": "1dd9ab4951fdacb4eadb9ee6461d137d6b8d94d6432146f210cf40197262755e",
+        "dataset/inspections.csv": "34e46f537688e93d4dd61b4659f3d65c6734d1744d15e43858fa8878087b9e23",
+        "private/world.json": "525d7b7bc8a3bfc9a980d41a31f963d3aa1cd5c03bd59eb42cabdaa1e401ebd0",
+        "private/ground_truth.json": "f6b0a28c857f9ddbcf0d8053b3968da40d308288843c91405c58eec29673a46e",
+        "validation.json": "3ad0ef75892047af705ffd644e6e7903f5a46b2527b89c8c17a86a37e6f8126b",
+    },
+}
+
+SIMULATE_CONFIGS = {
+    "small-seed5": small_config(5),
+    "default-seed0": RunConfig(seed=0),
+    "small-seed5-complaints": small_config(5, ["sim.p_complaint_given_ill=0.9", "sim.p_frivolous_complaint=0.2"]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATE_HASHES))
 def test_simulate_stage_bytes_are_pinned(tmp_path, name):
-    config = small_config(5) if name == "small-seed5" else RunConfig(seed=0)
+    config = SIMULATE_CONFIGS[name]
     pipeline.stage_simulate(config, tmp_path)
     written = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()}
     assert written == set(SIMULATE_HASHES[name])
