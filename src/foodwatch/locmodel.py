@@ -11,8 +11,9 @@ small samples and is monotone in evidence.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -103,6 +104,63 @@ class RestaurantAggregate:
         return wilson_lower_bound(self.affected, self.visitors)
 
 
+@dataclass(frozen=True, eq=False)
+class RestaurantCells(Mapping):
+    """Per-restaurant cells as columns, in restaurant-id order: ``restaurant``
+    holds ascending codes into ``restaurants``, a sorted table of ids. It maps
+    each id to its cell, built on demand by ``_cell``."""
+
+    restaurants: Sequence[str]
+    restaurant: np.ndarray
+
+    def _cell(self, at: int):
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(self.restaurant)
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.restaurants.__getitem__, self.restaurant.tolist())
+
+    def __getitem__(self, restaurant_id: str):
+        code = bisect_left(self.restaurants, restaurant_id)
+        at = int(np.searchsorted(self.restaurant, code))
+        if code == len(self.restaurants) or self.restaurants[code] != restaurant_id:
+            raise KeyError(restaurant_id)
+        if at == len(self.restaurant) or self.restaurant[at] != code:
+            raise KeyError(restaurant_id)
+        return self._cell(at)
+
+    def values(self) -> Iterator:
+        return map(self._cell, range(len(self)))
+
+    def items(self) -> Iterator[tuple[str, object]]:
+        return zip(self, self.values())
+
+
+@dataclass(frozen=True, eq=False)
+class RestaurantCounts(RestaurantCells):
+    """Distinct visitor and affected-visitor counts per restaurant, as columns;
+    its cells are ``RestaurantAggregate`` views."""
+
+    visitors: np.ndarray
+    affected: np.ndarray
+
+    @classmethod
+    def of(cls, aggregates: Mapping[str, RestaurantAggregate]) -> RestaurantCounts:
+        ids = sorted(aggregates)
+        return cls(
+            tuple(ids),
+            np.arange(len(ids)),
+            np.array([aggregates[rid].visitors for rid in ids], dtype=np.int64),
+            np.array([aggregates[rid].affected for rid in ids], dtype=np.int64),
+        )
+
+    def _cell(self, at: int) -> RestaurantAggregate:
+        code = int(self.restaurant[at])
+        return RestaurantAggregate(self.restaurants[code], self.visitors[at].item(), self.affected[at].item())
+
+
 @dataclass(frozen=True)
 class AttributionHistogram:
     """Fractions of affected users whose source sits at recency rank 1, 2, 3, >=4."""
@@ -133,6 +191,18 @@ def wilson_lower_bound(successes: float, trials: float, z: float = ONE_SIDED_95_
     center = p + z2 / (2 * trials)
     half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials))
     return max(0.0, (center - half) / (1 + z2 / trials))
+
+
+def wilson_lower_bounds(successes: np.ndarray, trials: np.ndarray, z: float = ONE_SIDED_95_Z) -> np.ndarray:
+    """``wilson_lower_bound`` of each pair, bit for bit: the same operations in
+    the same order, on arrays."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # trials <= 0 give 0.0 below
+        p = successes / trials
+        z2 = z * z
+        center = p + z2 / (2 * trials)
+        half = z * np.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials))
+        bound = (center - half) / (1 + z2 / trials)
+    return np.where(trials <= 0, 0.0, np.where(bound > 0.0, bound, 0.0))
 
 
 def first_positive_queries(scored: ScoredQueries, p_star: float) -> dict[str, int]:
@@ -211,16 +281,6 @@ def _contains(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return sorted_codes[np.minimum(at, len(sorted_codes) - 1)] == codes if len(sorted_codes) else at < 0
 
 
-def _aggregates(visits: VisitLog, visitors: np.ndarray, affected: np.ndarray) -> dict[str, RestaurantAggregate]:
-    """Per restaurant code with visitors, in id order, its counts."""
-    return {
-        visits.restaurants[r]: RestaurantAggregate(visits.restaurants[r], v, a)
-        for r, v, a in zip(
-            np.flatnonzero(visitors).tolist(), visitors[visitors > 0].tolist(), affected[visitors > 0].tolist()
-        )
-    }
-
-
 def aggregate_restaurants(
     visits: Iterable[VisitEvent],
     links: Sequence[ExposureLink],
@@ -256,9 +316,9 @@ def sliding_aggregates(
     visits: VisitLog,
     links: Sequence[ExposureLink],
     periods: Iterable[Period],
-) -> Iterator[dict[str, RestaurantAggregate]]:
+) -> Iterator[RestaurantCounts]:
     """``aggregate_restaurants(visits, links, period)`` for each period in
-    turn, computed in one pass.
+    turn, as columns, computed in one pass.
 
     Periods must start and end in non-decreasing order. Every visit and link
     enters the window once and leaves it once, as a slice of the visits or
@@ -315,18 +375,16 @@ def sliding_aggregates(
         move(in_window, linked, visit_pair[v_out:v_start], -1, visitors)
         move(linked, in_window, link_pair[l_out:l_start], -1, None)
         v_out, l_out = max(v_out, v_start), max(l_out, l_start)
-        yield _aggregates(visits, visitors, affected)
+        present = np.flatnonzero(visitors)
+        yield RestaurantCounts(visits.restaurants, present, visitors[present], affected[present])
 
 
-def rank_restaurants(
-    aggregates: Iterable[RestaurantAggregate],
-    settings: LocSettings = LocSettings(),
-) -> list[RestaurantAggregate]:
-    """Inspection shortlist: at least ``min_visitors`` visitors, signal at or
-    above ``cutoff``, strongest signal first (ties: more visitors, then id)."""
-    eligible = [a for a in aggregates if a.visitors >= settings.min_visitors and a.signal >= settings.cutoff]
-    eligible.sort(key=lambda a: (-a.signal, -a.visitors, a.restaurant_id))
-    return eligible
+def rank_restaurants(visitors: np.ndarray, signal: np.ndarray, settings: LocSettings = LocSettings()) -> np.ndarray:
+    """Inspection shortlist of cells in restaurant-id order, as positions into
+    their columns: at least ``min_visitors`` visitors, signal at or above
+    ``cutoff``, strongest signal first (ties: more visitors, then id)."""
+    eligible = np.flatnonzero((visitors >= settings.min_visitors) & (signal >= settings.cutoff))
+    return eligible[np.lexsort((eligible, -visitors[eligible], -signal[eligible]))]
 
 
 def attribute_sources(

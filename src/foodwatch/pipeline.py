@@ -16,7 +16,7 @@ import json
 from dataclasses import asdict, astuple, dataclass
 from datetime import date as Date, datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .locmodel import (
     sliding_aggregates,
 )
 from .logdata import (
+    Columns,
     Dataset,
     DatasetPaths,
     InspectionRecord,
@@ -64,7 +65,7 @@ from .logdata import (
     write_inspections,
 )
 from .privacy import (
-    ReleasedAggregate,
+    ReleasedCells,
     anonymize_ground_truth,  # unused here; the benchmark tracer wraps it
     anonymize_ids,  # unused here; the benchmark tracer wraps it
     cap_contributions,
@@ -313,24 +314,46 @@ def compute_exposures(
     return scored, cap_contributions(links)
 
 
+@dataclass(frozen=True, eq=False)
+class ReleasedRows(Columns):
+    """released_aggregates.csv rows as columns: per released cell its day,
+    restaurant code, suppressed flag and values, beside the list date of
+    each day and, per restaurant code, its id, city and risk level. A
+    suppressed cell's values are written empty."""
+
+    dates: Sequence[str]
+    records: tuple[Sequence[str], Sequence[str], Sequence[str]]
+    day: np.ndarray
+    restaurant: np.ndarray
+    suppressed: np.ndarray
+    visitors: np.ndarray
+    affected: np.ndarray
+    proportion: np.ndarray
+    signal: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.day)
+
+    def _views(self, start: int, stop: int) -> Iterator[tuple]:
+        codes = self.restaurant[start:stop].tolist()
+        hidden = self.suppressed[start:stop]
+        values = []
+        for column in (self.visitors, self.affected, self.proportion, self.signal):
+            part = column[start:stop].astype(object)  # Python ints or floats
+            part[hidden] = None
+            values.append(part)
+        return zip(
+            map(self.dates.__getitem__, self.day[start:stop].tolist()),
+            *(map(table.__getitem__, codes) for table in self.records),
+            *values,
+            hidden.tolist(),
+        )
+
+
 @dataclass(frozen=True)
 class DailyOutputs:
-    released_rows: tuple[tuple, ...]  # released_aggregates.csv rows
+    released_rows: ReleasedRows  # released_aggregates.csv rows
     daily_rows: tuple[tuple, ...]  # daily_lists.csv rows (the shortlists)
-
-
-def _list_row(list_date: str, rec: RestaurantRecord, cell: ReleasedAggregate) -> tuple:
-    """A daily_lists.csv row; released_aggregates.csv adds the suppressed flag."""
-    return (
-        list_date,
-        rec.restaurant_id,
-        rec.city,
-        rec.risk_level.value,
-        cell.visitors,
-        cell.affected,
-        cell.proportion,
-        cell.signal,
-    )
 
 
 def compute_daily_lists(
@@ -341,7 +364,10 @@ def compute_daily_lists(
 ) -> DailyOutputs:
     """Per-day aggregation over a trailing window, privacy release, ranking,
     and per-city shortlist selection with a listing cooldown."""
-    released_rows: list[tuple] = []
+    cities = tuple(registry[rid].city for rid in visits.restaurants)
+    risks = tuple(registry[rid].risk_level.value for rid in visits.restaurants)
+    dates: list[str] = []
+    released: list[ReleasedCells] = []
     daily_rows: list[tuple] = []
     last_listed: dict[str, int] = {}
     windows = [
@@ -349,27 +375,39 @@ def compute_daily_lists(
         for day in range(config.days)
     ]
     for day, aggregates in enumerate(sliding_aggregates(visits, links, windows)):
-        list_date = day_to_date(day + 1).isoformat()  # delivered next morning
+        dates.append(day_to_date(day + 1).isoformat())  # delivered next morning
         cells = release(aggregates, config.privacy, derive_seed(config.seed, "privacy", day))
-        for rid in sorted(cells):
-            cell = cells[rid]
-            released_rows.append(_list_row(list_date, registry[rid], cell) + (cell.suppressed,))
+        released.append(cells)
 
         if day < config.cli.warmup_days:  # too little data for confident lists
             continue
-        ranked = rank_restaurants([cell for cell in cells.values() if not cell.suppressed], config.locmodel)
+        listable = np.flatnonzero(~cells.suppressed)
+        ranked = listable[rank_restaurants(cells.visitors[listable], cells.signal[listable], config.locmodel)]
         per_city: dict[str, int] = {}
-        for cell in ranked:
-            rid = cell.restaurant_id
-            rec = registry[rid]
+        for at in ranked.tolist():
+            code = cells.restaurant[at]
+            rid, city = visits.restaurants[code], cities[code]
             if rid in last_listed and day - last_listed[rid] < config.cli.cooldown_days:
                 continue
-            if per_city.get(rec.city, 0) >= config.cli.max_daily_inspections:
+            if per_city.get(city, 0) >= config.cli.max_daily_inspections:
                 continue
-            per_city[rec.city] = per_city.get(rec.city, 0) + 1
+            per_city[city] = per_city.get(city, 0) + 1
             last_listed[rid] = day
-            daily_rows.append(_list_row(list_date, rec, cell))
-    return DailyOutputs(released_rows=tuple(released_rows), daily_rows=tuple(daily_rows))
+            cell = cells[rid]
+            daily_rows.append(
+                (dates[day], rid, city, risks[code], cell.visitors, cell.affected, cell.proportion, cell.signal)
+            )
+
+    def stacked(column: str) -> np.ndarray:
+        return np.concatenate([getattr(cells, column) for cells in released] or [np.zeros(0, dtype=np.int64)])
+
+    released_rows = ReleasedRows(
+        dates,
+        (visits.restaurants, cities, risks),
+        np.repeat(np.arange(len(released)), [len(cells) for cells in released]),
+        *map(stacked, ("restaurant", "suppressed", "visitors", "affected", "proportion", "signal")),
+    )
+    return DailyOutputs(released_rows=released_rows, daily_rows=tuple(daily_rows))
 
 
 def compute_finder_inspections(
@@ -462,7 +500,7 @@ def compute_evaluation_tables(
         violation_rows = [["critical", None, None, None], ["major", None, None, None]]
 
     full_window = Period(0, (config.days + 4) * DAY_S)
-    aggregates = next(sliding_aggregates(visits, links, [full_window]))
+    aggregates = dict(next(sliding_aggregates(visits, links, [full_window])).items())
     _, histogram = attribute_sources(links, aggregates)
     attribution_rows = [
         [label, frac]

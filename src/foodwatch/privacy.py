@@ -8,26 +8,37 @@ already built, and serve as its reference. Links are capped to one per
 (user, restaurant) so each released count has L1 sensitivity 1, and with
 privacy on (the default) counts leave the pipeline only with Laplace noise
 added and small cells suppressed.
-Each cell draws its noise from a PCG64 generator of its own, which
-``seeding.make_rngs`` seeds for the key (day seed, ``"release"``,
-restaurant_id), so no cell's noise depends on another cell. With
-privacy switched off ``release`` returns the raw counts instead, in the same
-record shape.
+Each cell draws its noise from a PCG64 stream of its own, the one
+``make_rng(day seed, "release", restaurant_id)`` would give, so no cell's
+noise depends on another cell. ``release`` steps a whole day's streams at
+once on uint64 arrays (``seeding.PCG64Lanes``) and builds no generator; with
+privacy switched off it returns the raw counts instead, in the same column
+shape.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .citysim import GroundTruth
 from .errors import UsageError
-from .locmodel import ExposureLink, RestaurantAggregate, wilson_lower_bound
+from .locmodel import (
+    ExposureLink,
+    RestaurantAggregate,
+    RestaurantCells,
+    RestaurantCounts,
+    wilson_lower_bounds,
+)
 from .logdata import Dataset, QueryEvent, QueryLog, VisitEvent, VisitLog
 from .seeding import (
+    PCG64Lanes,
+    derive_seeds,
     make_rng,  # unused here; the benchmark tracer wraps privacy.make_rng
-    make_rngs,
 )
 
 
@@ -77,6 +88,26 @@ class ReleasedAggregate:
     affected: float | None
     proportion: float | None
     signal: float | None  # Wilson lower bound from the released counts
+
+
+@dataclass(frozen=True, eq=False)
+class ReleasedCells(RestaurantCells):
+    """The released cells of one day, as columns in restaurant-id order; its
+    cells are ``ReleasedAggregate`` views, which hide a suppressed cell's
+    values."""
+
+    suppressed: np.ndarray
+    visitors: np.ndarray
+    affected: np.ndarray
+    proportion: np.ndarray
+    signal: np.ndarray
+
+    def _cell(self, at: int) -> ReleasedAggregate:
+        rid = self.restaurants[int(self.restaurant[at])]
+        if self.suppressed[at]:
+            return ReleasedAggregate(rid, True, None, None, None, None)
+        values = (column[at].item() for column in (self.visitors, self.affected, self.proportion, self.signal))
+        return ReleasedAggregate(rid, False, *values)
 
 
 def pseudonymize(hash_key: int, user_id: str) -> str:
@@ -152,45 +183,73 @@ def cap_contributions(links: Sequence[ExposureLink]) -> tuple[ExposureLink, ...]
     return tuple(kept.values())
 
 
+def laplace_noise(next_uniforms: Callable[[np.ndarray], np.ndarray], n: int, scale: float) -> np.ndarray:
+    """One draw per lane of n, as ``Generator.laplace(0.0, scale)`` makes it
+    from the lane's next doubles: ``next_uniforms(lanes)`` gives the next
+    double of each lane in ``lanes`` and advances only those.
+
+    A lane whose double is exactly 0 draws its next one, as numpy's
+    rejection does, and the logarithm is libm's, through ``math.log``, as in
+    numpy's C code (``np.log`` can differ from it in the last bit).
+    """
+    u = next_uniforms(np.arange(n))
+    redraw = np.flatnonzero(u == 0.0)
+    while len(redraw):
+        u[redraw] = next_uniforms(redraw)
+        redraw = redraw[u[redraw] == 0.0]
+    upper = u >= 0.5
+    log = np.fromiter(map(math.log, np.where(upper, (2.0 - u) - u, u + u).tolist()), dtype=np.float64, count=n)
+    return np.where(upper, 0.0 - scale * log, 0.0 + scale * log)
+
+
+def _max(x: np.ndarray, y: np.ndarray | float) -> np.ndarray:
+    """The builtin ``max(x, y)`` per element, signed zeros included."""
+    return np.where(y > x, y, x)
+
+
+def _min(x: np.ndarray, y: np.ndarray | float) -> np.ndarray:
+    """The builtin ``min(x, y)`` per element, signed zeros included."""
+    return np.where(y < x, y, x)
+
+
+def _noised_shares(visitors: np.ndarray, affected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each noised cell's proportion, clamped to [0, 1], and its Wilson lower
+    bound, with the counts clamped to a valid (successes, trials) pair."""
+    trials = _max(visitors, 1.0)
+    proportion = _min(_max(affected / trials, 0.0), 1.0)
+    return proportion, wilson_lower_bounds(_min(_max(affected, 0.0), trials), trials)
+
+
+def _exact_shares(visitors: np.ndarray, affected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``RestaurantAggregate.proportion`` and ``.signal`` of each cell."""
+    proportion = np.divide(affected, visitors, out=np.zeros(len(visitors)), where=visitors != 0)
+    return proportion, wilson_lower_bounds(affected, visitors)
+
+
 def release(
     aggregates: Mapping[str, RestaurantAggregate],
     settings: PrivacySettings,
     rng_seed: int,
-) -> dict[str, ReleasedAggregate]:
+) -> ReleasedCells:
     """Laplace-noised counts per restaurant, with small-count suppression.
 
     Each count gets an independent Laplace(SENSITIVITY/epsilon) draw. Noised
     counts stay real-valued so the released proportion is unbiased; the
     proportion is clamped to [0, 1]. With privacy off the exact counts are
-    released as they are.
+    released as they are. Each cell draws its visitors' noise, then its
+    affected noise, from the stream ``make_rng(rng_seed, "release",
+    restaurant_id)`` would give; ``PCG64Lanes`` steps all the cells' streams
+    at once, and no cell's noise depends on another cell.
     """
+    counts = aggregates if isinstance(aggregates, RestaurantCounts) else RestaurantCounts.of(aggregates)
     if not settings.enabled:
-        return {
-            rid: ReleasedAggregate(rid, False, agg.visitors, agg.affected, agg.proportion, agg.signal)
-            for rid, agg in aggregates.items()
-        }
+        exact = (counts.visitors, counts.affected, *_exact_shares(counts.visitors, counts.affected))
+        return ReleasedCells(counts.restaurants, counts.restaurant, np.zeros(len(counts), dtype=bool), *exact)
     scale = SENSITIVITY / settings.epsilon
-    released: dict[str, ReleasedAggregate] = {}
-    rids = sorted(aggregates)
-    for rid, rng in zip(rids, make_rngs(rng_seed, [("release", rid) for rid in rids])):
-        agg = aggregates[rid]
-        noised_visitors = agg.visitors + rng.laplace(0.0, scale)
-        if noised_visitors < settings.suppress_below:
-            # each cell has its own generator, so skipping the affected
-            # draw here changes no other cell's noise
-            released[rid] = ReleasedAggregate(rid, True, None, None, None, None)
-            continue
-        noised_affected = agg.affected + rng.laplace(0.0, scale)
-        proportion = min(max(noised_affected / max(noised_visitors, 1.0), 0.0), 1.0)
-        trials = max(noised_visitors, 1.0)
-        successes = min(max(noised_affected, 0.0), trials)
-        released[rid] = ReleasedAggregate(
-            restaurant_id=rid,
-            suppressed=False,
-            visitors=noised_visitors,
-            affected=noised_affected,
-            proportion=proportion,
-            signal=wilson_lower_bound(successes, trials),
-        )
-    return released
-
+    lanes = PCG64Lanes(derive_seeds(rng_seed, ("release",), counts))
+    visitors = counts.visitors + laplace_noise(lanes.next_doubles, len(counts), scale)
+    affected = counts.affected + laplace_noise(lanes.next_doubles, len(counts), scale)
+    suppressed = visitors < settings.suppress_below
+    return ReleasedCells(
+        counts.restaurants, counts.restaurant, suppressed, visitors, affected, *_noised_shares(visitors, affected)
+    )

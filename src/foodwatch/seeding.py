@@ -25,6 +25,18 @@ def derive_seed(seed: int, *parts: object) -> int:
     return int.from_bytes(digest, "big")
 
 
+def derive_seeds(seed: int, prefix: Sequence[object], lasts: Iterable[object]) -> np.ndarray:
+    """``derive_seed(seed, *prefix, last)`` for each of ``lasts``, as uint64:
+    the shared prefix is hashed once and each last part only from there."""
+    head = hashlib.blake2b(":".join([str(int(seed))] + [str(p) for p in prefix] + [""]).encode("utf-8"), digest_size=8)
+    digests = []
+    for last in lasts:
+        h = head.copy()
+        h.update(str(last).encode("utf-8"))
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), dtype=">u8").astype(np.uint64)
+
+
 def make_rng(seed: int, *parts: object) -> np.random.Generator:
     """A numpy Generator seeded from ``derive_seed(seed, *parts)``."""
     return np.random.default_rng(derive_seed(seed, *parts))
@@ -52,9 +64,9 @@ def make_rngs(seed: int, keys: Iterable[Sequence[object]]) -> Iterator[np.random
 
 # ``np.random.default_rng(seed)`` is ``PCG64(SeedSequence(seed))``. Both
 # seeding algorithms and their constants are fixed by NEP 19's stream
-# stability promise, which lets ``make_rngs`` reproduce them exactly.
+# stability promise, which lets ``make_rngs`` and ``PCG64Lanes`` reproduce
+# them exactly.
 _M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence entropy mixing
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # SeedSequence.generate_state
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -107,13 +119,59 @@ def _seed_sequence_words(seeds: Sequence[int]) -> list[np.ndarray]:
 
 
 def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
-    """PCG64's (state, inc) after seeding from ``SeedSequence(s)``, per seed."""
+    """PCG64's (state, inc) after seeding from ``SeedSequence(s)``, per seed,
+    as Python ints."""
+    s_hi, s_lo, i_hi, i_lo = (word.tolist() for word in _pcg64_words(np.array(seeds, dtype=np.uint64)))
+    return [((sh << 64) | sl, (ih << 64) | il) for sh, sl, ih, il in zip(s_hi, s_lo, i_hi, i_lo)]
+
+
+# 128-bit integers below are (high, low) pairs of uint64 arrays; numpy's
+# uint64 arithmetic wraps modulo 2**64, as the C code's does.
+_U32, _U11, _U58, _U63, _U64, _LOW32 = (np.uint64(k) for k in (32, 11, 58, 63, 64, _M32))
+_PCG64_MULT_HI, _PCG64_MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & ((1 << 64) - 1))
+
+
+def _mul_hi(a: np.ndarray, b: np.ndarray | np.uint64) -> np.ndarray:
+    """The high 64 bits of each 128-bit product a * b, from 32-bit limbs."""
+    a_lo, a_hi, b_lo, b_hi = a & _LOW32, a >> _U32, b & _LOW32, b >> _U32
+    cross_1, cross_2 = a_lo * b_hi, a_hi * b_lo
+    mid = ((a_lo * b_lo) >> _U32) + (cross_1 & _LOW32) + (cross_2 & _LOW32)
+    return a_hi * b_hi + (cross_1 >> _U32) + (cross_2 >> _U32) + (mid >> _U32)
+
+
+def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """state * multiplier + inc, modulo 2**128."""
+    product_lo = lo * _PCG64_MULT_LO
+    product_hi = _mul_hi(lo, _PCG64_MULT_LO) + hi * _PCG64_MULT_LO + lo * _PCG64_MULT_HI
+    new_lo = product_lo + inc_lo
+    return product_hi + inc_hi + (new_lo < product_lo).astype(np.uint64), new_lo
+
+
+def _pcg64_words(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (state high, state low, inc high, inc low) words ``np.random.default_rng(s)``
+    starts PCG64 in, for each uint64 seed s, as four uint64 arrays."""
     w = [word.astype(np.uint64) for word in _seed_sequence_words(seeds)]
-    s_hi, s_lo, i_hi, i_lo = ((w[2 * k] | (w[2 * k + 1] << np.uint64(32))).tolist() for k in range(4))
-    states = []
-    for sh, sl, ih, il in zip(s_hi, s_lo, i_hi, i_lo):
-        # pcg_setseq_128_srandom_r: state 0, one step, add the seed, one step
-        inc = ((((ih << 64) | il) << 1) | 1) & _M128
-        state = ((inc + ((sh << 64) | sl)) * _PCG64_MULT + inc) & _M128
-        states.append((state, inc))
-    return states
+    s_hi, s_lo, i_hi, i_lo = (w[2 * k] | (w[2 * k + 1] << _U32) for k in range(4))
+    # pcg_setseq_128_srandom_r: inc = seq << 1 | 1; state 0, one step, add the seed, one step
+    inc_hi, inc_lo = (i_hi << np.uint64(1)) | (i_lo >> _U63), (i_lo << np.uint64(1)) | np.uint64(1)
+    lo = inc_lo + s_lo
+    hi = inc_hi + s_hi + (lo < inc_lo).astype(np.uint64)
+    return (*_pcg64_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+class PCG64Lanes:
+    """One PCG64 stream per seed, each starting where ``np.random.default_rng(seed)``
+    starts, stepped together on uint64 arrays."""
+
+    def __init__(self, seeds: np.ndarray):
+        self.hi, self.lo, self.inc_hi, self.inc_lo = _pcg64_words(seeds)
+
+    def next_doubles(self, lanes: np.ndarray) -> np.ndarray:
+        """The next double in [0, 1) of each lane in ``lanes`` (distinct lane
+        indices), as ``Generator.random()`` would draw it; no other lane moves."""
+        hi, lo = _pcg64_step(self.hi[lanes], self.lo[lanes], self.inc_hi[lanes], self.inc_lo[lanes])
+        self.hi[lanes], self.lo[lanes] = hi, lo
+        # XSL-RR output: the xor of both halves, rotated right by the top 6 state bits
+        x, rot = hi ^ lo, hi >> _U58
+        out = (x >> rot) | (x << ((_U64 - rot) & _U63))
+        return (out >> _U11).astype(np.float64) * (1.0 / 9007199254740992.0)

@@ -2,6 +2,7 @@ import math
 from types import SimpleNamespace
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -281,18 +282,26 @@ def test_sliding_window_rejects_periods_that_move_backwards():
 # --- ranking -----------------------------------------------------------------
 
 
+def ranked_ids(aggs, settings):
+    """rank_restaurants over the aggregates' columns in id order, as ids."""
+    aggs = sorted(aggs, key=lambda a: a.restaurant_id)
+    visitors = np.array([a.visitors for a in aggs])
+    signal = np.array([a.signal for a in aggs])
+    return [aggs[at].restaurant_id for at in rank_restaurants(visitors, signal, settings).tolist()]
+
+
 def test_all_below_cutoff_is_empty():
     aggs = [RestaurantAggregate("r1", visitors=100, affected=1)]
-    assert rank_restaurants(aggs, LocSettings(min_visitors=20, cutoff=0.9)) == []
+    assert ranked_ids(aggs, LocSettings(min_visitors=20, cutoff=0.9)) == []
 
 
 def test_tie_order_is_deterministic():
     a = RestaurantAggregate("rB", visitors=50, affected=10)
     b = RestaurantAggregate("rA", visitors=50, affected=10)
     c = RestaurantAggregate("rC", visitors=80, affected=16)
-    ranked = rank_restaurants([a, b, c], LocSettings(min_visitors=20, cutoff=0.0))
+    ranked = ranked_ids([a, b, c], LocSettings(min_visitors=20, cutoff=0.0))
     # equal signal: more visitors first, then id ascending
-    assert [r.restaurant_id for r in ranked][-2:] == ["rA", "rB"]
+    assert ranked[-2:] == ["rA", "rB"]
 
 
 def test_ranking_matches_bruteforce_oracle():
@@ -307,12 +316,13 @@ def test_ranking_matches_bruteforce_oracle():
         RestaurantAggregate(a.restaurant_id, a.visitors, int(rng.integers(0, a.visitors + 1)))
         for a in aggs
     ]
-    got = rank_restaurants(aggs, LocSettings(min_visitors=20, cutoff=0.05))
+    rng.shuffle(aggs)
+    got = ranked_ids(aggs, LocSettings(min_visitors=20, cutoff=0.05))
     expected = sorted(
         (a for a in aggs if a.visitors >= 20 and a.signal >= 0.05),
         key=lambda a: (-a.signal, -a.visitors, a.restaurant_id),
     )
-    assert [a.restaurant_id for a in got] == [a.restaurant_id for a in expected]
+    assert got == [a.restaurant_id for a in expected]
 
 
 def test_cutoff_validation():

@@ -9,6 +9,7 @@ from dataclasses import fields
 from datetime import date as Date
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from foodwatch.citysim import (
 from foodwatch.cli import main as cli_main
 from foodwatch.config import RunConfig, apply_overrides
 from foodwatch.errors import UsageError
+from foodwatch.locmodel import ScoredQueries, link_exposures
 from foodwatch.logdata import DatasetPaths, load_dataset, write_dataset
 from foodwatch.pipeline import (
     ALL_INSPECTIONS_CSV,
@@ -780,6 +782,51 @@ def test_simulate_stage_bytes_are_pinned(tmp_path, name):
     assert written == set(SIMULATE_HASHES[name])
     got = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() for rel in written}
     assert got == SIMULATE_HASHES[name]
+
+
+# sha256 of released_aggregates.csv and daily_lists.csv from the daily lists
+# of small-seed5 with links from the truth labels, so no trained model (and
+# no BLAS call) is involved; recorded before the release was vectorized.
+DAILY_LIST_HASHES = {
+    "privacy-on": (
+        "bebb1464619a7c7c8d7efdae8cb11aea0460d6731ca845cf8522fea891c3dc52",
+        "56c5f366cca457501df9998ca0cc5ef7960ae31f6fe68e1beb59389f3d2399ba",
+    ),
+    "privacy-off": (
+        "d3868d937678603ea9d60c380b78edd98600ea25dcaf3c755a4afff23b0baacc",
+        "64de142478a0e040bd3e2433f2c0202ef4c05ea8bc2fd9b70fe45f233a544965",
+    ),
+    "no-suppression": (
+        "c52e0562e6c3b71da181e33e50f6ead22a971ed9154a4106b46168fdd8e57889",
+        "c21cb8cbf30780cde2566d57503922671daa8ad70f77df54b362fc8b50da10e9",
+    ),
+}
+DAILY_LIST_PRIVACY = {
+    "privacy-on": [],
+    "privacy-off": ["privacy.enabled=false"],
+    "no-suppression": ["privacy.suppress_below=0"],
+}
+
+
+@pytest.fixture(scope="module")
+def truth_linked_small():
+    config = small_config(5)
+    _, dataset, truth = pipeline.compute_simulation(config)
+    queries = dataset.queries
+    scored = ScoredQueries(queries.users, queries.user, queries.ts, np.asarray(truth.query_labels, dtype=float))
+    links = privacy.cap_contributions(link_exposures(dataset.visits, scored, config.locmodel))
+    return config, dataset, links
+
+
+@pytest.mark.parametrize("name", sorted(DAILY_LIST_HASHES))
+def test_daily_list_bytes_are_pinned(tmp_path, truth_linked_small, name):
+    config, dataset, links = truth_linked_small
+    config = apply_overrides(config, DAILY_LIST_PRIVACY[name])
+    daily = pipeline.compute_daily_lists(config, dataset.visits, dataset.registry(), links)
+    report_mod.write_csv(tmp_path / "released.csv", report_mod.RELEASED_HEADER, daily.released_rows)
+    report_mod.write_csv(tmp_path / "daily.csv", report_mod.DAILY_LIST_HEADER, daily.daily_rows)
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ("released.csv", "daily.csv"))
+    assert got == DAILY_LIST_HASHES[name]
 
 
 def test_short_high_recall_stratum_still_gives_a_full_eval_sample():

@@ -8,18 +8,21 @@ from hypothesis import strategies as st
 
 from foodwatch.citysim import SimConfig, generate_world, simulate
 from foodwatch.errors import UsageError
-from foodwatch.locmodel import ExposureLink, RestaurantAggregate
+from foodwatch.locmodel import ExposureLink, RestaurantAggregate, wilson_lower_bound
 from foodwatch.logdata import Dataset, Trigger
 from foodwatch.privacy import (
     PrivacySettings,
+    _exact_shares,
+    _noised_shares,
     anonymize_ground_truth,
     anonymize_ids,
     cap_contributions,
+    laplace_noise,
     pseudonymize,
     pseudonyms,
     release,
 )
-from foodwatch.seeding import make_rng
+from foodwatch.seeding import PCG64Lanes, derive_seeds, make_rng
 
 from conftest import query, visit
 from oracles import wilson_oracle
@@ -262,3 +265,102 @@ def test_policy_validation():
         PrivacySettings(epsilon=1.0, suppress_below=-1)
     with pytest.raises(UsageError, match="privacy.hash_key"):
         PrivacySettings(hash_key="0")
+
+
+# --- the vectorized release kernel -------------------------------------------
+
+
+def test_laplace_noise_equals_generator_laplace_at_edge_seeds_and_release_keys():
+    scale = 1.0 / 0.7
+    seeds = [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    seeds += derive_seeds(2301, ("release",), [f"r{i:05d}" for i in range(2000)]).tolist()
+    lanes = PCG64Lanes(np.array(seeds, dtype=np.uint64))
+    first = laplace_noise(lanes.next_doubles, len(seeds), scale)
+    second = laplace_noise(lanes.next_doubles, len(seeds), scale)
+    for seed, a, b in zip(seeds, first.tolist(), second.tolist()):
+        rng = np.random.default_rng(seed)
+        assert (a, b) == (rng.laplace(0.0, scale), rng.laplace(0.0, scale)), seed
+    rng = make_rng(2301, "release", "r00007")
+    assert first[5 + 7] == rng.laplace(0.0, scale)
+
+
+def test_a_zero_uniform_draws_the_lanes_next_double():
+    streams = [[0.0, 0.25, 0.75], [0.75, 0.125], [0.0, 0.0, 0.5, 0.0, 0.375], [0.5, 0.0, 0.625]]
+    position = [0] * len(streams)
+
+    def next_uniforms(lanes):
+        out = []
+        for lane in lanes.tolist():
+            out.append(streams[lane][position[lane]])
+            position[lane] += 1
+        return np.array(out, dtype=float)
+
+    def numpy_laplace(u):  # distributions.c, random_laplace with loc 0
+        return 0.0 - 2.0 * math.log(2.0 - u - u) if u >= 0.5 else 0.0 + 2.0 * math.log(u + u)
+
+    first = laplace_noise(next_uniforms, 4, 2.0).tolist()
+    second = laplace_noise(next_uniforms, 4, 2.0).tolist()
+    # repr tells 0.0 (numpy's draw at U = 0.5) from -0.0
+    assert list(map(repr, first)) == [repr(numpy_laplace(u)) for u in (0.25, 0.75, 0.5, 0.5)]
+    assert list(map(repr, second)) == [repr(numpy_laplace(u)) for u in (0.75, 0.125, 0.375, 0.625)]
+    assert position == [3, 2, 5, 3]  # only the lanes that drew a zero drew again
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def generator_before_a_zero(inc: int, half: int) -> np.random.Generator:
+    """A PCG64 generator whose next 64-bit output is 0: the step lands on a
+    state with equal halves, which XSL-RR maps to 0 at every rotation."""
+    after = (half << 64) | half
+    state = (after - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+def test_zero_uniform_matches_numpy_rejection():
+    specs = [(2 * 12345 + 1, 0xABCDEF), (2**127 + 1, 2**63 + 5)]
+    probe = generator_before_a_zero(*specs[0])
+    assert probe.random() == 0.0
+    reference = [generator_before_a_zero(*spec) for spec in specs] + [np.random.default_rng(4)]
+    injected = [generator_before_a_zero(*spec) for spec in specs] + [np.random.default_rng(4)]
+
+    def next_uniforms(lanes):  # lane i draws its next double from injected[i]
+        return np.array([injected[i].random() for i in lanes.tolist()], dtype=float)
+
+    draws = [laplace_noise(next_uniforms, 3, 0.5).tolist() for _ in range(2)]
+    expected = [[rng.laplace(0.0, 0.5) for rng in reference] for _ in range(2)]
+    assert draws == expected
+
+
+_SHARE_EDGES = st.sampled_from([0.0, -0.0, 1.0, 0.5, -1.0, 1e-300, -1e-300, 30.0, 2.0**53])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-60, 400) | _SHARE_EDGES, st.floats(-60, 400) | _SHARE_EDGES), max_size=30))
+def test_noised_shares_equal_the_scalar_expressions(cells):
+    visitors = np.array([v for v, _ in cells], dtype=float)
+    affected = np.array([a for _, a in cells], dtype=float)
+    proportion, signal = _noised_shares(visitors, affected)
+    for (v, a), p, s in zip(cells, proportion.tolist(), signal.tolist()):
+        trials = max(v, 1.0)
+        assert repr(p) == repr(min(max(a / max(v, 1.0), 0.0), 1.0))
+        assert repr(s) == repr(wilson_lower_bound(min(max(a, 0.0), trials), trials))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=30))
+def test_exact_shares_equal_the_aggregate_properties(cells):
+    cells = [(v, min(a, v)) for v, a in cells]
+    visitors = np.array([v for v, _ in cells], dtype=np.int64)
+    affected = np.array([a for _, a in cells], dtype=np.int64)
+    proportion, signal = _exact_shares(visitors, affected)
+    for (v, a), p, s in zip(cells, proportion.tolist(), signal.tolist()):
+        exact = RestaurantAggregate("r", v, a)
+        assert (repr(p), repr(s)) == (repr(exact.proportion), repr(exact.signal))

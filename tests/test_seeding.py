@@ -1,6 +1,8 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from foodwatch.seeding import _pcg64_states, derive_seed, make_rng, make_rngs
+from foodwatch.seeding import PCG64Lanes, _pcg64_states, derive_seed, derive_seeds, make_rng, make_rngs
 
 # every distribution citysim and privacy.release draw from, in one call each
 DRAWS = (
@@ -56,3 +58,33 @@ def test_buffered_half_word_does_not_leak_into_the_next_key():
 
 def test_no_keys_no_generators():
     assert list(make_rngs(1, [])) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([("release",), ("user", "ü-7"), ()]),
+    st.lists(st.text(max_size=8) | st.integers(-5, 5), max_size=12),
+)
+def test_batched_seed_derivation_equals_derive_seed(seed, prefix, lasts):
+    got = derive_seeds(seed, prefix, lasts)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [derive_seed(seed, *prefix, last) for last in lasts]
+
+
+def test_lanes_draw_the_doubles_of_default_rng():
+    edge = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    seeds = edge + [derive_seed(3, "release", f"r{i:05d}") for i in range(500)]
+    lanes = PCG64Lanes(np.array(seeds, dtype=np.uint64))
+    got = np.stack([lanes.next_doubles(np.arange(len(seeds))) for _ in range(3)], axis=1)
+    assert got.tolist() == [np.random.default_rng(seed).random(3).tolist() for seed in seeds]
+
+
+def test_lanes_advance_only_the_lanes_asked_for():
+    seeds = [11, 12, 13]
+    lanes = PCG64Lanes(np.array(seeds, dtype=np.uint64))
+    first = lanes.next_doubles(np.array([1]))
+    rest = lanes.next_doubles(np.arange(3))
+    streams = [np.random.default_rng(seed).random(2).tolist() for seed in seeds]
+    assert first.tolist() == [streams[1][0]]
+    assert rest.tolist() == [streams[0][0], streams[1][1], streams[2][0]]
