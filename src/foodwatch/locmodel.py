@@ -5,7 +5,9 @@ positive threshold; the anchor is their first such query. Every visit whose
 exit falls strictly before the anchor and within the incubation window links
 the user to the visited restaurant. Per-restaurant evidence is the one-sided
 95% Wilson lower bound on the affected-visitor proportion, which penalizes
-small samples and is monotone in evidence.
+small samples and is monotone in evidence. A day's counts have one shape,
+``RestaurantCells``: the sliding window yields them exact and
+``privacy.release`` noises them, and both take their shares from ``shares``.
 """
 
 from __future__ import annotations
@@ -104,17 +106,47 @@ class RestaurantAggregate:
         return wilson_lower_bound(self.affected, self.visitors)
 
 
+@dataclass(frozen=True)
+class ReleasedAggregate:
+    """One restaurant's cell, in the shape of a daily-list row: integer counts
+    when exact, real-valued when noised, and no values when suppressed."""
+
+    restaurant_id: str
+    suppressed: bool
+    visitors: float | None
+    affected: float | None
+    proportion: float | None
+    signal: float | None  # Wilson lower bound from the cell's counts
+
+
 @dataclass(frozen=True, eq=False)
 class RestaurantCells(Mapping):
-    """Per-restaurant cells as columns, in restaurant-id order: ``restaurant``
-    holds ascending codes into ``restaurants``, a sorted table of ids. It maps
-    each id to its cell, built on demand by ``_cell``."""
+    """One day's per-restaurant cells as columns, in restaurant-id order:
+    ``restaurant`` holds ascending codes into ``restaurants``, a sorted table
+    of ids. The window yields exact cells and the release noised ones, in
+    this one shape. It maps each id to its ``ReleasedAggregate`` view."""
 
     restaurants: Sequence[str]
     restaurant: np.ndarray
+    suppressed: np.ndarray
+    visitors: np.ndarray
+    affected: np.ndarray
+    proportion: np.ndarray
+    signal: np.ndarray
 
-    def _cell(self, at: int):
-        raise NotImplementedError
+    @classmethod
+    def exact(cls, restaurants: Sequence[str], restaurant: np.ndarray, visitors, affected) -> RestaurantCells:
+        """Unsuppressed cells of the given counts, with their shares."""
+        suppressed = np.zeros(len(restaurant), dtype=bool)
+        return cls(restaurants, restaurant, suppressed, visitors, affected, *shares(visitors, affected))
+
+    def cell(self, at: int) -> ReleasedAggregate:
+        """The view of the cell at position ``at``."""
+        rid = self.restaurants[int(self.restaurant[at])]
+        if self.suppressed[at]:
+            return ReleasedAggregate(rid, True, None, None, None, None)
+        values = (column[at].item() for column in (self.visitors, self.affected, self.proportion, self.signal))
+        return ReleasedAggregate(rid, False, *values)
 
     def __len__(self) -> int:
         return len(self.restaurant)
@@ -122,43 +154,18 @@ class RestaurantCells(Mapping):
     def __iter__(self) -> Iterator[str]:
         return map(self.restaurants.__getitem__, self.restaurant.tolist())
 
-    def __getitem__(self, restaurant_id: str):
+    def __getitem__(self, restaurant_id: str) -> ReleasedAggregate:
         code = bisect_left(self.restaurants, restaurant_id)
-        at = int(np.searchsorted(self.restaurant, code))
-        if code == len(self.restaurants) or self.restaurants[code] != restaurant_id:
+        at = int(np.searchsorted(self.restaurant, code))  # len(self) if code is past every id
+        if at == len(self) or self.restaurant[at] != code or self.restaurants[code] != restaurant_id:
             raise KeyError(restaurant_id)
-        if at == len(self.restaurant) or self.restaurant[at] != code:
-            raise KeyError(restaurant_id)
-        return self._cell(at)
+        return self.cell(at)
 
-    def values(self) -> Iterator:
-        return map(self._cell, range(len(self)))
+    def values(self) -> Iterator[ReleasedAggregate]:
+        return map(self.cell, range(len(self)))
 
-    def items(self) -> Iterator[tuple[str, object]]:
+    def items(self) -> Iterator[tuple[str, ReleasedAggregate]]:
         return zip(self, self.values())
-
-
-@dataclass(frozen=True, eq=False)
-class RestaurantCounts(RestaurantCells):
-    """Distinct visitor and affected-visitor counts per restaurant, as columns;
-    its cells are ``RestaurantAggregate`` views."""
-
-    visitors: np.ndarray
-    affected: np.ndarray
-
-    @classmethod
-    def of(cls, aggregates: Mapping[str, RestaurantAggregate]) -> RestaurantCounts:
-        ids = sorted(aggregates)
-        return cls(
-            tuple(ids),
-            np.arange(len(ids)),
-            np.array([aggregates[rid].visitors for rid in ids], dtype=np.int64),
-            np.array([aggregates[rid].affected for rid in ids], dtype=np.int64),
-        )
-
-    def _cell(self, at: int) -> RestaurantAggregate:
-        code = int(self.restaurant[at])
-        return RestaurantAggregate(self.restaurants[code], self.visitors[at].item(), self.affected[at].item())
 
 
 @dataclass(frozen=True)
@@ -203,6 +210,27 @@ def wilson_lower_bounds(successes: np.ndarray, trials: np.ndarray, z: float = ON
         half = z * np.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials))
         bound = (center - half) / (1 + z2 / trials)
     return np.where(trials <= 0, 0.0, np.where(bound > 0.0, bound, 0.0))
+
+
+def _max(x: np.ndarray, y: np.ndarray | float) -> np.ndarray:
+    """The builtin ``max(x, y)`` per element, signed zeros included."""
+    return np.where(y > x, y, x)
+
+
+def _min(x: np.ndarray, y: np.ndarray | float) -> np.ndarray:
+    """The builtin ``min(x, y)`` per element, signed zeros included."""
+    return np.where(y < x, y, x)
+
+
+def shares(visitors: np.ndarray, affected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's proportion, clamped to [0, 1], and its Wilson lower bound,
+    with the counts clamped to a valid (successes, trials) pair, so noised
+    counts get valid shares. On exact counts both equal
+    ``RestaurantAggregate.proportion`` and ``.signal`` bit for bit, 0.0 at 0
+    visitors included."""
+    trials = _max(visitors, 1.0)
+    proportion = _min(_max(affected / trials, 0.0), 1.0)
+    return proportion, wilson_lower_bounds(_min(_max(affected, 0.0), trials), trials)
 
 
 def first_positive_queries(scored: ScoredQueries, p_star: float) -> dict[str, int]:
@@ -261,24 +289,44 @@ def link_exposures(
     return tuple(links)
 
 
+def _pair_codes(visits: VisitLog) -> np.ndarray:
+    """Each visit's (restaurant, user) pair as one code."""
+    return visits.restaurant.astype(np.int64) * max(len(visits.users), 1) + visits.user
+
+
 def _link_pairs(visits: VisitLog, links: Sequence[ExposureLink]) -> tuple[np.ndarray, np.ndarray]:
-    """Each link's (restaurant, user) pair as a visit-log pair code, and its
-    visit exit; a link whose user or restaurant never visits is dropped, as
-    it can count for no restaurant's visitors."""
+    """Each link's (restaurant, user) pair as a visit-log pair code, -1 where
+    its user or restaurant never visits, and its visit exit."""
     users = {user_id: code for code, user_id in enumerate(visits.users)}
     restaurants = {rid: code for code, rid in enumerate(visits.restaurants)}
-    kept = [
-        (restaurants[l.restaurant_id] * max(len(users), 1) + users[l.user_id], l.visit_exit_ts)
-        for l in links
+    pairs = [
+        restaurants[l.restaurant_id] * max(len(users), 1) + users[l.user_id]
         if l.user_id in users and l.restaurant_id in restaurants
+        else -1
+        for l in links
     ]
-    return np.array([p for p, _ in kept], dtype=np.int64), np.array([x for _, x in kept], dtype=np.int64)
+    return np.array(pairs, dtype=np.int64), np.array([l.visit_exit_ts for l in links], dtype=np.int64)
 
 
 def _contains(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Whether each of ``codes`` is in the sorted array ``sorted_codes``."""
     at = np.searchsorted(sorted_codes, codes)
     return sorted_codes[np.minimum(at, len(sorted_codes) - 1)] == codes if len(sorted_codes) else at < 0
+
+
+def unvisited_links(visits: VisitLog, links: Sequence[ExposureLink]) -> np.ndarray:
+    """Positions of the links whose (user, restaurant, visit exit) is no visit
+    of the log. Each link's candidates are the visits ending at its exit, found
+    by binary search, so the check builds no array as long as the log."""
+    if np.any(visits.exit_ts[1:] < visits.exit_ts[:-1]):  # a loaded log is sorted already
+        visits = visits.take(np.argsort(visits.exit_ts, kind="stable"))
+    link_pair, link_exit = _link_pairs(visits, links)
+    first = np.searchsorted(visits.exit_ts, link_exit)
+    counts = np.searchsorted(visits.exit_ts, link_exit, "right") - first
+    link = np.repeat(np.arange(len(links)), counts)  # each candidate's link
+    at = first[link] + np.arange(len(link)) - (np.cumsum(counts) - counts)[link]  # and its visit
+    found = link[_pair_codes(visits.take(at)) == link_pair[link]]
+    return np.flatnonzero(np.bincount(found, minlength=len(links)) == 0)
 
 
 def aggregate_restaurants(
@@ -316,9 +364,9 @@ def sliding_aggregates(
     visits: VisitLog,
     links: Sequence[ExposureLink],
     periods: Iterable[Period],
-) -> Iterator[RestaurantCounts]:
+) -> Iterator[RestaurantCells]:
     """``aggregate_restaurants(visits, links, period)`` for each period in
-    turn, as columns, computed in one pass.
+    turn, as exact cells, computed in one pass.
 
     Periods must start and end in non-decreasing order. Every visit and link
     enters the window once and leaves it once, as a slice of the visits or
@@ -328,12 +376,11 @@ def sliding_aggregates(
     being non-zero. The cost is O(visits + links + periods x restaurants)
     instead of a full scan per period.
     """
-    n_users = max(len(visits.users), 1)
-    visit_exit, restaurant, user = visits.exit_ts, visits.restaurant, visits.user
+    visit_exit, visit_pair = visits.exit_ts, _pair_codes(visits)
     if np.any(visit_exit[1:] < visit_exit[:-1]):  # a loaded log is sorted already
         order = np.argsort(visit_exit, kind="stable")
-        visit_exit, restaurant, user = visit_exit[order], restaurant[order], user[order]
-    pair_codes, visit_pair = np.unique(restaurant.astype(np.int64) * n_users + user, return_inverse=True)
+        visit_exit, visit_pair = visit_exit[order], visit_pair[order]
+    pair_codes, visit_pair = np.unique(visit_pair, return_inverse=True)
     visit_pair = visit_pair.astype(np.int32)
     link_pair, link_exit = _link_pairs(visits, links)
     # a link counts only where its user visits its restaurant
@@ -341,7 +388,7 @@ def sliding_aggregates(
     link_order = np.argsort(link_exit[visited], kind="stable")
     link_exit = link_exit[visited][link_order]
     link_pair = np.searchsorted(pair_codes, link_pair[visited][link_order])
-    pair_restaurant = (pair_codes // n_users).astype(np.int32)
+    pair_restaurant = (pair_codes // max(len(visits.users), 1)).astype(np.int32)
     n = len(visits.restaurants)
 
     in_window = np.zeros(len(pair_codes), dtype=np.int32)  # visits of each pair in the window
@@ -376,7 +423,7 @@ def sliding_aggregates(
         move(linked, in_window, link_pair[l_out:l_start], -1, None)
         v_out, l_out = max(v_out, v_start), max(l_out, l_start)
         present = np.flatnonzero(visitors)
-        yield RestaurantCounts(visits.restaurants, present, visitors[present], affected[present])
+        yield RestaurantCells.exact(visits.restaurants, present, visitors[present], affected[present])
 
 
 def rank_restaurants(visitors: np.ndarray, signal: np.ndarray, settings: LocSettings = LocSettings()) -> np.ndarray:
@@ -389,7 +436,7 @@ def rank_restaurants(visitors: np.ndarray, signal: np.ndarray, settings: LocSett
 
 def attribute_sources(
     links: Sequence[ExposureLink],
-    aggregates: Mapping[str, RestaurantAggregate],
+    aggregates: Mapping[str, RestaurantAggregate | ReleasedAggregate],
 ) -> tuple[dict[str, tuple[str, int]], AttributionHistogram]:
     """Per affected user, the linked restaurant with the strongest signal
     (ties: most recent visit, then id), plus the histogram of chosen source

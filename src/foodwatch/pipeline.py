@@ -38,12 +38,14 @@ from .errors import DataError, DataFormatError, FoodwatchError, UsageError
 from .locmodel import (
     ExposureLink,
     Period,
+    RestaurantCells,
     ScoredQueries,
     aggregate_restaurants,  # unused here; the benchmark tracer wraps it
     attribute_sources,
     link_exposures,
     rank_restaurants,
     sliding_aggregates,
+    unvisited_links,
 )
 from .logdata import (
     Columns,
@@ -65,7 +67,6 @@ from .logdata import (
     write_inspections,
 )
 from .privacy import (
-    ReleasedCells,
     anonymize_ground_truth,  # unused here; the benchmark tracer wraps it
     anonymize_ids,  # unused here; the benchmark tracer wraps it
     cap_contributions,
@@ -367,7 +368,7 @@ def compute_daily_lists(
     cities = tuple(registry[rid].city for rid in visits.restaurants)
     risks = tuple(registry[rid].risk_level.value for rid in visits.restaurants)
     dates: list[str] = []
-    released: list[ReleasedCells] = []
+    released: list[RestaurantCells] = []
     daily_rows: list[tuple] = []
     last_listed: dict[str, int] = {}
     windows = [
@@ -393,7 +394,7 @@ def compute_daily_lists(
                 continue
             per_city[city] = per_city.get(city, 0) + 1
             last_listed[rid] = day
-            cell = cells[rid]
+            cell = cells.cell(at)
             daily_rows.append(
                 (dates[day], rid, city, risks[code], cell.visitors, cell.affected, cell.proportion, cell.signal)
             )
@@ -604,7 +605,15 @@ def stage_inspect(config: RunConfig, out: Path | Run) -> None:
 def stage_evaluate(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
     visits, registry = run.visit_log
-    tables = compute_evaluation_tables(config, visits, registry, run.all_inspections, run.links)
+    links = run.links
+    unvisited = unvisited_links(visits, links)
+    if len(unvisited):
+        link = links[unvisited[0]]
+        raise DataFormatError(
+            f"{run.out / LINKS_CSV}: link {link.user_id},{link.restaurant_id},{link.visit_exit_ts} "
+            "names no visit of the visit log"
+        )
+    tables = compute_evaluation_tables(config, visits, registry, run.all_inspections, links)
     report_mod.write_csv(
         run.out / report_mod.PRECISION_CSV, report_mod.PRECISION_HEADER, tables["precision"]
     )

@@ -11,35 +11,26 @@ added and small cells suppressed.
 Each cell draws its noise from a PCG64 stream of its own, the one
 ``make_rng(day seed, "release", restaurant_id)`` would give, so no cell's
 noise depends on another cell. ``release`` steps a whole day's streams at
-once on uint64 arrays (``seeding.PCG64Lanes``) and builds no generator; with
-privacy switched off it returns the raw counts instead, in the same column
-shape.
+once on uint64 arrays (``seeding.PCG64Lanes``) and builds no generator. It
+takes and returns ``locmodel.RestaurantCells``, the one cell shape: the
+window's exact cells go in, the noised and suppressed cells come out, and
+with privacy switched off the exact cells are released as they are.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .citysim import GroundTruth
 from .errors import UsageError
-from .locmodel import (
-    ExposureLink,
-    RestaurantAggregate,
-    RestaurantCells,
-    RestaurantCounts,
-    wilson_lower_bounds,
-)
+from .locmodel import ExposureLink, RestaurantCells, shares
 from .logdata import Dataset, QueryEvent, QueryLog, VisitEvent, VisitLog
-from .seeding import (
-    PCG64Lanes,
-    derive_seeds,
-    make_rng,  # unused here; the benchmark tracer wraps privacy.make_rng
-)
+from .seeding import PCG64Lanes, derive_seeds, make_rng  # make_rng: the benchmark tracer wraps privacy.make_rng
 
 
 # L1 sensitivity of each released count: contribution capping leaves each
@@ -72,42 +63,6 @@ class PrivacySettings:
         if value == 0:
             raise UsageError("privacy.hash_key must be non-zero")
         return value
-
-
-@dataclass(frozen=True)
-class ReleasedAggregate:
-    """One restaurant's released cell, in the shape of a daily-list row.
-
-    With privacy on the counts are noised and real-valued, and a suppressed
-    cell carries none of them; with privacy off they are the raw integers.
-    """
-
-    restaurant_id: str
-    suppressed: bool
-    visitors: float | None
-    affected: float | None
-    proportion: float | None
-    signal: float | None  # Wilson lower bound from the released counts
-
-
-@dataclass(frozen=True, eq=False)
-class ReleasedCells(RestaurantCells):
-    """The released cells of one day, as columns in restaurant-id order; its
-    cells are ``ReleasedAggregate`` views, which hide a suppressed cell's
-    values."""
-
-    suppressed: np.ndarray
-    visitors: np.ndarray
-    affected: np.ndarray
-    proportion: np.ndarray
-    signal: np.ndarray
-
-    def _cell(self, at: int) -> ReleasedAggregate:
-        rid = self.restaurants[int(self.restaurant[at])]
-        if self.suppressed[at]:
-            return ReleasedAggregate(rid, True, None, None, None, None)
-        values = (column[at].item() for column in (self.visitors, self.affected, self.proportion, self.signal))
-        return ReleasedAggregate(rid, False, *values)
 
 
 def pseudonymize(hash_key: int, user_id: str) -> str:
@@ -202,54 +157,22 @@ def laplace_noise(next_uniforms: Callable[[np.ndarray], np.ndarray], n: int, sca
     return np.where(upper, 0.0 - scale * log, 0.0 + scale * log)
 
 
-def _max(x: np.ndarray, y: np.ndarray | float) -> np.ndarray:
-    """The builtin ``max(x, y)`` per element, signed zeros included."""
-    return np.where(y > x, y, x)
-
-
-def _min(x: np.ndarray, y: np.ndarray | float) -> np.ndarray:
-    """The builtin ``min(x, y)`` per element, signed zeros included."""
-    return np.where(y < x, y, x)
-
-
-def _noised_shares(visitors: np.ndarray, affected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each noised cell's proportion, clamped to [0, 1], and its Wilson lower
-    bound, with the counts clamped to a valid (successes, trials) pair."""
-    trials = _max(visitors, 1.0)
-    proportion = _min(_max(affected / trials, 0.0), 1.0)
-    return proportion, wilson_lower_bounds(_min(_max(affected, 0.0), trials), trials)
-
-
-def _exact_shares(visitors: np.ndarray, affected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``RestaurantAggregate.proportion`` and ``.signal`` of each cell."""
-    proportion = np.divide(affected, visitors, out=np.zeros(len(visitors)), where=visitors != 0)
-    return proportion, wilson_lower_bounds(affected, visitors)
-
-
-def release(
-    aggregates: Mapping[str, RestaurantAggregate],
-    settings: PrivacySettings,
-    rng_seed: int,
-) -> ReleasedCells:
-    """Laplace-noised counts per restaurant, with small-count suppression.
+def release(cells: RestaurantCells, settings: PrivacySettings, rng_seed: int) -> RestaurantCells:
+    """Laplace-noised counts per restaurant, with small-count suppression;
+    with privacy off, the exact cells themselves.
 
     Each count gets an independent Laplace(SENSITIVITY/epsilon) draw. Noised
     counts stay real-valued so the released proportion is unbiased; the
-    proportion is clamped to [0, 1]. With privacy off the exact counts are
-    released as they are. Each cell draws its visitors' noise, then its
-    affected noise, from the stream ``make_rng(rng_seed, "release",
+    proportion is clamped to [0, 1]. Each cell draws its visitors' noise,
+    then its affected noise, from the stream ``make_rng(rng_seed, "release",
     restaurant_id)`` would give; ``PCG64Lanes`` steps all the cells' streams
     at once, and no cell's noise depends on another cell.
     """
-    counts = aggregates if isinstance(aggregates, RestaurantCounts) else RestaurantCounts.of(aggregates)
     if not settings.enabled:
-        exact = (counts.visitors, counts.affected, *_exact_shares(counts.visitors, counts.affected))
-        return ReleasedCells(counts.restaurants, counts.restaurant, np.zeros(len(counts), dtype=bool), *exact)
+        return cells
     scale = SENSITIVITY / settings.epsilon
-    lanes = PCG64Lanes(derive_seeds(rng_seed, ("release",), counts))
-    visitors = counts.visitors + laplace_noise(lanes.next_doubles, len(counts), scale)
-    affected = counts.affected + laplace_noise(lanes.next_doubles, len(counts), scale)
-    suppressed = visitors < settings.suppress_below
-    return ReleasedCells(
-        counts.restaurants, counts.restaurant, suppressed, visitors, affected, *_noised_shares(visitors, affected)
-    )
+    lanes = PCG64Lanes(derive_seeds(rng_seed, ("release",), cells))
+    visitors = cells.visitors + laplace_noise(lanes.next_doubles, len(cells), scale)
+    affected = cells.affected + laplace_noise(lanes.next_doubles, len(cells), scale)
+    noised = (visitors, affected, *shares(visitors, affected))
+    return RestaurantCells(cells.restaurants, cells.restaurant, visitors < settings.suppress_below, *noised)

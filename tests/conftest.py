@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from foodwatch.locmodel import RestaurantCells
 from foodwatch.logdata import QueryEvent, ResultPage, VisitEvent
 
 FOOD_TAG = "foodborne_illness"
@@ -29,6 +31,15 @@ def query(user="u1", ts=0, text="food poisoning", results=()):
 
 def visit(user="u1", restaurant="r1", entry=0, exit_ts=1800):
     return VisitEvent(user_id=user, restaurant_id=restaurant, entry_ts=entry, exit_ts=exit_ts)
+
+
+def cells(aggregates):
+    """The exact cells of a mapping of ``RestaurantAggregate``, in id order,
+    as the sliding window yields them."""
+    ids = sorted(aggregates)
+    visitors = np.array([aggregates[rid].visitors for rid in ids], dtype=np.int64)
+    affected = np.array([aggregates[rid].affected for rid in ids], dtype=np.int64)
+    return RestaurantCells.exact(tuple(ids), np.arange(len(ids)), visitors, affected)
 
 
 @pytest.fixture(scope="session")

@@ -36,7 +36,7 @@ from foodwatch.stats import (
 )
 from foodwatch.wsm import loss_and_gradient, roc_auc
 
-from conftest import query
+from conftest import cells, query
 from oracles import (
     alpha_pairwise_oracle,
     auc_pairwise_oracle,
@@ -212,7 +212,7 @@ def test_criterion_7_privacy(default_run):
     from foodwatch.locmodel import RestaurantAggregate
 
     aggs = {f"r{i:05d}": RestaurantAggregate(f"r{i:05d}", 100, 0) for i in range(n)}
-    rel = release(aggs, policy, rng_seed=77)
+    rel = release(cells(aggs), policy, rng_seed=77)
     noise = np.array([r.visitors - 100 for r in rel.values()])
     sigma = math.sqrt(2.0)  # Laplace sd at scale 1
     assert abs(noise.mean()) < 3 * sigma / math.sqrt(n)

@@ -227,9 +227,18 @@ def daily_windows(days, window_days):
 
 
 def assert_sliding_matches_oracle(visits, links, periods):
-    slid = [list(aggs.items()) for aggs in sliding_aggregates(VisitLog.of(visits), links, periods)]
-    oracle = [list(aggregate_restaurants(visits, links, p).items()) for p in periods]
-    assert slid == oracle  # same restaurants in the same (sorted) order, same counts
+    def values(cell):  # repr tells the sign of a zero
+        return cell.restaurant_id, cell.visitors, cell.affected, repr(cell.proportion), repr(cell.signal)
+
+    log = VisitLog.of(visits)
+    for cells, period in zip(sliding_aggregates(log, links, periods), periods, strict=True):
+        oracle = aggregate_restaurants(visits, links, period)
+        assert not cells.suppressed.any()
+        # same restaurants in the same (sorted) order, same counts and shares
+        assert [values(cell) for cell in cells.values()] == [values(agg) for agg in oracle.values()]
+        ids = (*log.restaurants, "", "~")  # absent ones too
+        assert [rid in cells for rid in ids] == [rid in oracle for rid in ids]
+        assert [cells[rid] for rid in oracle] == list(cells.values())
 
 
 # exits at a day boundary, one second before one, or anywhere in eight days
@@ -272,6 +281,22 @@ def test_sliding_window_matches_oracle_on_random_worlds(window_days):
     links = list(exposures(visits, queries))
     rng.shuffle(links)
     assert_sliding_matches_oracle(visits, links, daily_windows(days, window_days))
+
+
+# links name users and restaurants the log has or lacks
+link_ids = st.tuples(st.sampled_from(["u0", "u1", "u9"]), st.sampled_from(["r0", "r1", "r9"]))
+
+
+@given(visits=st.lists(st.tuples(ids, exit_times), max_size=40), links=st.lists(st.tuples(link_ids, exit_times), max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_unvisited_links_match_a_set_of_visits(visits, links):
+    # both streams in arbitrary order, and links reuse visits' exits or not
+    visit_events = [visit(u, r, ts, ts) for (u, r), ts in visits]
+    link_events = [ExposureLink(u, r, ts, ts + 3600, 1) for (u, r), ts in links]
+    link_events += [ExposureLink(v.user_id, "r0", v.exit_ts, v.exit_ts + 1, 1) for v in visit_events[::3]]
+    visited = {(v.user_id, v.restaurant_id, v.exit_ts) for v in visit_events}
+    expected = [i for i, l in enumerate(link_events) if (l.user_id, l.restaurant_id, l.visit_exit_ts) not in visited]
+    assert locmodel.unvisited_links(VisitLog.of(visit_events), link_events).tolist() == expected
 
 
 def test_sliding_window_rejects_periods_that_move_backwards():

@@ -380,6 +380,56 @@ def _link_exit_after_anchor(out):
     return f"{path}:2: visit_exit_ts "
 
 
+def _edit_first_link(out, edit):
+    """Replace the first links.csv row by ``edit(out, *row)``; the message
+    names the file and the edited link."""
+    path = out / LINKS_CSV
+    lines = path.read_text().splitlines()
+    row = edit(out, *lines[1].split(","))
+    lines[1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    return f"{path}: link {row[0]},{row[1]},{row[2]} names no visit of the visit log"
+
+
+def _visit_rows(out):
+    return report_mod.read_csv(dataset_dir(out) / "visits.csv")[1]
+
+
+def _unknown_link_user(out):
+    return _edit_first_link(out, lambda out, user_id, *rest: ["nobody", *rest])
+
+
+def _never_visited_link_pair(out):
+    def edit(out, user_id, restaurant_id, *rest):
+        visited = {row[1] for row in _visit_rows(out) if row[0] == user_id}
+        registry = report_mod.read_csv(dataset_dir(out) / "restaurants.csv")[1]
+        return [user_id, min(row[0] for row in registry if row[0] not in visited), *rest]
+
+    return _edit_first_link(out, edit)
+
+
+def _link_exit_of_no_visit(out):
+    def edit(out, user_id, restaurant_id, exit_ts, *rest):
+        exits = {int(row[3]) for row in _visit_rows(out)}
+        exit_ts = int(exit_ts) - 1
+        while exit_ts in exits:
+            exit_ts -= 1
+        return [user_id, restaurant_id, str(exit_ts), *rest]
+
+    return _edit_first_link(out, edit)
+
+
+def _link_exit_of_another_visit(out):
+    # an exit some visit has, but no visit of the link's own pair
+    def edit(out, user_id, restaurant_id, exit_ts, anchor, rank):
+        rows = _visit_rows(out)
+        own = {int(row[3]) for row in rows if row[:2] == [user_id, restaurant_id]}
+        other = max(int(row[3]) for row in rows if int(row[3]) < int(anchor) and int(row[3]) not in own)
+        return [user_id, restaurant_id, str(other), anchor, rank]
+
+    return _edit_first_link(out, edit)
+
+
 def _visit_unregistered_restaurant(out):
     def edit(line):
         user_id, _, entry_ts, exit_ts = line.split(",")
@@ -563,6 +613,10 @@ def _non_string_infection_ids(out):
         ("evaluate", _negative_link_rank),
         ("evaluate", _zero_link_rank),
         ("evaluate", _link_exit_after_anchor),
+        ("evaluate", _unknown_link_user),
+        ("evaluate", _never_visited_link_pair),
+        ("evaluate", _link_exit_of_no_visit),
+        ("evaluate", _link_exit_of_another_visit),
     ],
 )
 def test_corrupt_intermediates_are_data_errors(tmp_path, small_run, capsys, command, corrupt):
@@ -855,3 +909,47 @@ def test_benchmark_trace_entry_points_resolve(monkeypatch):
         if not hasattr(importlib.import_module(f"foodwatch.{module}"), attr)
     ]
     assert not missing
+
+
+@pytest.mark.parametrize("extra", [[], ["privacy.enabled=false"]])
+def test_benchmark_counters_accept_what_rank_returns(monkeypatch, tmp_path, small_run, extra):
+    # The traced pass hands these results to the benchmark's counters, so
+    # their types must keep what the counters read: len() and .suppressed of
+    # the release, the daily rows, and len() of every table written.
+    monkeypatch.syspath_prepend(str(ROOT))
+    tracing = importlib.import_module("perfbench.tracing")
+    counted = (
+        (pipeline, "release", tracing._count_release),
+        (pipeline, "compute_daily_lists", tracing._count_daily_lists),
+        (report_mod, "write_csv", tracing._count_write_csv),
+    )
+    calls = []
+
+    def recording(function, count):
+        def call(*args, **kwargs):
+            result = function(*args, **kwargs)
+            calls.append((count, result, args, kwargs))
+            return result
+
+        return call
+
+    for module, attr, count in counted:
+        monkeypatch.setattr(module, attr, recording(getattr(module, attr), count))
+    out = tmp_path / "run"
+    shutil.copytree(small_run[0], out)
+    pipeline.stage_rank(small_config(extra=extra), out)
+    tracer = tracing.Tracer("rank")
+    for count, result, args, kwargs in calls:
+        count(tracer, result, args, kwargs)
+
+    def rows(name):
+        return list(report_mod.read_csv(out / name)[1])
+
+    released, daily = rows(report_mod.RELEASED_CSV), rows(report_mod.DAILY_LISTS_CSV)
+    written = [released, daily, rows(SCORED_CSV), rows(LINKS_CSV)]
+    assert [count for count, *_ in calls].count(tracing._count_write_csv) == len(written)
+    assert tracer.counts["report.csv_rows_written"] == sum(map(len, written))
+    assert tracer.counts["privacy.release_cells"] == len(released)
+    assert tracer.counts["privacy.suppressed_cells"] == sum(row[-1] == "True" for row in released)
+    assert tracer.counts["pipeline.shortlisted"] == len(daily) > 0
+    assert tracer.counts["pipeline.days_listed"] == len({row[0] for row in daily})

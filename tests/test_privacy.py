@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from foodwatch.citysim import SimConfig, generate_world, simulate
 from foodwatch.errors import UsageError
-from foodwatch.locmodel import ExposureLink, RestaurantAggregate, wilson_lower_bound
+from foodwatch.locmodel import ExposureLink, RestaurantAggregate, shares, wilson_lower_bound
 from foodwatch.logdata import Dataset, Trigger
 from foodwatch.privacy import (
     PrivacySettings,
-    _exact_shares,
-    _noised_shares,
     anonymize_ground_truth,
     anonymize_ids,
     cap_contributions,
@@ -24,7 +22,7 @@ from foodwatch.privacy import (
 )
 from foodwatch.seeding import PCG64Lanes, derive_seeds, make_rng
 
-from conftest import query, visit
+from conftest import cells, query, visit
 from oracles import wilson_oracle
 
 KEY = 0xDEADBEEF_CAFEBABE_0123456789ABCDEF
@@ -153,7 +151,7 @@ def test_capping_guarantees_unit_sensitivity(raw):
 
 
 def agg(rid="r1", visitors=100, affected=10):
-    return {rid: RestaurantAggregate(rid, visitors, affected)}
+    return cells({rid: RestaurantAggregate(rid, visitors, affected)})
 
 
 def test_huge_epsilon_recovers_counts():
@@ -168,7 +166,7 @@ def test_laplace_moments_match_oracle():
     policy = PrivacySettings(epsilon=1.0, suppress_below=0)
     n = 20_000
     aggs = {f"r{i:05d}": RestaurantAggregate(f"r{i:05d}", 100, 0) for i in range(n)}
-    rel = release(aggs, policy, rng_seed=17)
+    rel = release(cells(aggs), policy, rng_seed=17)
     noise = np.array([r.visitors - 100 for r in rel.values()])
     assert abs(noise.mean()) < 3 * math.sqrt(2.0) / math.sqrt(n)  # mean-zero bound
     assert abs(noise.mean()) < 0.1
@@ -187,7 +185,7 @@ def test_suppression_exposes_no_counts():
 def test_release_proportion_clamped():
     policy = PrivacySettings(epsilon=0.2, suppress_below=0)
     aggs = {f"r{i}": RestaurantAggregate(f"r{i}", 3, 3) for i in range(200)}
-    for rel in release(aggs, policy, rng_seed=3).values():
+    for rel in release(cells(aggs), policy, rng_seed=3).values():
         if not rel.suppressed:
             assert 0.0 <= rel.proportion <= 1.0
 
@@ -199,10 +197,10 @@ def test_release_deterministic_and_order_independent():
         "rB": RestaurantAggregate("rB", 60, 6),
     }
     flipped = {"rB": aggs["rB"], "rA": aggs["rA"]}
-    a = release(aggs, policy, rng_seed=9)
-    b = release(flipped, policy, rng_seed=9)
+    a = release(cells(aggs), policy, rng_seed=9)
+    b = release(cells(flipped), policy, rng_seed=9)
     assert a == b
-    assert a == release(aggs, policy, rng_seed=9)
+    assert a == release(cells(aggs), policy, rng_seed=9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -214,13 +212,13 @@ def test_release_deterministic_and_order_independent():
     ),
     st.integers(0, 2**32),
 )
-def test_release_matches_per_cell_bruteforce(cells, seed):
+def test_release_matches_per_cell_bruteforce(counts, seed):
     # brute force: a fresh generator per cell that always draws both
     # noises, visitors first; a suppressed cell's unused affected draw must
     # not shift any other cell's noise
     policy = PrivacySettings(epsilon=0.5, suppress_below=30)
-    aggs = {rid: RestaurantAggregate(rid, v, min(a, v)) for rid, (v, a) in cells.items()}
-    rel = release(aggs, policy, rng_seed=seed)
+    aggs = {rid: RestaurantAggregate(rid, v, min(a, v)) for rid, (v, a) in counts.items()}
+    rel = release(cells(aggs), policy, rng_seed=seed)
     assert sorted(rel) == sorted(aggs)
     for rid, exact in aggs.items():
         rng = make_rng(seed, "release", rid)
@@ -246,7 +244,7 @@ def test_release_with_privacy_off_is_exact():
         "rC": RestaurantAggregate("rC", 0, 0),
     }
     for seed in (0, 1):
-        rel = release(aggs, policy, rng_seed=seed)
+        rel = release(cells(aggs), policy, rng_seed=seed)
         assert sorted(rel) == sorted(aggs)
         for rid, cell in rel.items():
             exact = aggs[rid]
@@ -255,6 +253,24 @@ def test_release_with_privacy_off_is_exact():
             assert type(cell.affected) is int and cell.affected == exact.affected
             assert cell.proportion == (exact.affected / exact.visitors if exact.visitors else 0.0)
             assert cell.signal == pytest.approx(wilson_oracle(exact.affected, exact.visitors), abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(
+        st.text("abcr0123456789", min_size=1, max_size=6),
+        st.tuples(st.integers(0, 60), st.integers(0, 60)),
+        max_size=25,
+    ),
+    st.integers(0, 2**32),
+    st.floats(0.01, 10.0),
+)
+def test_release_keeps_the_cell_shape(counts, seed, epsilon):
+    exact = cells({rid: RestaurantAggregate(rid, v, min(a, v)) for rid, (v, a) in counts.items()})
+    assert release(exact, PrivacySettings(enabled=False, epsilon=epsilon), seed) is exact
+    noised = release(exact, PrivacySettings(epsilon=epsilon), seed)
+    assert noised.restaurants is exact.restaurants and noised.restaurant is exact.restaurant
+    assert list(noised) == list(exact)
 
 
 def test_policy_validation():
@@ -343,24 +359,22 @@ _SHARE_EDGES = st.sampled_from([0.0, -0.0, 1.0, 0.5, -1.0, 1e-300, -1e-300, 30.0
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.floats(-60, 400) | _SHARE_EDGES, st.floats(-60, 400) | _SHARE_EDGES), max_size=30))
-def test_noised_shares_equal_the_scalar_expressions(cells):
-    visitors = np.array([v for v, _ in cells], dtype=float)
-    affected = np.array([a for _, a in cells], dtype=float)
-    proportion, signal = _noised_shares(visitors, affected)
-    for (v, a), p, s in zip(cells, proportion.tolist(), signal.tolist()):
-        trials = max(v, 1.0)
-        assert repr(p) == repr(min(max(a / max(v, 1.0), 0.0), 1.0))
-        assert repr(s) == repr(wilson_lower_bound(min(max(a, 0.0), trials), trials))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=30))
-def test_exact_shares_equal_the_aggregate_properties(cells):
-    cells = [(v, min(a, v)) for v, a in cells]
-    visitors = np.array([v for v, _ in cells], dtype=np.int64)
-    affected = np.array([a for _, a in cells], dtype=np.int64)
-    proportion, signal = _exact_shares(visitors, affected)
-    for (v, a), p, s in zip(cells, proportion.tolist(), signal.tolist()):
-        exact = RestaurantAggregate("r", v, a)
-        assert (repr(p), repr(s)) == (repr(exact.proportion), repr(exact.signal))
+@given(
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=30),
+    st.lists(st.tuples(st.floats(-60, 400) | _SHARE_EDGES, st.floats(-60, 400) | _SHARE_EDGES), max_size=30),
+)
+def test_shares_equal_the_scalar_expressions(exact, noised):
+    # exact integer cells, 0 visitors included, as the window yields them,
+    # and noised real-valued cells, as the release makes them
+    exact = [(v, min(a, v)) for v, a in exact]
+    for counts, dtype in ((exact, np.int64), (noised, float)):
+        visitors = np.array([v for v, _ in counts], dtype=dtype)
+        affected = np.array([a for _, a in counts], dtype=dtype)
+        proportion, signal = shares(visitors, affected)
+        for (v, a), p, s in zip(counts, proportion.tolist(), signal.tolist()):
+            trials = max(v, 1.0)
+            assert repr(p) == repr(min(max(a / max(v, 1.0), 0.0), 1.0))
+            assert repr(s) == repr(wilson_lower_bound(min(max(a, 0.0), trials), trials))
+            if dtype is np.int64:
+                aggregate = RestaurantAggregate("r", v, a)
+                assert (repr(p), repr(s)) == (repr(aggregate.proportion), repr(aggregate.signal))
