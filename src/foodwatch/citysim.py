@@ -5,6 +5,19 @@ Latent restaurant states are the ground truth the pipeline is evaluated
 against and are visible only here and to the evaluator; serialized datasets
 carry none of it. All randomness is keyed by (seed, entity, day) so any
 parallel generation schedule reproduces the serial output bit for bit.
+
+Each (user, day) has its own random stream, ``make_rng(seed, "user", uid,
+day)``, and draws its day from it in a fixed order: the meal count, each
+meal's restaurant, times and infection, the background-query count, each
+background query, a frivolous complaint. ``simulate`` does not build those
+generators. It steps all of a day's user-days together as the lanes of one
+``seeding.PCG64Lanes``, which draws uniforms, bounded integers and small
+Poisson counts exactly as numpy's ``Generator`` does, and runs the rare
+other draws (the rest of an infected meal, ambiguous health research,
+exponential dwell times) as escapes: on a ``Generator`` put in the lane's
+state, which the lane then takes back. The day's events are then put back
+in the order one user-day after another would draw them, so every artifact
+is the one the scalar loop gives.
 """
 
 from __future__ import annotations
@@ -31,7 +44,8 @@ from .logdata import (
     VisitColumns,
 )
 from .raters import JudgmentMatrix
-from .seeding import make_rng, make_rngs
+from .report import write_json
+from .seeding import PCG64Lanes, derive_seeds, make_rng
 from .wsm import FOODBORNE_TAG
 
 DAY_S = 86_400
@@ -183,47 +197,47 @@ LOCALITIES = (
     "stonewall",
 )
 
-_FOODBORNE_PAGES = (
+_FOODBORNE_TAGS = frozenset({FOODBORNE_TAG, "health"})
+
+# The result pages a simulated query shows, as url, title, snippet and concept
+# tags: two pages about foodborne illness, a general health page and two
+# generic pages. Every query has one, and a query's page is its index here.
+RESULT_PAGES = (
     (
         "https://en.wikipedia.org/wiki/Foodborne_illness",
         "Foodborne illness - Wikipedia",
         "Foodborne illness is any illness resulting from contaminated food, "
         "caused by bacteria, viruses or parasites.",
+        _FOODBORNE_TAGS,
     ),
     (
         "https://www.healthinfo.example.org/food-poisoning",
         "Food poisoning: symptoms, causes and treatment",
         "Common symptoms of food poisoning include nausea, vomiting, "
         "stomach cramps and diarrhea within hours to days of eating.",
+        _FOODBORNE_TAGS,
     ),
-)
-
-_GENERAL_HEALTH_PAGE = (
-    "https://www.healthinfo.example.org/digestive-complaints",
-    "Common digestive complaints and when to see a doctor",
-    "An overview of nausea, heartburn and stomach discomfort and their "
-    "everyday causes.",
-)
-
-_GENERIC_PAGES = (
+    (
+        "https://www.healthinfo.example.org/digestive-complaints",
+        "Common digestive complaints and when to see a doctor",
+        "An overview of nausea, heartburn and stomach discomfort and their "
+        "everyday causes.",
+        frozenset({"health"}),
+    ),
     (
         "https://www.citysearch.example.com/listings",
         "Local listings and reviews",
         "Find places, opening hours and reviews in your city.",
+        frozenset({"local"}),
     ),
     (
         "https://www.dailynews.example.com/front",
         "Daily news front page",
         "Top stories, sports and weather for the metro area.",
+        frozenset({"local"}),
     ),
 )
-
-_FOODBORNE_TAGS = frozenset({FOODBORNE_TAG, "health"})
-_HEALTH_TAGS = frozenset({"health"})
-_LOCAL_TAGS = frozenset({"local"})
-
-# A result page's fields: url, title, snippet, concept tags, clicked, dwell_s.
-Page = tuple[str, str, str, frozenset[str], bool, float]
+_HEALTH_PAGE, _GENERIC_PAGE = 2, 3  # the foodborne pages are 0 and 1, the generic ones 3 and 4
 
 
 @dataclass(frozen=True)
@@ -300,9 +314,6 @@ class World:
     propensity: dict[str, float]  # expected meals per day
     cfg: SimConfig
     seed: int
-
-    def restaurants_in(self, city: str) -> tuple[str, ...]:
-        return tuple(r.restaurant_id for r in self.restaurants if r.city == city)
 
 
 @dataclass(frozen=True)
@@ -389,29 +400,30 @@ def _positive_text(rng: np.random.Generator) -> str:
     return text
 
 
-def _background_text(rng: np.random.Generator) -> str:
-    # head-heavy mix: bare templates repeat a lot, long combinations are rare
-    text = _pick(rng, BACKGROUND_TEMPLATES)
-    r = rng.random()
-    if r < 0.35:
-        return text
-    if r < 0.75:
-        return f"{text} {_pick(rng, BACKGROUND_SUFFIXES)}"
-    if r < 0.90:
-        return f"{text} {_pick(rng, LOCALITIES)}"
-    return f"{text} {_pick(rng, BACKGROUND_SUFFIXES)} {_pick(rng, LOCALITIES)}"
+# A query's text, result page (an index of RESULT_PAGES), click and dwell time.
+_Query = tuple[str, int, bool, float]
 
 
-def _positive_query(rng: np.random.Generator, cfg: SimConfig) -> tuple[str, Page]:
-    """An infected searcher's query text and its one result page."""
+def _positive_query(rng: np.random.Generator, cfg: SimConfig) -> _Query:
+    """An infected searcher's query and its one result page, a foodborne one."""
     text = _positive_text(rng)
-    url, title, snippet = _FOODBORNE_PAGES[int(rng.integers(len(_FOODBORNE_PAGES)))]
+    page = int(rng.integers(2))
     clicked = bool(rng.random() < cfg.p_positive_click)
     dwell = 0.0
     if clicked:  # lognormal around the median, to a tenth of a second
         log_dwell = math.log(cfg.positive_dwell_median_s) + cfg.positive_dwell_sigma * rng.standard_normal()
         dwell = float(round(math.exp(log_dwell), 1))
-    return text, (url, title, snippet, _FOODBORNE_TAGS, clicked, dwell)
+    return text, page, clicked, dwell
+
+
+def _illness(rng: np.random.Generator, cfg: SimConfig) -> tuple[int, _Query | None, bool | None]:
+    """The rest of an infected meal's draws: the symptom delay, the query if
+    the user searches, and if the user complains, whether the complaint blames
+    the last restaurant visited rather than the true source."""
+    delay = _draw_incubation_s(rng, cfg)
+    query = _positive_query(rng, cfg) if rng.random() < cfg.p_search_given_ill else None
+    blame_last = bool(rng.random() < cfg.p_blame_last) if rng.random() < cfg.p_complaint_given_ill else None
+    return delay, query, blame_last
 
 
 def _ambiguify(rng: np.random.Generator, template: str) -> str:
@@ -423,42 +435,135 @@ def _ambiguify(rng: np.random.Generator, template: str) -> str:
     return template
 
 
-def _background_query(rng: np.random.Generator, cfg: SimConfig) -> tuple[str, Page, int]:
-    """One non-illness-driven query: its text, its one result page and its
-    ground-truth topical label.
-
-    Most are plain background noise; a small fraction are ambiguous health
-    research that clicks a foodborne-topic page briefly, split between
-    queries raters would call foodborne (label 1) and ones they would not.
-    """
-    label = 0
-    if rng.random() < cfg.p_background_foodclick:
-        # dwell tracks topical relevance: genuinely foodborne research holds
-        # the reader, off-topic curiosity bounces quickly
-        if rng.random() < 0.6:
-            text = _ambiguify(rng, _pick(rng, AMBIGUOUS_FOODBORNE_TEMPLATES))
-            label = 1
-            url, title, snippet = _FOODBORNE_PAGES[int(rng.integers(len(_FOODBORNE_PAGES)))]
-            tags = _FOODBORNE_TAGS
-            dwell_mean = 20.0
-        else:
-            text = _ambiguify(rng, _pick(rng, AMBIGUOUS_OTHER_TEMPLATES))
-            dwell_mean = 8.0
-            if rng.random() < 0.5:
-                url, title, snippet = _FOODBORNE_PAGES[int(rng.integers(len(_FOODBORNE_PAGES)))]
-                tags = _FOODBORNE_TAGS
-            else:
-                url, title, snippet = _GENERAL_HEALTH_PAGE
-                tags = _HEALTH_TAGS
-        page = (url, title, snippet, tags, True, float(round(rng.exponential(dwell_mean), 1)))
+def _health_research(rng: np.random.Generator) -> tuple[str, int, bool, float, int]:
+    """An ambiguous background query that clicks a health page, followed by
+    its ground-truth topical label: raters call the first pool foodborne and the
+    second not. Dwell tracks topical relevance: genuinely foodborne research
+    holds the reader, off-topic curiosity bounces quickly."""
+    if rng.random() < 0.6:
+        text = _ambiguify(rng, _pick(rng, AMBIGUOUS_FOODBORNE_TEMPLATES))
+        page, dwell_mean, label = int(rng.integers(2)), 20.0, 1
     else:
-        text = _background_text(rng)
-        url, title, snippet = _GENERIC_PAGES[int(rng.integers(len(_GENERIC_PAGES)))]
-        if rng.random() < 0.5:
-            page = (url, title, snippet, _LOCAL_TAGS, True, float(round(rng.exponential(40.0), 1)))
-        else:
-            page = (url, title, snippet, _LOCAL_TAGS, False, 0.0)
-    return text, page, label
+        text = _ambiguify(rng, _pick(rng, AMBIGUOUS_OTHER_TEMPLATES))
+        page = int(rng.integers(2)) if rng.random() < 0.5 else _HEALTH_PAGE
+        dwell_mean, label = 8.0, 0
+    return text, page, True, float(round(rng.exponential(dwell_mean), 1)), label
+
+
+def _generic_dwell(rng: np.random.Generator) -> float:
+    return float(round(rng.exponential(40.0), 1))
+
+
+_SUFFIXES = ("", *(f" {s}" for s in BACKGROUND_SUFFIXES))  # by suffix draw + 1; "" for none
+_LOCALITY_SUFFIXES = ("", *(f" {s}" for s in LOCALITIES))
+
+# the columns of a day's queries: user (a lane), ts, text, page (an index of
+# RESULT_PAGES), clicked, dwell and label
+_QUERY_DTYPES = (np.int64, np.int64, object, np.int64, bool, np.float64, np.int64)
+
+
+def _query_columns(rows: list[tuple]) -> list[np.ndarray]:
+    """Query rows as the columns of a day's queries."""
+    columns = list(zip(*rows)) or [()] * len(_QUERY_DTYPES)
+    return [np.array(column, dtype=dtype) for column, dtype in zip(columns, _QUERY_DTYPES)]
+
+
+def _by_lane(chunks: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """Chunks of columns, the lane first, stacked and sorted stably by lane:
+    within a lane, chunk order and then row order, which is draw order."""
+    columns = [np.concatenate(column) for column in zip(*chunks)]
+    order = np.argsort(columns[0], kind="stable")
+    return [column[order] for column in columns]
+
+
+class _Days:
+    """The city's user-days, drawn a day at a time: each user's day is a lane
+    of one ``PCG64Lanes``, seeded as ``make_rng(seed, "user", uid, day)``
+    would be, and the lanes step through the user-day's draws round by
+    round (see the module docstring)."""
+
+    def __init__(self, world: World, days: int, seed: int):
+        cfg = world.cfg
+        self.cfg = cfg
+        # each user's home pool is a span of ``pool``, which lists the
+        # restaurants city by city
+        pool: list[int] = []
+        start, size = {}, {}
+        for city in sorted(cfg.cities):
+            members = [i for i, r in enumerate(world.restaurants) if r.city == city]
+            start[city], size[city] = len(pool), len(members)
+            pool += members
+        self.pool = np.array(pool, dtype=np.int64)
+        homes = [world.home_city[uid] for uid in world.users]
+        self.home_start = np.array([start[city] for city in homes], dtype=np.int64)
+        self.home_size = np.array([size[city] for city in homes], dtype=np.int64)
+        self.propensity = np.array([world.propensity[uid] for uid in world.users], dtype=np.float64)
+        unsafe = np.array([world.latent_unsafe[r.restaurant_id] for r in world.restaurants], dtype=bool)
+        self.p_infect = np.where(unsafe, cfg.p_infect_unsafe, cfg.p_infect_safe)
+        self.seeds = np.zeros((len(world.users), days), dtype=np.uint64)
+        for lane, uid in enumerate(world.users):
+            self.seeds[lane] = derive_seeds(seed, ("user", uid), range(days))
+
+    def day(self, day: int) -> tuple[list[np.ndarray], list[np.ndarray], list[tuple], list[np.ndarray]]:
+        """The day's visits and queries as columns, its infections as (user,
+        restaurant, exit, symptom delay, query or None, blame_last or None)
+        rows, and its frivolous complaints as (user, ts, pick) columns: each
+        in the order one user-day after another draws them, by user and then
+        in draw order."""
+        cfg, day_start = self.cfg, day * DAY_S
+        lanes = PCG64Lanes(self.seeds[:, day])
+        everyone = np.arange(len(self.propensity))
+        visits = [[np.zeros(0, dtype=np.int64)] * 4]  # user, restaurant (an index), entry, exit
+        infections = []
+
+        n_meals = lanes.poisson(everyone, self.propensity)
+        for j in range(n_meals.max(initial=0)):
+            eating = np.flatnonzero(n_meals > j)
+            restaurant = self.pool[self.home_start[eating] + lanes.integers(eating, self.home_size[eating])]
+            entry = day_start + 6 * 3600 + lanes.integers(eating, 15 * 3600)
+            exit_ts = entry + 1800 + lanes.integers(eating, 3600)
+            visits.append([eating, restaurant, entry, exit_ts])
+            ill = np.flatnonzero(lanes.next_doubles(eating) < self.p_infect[restaurant])
+            illnesses = lanes.escape(eating[ill], lambda rng: _illness(rng, cfg))
+            infections += zip(eating[ill].tolist(), restaurant[ill].tolist(), exit_ts[ill].tolist(), *zip(*illnesses))
+        queries = [
+            _query_columns(
+                [(lane, exit_ts + delay, *query, 1) for lane, _, exit_ts, delay, query, _ in infections if query is not None]
+            )
+        ]
+
+        n_background = lanes.poisson(everyone, cfg.background_queries_per_day)
+        for j in range(n_background.max(initial=0)):
+            asking = np.flatnonzero(n_background > j)
+            ts = day_start + lanes.integers(asking, DAY_S)
+            research = lanes.next_doubles(asking) < cfg.p_background_foodclick
+            rows = zip(asking[research].tolist(), ts[research].tolist(), lanes.escape(asking[research], _health_research))
+            queries.append(_query_columns([(lane, t, *query) for lane, t, query in rows]))
+            # the rest search the head-heavy background mix: bare templates
+            # repeat a lot, long combinations are rare. r below 0.35 keeps the
+            # bare template, below 0.75 adds a suffix, below 0.90 a locality,
+            # and above both, the suffix drawn first
+            asking, ts = asking[~research], ts[~research]
+            template = lanes.integers(asking, len(BACKGROUND_TEMPLATES))
+            r = lanes.next_doubles(asking)
+            suffix, locality = np.zeros(len(asking), dtype=np.int64), np.zeros(len(asking), dtype=np.int64)
+            with_suffix = (r >= 0.35) & ((r < 0.75) | (r >= 0.90))
+            suffix[with_suffix] = 1 + lanes.integers(asking[with_suffix], len(BACKGROUND_SUFFIXES))
+            with_locality = r >= 0.75
+            locality[with_locality] = 1 + lanes.integers(asking[with_locality], len(LOCALITIES))
+            text = [
+                BACKGROUND_TEMPLATES[t] + _SUFFIXES[s] + _LOCALITY_SUFFIXES[loc]
+                for t, s, loc in zip(template.tolist(), suffix.tolist(), locality.tolist())
+            ]
+            page = _GENERIC_PAGE + lanes.integers(asking, 2)
+            clicked = lanes.next_doubles(asking) < 0.5
+            dwell = np.zeros(len(asking))
+            dwell[clicked] = lanes.escape(asking[clicked], _generic_dwell)
+            queries.append([asking, ts, np.array(text, dtype=object), page, clicked, dwell, np.zeros(len(asking), dtype=np.int64)])
+
+        complaining = np.flatnonzero(lanes.next_doubles(everyone) < cfg.p_frivolous_complaint)
+        frivolous = [complaining, day_start + lanes.integers(complaining, DAY_S), lanes.next_doubles(complaining)]
+        return _by_lane(visits), _by_lane(queries), sorted(infections, key=lambda row: row[0]), frivolous
 
 
 def simulate(
@@ -479,62 +584,32 @@ def simulate(
     if days < 1:
         raise DataError("days >= 1")
     cfg = world.cfg
+    pids = [user_ids[uid] for uid in world.users]
+    rids = [r.restaurant_id for r in world.restaurants]
 
-    visits = VisitColumns()
-    queries = QueryColumns()
-    labels: list[int] = []  # per query, as drawn
+    user_days = _Days(world, days, seed)
+    visits, queries = VisitColumns(), QueryColumns()
+    labels = []  # per query, as drawn
     infections: list[InfectionRecord] = []
     # illness complaints: (user_id, symptom_ts, blame_last, true_source);
     # frivolous complaints: (user_id, complaint_ts, pick in [0,1))
     ill_complaints: list[tuple[str, int, bool, str]] = []
     frivolous_complaints: list[tuple[str, int, float]] = []
-
-    by_city = {c: world.restaurants_in(c) for c in sorted(cfg.cities)}
     for day in range(days):
-        day_start = day * DAY_S
-        user_rngs = make_rngs(seed, [("user", uid, day) for uid in world.users])
-        for uid, rng in zip(world.users, user_rngs):
-            pool = by_city[world.home_city[uid]]
-            pid = user_ids[uid]
-
-            n_meals = int(rng.poisson(world.propensity[uid]))
-            for _ in range(n_meals):
-                rid = pool[int(rng.integers(len(pool)))]
-                entry = day_start + int(rng.integers(6 * 3600, 21 * 3600))
-                exit_ts = entry + int(rng.integers(1800, 5400))
-                visits.visit(pid, rid, entry, exit_ts)
-                p_infect = (
-                    cfg.p_infect_unsafe
-                    if world.latent_unsafe[rid]
-                    else cfg.p_infect_safe
-                )
-                if rng.random() < p_infect:
-                    symptom_ts = exit_ts + _draw_incubation_s(rng, cfg)
-                    searched = bool(rng.random() < cfg.p_search_given_ill)
-                    query_ts = symptom_ts if searched else None
-                    if searched:
-                        text, page = _positive_query(rng, cfg)
-                        queries.event(pid, symptom_ts, text)
-                        queries.page(*page)
-                        labels.append(1)
-                    infections.append(
-                        InfectionRecord(pid, rid, exit_ts, symptom_ts, searched, query_ts)
-                    )
-                    if rng.random() < cfg.p_complaint_given_ill:
-                        blame_last = bool(rng.random() < cfg.p_blame_last)
-                        ill_complaints.append((pid, symptom_ts, blame_last, rid))
-
-            n_bg = int(rng.poisson(cfg.background_queries_per_day))
-            for _ in range(n_bg):
-                ts = day_start + int(rng.integers(0, DAY_S))
-                text, page, label = _background_query(rng, cfg)
-                queries.event(pid, ts, text)
-                queries.page(*page)
-                labels.append(label)
-
-            if rng.random() < cfg.p_frivolous_complaint:
-                ts = day_start + int(rng.integers(0, DAY_S))
-                frivolous_complaints.append((pid, ts, float(rng.random())))
+        day_visits, day_queries, day_infections, frivolous = user_days.day(day)
+        user, restaurant, entry_ts, exit_ts = day_visits
+        visits.extend(pids, user, rids, restaurant, entry_ts, exit_ts)
+        user, ts, text, page, clicked, dwell, label = day_queries
+        queries.extend(pids, user, ts, text.tolist(), RESULT_PAGES, page, clicked, dwell)
+        labels.append(label)
+        for lane, restaurant, exit_ts, delay, query, blame_last in day_infections:
+            symptom_ts, searched = exit_ts + delay, query is not None
+            infections.append(
+                InfectionRecord(pids[lane], rids[restaurant], exit_ts, symptom_ts, searched, symptom_ts if searched else None)
+            )
+            if blame_last is not None:
+                ill_complaints.append((pids[lane], symptom_ts, blame_last, rids[restaurant]))
+        frivolous_complaints += [(pids[lane], ts, pick) for lane, ts, pick in zip(*(c.tolist() for c in frivolous))]
 
     # the order loading gives: by time, stably
     visits = visits.log()
@@ -596,7 +671,7 @@ def simulate(
     )
     truth = GroundTruth(
         infections=tuple(infections),
-        query_labels=tuple(np.asarray(labels)[order].tolist()),
+        query_labels=tuple(np.concatenate(labels)[order].tolist()),
     )
     return dataset, truth
 
@@ -723,8 +798,7 @@ def save_ground_truth(truth: GroundTruth, path: Path) -> None:
         ],
         "query_labels": list(truth.query_labels),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    write_json(path, payload)
 
 
 def _json_int(value, name: str) -> int:

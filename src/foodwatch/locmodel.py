@@ -314,19 +314,62 @@ def _contains(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return sorted_codes[np.minimum(at, len(sorted_codes) - 1)] == codes if len(sorted_codes) else at < 0
 
 
+def _visits_ending_at(visits: VisitLog, exits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, visit) pair of the exit-sorted log where the visit ends at
+    ``exits[i]``, as two arrays. The visits are found by binary search, so
+    no array as long as the log is built."""
+    first = np.searchsorted(visits.exit_ts, exits)
+    counts = np.searchsorted(visits.exit_ts, exits, "right") - first
+    i = np.repeat(np.arange(len(exits)), counts)
+    return i, first[i] + np.arange(len(i)) - (np.cumsum(counts) - counts)[i]
+
+
+def _exit_sorted(visits: VisitLog) -> VisitLog:
+    if np.any(visits.exit_ts[1:] < visits.exit_ts[:-1]):  # a loaded log is sorted already
+        return visits.take(np.argsort(visits.exit_ts, kind="stable"))
+    return visits
+
+
 def unvisited_links(visits: VisitLog, links: Sequence[ExposureLink]) -> np.ndarray:
     """Positions of the links whose (user, restaurant, visit exit) is no visit
-    of the log. Each link's candidates are the visits ending at its exit, found
-    by binary search, so the check builds no array as long as the log."""
-    if np.any(visits.exit_ts[1:] < visits.exit_ts[:-1]):  # a loaded log is sorted already
-        visits = visits.take(np.argsort(visits.exit_ts, kind="stable"))
+    of the log. Each link's candidates are the visits ending at its exit."""
+    visits = _exit_sorted(visits)
     link_pair, link_exit = _link_pairs(visits, links)
-    first = np.searchsorted(visits.exit_ts, link_exit)
-    counts = np.searchsorted(visits.exit_ts, link_exit, "right") - first
-    link = np.repeat(np.arange(len(links)), counts)  # each candidate's link
-    at = first[link] + np.arange(len(link)) - (np.cumsum(counts) - counts)[link]  # and its visit
+    link, at = _visits_ending_at(visits, link_exit)
     found = link[_pair_codes(visits.take(at)) == link_pair[link]]
     return np.flatnonzero(np.bincount(found, minlength=len(links)) == 0)
+
+
+def recency_ranks(visits: VisitLog, links: Sequence[ExposureLink], window_s: int) -> np.ndarray:
+    """The recency rank ``link_exposures`` gives each link's visit: 1 plus the
+    number of the user's visits that end in [anchor - window_s, anchor) and
+    come before it by descending exit, then restaurant id. 0 for a link whose
+    visit ends outside that window or whose user never visits.
+
+    The user's visits that end before a time are counted by binary search
+    over one sorted array of (user, log position) codes; visits that tie on
+    the exit are the ones ending at it."""
+    visits = _exit_sorted(visits)
+    n = len(visits)
+    user_code = {user_id: code for code, user_id in enumerate(visits.users)}
+    restaurant_code = {rid: code for code, rid in enumerate(visits.restaurants)}
+    user = np.array([user_code.get(l.user_id, -1) for l in links], dtype=np.int64)
+    restaurant = np.array([restaurant_code.get(l.restaurant_id, -1) for l in links], dtype=np.int64)
+    exit_ts = np.array([l.visit_exit_ts for l in links], dtype=np.int64)
+    anchor = np.array([l.first_positive_query_ts for l in links], dtype=np.int64)
+    keys = visits.user.astype(np.int64)  # (user, log position) codes, sorted: by user, then exit
+    keys *= n
+    keys += np.arange(n)
+    keys.sort()
+
+    def ending_before(ts: np.ndarray) -> np.ndarray:
+        """Per link, how many of its user's visits end before ``ts``."""
+        return np.searchsorted(keys, user * n + np.searchsorted(visits.exit_ts, ts)) - np.searchsorted(keys, user * n)
+
+    link, at = _visits_ending_at(visits, exit_ts)
+    tied = link[(visits.user[at] == user[link]) & (visits.restaurant[at] < restaurant[link])]
+    ranks = 1 + ending_before(anchor) - ending_before(exit_ts + 1) + np.bincount(tied, minlength=len(links))
+    return np.where((user >= 0) & (anchor - window_s <= exit_ts) & (exit_ts < anchor), ranks, 0)
 
 
 def aggregate_restaurants(

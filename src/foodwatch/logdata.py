@@ -289,6 +289,29 @@ class QueryLog(Columns):
             yield QueryEvent(self.users[u], ts, self.texts[x], results)
 
 
+def _codes(table: dict, values: Iterable) -> list[int]:
+    """The code of each value in ``table``, tabling values not yet in it."""
+    values = list(values)
+    for value in dict.fromkeys(values):  # the new values in order of first appearance
+        table.setdefault(value, len(table))
+    return list(map(table.__getitem__, values))
+
+
+def _indexed_codes(table: dict, values: Sequence, index: np.ndarray) -> np.ndarray:
+    """``_codes(table, [values[i] for i in index])`` as int32, tabling only
+    the values that ``index`` reaches."""
+    index = np.asarray(index, dtype=np.intp)
+    code_of = np.zeros(len(values), dtype=np.int32)
+    reached = list(dict.fromkeys(index.tolist()))  # in order of first appearance
+    code_of[reached] = _codes(table, [values[i] for i in reached])
+    return code_of[index]
+
+
+def _append(column: array, values: np.ndarray) -> None:
+    """Append an array of the column's dtype to it."""
+    column.frombytes(values.tobytes())
+
+
 class QueryColumns:
     """A query log built one event and page at a time, each distinct value
     of a field tabled when it first appears."""
@@ -322,6 +345,32 @@ class QueryColumns:
         self.clicked.append(clicked)
         self.dwell_s.append(dwell_s)
         self.page_start[-1] += 1
+
+    def extend(
+        self,
+        users: Sequence[str],
+        user: np.ndarray,
+        ts: np.ndarray,
+        texts: Sequence[str],
+        pages: Sequence[tuple[str, str, str, frozenset[str]]],
+        page: np.ndarray,
+        clicked: np.ndarray,
+        dwell_s: np.ndarray,
+    ) -> None:
+        """Events given as columns, each with one result page: event i is by
+        ``users[user[i]]`` and shows ``pages[page[i]]``, a (url, title,
+        snippet, tags) row, with ``clicked[i]`` and ``dwell_s[i]``."""
+        _append(self.user, _indexed_codes(self.users, users, user))
+        _append(self.ts, np.asarray(ts, dtype=np.int64))
+        self.text.extend(_codes(self.texts, texts))
+        end = self.page_start[-1]
+        _append(self.page_start, np.arange(end + 1, end + 1 + len(ts), dtype=np.int64))
+        tables = (self.urls, self.titles, self.snippets, self.tag_sets)
+        columns = (self.url, self.title, self.snippet, self.concept_tags)
+        for table, column, values in zip(tables, columns, zip(*pages)):
+            _append(column, _indexed_codes(table, values, page))
+        _append(self.clicked, np.asarray(clicked, dtype=bool))
+        _append(self.dwell_s, np.asarray(dwell_s, dtype=np.float64))
 
     def log(self) -> QueryLog:
         return QueryLog(
@@ -404,6 +453,22 @@ class VisitColumns:
         self.restaurant.append(self.restaurants.setdefault(restaurant_id, len(self.restaurants)))
         self.entry_ts.append(entry_ts)
         self.exit_ts.append(exit_ts)
+
+    def extend(
+        self,
+        users: Sequence[str],
+        user: np.ndarray,
+        restaurants: Sequence[str],
+        restaurant: np.ndarray,
+        entry_ts: np.ndarray,
+        exit_ts: np.ndarray,
+    ) -> None:
+        """Visits given as columns: visit i is by ``users[user[i]]`` at
+        ``restaurants[restaurant[i]]``."""
+        _append(self.user, _indexed_codes(self.users, users, user))
+        _append(self.restaurant, _indexed_codes(self.restaurants, restaurants, restaurant))
+        _append(self.entry_ts, np.asarray(entry_ts, dtype=np.int64))
+        _append(self.exit_ts, np.asarray(exit_ts, dtype=np.int64))
 
     def log(self) -> VisitLog:
         users, user = _sorted_table(self.users, self.user)

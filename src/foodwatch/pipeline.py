@@ -44,6 +44,7 @@ from .locmodel import (
     attribute_sources,
     link_exposures,
     rank_restaurants,
+    recency_ranks,
     sliding_aggregates,
     unvisited_links,
 )
@@ -612,6 +613,14 @@ def stage_evaluate(config: RunConfig, out: Path | Run) -> None:
         raise DataFormatError(
             f"{run.out / LINKS_CSV}: link {link.user_id},{link.restaurant_id},{link.visit_exit_ts} "
             "names no visit of the visit log"
+        )
+    ranks = recency_ranks(visits, links, config.locmodel.window_s)
+    wrong = np.flatnonzero(ranks != np.array([link.recency_rank for link in links], dtype=np.int64))
+    if len(wrong):
+        link = links[wrong[0]]
+        raise DataFormatError(
+            f"{run.out / LINKS_CSV}: link {link.user_id},{link.restaurant_id},{link.visit_exit_ts} has recency rank "
+            f"{link.recency_rank}, but the visit log ranks it {ranks[wrong[0]]}"
         )
     tables = compute_evaluation_tables(config, visits, registry, run.all_inspections, links)
     report_mod.write_csv(

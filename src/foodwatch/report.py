@@ -11,6 +11,7 @@ table's header is declared once, next to its file name.
 from __future__ import annotations
 
 import csv
+import json
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -64,6 +65,28 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+_JSON_BLOCK = 1024  # list items per C-encoded block
+
+
+def write_json(path: Path, payload: dict) -> None:
+    """Write ``payload`` as ``json.dump`` would, byte for byte, but from the C
+    encoder: ``json.dump`` encodes in pure Python, and ``json.dumps`` would
+    hold the whole document at once (5 MB for a model), so each top-level
+    list is encoded a block of items at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{")
+        for i, (key, value) in enumerate(payload.items()):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            if isinstance(value, list):
+                fh.write("[")
+                for at in range(0, len(value), _JSON_BLOCK):
+                    fh.write(f"{', ' if at else ''}{json.dumps(value[at : at + _JSON_BLOCK])[1:-1]}")
+                fh.write("]")
+            else:
+                fh.write(json.dumps(value))
+        fh.write("}")
 
 
 def read_csv(

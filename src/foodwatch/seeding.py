@@ -9,7 +9,8 @@ process and must never be used here.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Sequence
+import math
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -42,30 +43,9 @@ def make_rng(seed: int, *parts: object) -> np.random.Generator:
     return np.random.default_rng(derive_seed(seed, *parts))
 
 
-def make_rngs(seed: int, keys: Iterable[Sequence[object]]) -> Iterator[np.random.Generator]:
-    """One generator per key, each in exactly the state ``make_rng(seed, *key)``
-    starts in.
-
-    All keys are seeded in one vectorized batch, and every generator yielded is
-    the same object, reseated for the next key: use it up before advancing.
-    """
-    states = _pcg64_states([derive_seed(seed, *key) for key in keys])
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
-    for state, inc in states:
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,  # no buffered half-word from the previous key
-            "uinteger": 0,
-        }
-        yield rng
-
-
 # ``np.random.default_rng(seed)`` is ``PCG64(SeedSequence(seed))``. Both
 # seeding algorithms and their constants are fixed by NEP 19's stream
-# stability promise, which lets ``make_rngs`` and ``PCG64Lanes`` reproduce
-# them exactly.
+# stability promise, which lets ``PCG64Lanes`` reproduce them exactly.
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence entropy mixing
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # SeedSequence.generate_state
@@ -118,16 +98,9 @@ def _seed_sequence_words(seeds: Sequence[int]) -> list[np.ndarray]:
     ]
 
 
-def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
-    """PCG64's (state, inc) after seeding from ``SeedSequence(s)``, per seed,
-    as Python ints."""
-    s_hi, s_lo, i_hi, i_lo = (word.tolist() for word in _pcg64_words(np.array(seeds, dtype=np.uint64)))
-    return [((sh << 64) | sl, (ih << 64) | il) for sh, sl, ih, il in zip(s_hi, s_lo, i_hi, i_lo)]
-
-
 # 128-bit integers below are (high, low) pairs of uint64 arrays; numpy's
 # uint64 arithmetic wraps modulo 2**64, as the C code's does.
-_U32, _U11, _U58, _U63, _U64, _LOW32 = (np.uint64(k) for k in (32, 11, 58, 63, 64, _M32))
+_U32, _U11, _U58, _U63, _U64, _LOW32, _TWO32 = (np.uint64(k) for k in (32, 11, 58, 63, 64, _M32, 1 << 32))
 _PCG64_MULT_HI, _PCG64_MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & ((1 << 64) - 1))
 
 
@@ -159,19 +132,119 @@ def _pcg64_words(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return (*_pcg64_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
+_T = TypeVar("_T")
+
+
 class PCG64Lanes:
     """One PCG64 stream per seed, each starting where ``np.random.default_rng(seed)``
-    starts, stepped together on uint64 arrays."""
+    starts, stepped together on uint64 arrays.
+
+    Each lane draws exactly what its ``Generator`` would, draw for draw:
+    ``next_doubles`` is ``random()``, ``integers`` is ``integers(n)`` and
+    ``poisson`` is ``poisson(lam)``. Any other draw runs on a ``Generator``
+    put in the lane's state, through ``escape``. Every method takes ``lanes``,
+    distinct lane indices, and moves no other lane.
+    """
 
     def __init__(self, seeds: np.ndarray):
         self.hi, self.lo, self.inc_hi, self.inc_lo = _pcg64_words(seeds)
+        # numpy's 32-bit draws take the low half of a 64-bit output and keep
+        # the high half for the next one
+        self.has_uint32 = np.zeros(len(self.hi), dtype=bool)
+        self.uinteger = np.zeros(len(self.hi), dtype=np.uint64)
+        self._rng: np.random.Generator | None = None  # built at the first escape
 
-    def next_doubles(self, lanes: np.ndarray) -> np.ndarray:
-        """The next double in [0, 1) of each lane in ``lanes`` (distinct lane
-        indices), as ``Generator.random()`` would draw it; no other lane moves."""
+    def _next_uint64s(self, lanes: np.ndarray) -> np.ndarray:
         hi, lo = _pcg64_step(self.hi[lanes], self.lo[lanes], self.inc_hi[lanes], self.inc_lo[lanes])
         self.hi[lanes], self.lo[lanes] = hi, lo
         # XSL-RR output: the xor of both halves, rotated right by the top 6 state bits
         x, rot = hi ^ lo, hi >> _U58
-        out = (x >> rot) | (x << ((_U64 - rot) & _U63))
-        return (out >> _U11).astype(np.float64) * (1.0 / 9007199254740992.0)
+        return (x >> rot) | (x << ((_U64 - rot) & _U63))
+
+    def next_doubles(self, lanes: np.ndarray) -> np.ndarray:
+        """The next double in [0, 1) of each lane, as ``Generator.random()``
+        would draw it."""
+        return (self._next_uint64s(lanes) >> _U11).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+    def next_uint32(self, lanes: np.ndarray) -> np.ndarray:
+        """The next 32-bit word of each lane, as uint64: the kept high half
+        if the lane has one, else the low half of a new 64-bit output."""
+        kept = self.has_uint32[lanes]
+        out = self.uinteger[lanes]
+        fresh = lanes[~kept]
+        word = self._next_uint64s(fresh)
+        out[~kept] = word & _LOW32
+        self.uinteger[fresh] = word >> _U32
+        self.has_uint32[lanes] = ~kept
+        return out
+
+    def integers(self, lanes: np.ndarray, n) -> np.ndarray:
+        """An integer in [0, n) per lane, as ``Generator.integers(n)`` draws
+        it for 1 <= n < 2**32 (``n`` one bound or one per lane): Lemire's
+        multiply-and-reject on 32-bit words, and no draw at all for n = 1."""
+        bound = np.broadcast_to(np.asarray(n, dtype=np.uint64), lanes.shape)
+        out = np.zeros(len(lanes), dtype=np.uint64)
+        pending = np.flatnonzero(bound > 1)
+        bound = bound[pending]
+        while len(pending):
+            m = self.next_uint32(lanes[pending]) * bound
+            # a product whose low word is below 2**32 mod n would bias the draw
+            reject = (m & _LOW32) < (_TWO32 - bound) % bound
+            out[pending[~reject]] = m[~reject] >> _U32
+            pending, bound = pending[reject], bound[reject]
+        return out.astype(np.int64)
+
+    def poisson(self, lanes: np.ndarray, lam) -> np.ndarray:
+        """A Poisson count per lane, as ``Generator.poisson(lam)`` draws it
+        (``lam`` one rate or one per lane): 0 with no draw for a rate of 0,
+        doubles multiplied until their product falls to exp(-lam) for a rate
+        below 10, and numpy's own PTRS sampler, through ``escape``, above."""
+        rate = np.broadcast_to(np.asarray(lam, dtype=np.float64), lanes.shape)
+        out = np.zeros(len(lanes), dtype=np.int64)
+        high = np.flatnonzero(rate >= 10)
+        rates = iter(rate[high].tolist())  # each escape takes the next lane's rate
+        out[high] = self.escape(lanes[high], lambda rng: rng.poisson(next(rates)))
+        pending = np.flatnonzero((rate > 0) & (rate < 10))
+        floor = np.array([math.exp(-x) for x in rate[pending].tolist()])  # libm's exp, as numpy's C code calls it
+        product = np.ones(len(pending))
+        while len(pending):
+            product *= self.next_doubles(lanes[pending])
+            more = product > floor
+            out[pending[more]] += 1
+            pending, product, floor = pending[more], product[more], floor[more]
+        return out
+
+    def state(self, lane: int) -> dict:
+        """The lane's state, in the form of ``Generator.bit_generator.state``."""
+        words = (self.hi, self.lo, self.inc_hi, self.inc_lo, self.has_uint32, self.uinteger)
+        return _state(*(int(word[lane]) for word in words))
+
+    def escape(self, lanes: np.ndarray, draw: Callable[[np.random.Generator], _T]) -> list[_T]:
+        """``draw(rng)`` for each lane in turn, on a Generator in exactly the
+        lane's state: for any draw the lanes do not step themselves. Each lane
+        goes on from the state its draw leaves."""
+        hi, lo, inc_hi, inc_lo, has_uint32, uinteger = (
+            word[lanes].tolist() for word in (self.hi, self.lo, self.inc_hi, self.inc_lo, self.has_uint32, self.uinteger)
+        )
+        if self._rng is None:
+            self._rng = np.random.Generator(np.random.PCG64(0))
+        bit_generator = self._rng.bit_generator
+        results = []
+        for i in range(len(hi)):
+            bit_generator.state = _state(hi[i], lo[i], inc_hi[i], inc_lo[i], has_uint32[i], uinteger[i])
+            results.append(draw(self._rng))
+            state = bit_generator.state
+            hi[i], lo[i] = divmod(state["state"]["state"], 1 << 64)
+            has_uint32[i], uinteger[i] = state["has_uint32"], state["uinteger"]
+        self.hi[lanes], self.lo[lanes], self.has_uint32[lanes], self.uinteger[lanes] = hi, lo, has_uint32, uinteger
+        return results
+
+
+def _state(hi: int, lo: int, inc_hi: int, inc_lo: int, has_uint32: int, uinteger: int) -> dict:
+    """A PCG64 state from its words, in the form of ``Generator.bit_generator.state``."""
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": (hi << 64) | lo, "inc": (inc_hi << 64) | inc_lo},
+        "has_uint32": int(has_uint32),
+        "uinteger": uinteger,
+    }

@@ -30,6 +30,7 @@ from .features import (
     featurize_rows,
 )
 from .logdata import QueryEvent, QueryLog, first_occurrences
+from .report import write_json
 from .seeding import make_rng
 
 FOODBORNE_TAG = "foodborne_illness"
@@ -282,8 +283,7 @@ def save_model(model: WsmModel, path: Path) -> None:
         "final_loss": model.final_loss,
         "epoch_losses": list(model.epoch_losses),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    write_json(path, payload)
 
 
 def load_model(path: Path) -> WsmModel:

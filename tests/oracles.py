@@ -4,19 +4,49 @@ These deliberately take different computational routes from the library code
 they check: closed-form 2x2 odds ratios, Simpson quadrature for the
 chi-square tail, pairwise-disagreement Krippendorff alpha, brute-force
 majority voting, O(n^2) pairwise AUC, a per-example logistic loss and
-gradient, a query log written with one ``json.dumps`` per event, and the
-query and visit logs loaded as one object per event and page.
+gradient, a query log written with one ``json.dumps`` per event, the query
+and visit logs loaded as one object per event and page, and the city
+simulated with one scalar generator per user-day.
 """
 
 import json
 import math
 import sys
+from typing import Mapping
 
 import numpy as np
 
-from foodwatch.errors import DataFormatError
-from foodwatch.logdata import MAX_RESULTS_PER_QUERY, QueryEvent, ResultPage, VisitEvent
+from foodwatch.citysim import (
+    AMBIGUOUS_FOODBORNE_TEMPLATES,
+    AMBIGUOUS_OTHER_TEMPLATES,
+    BACKGROUND_SUFFIXES,
+    BACKGROUND_TEMPLATES,
+    DAY_S,
+    LOCALITIES,
+    POSITIVE_MODIFIERS,
+    POSITIVE_TEMPLATES,
+    RESULT_PAGES,
+    GroundTruth,
+    InfectionRecord,
+    SimConfig,
+    World,
+    day_to_date,
+    simulate_inspection,
+)
+from foodwatch.errors import DataError, DataFormatError
+from foodwatch.logdata import (
+    MAX_RESULTS_PER_QUERY,
+    Dataset,
+    InspectionRecord,
+    QueryColumns,
+    QueryEvent,
+    ResultPage,
+    Trigger,
+    VisitColumns,
+    VisitEvent,
+)
 from foodwatch.report import read_csv
+from foodwatch.seeding import make_rng
 
 
 def crossproduct_oracle(a, b, c, d):
@@ -222,3 +252,250 @@ def load_visit_objects(path):
     """The visit log as one VisitEvent per row, sorted stably by exit_ts."""
     _, visits = read_csv(path, ["user_id", "restaurant_id", "entry_ts", "exit_ts"], _visit_object)
     return sorted(visits, key=lambda v: v.exit_ts)
+
+
+_FOODBORNE_PAGES = tuple(page[:3] for page in RESULT_PAGES[:2])
+_GENERAL_HEALTH_PAGE = RESULT_PAGES[2][:3]
+_GENERIC_PAGES = tuple(page[:3] for page in RESULT_PAGES[3:])
+_FOODBORNE_TAGS, _HEALTH_TAGS, _LOCAL_TAGS = RESULT_PAGES[0][3], RESULT_PAGES[2][3], RESULT_PAGES[3][3]
+
+# A result page's fields: url, title, snippet, concept tags, clicked, dwell_s.
+Page = tuple[str, str, str, frozenset[str], bool, float]
+
+
+def _draw_incubation_s(rng: np.random.Generator, cfg: SimConfig) -> int:
+    """Lognormal symptom delay truncated to (6 h, 72 h], in whole seconds."""
+    lo, hi = 6 * 3600.0, 72 * 3600.0
+    mu = math.log(cfg.incubation_median_h * 3600.0)
+    if cfg.incubation_sigma == 0:
+        return int(round(cfg.incubation_median_h * 3600.0))
+    for _ in range(10_000):
+        delay = math.exp(mu + cfg.incubation_sigma * rng.standard_normal())
+        if lo < delay <= hi:
+            return int(round(delay))
+    return int(hi)
+
+
+def _pick(rng: np.random.Generator, pool: tuple[str, ...]) -> str:
+    return pool[int(rng.integers(len(pool)))]
+
+
+def _positive_text(rng: np.random.Generator) -> str:
+    text = _pick(rng, POSITIVE_TEMPLATES)
+    if rng.random() < 0.65:
+        text = f"{text} {_pick(rng, POSITIVE_MODIFIERS)}"
+    return text
+
+
+def _background_text(rng: np.random.Generator) -> str:
+    # head-heavy mix: bare templates repeat a lot, long combinations are rare
+    text = _pick(rng, BACKGROUND_TEMPLATES)
+    r = rng.random()
+    if r < 0.35:
+        return text
+    if r < 0.75:
+        return f"{text} {_pick(rng, BACKGROUND_SUFFIXES)}"
+    if r < 0.90:
+        return f"{text} {_pick(rng, LOCALITIES)}"
+    return f"{text} {_pick(rng, BACKGROUND_SUFFIXES)} {_pick(rng, LOCALITIES)}"
+
+
+def _positive_query(rng: np.random.Generator, cfg: SimConfig) -> tuple[str, Page]:
+    """An infected searcher's query text and its one result page."""
+    text = _positive_text(rng)
+    url, title, snippet = _FOODBORNE_PAGES[int(rng.integers(len(_FOODBORNE_PAGES)))]
+    clicked = bool(rng.random() < cfg.p_positive_click)
+    dwell = 0.0
+    if clicked:  # lognormal around the median, to a tenth of a second
+        log_dwell = math.log(cfg.positive_dwell_median_s) + cfg.positive_dwell_sigma * rng.standard_normal()
+        dwell = float(round(math.exp(log_dwell), 1))
+    return text, (url, title, snippet, _FOODBORNE_TAGS, clicked, dwell)
+
+
+def _ambiguify(rng: np.random.Generator, template: str) -> str:
+    r = rng.random()
+    if r < 0.45:
+        return f"{template} {_pick(rng, BACKGROUND_SUFFIXES)}"
+    if r < 0.80:
+        return f"{template} {_pick(rng, LOCALITIES)}"
+    return template
+
+
+def _background_query(rng: np.random.Generator, cfg: SimConfig) -> tuple[str, Page, int]:
+    """One non-illness-driven query: its text, its one result page and its
+    ground-truth topical label.
+
+    Most are plain background noise; a small fraction are ambiguous health
+    research that clicks a foodborne-topic page briefly, split between
+    queries raters would call foodborne (label 1) and ones they would not.
+    """
+    label = 0
+    if rng.random() < cfg.p_background_foodclick:
+        # dwell tracks topical relevance: genuinely foodborne research holds
+        # the reader, off-topic curiosity bounces quickly
+        if rng.random() < 0.6:
+            text = _ambiguify(rng, _pick(rng, AMBIGUOUS_FOODBORNE_TEMPLATES))
+            label = 1
+            url, title, snippet = _FOODBORNE_PAGES[int(rng.integers(len(_FOODBORNE_PAGES)))]
+            tags = _FOODBORNE_TAGS
+            dwell_mean = 20.0
+        else:
+            text = _ambiguify(rng, _pick(rng, AMBIGUOUS_OTHER_TEMPLATES))
+            dwell_mean = 8.0
+            if rng.random() < 0.5:
+                url, title, snippet = _FOODBORNE_PAGES[int(rng.integers(len(_FOODBORNE_PAGES)))]
+                tags = _FOODBORNE_TAGS
+            else:
+                url, title, snippet = _GENERAL_HEALTH_PAGE
+                tags = _HEALTH_TAGS
+        page = (url, title, snippet, tags, True, float(round(rng.exponential(dwell_mean), 1)))
+    else:
+        text = _background_text(rng)
+        url, title, snippet = _GENERIC_PAGES[int(rng.integers(len(_GENERIC_PAGES)))]
+        if rng.random() < 0.5:
+            page = (url, title, snippet, _LOCAL_TAGS, True, float(round(rng.exponential(40.0), 1)))
+        else:
+            page = (url, title, snippet, _LOCAL_TAGS, False, 0.0)
+    return text, page, label
+
+
+def simulate_oracle(
+    world: World, days: int, seed: int, user_ids: Mapping[str, str]
+) -> tuple[Dataset, GroundTruth]:
+    """``citysim.simulate`` as one scalar ``Generator`` per user-day, drawn
+    user by user and event by event: the simulator the lane-stepped one
+    replaced, kept as its reference.
+
+    Emits visits, queries (positive-template queries from infected searchers
+    plus everyone's background queries), complaint-triggered and routine
+    inspections, and the ground truth (true source meal per infection, plus
+    a positive/background label per query). Deterministic under (world, seed).
+
+    ``user_ids`` maps each raw user id to the id that every visit, query,
+    infection record and complaint carries: the pipeline passes keyed
+    pseudonyms, so raw ids never leave the simulator. The draws are keyed by
+    the raw id, so the map changes ids and nothing else.
+    """
+    if days < 1:
+        raise DataError("days >= 1")
+    cfg = world.cfg
+
+    visits = VisitColumns()
+    queries = QueryColumns()
+    labels: list[int] = []  # per query, as drawn
+    infections: list[InfectionRecord] = []
+    # illness complaints: (user_id, symptom_ts, blame_last, true_source);
+    # frivolous complaints: (user_id, complaint_ts, pick in [0,1))
+    ill_complaints: list[tuple[str, int, bool, str]] = []
+    frivolous_complaints: list[tuple[str, int, float]] = []
+
+    by_city = {c: tuple(r.restaurant_id for r in world.restaurants if r.city == c) for c in sorted(cfg.cities)}
+    for day in range(days):
+        day_start = day * DAY_S
+        user_rngs = (make_rng(seed, "user", uid, day) for uid in world.users)
+        for uid, rng in zip(world.users, user_rngs):
+            pool = by_city[world.home_city[uid]]
+            pid = user_ids[uid]
+
+            n_meals = int(rng.poisson(world.propensity[uid]))
+            for _ in range(n_meals):
+                rid = pool[int(rng.integers(len(pool)))]
+                entry = day_start + int(rng.integers(6 * 3600, 21 * 3600))
+                exit_ts = entry + int(rng.integers(1800, 5400))
+                visits.visit(pid, rid, entry, exit_ts)
+                p_infect = (
+                    cfg.p_infect_unsafe
+                    if world.latent_unsafe[rid]
+                    else cfg.p_infect_safe
+                )
+                if rng.random() < p_infect:
+                    symptom_ts = exit_ts + _draw_incubation_s(rng, cfg)
+                    searched = bool(rng.random() < cfg.p_search_given_ill)
+                    query_ts = symptom_ts if searched else None
+                    if searched:
+                        text, page = _positive_query(rng, cfg)
+                        queries.event(pid, symptom_ts, text)
+                        queries.page(*page)
+                        labels.append(1)
+                    infections.append(
+                        InfectionRecord(pid, rid, exit_ts, symptom_ts, searched, query_ts)
+                    )
+                    if rng.random() < cfg.p_complaint_given_ill:
+                        blame_last = bool(rng.random() < cfg.p_blame_last)
+                        ill_complaints.append((pid, symptom_ts, blame_last, rid))
+
+            n_bg = int(rng.poisson(cfg.background_queries_per_day))
+            for _ in range(n_bg):
+                ts = day_start + int(rng.integers(0, DAY_S))
+                text, page, label = _background_query(rng, cfg)
+                queries.event(pid, ts, text)
+                queries.page(*page)
+                labels.append(label)
+
+            if rng.random() < cfg.p_frivolous_complaint:
+                ts = day_start + int(rng.integers(0, DAY_S))
+                frivolous_complaints.append((pid, ts, float(rng.random())))
+
+    # the order loading gives: by time, stably
+    visits = visits.log()
+    visits = visits.take(np.argsort(visits.exit_ts, kind="stable"))
+    log = queries.log()
+    order = np.argsort(log.ts, kind="stable")
+
+    # a user's visits, in exit order, are a span of the exit-sorted log taken stably by user code
+    by_user = np.argsort(visits.user, kind="stable")
+    user, user_exits = visits.user[by_user], visits.exit_ts[by_user]
+    code_of = {user_id: code for code, user_id in enumerate(visits.users)}
+
+    def visited(uid: str, first_ts: int, last_ts: int) -> np.ndarray:
+        """The restaurant codes of the user's visits ending in [first_ts, last_ts], in exit order."""
+        code = code_of.get(uid, -1)  # below every code: a user without visits has an empty span
+        lo, hi = np.searchsorted(user, [code, code + 1])
+        first, last = lo + np.searchsorted(user_exits[lo:hi], [first_ts, last_ts + 1])
+        return visits.restaurant[by_user[first:last]]
+
+    inspections: list[InspectionRecord] = []
+    # illness complaints blame the last restaurant visited before symptoms
+    # (or, with probability 1 - p_blame_last, the true source); frivolous
+    # complaints blame a random visit from the past three days
+    for uid, symptom_ts, blame_last, true_source in ill_complaints:
+        before = visited(uid, 0, symptom_ts)
+        blamed = visits.restaurants[before[-1]] if blame_last and len(before) else true_source
+        when = day_to_date(symptom_ts // DAY_S + 1)
+        inspections.append(
+            simulate_inspection(world, blamed, when, seed, trigger=Trigger.COMPLAINT)
+        )
+    for uid, ts, pick in frivolous_complaints:
+        recent = visited(uid, ts - 3 * DAY_S, ts)
+        if not len(recent):
+            continue
+        blamed = visits.restaurants[recent[int(pick * len(recent))]]
+        inspections.append(
+            simulate_inspection(
+                world, blamed, day_to_date(ts // DAY_S + 1), seed, trigger=Trigger.COMPLAINT
+            )
+        )
+
+    # routine cadence: a fixed shuffled rotation, k restaurants per day
+    rotation = [r.restaurant_id for r in world.restaurants]
+    make_rng(seed, "routine-order").shuffle(rotation)
+    k = cfg.routine_inspections_per_day if rotation else 0
+    for day in range(days):
+        for i in range(k):
+            rid = rotation[(day * k + i) % len(rotation)]
+            inspections.append(
+                simulate_inspection(world, rid, day_to_date(day), seed, trigger=Trigger.ROUTINE)
+            )
+    inspections.sort(key=lambda r: r.date)
+
+    dataset = Dataset(
+        queries=log.take(order),
+        visits=visits,
+        restaurants=world.restaurants,
+        inspections=tuple(inspections),
+    )
+    truth = GroundTruth(
+        infections=tuple(infections),
+        query_labels=tuple(np.asarray(labels)[order].tolist()),
+    )
+    return dataset, truth

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -297,6 +298,25 @@ def test_unvisited_links_match_a_set_of_visits(visits, links):
     visited = {(v.user_id, v.restaurant_id, v.exit_ts) for v in visit_events}
     expected = [i for i, l in enumerate(link_events) if (l.user_id, l.restaurant_id, l.visit_exit_ts) not in visited]
     assert locmodel.unvisited_links(VisitLog.of(visit_events), link_events).tolist() == expected
+
+
+@given(
+    visits=st.lists(st.tuples(ids, exit_times, st.integers(0, 3600)), max_size=40),
+    anchors=st.lists(st.tuples(ids, exit_times), max_size=8),
+    window_days=st.integers(1, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_recency_ranks_match_link_exposures(visits, anchors, window_days):
+    # ties on exit, on (exit, restaurant) and whole duplicate visits all occur
+    visit_events = [visit(u, r, ts - gap, ts) for (u, r), ts, gap in visits]
+    loc = LocSettings(window_s=window_days * DAY_S)
+    links = exposures(visit_events, [positive(u, ts + 1) for (u, _), ts in anchors], loc)
+    log = VisitLog.of(visit_events)
+    assert locmodel.recency_ranks(log, links, loc.window_s).tolist() == [l.recency_rank for l in links]
+    # a link whose visit ends before its window has no rank, nor one of an unknown user
+    moved = [replace(l, first_positive_query_ts=l.visit_exit_ts + loc.window_s + 1) for l in links]
+    moved.append(ExposureLink("nobody", "r0", 0, 1, 1))
+    assert locmodel.recency_ranks(log, moved, loc.window_s).tolist() == [0] * len(moved)
 
 
 def test_sliding_window_rejects_periods_that_move_backwards():

@@ -30,6 +30,7 @@ from foodwatch.errors import UsageError
 from foodwatch.locmodel import ScoredQueries, link_exposures
 from foodwatch.logdata import DatasetPaths, load_dataset, write_dataset
 from foodwatch.pipeline import (
+    pseudonyms,
     ALL_INSPECTIONS_CSV,
     GROUND_TRUTH_FILE,
     LINKS_CSV,
@@ -45,7 +46,7 @@ from foodwatch.pipeline import (
 )
 from foodwatch.seeding import derive_seed
 from foodwatch.wsm import build_eval_sample, has_foodborne_click, weak_label
-from oracles import wilson_oracle
+from oracles import simulate_oracle, wilson_oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -430,6 +431,16 @@ def _link_exit_of_another_visit(out):
     return _edit_first_link(out, edit)
 
 
+def _wrong_link_rank(out):
+    # a positive rank, but not the one the visit log gives the link's visit
+    path = out / LINKS_CSV
+    lines = path.read_text().splitlines()
+    user_id, restaurant_id, exit_ts, anchor, rank = lines[1].split(",")
+    lines[1] = ",".join([user_id, restaurant_id, exit_ts, anchor, str(int(rank) + 1)])
+    path.write_text("\n".join(lines) + "\n")
+    return f"{path}: link {user_id},{restaurant_id},{exit_ts} has recency rank {int(rank) + 1}"
+
+
 def _visit_unregistered_restaurant(out):
     def edit(line):
         user_id, _, entry_ts, exit_ts = line.split(",")
@@ -617,6 +628,7 @@ def _non_string_infection_ids(out):
         ("evaluate", _never_visited_link_pair),
         ("evaluate", _link_exit_of_no_visit),
         ("evaluate", _link_exit_of_another_visit),
+        ("evaluate", _wrong_link_rank),
     ],
 )
 def test_corrupt_intermediates_are_data_errors(tmp_path, small_run, capsys, command, corrupt):
@@ -819,12 +831,66 @@ SIMULATE_HASHES = {
         "private/ground_truth.json": "f6b0a28c857f9ddbcf0d8053b3968da40d308288843c91405c58eec29673a46e",
         "validation.json": "3ad0ef75892047af705ffd644e6e7903f5a46b2527b89c8c17a86a37e6f8126b",
     },
+    # edge configs, each exercising a draw that draws nothing or runs the
+    # scalar generator: a one-restaurant city (integers over one value),
+    # Poisson rates of 0, rates on both sides of 10 (numpy switches Poisson
+    # algorithms there), and a fixed incubation delay (no normal draw)
+    "small-seed5-one-restaurant": {
+        "dataset/queries.jsonl": "8edbe661fbfad990ace55e4d8ce131f1eaf78bb6cb388abca10cc2dedbc4fbdd",
+        "dataset/visits.csv": "7c555b81593b324b00f83041a8d9a8f6a3c825a6b5ec0ddb069f340100b85f32",
+        "dataset/restaurants.csv": "1dd8f9dd253862bb5317796cf2c229570cab98bf2e01f80e33779294deac0c35",
+        "dataset/inspections.csv": "0157329b96af5ec582235e0710553ef87b1cd904c147b2b56842f12783ae26e9",
+        "private/world.json": "6c4a886b3cf8b1408cdd7127ad6db1538a59f0c0efe3be84303dec6bbd40656f",
+        "private/ground_truth.json": "6be9e1fa563d03be55595e9ae3fc7206933433f22c7e2af088620f6c54c267ed",
+        "validation.json": "9a0301a2be2885c15c59cd342bdfc324b492b6663b03ef5327eb49d2f369c385",
+    },
+    "small-seed5-no-meals": {
+        "dataset/queries.jsonl": "60531a76cc51546974cc1f1c66786dc2f46e98658a34565661fb04e1eb6cf706",
+        "dataset/visits.csv": "ccfd4af881ab46f6d1847eb27f987b16a6205f3c7e04f10252c2e22697626d39",
+        "dataset/restaurants.csv": "1dd9ab4951fdacb4eadb9ee6461d137d6b8d94d6432146f210cf40197262755e",
+        "dataset/inspections.csv": "c34bcff091101564dcf3ab869f4403f413e8dab53ff9fc33fcbeea6f65b27e12",
+        "private/world.json": "4fb785c6485e2e7b5f0be9c95784a13a043ece9ce8ec35c1e34d5e290f1f1a4d",
+        "private/ground_truth.json": "abcfe07912e91bd2e177a68f1a80a2a90acbddd8165afeec245362e874d0e5af",
+        "validation.json": "adadab6d55f4565fcc99e84a30388b8a3854508ee807aa1ea0339acaa72e2339",
+    },
+    "small-seed5-no-background": {
+        "dataset/queries.jsonl": "37c2fa496ca98ed0c61fe74ec383fc4ad7f5ced3bef8ebeba3ae209e5403716e",
+        "dataset/visits.csv": "97a14e509feb74654f98f0ea09e6ab52019578a3d16146e5a472d43226bc6c0d",
+        "dataset/restaurants.csv": "1dd9ab4951fdacb4eadb9ee6461d137d6b8d94d6432146f210cf40197262755e",
+        "dataset/inspections.csv": "4d9f10bc304c88eb10d91d36dd95076104b8208b053e19e31f79ba3baae33da6",
+        "private/world.json": "8d9c528f3e813d04df62d6ffd1dd4dac46f6508fc46394cda865632e6d72722e",
+        "private/ground_truth.json": "fd8094d71882ee7f45e6b9acd358c6c496a2f482d0e08ca124e611bdb538afc9",
+        "validation.json": "8ed0184584fdec4f93646cd7f00466f75cdd433492ebee740f3679b06c7e4665",
+    },
+    "small-seed5-many-meals": {
+        "dataset/queries.jsonl": "d776b681c5515abe5367a5b1f413d05a596dbffa8d0ce70b4d245382f7c0c0d6",
+        "dataset/visits.csv": "e12a99c37e7a7e98c12c79e3bd653caed28507245feac8939b807e6a5f7f7bee",
+        "dataset/restaurants.csv": "1dd9ab4951fdacb4eadb9ee6461d137d6b8d94d6432146f210cf40197262755e",
+        "dataset/inspections.csv": "3c0e03714a5622a916b46e18e2819b3ea2c47b5f6f17c41302e13764c056e9d4",
+        "private/world.json": "cdae95ca1cf78aab626ad583a6ef2e887ac01c14f23efe4c17c8d69cacc21278",
+        "private/ground_truth.json": "fcbf09310c063fc433e92550ac731ee441066c6b50e85bf5b9cd20810773717e",
+        "validation.json": "225bfe5d1fedace3aa327d5bfab38d0dbb615e9a916060d19b426ae6f58e415b",
+    },
+    "small-seed5-fixed-incubation": {
+        "dataset/queries.jsonl": "d1e88a67c6a7e0307edbde3660386a37f2f255f610568196fc8bca57da47e218",
+        "dataset/visits.csv": "7b5d822c99ce56b60bfbabf7981e0b1826a281455139d440b8b510821e8c0ae7",
+        "dataset/restaurants.csv": "1dd9ab4951fdacb4eadb9ee6461d137d6b8d94d6432146f210cf40197262755e",
+        "dataset/inspections.csv": "6c6b7c657685ef1bfa4402a6b2723f967b15ffa46fd833fc3cf1ec1f55bced46",
+        "private/world.json": "b57622b6093999018fecc6c77d59e29ce277d3893008e4d1393a808b6fe7c411",
+        "private/ground_truth.json": "416b4bb4c43926482e0d6d25e5cae45cf20c350bf6ed3629c248115655817f9f",
+        "validation.json": "e8f3fcf7c0bb59de23dba80c181e1886d59722a6ae014dec6451ef86ba354958",
+    },
 }
 
 SIMULATE_CONFIGS = {
     "small-seed5": small_config(5),
     "default-seed0": RunConfig(seed=0),
     "small-seed5-complaints": small_config(5, ["sim.p_complaint_given_ill=0.9", "sim.p_frivolous_complaint=0.2"]),
+    "small-seed5-one-restaurant": small_config(5, ["sim.cities=A:1,B:3"]),
+    "small-seed5-no-meals": small_config(5, ["sim.meals_per_day=0"]),
+    "small-seed5-no-background": small_config(5, ["sim.background_queries_per_day=0"]),
+    "small-seed5-many-meals": small_config(5, ["sim.meals_per_day=12"]),
+    "small-seed5-fixed-incubation": small_config(5, ["sim.incubation_sigma=0"]),
 }
 
 
@@ -836,6 +902,34 @@ def test_simulate_stage_bytes_are_pinned(tmp_path, name):
     assert written == set(SIMULATE_HASHES[name])
     got = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() for rel in written}
     assert got == SIMULATE_HASHES[name]
+
+
+def assert_same_log(got, expected):
+    """Every table and column of two query or visit logs equal, dtypes included."""
+    for field in fields(got):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize(
+    "config",
+    [small_config(seed) for seed in range(5)] + list(SIMULATE_CONFIGS.values()),
+    ids=[f"small-seed{seed}" for seed in range(5)] + list(SIMULATE_CONFIGS),
+)
+def test_lane_simulator_equals_the_scalar_oracle(config):
+    sim_seed = derive_seed(config.seed, "citysim")
+    world = generate_world(config.sim, sim_seed)
+    user_ids = pseudonyms(world.users, config.privacy.hash_key_int())
+    dataset, truth = pipeline.simulate(world, config.days, sim_seed, user_ids)
+    expected, expected_truth = simulate_oracle(world, config.days, sim_seed, user_ids)
+    assert_same_log(dataset.queries, expected.queries)
+    assert_same_log(dataset.visits, expected.visits)
+    assert dataset.restaurants == expected.restaurants
+    assert dataset.inspections == expected.inspections
+    assert truth == expected_truth
 
 
 # sha256 of released_aggregates.csv and daily_lists.csv from the daily lists
@@ -881,6 +975,57 @@ def test_daily_list_bytes_are_pinned(tmp_path, truth_linked_small, name):
     report_mod.write_csv(tmp_path / "daily.csv", report_mod.DAILY_LIST_HEADER, daily.daily_rows)
     got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ("released.csv", "daily.csv"))
     assert got == DAILY_LIST_HASHES[name]
+
+
+def shortlist_from_release(released_rows, registry, config):
+    """daily_lists.csv's rows from released_aggregates.csv's rows alone: from
+    each day after the warm-up, the unsuppressed cells with enough visitors and
+    signal, strongest signal first (ties: more visitors, then id), at most
+    max_daily_inspections per city, skipping restaurants listed within the
+    cooldown. The released cells' fields are copied as written."""
+    by_day = {}
+    for row in released_rows:
+        by_day.setdefault((Date.fromisoformat(row[0]) - SIM_EPOCH_DATE).days - 1, []).append(row)
+    rows, last_listed = [], {}
+    for day in sorted(by_day):
+        if day < config.cli.warmup_days:
+            continue
+        cells = [
+            row
+            for row in by_day[day]
+            if row[8] == "False" and float(row[4]) >= config.locmodel.min_visitors and float(row[7]) >= config.locmodel.cutoff
+        ]
+        per_city = {}
+        for date, rid, _, _, visitors, affected, proportion, signal, _ in sorted(
+            cells, key=lambda row: (-float(row[7]), -float(row[4]), row[1])
+        ):
+            city = registry[rid].city
+            if day - last_listed.get(rid, -math.inf) < config.cli.cooldown_days:
+                continue
+            if per_city.get(city, 0) >= config.cli.max_daily_inspections:
+                continue
+            per_city[city] = per_city.get(city, 0) + 1
+            last_listed[rid] = day
+            rows.append([date, rid, city, registry[rid].risk_level.value, visitors, affected, proportion, signal])
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(DAILY_LIST_PRIVACY))
+@pytest.mark.parametrize("lists", [[], ["cli.max_daily_inspections=3", "cli.cooldown_days=2", "locmodel.min_visitors=5"]])
+def test_daily_lists_follow_from_the_release_alone(tmp_path, truth_linked_small, name, lists):
+    # the structural gate: nothing but the released cells, the registry and
+    # the config decides which restaurants are listed; the second list
+    # setting makes the per-city cap and the cooldown bind
+    config, dataset, links = truth_linked_small
+    config = apply_overrides(config, DAILY_LIST_PRIVACY[name] + lists)
+    daily = pipeline.compute_daily_lists(config, dataset.visits, dataset.registry(), links)
+    report_mod.write_csv(tmp_path / "released.csv", report_mod.RELEASED_HEADER, daily.released_rows)
+    report_mod.write_csv(tmp_path / "daily.csv", report_mod.DAILY_LIST_HEADER, daily.daily_rows)
+    _, released_rows = report_mod.read_csv(tmp_path / "released.csv", report_mod.RELEASED_HEADER)
+    rows = shortlist_from_release(released_rows, dataset.registry(), config)
+    assert len(rows) >= 8
+    report_mod.write_csv(tmp_path / "recomputed.csv", report_mod.DAILY_LIST_HEADER, rows)
+    assert (tmp_path / "recomputed.csv").read_bytes() == (tmp_path / "daily.csv").read_bytes()
 
 
 def test_short_high_recall_stratum_still_gives_a_full_eval_sample():

@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foodwatch.seeding import PCG64Lanes, _pcg64_states, derive_seed, derive_seeds, make_rng, make_rngs
+from foodwatch.seeding import PCG64Lanes, derive_seed, derive_seeds, make_rng
 
 # every distribution citysim and privacy.release draw from, in one call each
 DRAWS = (
@@ -26,38 +26,108 @@ def draws(rng):
 def test_batched_states_equal_numpy_seeding():
     edge = [0, 1, 12345, 2**32 - 1, 2**32, 2**63, 2**64 - 1]  # one- and two-word seeds, both ends
     seeds = edge + [derive_seed(9, "release", f"r{i:05d}", 4) for i in range(800)]
-    expected = []
-    for seed in seeds:
-        state = np.random.default_rng(seed).bit_generator.state["state"]
-        expected.append((state["state"], state["inc"]))
-    assert _pcg64_states(seeds) == expected
-    assert [s for seed in edge for s in _pcg64_states([seed])] == expected[: len(edge)]
+    lanes = PCG64Lanes(np.array(seeds, dtype=np.uint64))
+    assert [lanes.state(i) for i in range(len(seeds))] == [np.random.default_rng(s).bit_generator.state for s in seeds]
+    assert PCG64Lanes(np.array([], dtype=np.uint64)).next_doubles(np.array([], dtype=np.intp)).tolist() == []
 
 
-def test_batched_generators_draw_like_make_rng():
+def test_escapes_draw_like_make_rng():
     keys = [("user", f"u{i:06d}", day) for day in range(3) for i in range(40)]
     keys += [("release", f"r{i:05d}") for i in range(40)]
-    for key, rng in zip(keys, make_rngs(5, keys), strict=True):
-        reference = make_rng(5, *key)
-        assert rng.bit_generator.state == reference.bit_generator.state
-        assert draws(rng) == draws(reference)
+    lanes = PCG64Lanes(np.array([derive_seed(5, *key) for key in keys], dtype=np.uint64))
+    references = [make_rng(5, *key) for key in keys]
+    assert lanes.escape(np.arange(len(keys)), draws) == [draws(reference) for reference in references]
+    assert [lanes.state(lane) for lane in range(len(keys))] == [reference.bit_generator.state for reference in references]
 
 
-def test_buffered_half_word_does_not_leak_into_the_next_key():
-    keys = [("user", "u1", 0), ("user", "u2", 0)]
-    rngs = make_rngs(2, keys)
-    first = next(rngs)
-    first.integers(0, 10, dtype=np.uint32)  # PCG64 keeps the other 32-bit half
-    assert first.bit_generator.state["has_uint32"] == 1
-    second = next(rngs)
-    assert second.bit_generator.state == make_rng(2, *keys[1]).bit_generator.state
-    assert second.integers(0, 10, size=5, dtype=np.uint32).tolist() == (
-        make_rng(2, *keys[1]).integers(0, 10, size=5, dtype=np.uint32).tolist()
-    )
+def test_escapes_carry_the_buffered_half_word_both_ways():
+    lanes = PCG64Lanes(np.array([2, 3], dtype=np.uint64))
+    reference = np.random.default_rng(2)
+    assert lanes.integers(np.array([0]), 10).tolist() == [reference.integers(10)]
+    assert lanes.state(0)["has_uint32"] == 1  # PCG64 keeps the other 32-bit half
+    uint32s = lambda rng: rng.integers(0, 10, size=3, dtype=np.uint32).tolist()  # noqa: E731
+    assert lanes.escape(np.array([0]), uint32s) == [uint32s(reference)]
+    assert lanes.state(0) == reference.bit_generator.state and reference.bit_generator.state["has_uint32"] == 0
+    assert lanes.escape(np.array([0]), lambda rng: rng.integers(10, dtype=np.uint32)) == [reference.integers(10, dtype=np.uint32)]
+    assert lanes.integers(np.array([0, 1]), [86_400, 7]).tolist() == [
+        reference.integers(86_400),
+        np.random.default_rng(3).integers(7),
+    ]
+    assert lanes.state(0) == reference.bit_generator.state
 
 
-def test_no_keys_no_generators():
-    assert list(make_rngs(1, [])) == []
+# the draws an escape runs in citysim, and draws that leave a half word kept
+ESCAPES = {
+    "normal": lambda rng: rng.standard_normal(),
+    "exponential": lambda rng: rng.exponential(40.0),
+    "uint32": lambda rng: int(rng.integers(0, 1000, dtype=np.uint32)),
+    "wide": lambda rng: int(rng.integers(2**40)),
+    "poisson": lambda rng: int(rng.poisson(25.0)),
+}
+
+OPS = st.one_of(
+    st.tuples(st.just("integers"), st.integers(1, 86_400) | st.sampled_from([1, 2, 3, 2**31 + 1, 2**32 - 1])),
+    st.tuples(st.just("random"), st.none()),
+    st.tuples(
+        st.just("poisson"),
+        st.sampled_from([0.0, 1e-300, 9.999999999999998, 10.0, 50.0]) | st.floats(0, 30, allow_nan=False),
+    ),
+    st.tuples(st.just("escape"), st.sampled_from(sorted(ESCAPES))),
+)
+
+
+def scalar_draw(rng, op, arg):
+    if op == "integers":
+        return int(rng.integers(arg))
+    if op == "random":
+        return rng.random()
+    if op == "poisson":
+        return int(rng.poisson(arg))
+    return ESCAPES[arg](rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 2**64 - 1), st.lists(OPS, max_size=25)), min_size=1, max_size=5),
+    st.lists(st.sampled_from(["integers", "random", "poisson", "escape"]), min_size=1, max_size=8),
+)
+def test_lane_kernels_draw_like_scalar_generator_calls(programs, rotation):
+    """Lanes run their programs interleaved: each turn, every lane whose next
+    draw is of the turn's kind draws it in one call, each with its own bound
+    or rate. Every lane must draw what ``default_rng(seed)`` draws with the
+    same calls, and end in the same state, kept half word included."""
+    lanes = PCG64Lanes(np.array([seed for seed, _ in programs], dtype=np.uint64))
+    got = [[] for _ in programs]
+    position = [0] * len(programs)
+    turn = 0
+    while any(p < len(ops) for p, (_, ops) in zip(position, programs)):
+        kind = rotation[turn % len(rotation)]
+        turn += 1
+        ready = [i for i, (_, ops) in enumerate(programs) if position[i] < len(ops) and ops[position[i]][0] == kind]
+        args = [programs[i][1][position[i]][1] for i in ready]
+        at = np.array(ready, dtype=np.intp)
+        if kind == "integers":
+            drawn = lanes.integers(at, args).tolist()
+        elif kind == "random":
+            drawn = lanes.next_doubles(at).tolist()
+        elif kind == "poisson":
+            drawn = lanes.poisson(at, args).tolist()
+        else:
+            drawn = [None] * len(ready)
+            for kind_of_escape in set(args):  # the lanes running one kind of escape, together
+                at_kind = [k for k, arg in enumerate(args) if arg == kind_of_escape]
+                for k, value in zip(at_kind, lanes.escape(at[at_kind], ESCAPES[kind_of_escape])):
+                    drawn[k] = value
+        for i, value in zip(ready, drawn):
+            got[i].append(value)
+            position[i] += 1
+        if turn > len(rotation) * (1 + sum(len(ops) for _, ops in programs)):
+            break  # a kind missing from the rotation: no lane can move
+    for i, (seed, ops) in enumerate(programs):
+        reference = np.random.default_rng(seed)
+        expected = [scalar_draw(reference, op, arg) for op, arg in ops[: position[i]]]
+        assert got[i] == expected
+        assert lanes.state(i) == reference.bit_generator.state
 
 
 @settings(max_examples=100, deadline=None)
