@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DataError, DataFormatError
 
@@ -89,6 +89,26 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write("}")
 
 
+def utf8_lines(path: Path, fh: Iterable[str]) -> Iterator[str]:
+    """The lines of ``fh``, a file of ``path`` open for UTF-8 text; a byte
+    that does not decode is a data error that names its line."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path: Path) -> DataFormatError:
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start]  # lines end at \n, \r or \r\n, as text files split them
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        return DataFormatError(f"{path}:{line}: not UTF-8 ({exc.reason}, byte {data[exc.start]:#04x})")
+    return DataFormatError(f"{path}: not UTF-8")  # the file changed since it failed to decode
+
+
 def read_csv(
     path: Path,
     header: Sequence[str] | None = None,
@@ -99,15 +119,15 @@ def read_csv(
 
     Blank lines are skipped. When ``header`` is given the file's header line
     must equal it. A missing file, a header mismatch, a row whose width
-    differs from the header's and a ``ValueError`` from ``parse`` are data
-    errors; all but the first name the file and line.
+    differs from the header's, a byte that is not UTF-8 and a ``ValueError``
+    from ``parse`` are data errors; all but the first name the file and line.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except FileNotFoundError:
         raise DataError(f"missing file {path}") from None
     with fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(utf8_lines(path, fh))
         found = next(reader, None)
         if header is not None and found != list(header):
             missing = next((name for name in header if name not in (found or ())), None)

@@ -51,3 +51,17 @@ def default_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("default_run")
     manifest = run_pipeline(RunConfig(), out)
     return out, manifest
+
+
+def assert_same_log(got, expected):
+    """Two query or visit logs hold equal tables, in the same order, and
+    columns of the same dtype and bytes, so a dwell keeps its zero's sign."""
+    from dataclasses import fields
+
+    assert type(got) is type(expected)
+    for f in fields(got):
+        a, b = getattr(got, f.name), getattr(expected, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name

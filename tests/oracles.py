@@ -36,6 +36,7 @@ from foodwatch.citysim import (
 from foodwatch.errors import DataError, DataFormatError
 from foodwatch.logdata import (
     MAX_RESULTS_PER_QUERY,
+    MAX_TS,
     Dataset,
     InspectionRecord,
     QueryColumns,
@@ -206,6 +207,8 @@ def _query_object(line):
     ts, results = obj["ts"], obj["results"]
     if not isinstance(ts, int) or isinstance(ts, bool) or ts < 0:
         raise ValueError("ts must be a non-negative integer")
+    if ts > MAX_TS:
+        raise ValueError(f"ts must be <= {MAX_TS}")
     if not isinstance(results, list):
         raise ValueError("results must be a list")
     if len(results) > MAX_RESULTS_PER_QUERY:
@@ -237,6 +240,8 @@ def _timestamp(raw, name):
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
+    if value > MAX_TS:
+        raise ValueError(f"{name} must be <= {MAX_TS}, got {value}")
     return value
 
 

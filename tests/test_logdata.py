@@ -1,14 +1,18 @@
 import json
 import math
 from datetime import date
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foodwatch import logdata
 from foodwatch.errors import DataFormatError, ReferentialError
 from foodwatch.locmodel import ScoredQueries
 from foodwatch.logdata import (
+    MAX_TS,
     Dataset,
     DatasetPaths,
     InspectionRecord,
@@ -30,7 +34,7 @@ from foodwatch.logdata import (
     write_visits,
 )
 
-from conftest import page, query, visit
+from conftest import assert_same_log, page, query, visit
 from oracles import load_query_objects, load_visit_objects, write_queries_per_event
 
 
@@ -47,6 +51,15 @@ def write_files(tmp_path, queries="", visits="user_id,restaurant_id,entry_ts,exi
 
 def query_line(user="u1", ts=0, text="hello", results=()):
     return json.dumps({"user_id": user, "ts": ts, "text": text, "results": list(results)})
+
+
+def writer_line(user="u1", ts="3", dwell="45.0", clicked="true"):
+    """A query line as ``write_queries`` lays it out, with one result page,
+    and its time and dwell time spelled as given."""
+    return (
+        f'{{"user_id": "{user}", "ts": {ts}, "text": "x", "results": [{{"url": "u", "title": "t", "snippet": "s", '
+        f'"concept_tags": ["a", "b"], "clicked": {clicked}, "dwell_s": {dwell}}}]}}'
+    )
 
 
 def test_empty_files_give_empty_streams(tmp_path):
@@ -393,6 +406,11 @@ BAD_QUERY_LINES = [
     json.dumps({"user_id": "u1", "ts": 0, "text": "x", "results": [{**_RESULT, "concept_tags": [1]}]}),
     json.dumps({"user_id": "u1", "ts": 0, "text": "x", "results": [{**_RESULT, "url": None}]}),
     json.dumps({"user_id": "u1", "ts": 0, "text": "x", "results": [_RESULT, {**_RESULT, "snippet": 2}]}),
+    # at the edges of the writer's layout
+    writer_line(ts=str(MAX_TS + 1)),  # 19 digits
+    writer_line(ts="01"),
+    writer_line(dwell="1e400"),
+    writer_line(dwell="1.8e+308"),
 ]
 
 
@@ -408,7 +426,9 @@ def test_bad_query_line_gets_the_object_loaders_message(tmp_path, line):
     assert str(got.value).startswith(f"{path}:2: ")
 
 
-@pytest.mark.parametrize("row", ["u1,r1,x,5", "u1,r1,-1,5", "u1,r1,5,1.5", "u1,r1,500,100", "u1,r1,5"])
+@pytest.mark.parametrize(
+    "row", ["u1,r1,x,5", "u1,r1,-1,5", "u1,r1,5,1.5", "u1,r1,500,100", "u1,r1,5", f"u1,r1,5,{MAX_TS + 1}"]
+)
 def test_bad_visit_row_gets_the_object_loaders_message(tmp_path, row):
     path = tmp_path / "visits.csv"
     path.write_text("user_id,restaurant_id,entry_ts,exit_ts\nu1,r1,0,1\n" + row + "\n")
@@ -418,6 +438,85 @@ def test_bad_visit_row_gets_the_object_loaders_message(tmp_path, row):
         load_visits(path)
     assert str(got.value) == str(expected.value)
     assert str(got.value).startswith(f"{path}:3: ")
+
+
+def _outcome(load, path):
+    """What ``load(path)`` gives: its events, or the message of its error."""
+    try:
+        return list(load(path))
+    except DataFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [writer_line(dwell=dwell) for dwell in ("-0.0", "1E5", "45", "0", "1e-400", "5e-324", "1e+307")]
+    + [writer_line(dwell="1.7976931348623157e+308"), writer_line(ts=str(MAX_TS)), writer_line(ts="0")]
+    + [writer_line(clicked="false", dwell="0.0"), writer_line(clicked="1")],
+)
+def test_query_line_at_the_layouts_edge_loads_as_the_object_loader_does(tmp_path, line):
+    path = tmp_path / "queries.jsonl"
+    path.write_text(f"{writer_line(ts='5')}\n{line}\n{writer_line(user='u2', ts='1')}\n")
+    assert _outcome(lambda p: _spelled(load_queries(p)), path) == _outcome(lambda p: _spelled(load_query_objects(p)), path)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\n"], ids=["crlf", "lf"])
+@pytest.mark.parametrize(
+    "row",
+    # int() takes each of these times; the quoted ids are plain ones to csv
+    ["u1,r1,012,20", "u1,r1,+5,20", "u1,r1, 5,20", "u1,r1,1_0,20", "u1,r1,\uff15,20", '"u1",r1,5,20', '"u,1",r1,5,20']
+    + ['"u\r\n1",r1,5,20', f"u1,r1,5,{MAX_TS}", f"u1,r1,5,{MAX_TS + 1}", "u1,r1,20,5", "u1,r1,x,5", "u1,r1,5", ""],
+)
+def test_visit_row_at_the_layouts_edge_loads_as_the_object_loader_does(tmp_path, row, end):
+    path = tmp_path / "visits.csv"
+    path.write_bytes(end.join(["user_id,restaurant_id,entry_ts,exit_ts", "u0,r0,0,1", row, "u2,r1,3,4", ""]).encode())
+    assert _outcome(load_visits, path) == _outcome(load_visit_objects, path)
+
+
+def _respelled(line, how):
+    """``line`` as written (0), with its keys in reverse order (1), with other
+    whitespace (2), with non-ASCII characters escaped (3), or after a blank
+    line (4)."""
+    record = json.loads(line)
+    if how == 1:
+        record = {key: record[key] for key in reversed(record)}
+        record["results"] = [{key: page[key] for key in reversed(page)} for page in record["results"]]
+    spelled = {
+        0: line,
+        1: json.dumps(record, ensure_ascii=False),
+        2: json.dumps(record, ensure_ascii=False, separators=(" ,", ":\t")),
+        3: json.dumps(record),
+        4: f" \n{line}",
+    }
+    return spelled[how]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(query_logs(), repetitive_query_logs()), st.data())
+def test_mixed_layouts_load_as_the_object_loader_does(tmp_path_factory, events, data):
+    path = tmp_path_factory.mktemp("mixed") / "queries.jsonl"
+    write_queries(QueryLog.of(events), path)
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    hows = data.draw(st.lists(st.integers(0, 4), min_size=len(lines), max_size=len(lines)))
+    path.write_text("".join(f"{_respelled(line, how)}\n" for line, how in zip(lines, hows)), encoding="utf-8")
+    with mock.patch.object(logdata, "BULK_LINES", 2):  # batches end within the file too
+        loaded = load_queries(path)
+    assert _spelled(loaded) == _spelled(load_query_objects(path))
+    log = QueryLog.of(events)
+    assert_same_log(loaded, log.take(np.argsort(log.ts, kind="stable")))
+
+
+@pytest.mark.parametrize("stream", ["queries", "visits", "restaurants", "inspections"])
+def test_undecodable_byte_names_file_and_line(tmp_path, stream):
+    paths = DatasetPaths.in_dir(tmp_path)
+    write_dataset(sample_dataset(), paths)
+    path = getattr(paths, stream)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1][:3] + b"\xff" + lines[1][3:]
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(DataFormatError) as excinfo:
+        load_dataset(paths)
+    assert str(excinfo.value) == f"{path}:2: not UTF-8 (invalid start byte, byte 0xff)"
 
 
 @pytest.mark.parametrize("dwells", [(-0.0, 0.0), (0.0, -0.0)])

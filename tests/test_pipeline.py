@@ -46,7 +46,8 @@ from foodwatch.pipeline import (
 )
 from foodwatch.seeding import derive_seed
 from foodwatch.wsm import build_eval_sample, has_foodborne_click, weak_label
-from oracles import simulate_oracle, wilson_oracle
+from conftest import assert_same_log
+from oracles import load_query_objects, load_visit_objects, simulate_oracle, wilson_oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -441,6 +442,21 @@ def _wrong_link_rank(out):
     return f"{path}: link {user_id},{restaurant_id},{exit_ts} has recency rank {int(rank) + 1}"
 
 
+def _undecodable_byte(path, index):
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[index] = b"\xff" + lines[index]
+    path.write_bytes(b"".join(lines))
+    return f"{path}:{index + 1}: not UTF-8 (invalid start byte, byte 0xff)"
+
+
+def _undecodable_query_byte(out):
+    return _undecodable_byte(dataset_dir(out) / "queries.jsonl", 299)
+
+
+def _undecodable_visit_byte(out):
+    return _undecodable_byte(dataset_dir(out) / "visits.csv", 299)
+
+
 def _visit_unregistered_restaurant(out):
     def edit(line):
         user_id, _, entry_ts, exit_ts = line.split(",")
@@ -629,6 +645,9 @@ def _non_string_infection_ids(out):
         ("evaluate", _link_exit_of_no_visit),
         ("evaluate", _link_exit_of_another_visit),
         ("evaluate", _wrong_link_rank),
+        ("train-wsm", _undecodable_query_byte),
+        ("rank", _undecodable_visit_byte),
+        ("evaluate", _undecodable_visit_byte),
     ],
 )
 def test_corrupt_intermediates_are_data_errors(tmp_path, small_run, capsys, command, corrupt):
@@ -689,6 +708,22 @@ def test_run_builds_no_event_objects(monkeypatch, tmp_path):
     run_pipeline(small_config(), tmp_path)
     assert (tmp_path / MANIFEST).exists()
     assert built == []
+
+
+def test_simulated_logs_load_in_bulk(small_run, monkeypatch):
+    # every line the writers write is in the loaders' bulk layout, so a writer
+    # change that leaves it fails here instead of slowing every stage
+    paths = DatasetPaths.in_dir(dataset_dir(small_run[0]))
+
+    def refused(*args):
+        raise AssertionError("a line left the bulk layout")
+
+    monkeypatch.setattr(logdata, "_parse_query", refused)
+    monkeypatch.setattr(logdata, "read_csv", refused)
+    queries = logdata.load_queries(paths.queries)
+    assert len(queries) > logdata.BULK_LINES
+    assert_same_log(queries, logdata.QueryLog.of(load_query_objects(paths.queries)))
+    assert_same_log(logdata.load_visits(paths.visits), logdata.VisitLog.of(load_visit_objects(paths.visits)))
 
 
 def test_run_drops_inputs_once_no_later_stage_needs_them(tmp_path):
