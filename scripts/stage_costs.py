@@ -7,11 +7,14 @@ peak RSS come from ``os.wait4``. Arguments this script does not know
 (``--seed``, ``--days``, ``--set key=value``, ``--config``) go to every
 stage.
 
-The launcher imports neither foodwatch nor numpy, so its own resident set
-stays small. On Linux a child's ``ru_maxrss`` includes the high-water mark
-that it inherits through fork and exec, so a launcher that had touched more
-memory than a stage would report its own mark as the stage's; the first line
-printed is the launcher's own mark, which bounds that floor.
+Each stage runs with one BLAS thread (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to 1), as the benchmark runs
+it, so a stage's CPU time does not depend on how many threads the box has to
+spare. The launcher imports neither foodwatch nor numpy, so its own resident
+set stays small. On Linux a child's ``ru_maxrss`` includes the high-water
+mark that it inherits through fork and exec, so a launcher that had touched
+more memory than a stage would report its own mark as the stage's; the first
+line printed is the launcher's own mark, which bounds that floor.
 
     python scripts/stage_costs.py --seed 0 --set sim.n_users=6000
     python scripts/stage_costs.py --out run --stages rank,inspect,evaluate
@@ -29,10 +32,11 @@ from pathlib import Path
 
 STAGES = ("simulate", "train-wsm", "eval-wsm", "rank", "inspect", "evaluate", "report")
 SRC = Path(__file__).resolve().parents[1] / "src"
+SINGLE_THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def run_stage(stage: str, out: str, stage_args: list[str]) -> dict:
-    env = dict(os.environ)
+    env = dict(os.environ, **SINGLE_THREAD_ENV)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH", "")) if p)
     start = time.perf_counter()
     child = subprocess.Popen(

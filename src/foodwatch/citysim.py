@@ -24,14 +24,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date, timedelta
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .config import SimConfig
+from .errors import DataError
 from .locmodel import ScoredQueries
 from .logdata import (
     Dataset,
@@ -238,71 +239,6 @@ RESULT_PAGES = (
     ),
 )
 _HEALTH_PAGE, _GENERIC_PAGE = 2, 3  # the foodborne pages are 0 and 1, the generic ones 3 and 4
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    cities: dict[str, int] = field(default_factory=lambda: {"A": 100, "B": 100})
-    n_users: int = 1500
-    risk_mix: tuple[float, float, float] = (0.53, 0.22, 0.25)  # high, medium, low
-    unsafe_prob: tuple[float, float, float] = (0.335, 0.231, 0.079)  # by risk level
-    p_infect_unsafe: float = 0.12
-    p_infect_safe: float = 0.002
-    incubation_median_h: float = 24.0
-    incubation_sigma: float = 0.6
-    p_search_given_ill: float = 0.7
-    p_complaint_given_ill: float = 0.08
-    p_blame_last: float = 0.75
-    p_frivolous_complaint: float = 0.004  # per user-day, no infection behind it
-    inspector_sensitivity: float = 0.9
-    inspector_false_positive: float = 0.05
-    unsafe_critical_mean: float = 1.2
-    unsafe_major_mean: float = 1.8
-    safe_critical_mean: float = 0.15
-    safe_major_mean: float = 0.5
-    rater_flip_md: float = 0.03
-    rater_flip_other: float = 0.07
-    meals_per_day: float = 0.8
-    background_queries_per_day: float = 1.5
-    p_background_foodclick: float = 0.02
-    p_positive_click: float = 0.85
-    positive_dwell_median_s: float = 60.0
-    positive_dwell_sigma: float = 0.5
-    routine_inspections_per_day: int = 8
-
-    def __post_init__(self) -> None:
-        probs = (
-            "p_infect_unsafe", "p_infect_safe", "p_search_given_ill", "p_complaint_given_ill",
-            "p_blame_last", "inspector_sensitivity", "inspector_false_positive",
-            "p_background_foodclick", "p_positive_click", "p_frivolous_complaint",
-            "rater_flip_md", "rater_flip_other",
-        )
-        for name in probs:
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise UsageError(f"sim.{name} must be in [0, 1], got {getattr(self, name)}")
-        for name in ("risk_mix", "unsafe_prob"):
-            triple = getattr(self, name)
-            if len(triple) != 3 or any(not 0.0 <= p <= 1.0 for p in triple):
-                raise UsageError(f"sim.{name} must be three probabilities")
-        if abs(sum(self.risk_mix) - 1.0) > 1e-9:
-            raise UsageError(f"sim.risk_mix must sum to 1, got {sum(self.risk_mix)}")
-        for name in ("incubation_median_h", "positive_dwell_median_s"):  # lognormal medians
-            if not getattr(self, name) > 0:  # also refuses nan
-                raise UsageError(f"sim.{name} must be > 0, got {getattr(self, name)}")
-        nonnegative = (
-            "n_users", "incubation_sigma", "positive_dwell_sigma", "meals_per_day",
-            "background_queries_per_day", "routine_inspections_per_day", "unsafe_critical_mean",
-            "unsafe_major_mean", "safe_critical_mean", "safe_major_mean",
-        )
-        for name in nonnegative:
-            if not getattr(self, name) >= 0:
-                raise UsageError(f"sim.{name} must be >= 0, got {getattr(self, name)}")
-        if self.incubation_sigma == 0 and not 6.0 < self.incubation_median_h <= 72.0:
-            raise UsageError("with zero sim.incubation_sigma, sim.incubation_median_h must lie in (6, 72]")
-        if any(n <= 0 for n in self.cities.values()):
-            raise UsageError("sim.cities: every listed city needs at least one restaurant")
-        if self.cities == {} and self.n_users > 0:
-            raise UsageError("sim.cities: users need at least one city to live in")
 
 
 @dataclass(frozen=True)

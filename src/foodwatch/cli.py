@@ -13,8 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import pipeline
-from .config import RunConfig, apply_overrides, config_lines, parse_config_file
+from .config import STAGES, RunConfig, apply_overrides, config_lines, parse_config_file
 from .errors import DataError, FoodwatchError, NumericalError, UsageError
 
 EXIT_OK = 0
@@ -46,7 +45,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="foodwatch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    commands = [(stage.command, stage.help) for stage in pipeline.STAGES]
+    commands = [(stage.command, stage.help) for stage in STAGES]
     for name, helptext in commands + [("run", "all stages end to end")]:
         p = sub.add_parser(name, help=helptext)
         _add_common(p)
@@ -77,10 +76,12 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         config = load_config(args)
         if args.command == "run":
+            from . import pipeline  # numpy and every stage module, only to run them
+
             manifest = pipeline.run_pipeline(config, args.out)
             print(f"run complete: {len(manifest['files'])} artifacts in {args.out}")
         else:
-            stage = next(s for s in pipeline.STAGES if s.command == args.command)
+            stage = next(s for s in STAGES if s.command == args.command)
             text = stage(config, args.out)
             if text is not None:  # the report stage prints what it wrote
                 print(text)

@@ -1,10 +1,15 @@
-"""Run configuration: documented defaults, flat key-value config files, and
-flag overrides.
+"""Run configuration: every settings section, the stage table, documented
+defaults, flat key-value config files and flag overrides.
 
-``RunConfig`` holds one settings section per module it configures, each
-declared and checked in that module: ``sim`` is ``citysim.SimConfig``,
-``wsm`` is ``wsm.WsmSettings``, ``locmodel`` is ``locmodel.LocSettings`` and
-``privacy`` is ``privacy.PrivacySettings``; only ``cli`` lives here.
+``RunConfig`` holds one settings section per module it configures, and every
+section is declared and checked here: ``sim`` is ``SimConfig``, ``wsm`` is
+``WsmSettings``, ``locmodel`` is ``LocSettings``, ``privacy`` is
+``PrivacySettings`` and ``cli`` is ``CliSettings``. The modules they configure
+import their section from here. ``STAGES`` names each stage's CLI command,
+its function in :mod:`.pipeline` and its help text. This module imports
+neither numpy nor any stage module, so a command that only reads its
+arguments (``config-keys``, ``--help``, a usage error) loads none of them;
+calling a :class:`Stage` imports the pipeline.
 
 Config files hold one ``dotted.key=value`` per line (``#`` starts a comment).
 Unknown keys are rejected. Values are coerced to the target field type;
@@ -16,14 +21,18 @@ Every field of every settings section is a key.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .citysim import SimConfig
-from .errors import UsageError
-from .locmodel import LocSettings
-from .privacy import PrivacySettings
-from .wsm import WsmSettings
+from .errors import FoodwatchError, UsageError
+
+if TYPE_CHECKING:
+    from .pipeline import Run
+
+INCUBATION_WINDOW_S = 259_200  # 72 hours after leaving the restaurant
+DEFAULT_HASH_KEY_HEX = "6f0d6b65792d746573742d6f6e6c7921"  # test-only default secret
 
 
 @dataclass(frozen=True)
@@ -39,6 +48,144 @@ class CliSettings:
 
 
 @dataclass(frozen=True)
+class SimConfig:
+    cities: dict[str, int] = field(default_factory=lambda: {"A": 100, "B": 100})
+    n_users: int = 1500
+    risk_mix: tuple[float, float, float] = (0.53, 0.22, 0.25)  # high, medium, low
+    unsafe_prob: tuple[float, float, float] = (0.335, 0.231, 0.079)  # by risk level
+    p_infect_unsafe: float = 0.12
+    p_infect_safe: float = 0.002
+    incubation_median_h: float = 24.0
+    incubation_sigma: float = 0.6
+    p_search_given_ill: float = 0.7
+    p_complaint_given_ill: float = 0.08
+    p_blame_last: float = 0.75
+    p_frivolous_complaint: float = 0.004  # per user-day, no infection behind it
+    inspector_sensitivity: float = 0.9
+    inspector_false_positive: float = 0.05
+    unsafe_critical_mean: float = 1.2
+    unsafe_major_mean: float = 1.8
+    safe_critical_mean: float = 0.15
+    safe_major_mean: float = 0.5
+    rater_flip_md: float = 0.03
+    rater_flip_other: float = 0.07
+    meals_per_day: float = 0.8
+    background_queries_per_day: float = 1.5
+    p_background_foodclick: float = 0.02
+    p_positive_click: float = 0.85
+    positive_dwell_median_s: float = 60.0
+    positive_dwell_sigma: float = 0.5
+    routine_inspections_per_day: int = 8
+
+    def __post_init__(self) -> None:
+        probs = (
+            "p_infect_unsafe", "p_infect_safe", "p_search_given_ill", "p_complaint_given_ill",
+            "p_blame_last", "inspector_sensitivity", "inspector_false_positive",
+            "p_background_foodclick", "p_positive_click", "p_frivolous_complaint",
+            "rater_flip_md", "rater_flip_other",
+        )
+        for name in probs:
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise UsageError(f"sim.{name} must be in [0, 1], got {getattr(self, name)}")
+        for name in ("risk_mix", "unsafe_prob"):
+            triple = getattr(self, name)
+            if len(triple) != 3 or any(not 0.0 <= p <= 1.0 for p in triple):
+                raise UsageError(f"sim.{name} must be three probabilities")
+        if abs(sum(self.risk_mix) - 1.0) > 1e-9:
+            raise UsageError(f"sim.risk_mix must sum to 1, got {sum(self.risk_mix)}")
+        for name in ("incubation_median_h", "positive_dwell_median_s"):  # lognormal medians
+            if not getattr(self, name) > 0:  # also refuses nan
+                raise UsageError(f"sim.{name} must be > 0, got {getattr(self, name)}")
+        nonnegative = (
+            "n_users", "incubation_sigma", "positive_dwell_sigma", "meals_per_day",
+            "background_queries_per_day", "routine_inspections_per_day", "unsafe_critical_mean",
+            "unsafe_major_mean", "safe_critical_mean", "safe_major_mean",
+        )
+        for name in nonnegative:
+            if not getattr(self, name) >= 0:
+                raise UsageError(f"sim.{name} must be >= 0, got {getattr(self, name)}")
+        if self.incubation_sigma == 0 and not 6.0 < self.incubation_median_h <= 72.0:
+            raise UsageError("with zero sim.incubation_sigma, sim.incubation_median_h must lie in (6, 72]")
+        if any(n <= 0 for n in self.cities.values()):
+            raise UsageError("sim.cities: every listed city needs at least one restaurant")
+        if self.cities == {} and self.n_users > 0:
+            raise UsageError("sim.cities: users need at least one city to live in")
+
+
+@dataclass(frozen=True)
+class WsmSettings:
+    """The ``wsm.*`` settings: weak labeling, training and evaluation."""
+
+    dwell_threshold_s: float = 30.0
+    neg_ratio: int = 10  # sampled negatives per weak positive
+    l2: float = 1e-5
+    batch_size: int = 256
+    epochs: int = 60
+    learning_rate: float = 1.0  # step at update t is learning_rate / sqrt(t)
+    threshold: float = 0.5
+    eval_size: int = 200
+
+    def __post_init__(self) -> None:
+        for name in ("neg_ratio", "batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"wsm.{name} must be >= 1, got {getattr(self, name)}")
+        if self.eval_size < 2 or self.eval_size % 2:
+            raise UsageError(f"wsm.eval_size must be a positive even number, got {self.eval_size}")
+        for name in ("dwell_threshold_s", "l2"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # also refuses nan
+                raise UsageError(f"wsm.{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise UsageError(f"wsm.learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise UsageError(f"wsm.threshold must be in [0, 1], got {self.threshold}")
+
+
+@dataclass(frozen=True)
+class LocSettings:
+    """The ``locmodel.*`` settings: linking, aggregation and ranking."""
+
+    window_s: int = INCUBATION_WINDOW_S
+    p_star: float = 0.7
+    min_visitors: int = 20
+    cutoff: float = 0.03
+    agg_window_days: int = 14
+
+    def __post_init__(self) -> None:
+        if self.agg_window_days < 1:
+            raise UsageError(f"locmodel.agg_window_days must be >= 1, got {self.agg_window_days}")
+        for name in ("window_s", "min_visitors"):
+            if getattr(self, name) < 0:
+                raise UsageError(f"locmodel.{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("p_star", "cutoff"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise UsageError(f"locmodel.{name} must be in [0, 1], got {getattr(self, name)}")
+
+
+@dataclass(frozen=True)
+class PrivacySettings:
+    enabled: bool = True  # off: release exact counts, unnoised and unsuppressed
+    epsilon: float = 1.0  # budget per released count
+    suppress_below: int = 30
+    hash_key: str = DEFAULT_HASH_KEY_HEX  # hex-encoded 128-bit secret
+
+    def __post_init__(self) -> None:
+        if not self.epsilon > 0:  # also refuses nan
+            raise UsageError(f"privacy.epsilon must be > 0, got {self.epsilon}")
+        if self.suppress_below < 0:
+            raise UsageError(f"privacy.suppress_below must be >= 0, got {self.suppress_below}")
+        self.hash_key_int()  # rejects a key that is not hex or is zero
+
+    def hash_key_int(self) -> int:
+        try:
+            value = int(self.hash_key, 16)
+        except ValueError:
+            raise UsageError(f"privacy.hash_key must be hex, got {self.hash_key!r}") from None
+        if value == 0:
+            raise UsageError("privacy.hash_key must be non-zero")
+        return value
+
+
+@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     days: int = 14
@@ -47,6 +194,36 @@ class RunConfig:
     locmodel: LocSettings = field(default_factory=LocSettings)
     privacy: PrivacySettings = field(default_factory=PrivacySettings)
     cli: CliSettings = field(default_factory=CliSettings)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """A pipeline stage: its CLI command, the function that runs it and its
+    help text. Calling it runs the function and names the stage in errors."""
+
+    command: str
+    function: str  # attribute of ``pipeline``, looked up per call so it can be replaced
+    help: str
+
+    def __call__(self, config: RunConfig, out: Path | Run):
+        from . import pipeline  # numpy and every stage module, only to run one
+
+        try:
+            return getattr(pipeline, self.function)(config, out)
+        except FoodwatchError as exc:
+            raise type(exc)(f"stage {self.command}: {exc}") from exc
+
+
+# The stages in run order: the CLI's stage commands and ``run``.
+STAGES = (
+    Stage("simulate", "stage_simulate", "generate the synthetic city dataset"),
+    Stage("train-wsm", "stage_train", "weak-label the query stream and train the classifier"),
+    Stage("eval-wsm", "stage_eval_wsm", "rater-based evaluation of the trained classifier"),
+    Stage("rank", "stage_rank", "score, link, aggregate, release, and emit daily lists"),
+    Stage("inspect", "stage_inspect", "simulate inspections for the daily lists"),
+    Stage("evaluate", "stage_evaluate", "produce the statistical evaluation tables"),
+    Stage("report", "stage_report", "render the text report from the evaluation tables"),
+)
 
 
 def _parse_number(kind: type):

@@ -19,32 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .config import LocSettings
+from .errors import DataError
 from .logdata import Columns, VisitEvent, VisitLog, first_occurrences
 
-INCUBATION_WINDOW_S = 259_200  # 72 hours after leaving the restaurant
 ONE_SIDED_95_Z = 1.6448536269514722  # standard normal 95th percentile
-
-
-@dataclass(frozen=True)
-class LocSettings:
-    """The ``locmodel.*`` settings: linking, aggregation and ranking."""
-
-    window_s: int = INCUBATION_WINDOW_S
-    p_star: float = 0.7
-    min_visitors: int = 20
-    cutoff: float = 0.03
-    agg_window_days: int = 14
-
-    def __post_init__(self) -> None:
-        if self.agg_window_days < 1:
-            raise UsageError(f"locmodel.agg_window_days must be >= 1, got {self.agg_window_days}")
-        for name in ("window_s", "min_visitors"):
-            if getattr(self, name) < 0:
-                raise UsageError(f"locmodel.{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("p_star", "cutoff"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise UsageError(f"locmodel.{name} must be in [0, 1], got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,20 +1,21 @@
 """End-to-end orchestration: simulate, label, train, score, link, aggregate,
 release, rank, inspect, evaluate, report.
 
-Each stage has a pure compute function plus a file-backed wrapper. ``STAGES``
-lists the wrappers in order; ``run`` calls each of them, as the stage-by-stage
-CLI does, so both execute the same stage code. Stages share their inputs
-through a :class:`Run`. A run directory is self-describing: every emitted
-file is listed in ``manifest.json`` with its checksum, alongside the seed and
-config hash.
+Each stage has a pure compute function plus a file-backed wrapper.
+``config.STAGES`` names the wrappers in order; ``run`` calls each of them, as
+the stage-by-stage CLI does, so both execute the same stage code. Stages
+share their inputs through a :class:`Run`. A run directory is
+self-describing: every emitted file is listed in ``manifest.json`` with its
+checksum, alongside the seed and config hash.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 from datetime import date as Date, datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -33,8 +34,8 @@ from .citysim import (
     simulate_inspection,
     simulate_raters,
 )
-from .config import RunConfig, apply_overrides, config_hash, config_lines
-from .errors import DataError, DataFormatError, FoodwatchError, UsageError
+from .config import STAGES, RunConfig, apply_overrides, config_hash, config_lines
+from .errors import DataError, DataFormatError, UsageError
 from .locmodel import (
     ExposureLink,
     Period,
@@ -103,6 +104,7 @@ SCORED_CSV = "scored_queries.csv"
 SCORED_HEADER = ["user_id", "ts", "score"]
 LINKS_CSV = "links.csv"
 LINKS_HEADER = ["user_id", "restaurant_id", "visit_exit_ts", "first_positive_query_ts", "recency_rank"]
+_link_row = attrgetter(*LINKS_HEADER)  # an ExposureLink's fields as a tuple, in header order
 FINDER_INSPECTIONS_CSV = "finder_inspections.csv"
 ALL_INSPECTIONS_CSV = "inspections_all.csv"
 REPORT_TXT = "report.txt"
@@ -587,7 +589,7 @@ def stage_rank(config: RunConfig, out: Path | Run) -> None:
     run.release("queries", "model")
     report_mod.write_csv(run.out / SCORED_CSV, SCORED_HEADER, scored)
     del scored  # the daily lists, where this stage peaks, do not need the scores
-    report_mod.write_csv(run.out / LINKS_CSV, LINKS_HEADER, [astuple(l) for l in links])
+    report_mod.write_csv(run.out / LINKS_CSV, LINKS_HEADER, list(map(_link_row, links)))
     daily = compute_daily_lists(config, visits, registry, links)
     report_mod.write_csv(run.out / report_mod.RELEASED_CSV, report_mod.RELEASED_HEADER, daily.released_rows)
     report_mod.write_csv(run.out / report_mod.DAILY_LISTS_CSV, report_mod.DAILY_LIST_HEADER, daily.daily_rows)
@@ -646,34 +648,6 @@ def stage_report(config: RunConfig, out: Path | Run) -> str:
     with open(run.out / REPORT_TXT, "w", encoding="utf-8") as fh:
         fh.write(text)
     return text
-
-
-@dataclass(frozen=True)
-class Stage:
-    """A pipeline stage: its CLI command, the function that runs it and its
-    help text. Calling it runs the function and names the stage in errors."""
-
-    command: str
-    function: str  # module attribute, looked up per call so it can be replaced
-    help: str
-
-    def __call__(self, config: RunConfig, out: Path | Run):
-        try:
-            return globals()[self.function](config, out)
-        except FoodwatchError as exc:
-            raise type(exc)(f"stage {self.command}: {exc}") from exc
-
-
-# The stages in run order: the CLI's stage commands and ``run``.
-STAGES = (
-    Stage("simulate", "stage_simulate", "generate the synthetic city dataset"),
-    Stage("train-wsm", "stage_train", "weak-label the query stream and train the classifier"),
-    Stage("eval-wsm", "stage_eval_wsm", "rater-based evaluation of the trained classifier"),
-    Stage("rank", "stage_rank", "score, link, aggregate, release, and emit daily lists"),
-    Stage("inspect", "stage_inspect", "simulate inspections for the daily lists"),
-    Stage("evaluate", "stage_evaluate", "produce the statistical evaluation tables"),
-    Stage("report", "stage_report", "render the text report from the evaluation tables"),
-)
 
 
 def _hash_file(path: Path) -> str:

@@ -1,4 +1,5 @@
-"""Privacy settings, anonymization, contribution capping, and count release.
+"""Anonymization, contribution capping, and count release, under the
+``privacy.*`` settings (``config.PrivacySettings``).
 
 User ids are replaced by a keyed pseudorandom function before anything else
 touches the data: the simulator takes the map from :func:`pseudonyms` and
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .citysim import GroundTruth
-from .errors import UsageError
+from .config import PrivacySettings
 from .locmodel import ExposureLink, RestaurantCells, shares
 from .logdata import Dataset, QueryEvent, QueryLog, VisitEvent, VisitLog
 from .seeding import PCG64Lanes, derive_seeds, make_rng  # make_rng: the benchmark tracer wraps privacy.make_rng
@@ -36,33 +37,6 @@ from .seeding import PCG64Lanes, derive_seeds, make_rng  # make_rng: the benchma
 # L1 sensitivity of each released count: contribution capping leaves each
 # user at most one link per restaurant, so one user moves a count by at most 1.
 SENSITIVITY = 1.0
-
-
-DEFAULT_HASH_KEY_HEX = "6f0d6b65792d746573742d6f6e6c7921"  # test-only default secret
-
-
-@dataclass(frozen=True)
-class PrivacySettings:
-    enabled: bool = True  # off: release exact counts, unnoised and unsuppressed
-    epsilon: float = 1.0  # budget per released count
-    suppress_below: int = 30
-    hash_key: str = DEFAULT_HASH_KEY_HEX  # hex-encoded 128-bit secret
-
-    def __post_init__(self) -> None:
-        if not self.epsilon > 0:  # also refuses nan
-            raise UsageError(f"privacy.epsilon must be > 0, got {self.epsilon}")
-        if self.suppress_below < 0:
-            raise UsageError(f"privacy.suppress_below must be >= 0, got {self.suppress_below}")
-        self.hash_key_int()  # rejects a key that is not hex or is zero
-
-    def hash_key_int(self) -> int:
-        try:
-            value = int(self.hash_key, 16)
-        except ValueError:
-            raise UsageError(f"privacy.hash_key must be hex, got {self.hash_key!r}") from None
-        if value == 0:
-            raise UsageError("privacy.hash_key must be non-zero")
-        return value
 
 
 def pseudonymize(hash_key: int, user_id: str) -> str:

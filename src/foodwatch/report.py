@@ -119,8 +119,10 @@ def read_csv(
 
     Blank lines are skipped. When ``header`` is given the file's header line
     must equal it. A missing file, a header mismatch, a row whose width
-    differs from the header's, a byte that is not UTF-8 and a ``ValueError``
-    from ``parse`` are data errors; all but the first name the file and line.
+    differs from the header's, a row the csv module refuses (a field over
+    ``csv.field_size_limit()``, say), a byte that is not UTF-8 and a
+    ``ValueError`` from ``parse`` are data errors; all but the first name the
+    file and line.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -128,23 +130,26 @@ def read_csv(
         raise DataError(f"missing file {path}") from None
     with fh:
         reader = csv.reader(utf8_lines(path, fh))
-        found = next(reader, None)
-        if header is not None and found != list(header):
-            missing = next((name for name in header if name not in (found or ())), None)
-            problem = f"missing column {missing}" if missing else f"got {','.join(found)}"
-            raise DataFormatError(f"{path}:1: {problem}; expected header {','.join(header)}")
-        found = found or []
-        width = len(found)
-        records = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != width:
-                    raise ValueError(f"expected {width} fields, got {len(row)}")
-                records.append(parse(row))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+        try:
+            found = next(reader, None)
+            if header is not None and found != list(header):
+                missing = next((name for name in header if name not in (found or ())), None)
+                problem = f"missing column {missing}" if missing else f"got {','.join(found)}"
+                raise DataFormatError(f"{path}:1: {problem}; expected header {','.join(header)}")
+            found = found or []
+            width = len(found)
+            records = []
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    if len(row) != width:
+                        raise ValueError(f"expected {width} fields, got {len(row)}")
+                    records.append(parse(row))
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
     return found, records
 
 

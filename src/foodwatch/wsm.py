@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericalError, UsageError
+from .config import WsmSettings
+from .errors import DataError, NumericalError
 from .features import (
     DIM,
     FeatureRows,
@@ -45,34 +46,6 @@ class LabeledSet:
 
     def texts(self) -> set[str]:
         return {self.examples.texts[code] for code in set(self.examples.text.tolist())}
-
-
-@dataclass(frozen=True)
-class WsmSettings:
-    """The ``wsm.*`` settings: weak labeling, training and evaluation."""
-
-    dwell_threshold_s: float = 30.0
-    neg_ratio: int = 10  # sampled negatives per weak positive
-    l2: float = 1e-5
-    batch_size: int = 256
-    epochs: int = 60
-    learning_rate: float = 1.0  # step at update t is learning_rate / sqrt(t)
-    threshold: float = 0.5
-    eval_size: int = 200
-
-    def __post_init__(self) -> None:
-        for name in ("neg_ratio", "batch_size", "epochs"):
-            if getattr(self, name) < 1:
-                raise UsageError(f"wsm.{name} must be >= 1, got {getattr(self, name)}")
-        if self.eval_size < 2 or self.eval_size % 2:
-            raise UsageError(f"wsm.eval_size must be a positive even number, got {self.eval_size}")
-        for name in ("dwell_threshold_s", "l2"):
-            if not 0.0 <= getattr(self, name) < math.inf:  # also refuses nan
-                raise UsageError(f"wsm.{name} must be finite and >= 0, got {getattr(self, name)}")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise UsageError(f"wsm.learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise UsageError(f"wsm.threshold must be in [0, 1], got {self.threshold}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,12 +161,21 @@ def loss_and_gradient(
     against finite differences.
     """
     z = _margins(weights, intercept, features)
+    grad_w, grad_b = _gradient(z, weights, features, labels, l2)
+    return _mean_loss(z, labels, weights, l2), grad_w, grad_b
+
+
+def _gradient(
+    z: np.ndarray, weights: np.ndarray, features: FeatureRows, labels: np.ndarray, l2: float
+) -> tuple[np.ndarray, float]:
+    """The gradient of :func:`loss_and_gradient`'s loss at margins ``z``,
+    without the loss, which training does not need at each step."""
     err = (_sigmoid(z) - labels) / len(features)
     grad_w = l2 * weights
     # np.add.at adds entry by entry, so each bucket sums its rows' errors in
     # row order, as a loop over rows would
     np.add.at(grad_w, features.indices, np.repeat(err, features.lengths))
-    return _mean_loss(z, labels, weights, l2), grad_w, float(err.sum())
+    return grad_w, float(err.sum())
 
 
 def train_wsm(
@@ -225,8 +207,9 @@ def train_wsm(
             batch = order[start : start + settings.batch_size]
             step_count += 1
             step = settings.learning_rate / math.sqrt(step_count)
-            _, grad_w, grad_b = loss_and_gradient(
-                weights, intercept, features.take(batch), labels[batch], settings.l2
+            rows = features.take(batch)
+            grad_w, grad_b = _gradient(
+                _margins(weights, intercept, rows), weights, rows, labels[batch], settings.l2
             )
             weights -= step * grad_w
             intercept -= step * grad_b

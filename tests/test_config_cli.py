@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +236,33 @@ def test_cli_out_of_range_settings_are_rejected(tmp_path, capsys, command, setti
     code = cli.main([command, "--out", str(tmp_path), "--set", setting])
     assert code == exit_code
     assert setting.split("=")[0] in capsys.readouterr().err
+
+
+# Run in a fresh interpreter: main's exit code, then every module it loaded.
+STARTUP_PROBE = """
+import json, sys
+from foodwatch import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:  # argparse exits after printing --help
+    code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+STAGE_MODULES = ("foodwatch.pipeline", "foodwatch.citysim", "foodwatch.wsm", "foodwatch.locmodel",
+                 "foodwatch.privacy", "foodwatch.logdata")
+
+
+@pytest.mark.parametrize(
+    "args, exit_code",
+    [(["config-keys"], 0), (["--help"], 0), (["rank", "--out", "D", "--set", "nope=1"], 1)],
+)
+def test_commands_that_run_no_stage_load_neither_numpy_nor_a_stage_module(tmp_path, args, exit_code):
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, *args], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60
+    )
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == exit_code, done.stderr
+    assert not [m for m in loaded if m == "numpy" or m.startswith("numpy.") or m in STAGE_MODULES]
+    assert not (tmp_path / "D").exists()

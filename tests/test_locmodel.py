@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foodwatch.citysim import DAY_S
+from foodwatch.config import INCUBATION_WINDOW_S
 from foodwatch.errors import DataError, UsageError
 from foodwatch import locmodel
 from foodwatch.locmodel import (
-    INCUBATION_WINDOW_S,
     ExposureLink,
     LocSettings,
     Period,

@@ -457,6 +457,13 @@ def _undecodable_visit_byte(out):
     return _undecodable_byte(dataset_dir(out) / "visits.csv", 299)
 
 
+def _oversized_registry_field(out):
+    # longer than csv.field_size_limit(), which the csv module refuses
+    path = dataset_dir(out) / "restaurants.csv"
+    _edit_line(path, 1, lambda line: line + "x" * 200_000)
+    return f"{path}:2: field larger than field limit"
+
+
 def _visit_unregistered_restaurant(out):
     def edit(line):
         user_id, _, entry_ts, exit_ts = line.split(",")
@@ -648,6 +655,7 @@ def _non_string_infection_ids(out):
         ("train-wsm", _undecodable_query_byte),
         ("rank", _undecodable_visit_byte),
         ("evaluate", _undecodable_visit_byte),
+        ("evaluate", _oversized_registry_field),
     ],
 )
 def test_corrupt_intermediates_are_data_errors(tmp_path, small_run, capsys, command, corrupt):

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -33,3 +34,41 @@ def test_script_runs_at_small_size(script, args):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+STAGE_COSTS_PROBE = """
+import importlib.util, json, subprocess, sys
+
+spec = importlib.util.spec_from_file_location("stage_costs", sys.argv[1])
+stage_costs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(stage_costs)
+seen = []
+real_popen = subprocess.Popen
+
+
+def popen(cmd, env, **kwargs):  # records the stage's environment, runs nothing
+    seen.append({name: env.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    return real_popen([sys.executable, "-c", "pass"], env=env, **kwargs)
+
+
+stage_costs.subprocess.Popen = popen
+cost = stage_costs.run_stage("simulate", "unused", [])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "foodwatch"))
+print(json.dumps({"exit": cost["exit"], "env": seen, "loaded": loaded}))
+"""
+
+
+def test_stage_costs_runs_each_stage_on_one_blas_thread():
+    # the launcher's own environment asks for four threads; the stage gets one,
+    # as the benchmark's stages do, and the launcher loads no foodwatch or numpy
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="4", OMP_NUM_THREADS="4", MKL_NUM_THREADS="4")
+    done = subprocess.run(
+        [sys.executable, "-c", STAGE_COSTS_PROBE, str(ROOT / "scripts" / "stage_costs.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    one = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    assert json.loads(done.stdout) == {"exit": 0, "env": [one], "loaded": []}

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foodwatch.errors import DataError, NumericalError, UsageError
-from foodwatch.features import DIM, FeatureRows, bucket, featurize
+from foodwatch import wsm
+from foodwatch.features import DIM, FeatureRows, bucket, featurize, featurize_rows
 from foodwatch.logdata import QueryLog
 from foodwatch.seeding import make_rng
 from foodwatch.wsm import (
@@ -19,6 +20,7 @@ from foodwatch.wsm import (
     has_foodborne_click,
     is_weak_positive,
     load_model,
+    _mean_loss as mean_loss,
     _sigmoid,
     _weighted_sample_without_replacement,
     loss_and_gradient,
@@ -200,6 +202,30 @@ def test_loss_and_gradient_match_per_example_oracle():
         )
         assert np.array_equal(grad_w, o_grad_w) and grad_b == o_grad_b
         assert abs(loss - o_loss) <= 1e-12 * abs(o_loss)
+
+
+def test_training_steps_take_no_loss_and_move_as_loss_and_gradient_would(monkeypatch):
+    settings = WsmSettings(l2=1e-4, epochs=3, batch_size=6, learning_rate=0.1)
+    labeled = separable_set()
+    # the reference: the same schedule, stepping on loss_and_gradient's gradient
+    rows = featurize_rows(labeled.examples)
+    labels = labeled.labels.astype(float)
+    weights, intercept, t = np.zeros(DIM), 0.0, 0
+    rng = make_rng(4, "train-wsm")
+    for _ in range(settings.epochs):
+        order = rng.permutation(len(labels))
+        for start in range(0, len(labels), settings.batch_size):
+            batch = order[start : start + settings.batch_size]
+            t += 1
+            _, grad_w, grad_b = loss_and_gradient(weights, intercept, rows.take(batch), labels[batch], settings.l2)
+            weights -= settings.learning_rate / math.sqrt(t) * grad_w
+            intercept -= settings.learning_rate / math.sqrt(t) * grad_b
+
+    losses = []
+    monkeypatch.setattr(wsm, "_mean_loss", lambda *args: losses.append(1) or mean_loss(*args))
+    model = train_wsm(labeled, settings, seed=4)
+    assert len(losses) == settings.epochs + 1  # each epoch's loss and the final one, none per step
+    assert np.array_equal(model.weights, weights) and model.intercept == intercept
 
 
 def test_single_class_errors():
