@@ -10,24 +10,28 @@ Each (user, day) has its own random stream, ``make_rng(seed, "user", uid,
 day)``, and draws its day from it in a fixed order: the meal count, each
 meal's restaurant, times and infection, the background-query count, each
 background query, a frivolous complaint. ``simulate`` does not build those
-generators. It steps all of a day's user-days together as the lanes of one
-``seeding.PCG64Lanes``, which draws uniforms, bounded integers and small
-Poisson counts exactly as numpy's ``Generator`` does, and runs the rare
-other draws (the rest of an infected meal, ambiguous health research,
-exponential dwell times) as escapes: on a ``Generator`` put in the lane's
-state, which the lane then takes back. The day's events are then put back
-in the order one user-day after another would draw them, so every artifact
-is the one the scalar loop gives.
+generators. It steps a block of days' user-days together, as the lanes of
+one ``seeding.PCG64Lanes`` (lane = day in block x users + user, at most
+``LANE_BLOCK`` lanes), which draws uniforms, bounded integers, small Poisson
+counts and exponential dwell times exactly as numpy's ``Generator`` does. The
+rare other draws (the rest of an infected meal, ambiguous health research,
+and the few dwell times numpy's ziggurat does not accept at once) run as
+escapes: on a ``Generator`` put in the lane's state, which the lane then
+takes back. A block's events are then put back in the order one user-day
+after another would draw them, day by day and user by user, so every
+artifact is the one the scalar loop gives. A query's text stays a code
+until the log tables it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
 from pathlib import Path
-from typing import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -272,33 +276,46 @@ def day_to_date(day: int) -> Date:
     return SIM_EPOCH_DATE + timedelta(days=day)
 
 
+def _cdf(p: np.ndarray) -> list[float]:
+    """The cumulative distribution that ``Generator.choice(len(p), p=p)``
+    searches: the running sums of p, each divided by the last."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def generate_world(cfg: SimConfig, seed: int) -> World:
     """Restaurants with risk levels and latent safety states, plus the user
-    population with per-user visit propensities. Deterministic under seed."""
+    population with per-user visit propensities. Deterministic under seed.
+
+    Each weighted pick draws one double and finds it in the cdf, as
+    ``rng.choice(n, p=p)`` does, without that call's checks of p."""
     rng = make_rng(seed, "world")
     levels = (RiskLevel.HIGH, RiskLevel.MEDIUM, RiskLevel.LOW)
 
     restaurants: list[RestaurantRecord] = []
     latent: dict[str, bool] = {}
     counter = 0
+    risk_cdf = _cdf(np.asarray(cfg.risk_mix, dtype=float))
     for city in sorted(cfg.cities):
         for _ in range(cfg.cities[city]):
             rid = f"r{counter:05d}"
             counter += 1
-            level = levels[int(rng.choice(3, p=cfg.risk_mix))]
-            restaurants.append(RestaurantRecord(rid, city, level))
-            latent[rid] = bool(rng.random() < cfg.unsafe_prob[levels.index(level)])
+            level = bisect_right(risk_cdf, rng.random())
+            restaurants.append(RestaurantRecord(rid, city, levels[level]))
+            latent[rid] = bool(rng.random() < cfg.unsafe_prob[level])
 
     cities = sorted(cfg.cities)
     weights = np.array([cfg.cities[c] for c in cities], dtype=float)
     weights /= weights.sum() if weights.sum() else 1.0
+    home_cdf = _cdf(weights) if cities else []
     users: list[str] = []
     home: dict[str, str] = {}
     propensity: dict[str, float] = {}
     for i in range(cfg.n_users):
         uid = f"u{i:06d}"
         users.append(uid)
-        home[uid] = cities[int(rng.choice(len(cities), p=weights))]
+        home[uid] = cities[bisect_right(home_cdf, rng.random())]
         # gamma-distributed appetite around the configured mean
         propensity[uid] = float(rng.gamma(4.0, cfg.meals_per_day / 4.0))
     return World(
@@ -386,22 +403,65 @@ def _health_research(rng: np.random.Generator) -> tuple[str, int, bool, float, i
     return text, page, True, float(round(rng.exponential(dwell_mean), 1)), label
 
 
-def _generic_dwell(rng: np.random.Generator) -> float:
-    return float(round(rng.exponential(40.0), 1))
-
-
 _SUFFIXES = ("", *(f" {s}" for s in BACKGROUND_SUFFIXES))  # by suffix draw + 1; "" for none
 _LOCALITY_SUFFIXES = ("", *(f" {s}" for s in LOCALITIES))
+# A background text is coded by its template, suffix and locality draws;
+# every other text, after all of those, by the order it was drawn in.
+_BACKGROUND_TEXTS = len(BACKGROUND_TEMPLATES) * len(_SUFFIXES) * len(_LOCALITY_SUFFIXES)
 
-# the columns of a day's queries: user (a lane), ts, text, page (an index of
-# RESULT_PAGES), clicked, dwell and label
-_QUERY_DTYPES = (np.int64, np.int64, object, np.int64, bool, np.float64, np.int64)
+
+class _Texts(Sequence):
+    """A simulation's query texts by code: each combination of the
+    background mix, built the first time it is asked for, then every other
+    text in the order it was drawn."""
+
+    def __init__(self):
+        self.background: dict[int, str] = {}
+        self.others: list[str] = []
+
+    def __len__(self) -> int:
+        return _BACKGROUND_TEXTS + len(self.others)
+
+    def __getitem__(self, code: int) -> str:
+        if code >= _BACKGROUND_TEXTS:
+            return self.others[code - _BACKGROUND_TEXTS]
+        text = self.background.get(code)
+        if text is None:
+            template, rest = divmod(code, len(_SUFFIXES) * len(_LOCALITY_SUFFIXES))
+            suffix, locality = divmod(rest, len(_LOCALITY_SUFFIXES))
+            text = self.background[code] = BACKGROUND_TEMPLATES[template] + _SUFFIXES[suffix] + _LOCALITY_SUFFIXES[locality]
+        return text
+
+    def code(self, rows: list[tuple]) -> list[tuple]:
+        """Query rows, each text replaced by the code it takes as a new text."""
+        start = _BACKGROUND_TEXTS + len(self.others)
+        self.others += [row[2] for row in rows]
+        return [(*row[:2], start + i, *row[3:]) for i, row in enumerate(rows)]
+
+
+# the columns of a block's queries: user (a lane), ts, text (a code of
+# _Texts), page (an index of RESULT_PAGES), clicked, dwell and label
+_QUERY_DTYPES = (np.int64, np.int64, np.int64, np.int64, bool, np.float64, np.int64)
 
 
 def _query_columns(rows: list[tuple]) -> list[np.ndarray]:
-    """Query rows as the columns of a day's queries."""
+    """Query rows, texts coded, as the columns of a block's queries."""
     columns = list(zip(*rows)) or [()] * len(_QUERY_DTYPES)
     return [np.array(column, dtype=dtype) for column, dtype in zip(columns, _QUERY_DTYPES)]
+
+
+def _round_tenths(values: np.ndarray) -> np.ndarray:
+    """``round(v, 1)`` of each value as Python rounds it, to the double
+    nearest the exact value rounded half to even. ``rint(10 v) / 10`` gives
+    the same unless 10 v is within its own rounding error of a half, which
+    is far below 1e-6 for 10 v below 2**31; those values, and any larger,
+    are rounded one at a time."""
+    tenths = values * 10.0
+    out = np.rint(tenths) / 10.0
+    clear = (np.abs(tenths - np.floor(tenths) - 0.5) >= 1e-6) & (np.abs(tenths) < 2.0**31)  # nan is not
+    near = ~clear
+    out[near] = [round(v, 1) for v in values[near].tolist()]
+    return out
 
 
 def _by_lane(chunks: list[list[np.ndarray]]) -> list[np.ndarray]:
@@ -412,11 +472,21 @@ def _by_lane(chunks: list[list[np.ndarray]]) -> list[np.ndarray]:
     return [column[order] for column in columns]
 
 
+# User-days drawn together, as the lanes of one ``PCG64Lanes``: a block of
+# whole days has at most this many lanes, and at least one day. A block's
+# lanes, draws and events, as numbers, are freed before the next block
+# starts, so a long horizon holds no more of them at once than a short one.
+LANE_BLOCK = 1 << 13
+# a block's visits, queries, infections and frivolous complaints (see _Days.block)
+_Block = tuple[list[np.ndarray], list[np.ndarray], list[tuple], list[np.ndarray]]
+
+
 class _Days:
-    """The city's user-days, drawn a day at a time: each user's day is a lane
-    of one ``PCG64Lanes``, seeded as ``make_rng(seed, "user", uid, day)``
-    would be, and the lanes step through the user-day's draws round by
-    round (see the module docstring)."""
+    """The city's user-days, drawn a block of days at a time: each (user,
+    day) of a block is a lane of one ``PCG64Lanes``, lane = day in block x
+    users + user, seeded as ``make_rng(seed, "user", uid, day)`` would be,
+    and the lanes step through the user-day's draws round by round (see the
+    module docstring)."""
 
     def __init__(self, world: World, days: int, seed: int):
         cfg = world.cfg
@@ -436,70 +506,81 @@ class _Days:
         self.propensity = np.array([world.propensity[uid] for uid in world.users], dtype=np.float64)
         unsafe = np.array([world.latent_unsafe[r.restaurant_id] for r in world.restaurants], dtype=bool)
         self.p_infect = np.where(unsafe, cfg.p_infect_unsafe, cfg.p_infect_safe)
-        self.seeds = np.zeros((len(world.users), days), dtype=np.uint64)
-        for lane, uid in enumerate(world.users):
-            self.seeds[lane] = derive_seeds(seed, ("user", uid), range(days))
+        self.texts = _Texts()
+        self.seeds = np.zeros((days, len(world.users)), dtype=np.uint64)  # by day, then user
+        for user, uid in enumerate(world.users):
+            self.seeds[:, user] = derive_seeds(seed, ("user", uid), range(days))
 
-    def day(self, day: int) -> tuple[list[np.ndarray], list[np.ndarray], list[tuple], list[np.ndarray]]:
-        """The day's visits and queries as columns, its infections as (user,
-        restaurant, exit, symptom delay, query or None, blame_last or None)
-        rows, and its frivolous complaints as (user, ts, pick) columns: each
-        in the order one user-day after another draws them, by user and then
+    def blocks(self) -> Iterator[_Block]:
+        """``block`` of every block of days, in order."""
+        days, n_users = self.seeds.shape
+        per_block = max(1, LANE_BLOCK // max(n_users, 1))
+        for first in range(0, days, per_block):
+            yield self.block(first, min(first + per_block, days))
+
+    def block(self, first: int, stop: int) -> _Block:
+        """The visits and queries of days ``first`` to ``stop - 1`` as columns,
+        the user an index of ``World.users`` and a query's text a code of
+        ``texts``; their infections as (user, restaurant, exit, symptom delay,
+        query or None, blame_last or None) rows; and their frivolous
+        complaints as (user, ts, pick) columns: each in the order one
+        user-day after another draws them, day by day, user by user and then
         in draw order."""
-        cfg, day_start = self.cfg, day * DAY_S
-        lanes = PCG64Lanes(self.seeds[:, day])
-        everyone = np.arange(len(self.propensity))
-        visits = [[np.zeros(0, dtype=np.int64)] * 4]  # user, restaurant (an index), entry, exit
+        cfg, n_users = self.cfg, self.seeds.shape[1]
+        lanes = PCG64Lanes(self.seeds[first:stop].reshape(-1))
+        everyone = np.arange((stop - first) * n_users)
+        day, user = np.divmod(everyone, max(n_users, 1))
+        day_start = (first + day) * DAY_S
+        home_start, home_size = self.home_start[user], self.home_size[user]
+        visits = [[np.zeros(0, dtype=np.int64)] * 4]  # lane, restaurant (an index), entry, exit
         infections = []
 
-        n_meals = lanes.poisson(everyone, self.propensity)
+        n_meals = lanes.poisson(everyone, self.propensity[user])
         for j in range(n_meals.max(initial=0)):
             eating = np.flatnonzero(n_meals > j)
-            restaurant = self.pool[self.home_start[eating] + lanes.integers(eating, self.home_size[eating])]
-            entry = day_start + 6 * 3600 + lanes.integers(eating, 15 * 3600)
+            restaurant = self.pool[home_start[eating] + lanes.integers(eating, home_size[eating])]
+            entry = day_start[eating] + 6 * 3600 + lanes.integers(eating, 15 * 3600)
             exit_ts = entry + 1800 + lanes.integers(eating, 3600)
             visits.append([eating, restaurant, entry, exit_ts])
             ill = np.flatnonzero(lanes.next_doubles(eating) < self.p_infect[restaurant])
             illnesses = lanes.escape(eating[ill], lambda rng: _illness(rng, cfg))
             infections += zip(eating[ill].tolist(), restaurant[ill].tolist(), exit_ts[ill].tolist(), *zip(*illnesses))
-        queries = [
-            _query_columns(
-                [(lane, exit_ts + delay, *query, 1) for lane, _, exit_ts, delay, query, _ in infections if query is not None]
-            )
-        ]
+        infections.sort(key=lambda row: row[0])
+        searches = [(lane, exit_ts + delay, *query, 1) for lane, _, exit_ts, delay, query, _ in infections if query is not None]
+        queries = [_query_columns(self.texts.code(searches))]
 
         n_background = lanes.poisson(everyone, cfg.background_queries_per_day)
         for j in range(n_background.max(initial=0)):
             asking = np.flatnonzero(n_background > j)
-            ts = day_start + lanes.integers(asking, DAY_S)
+            ts = day_start[asking] + lanes.integers(asking, DAY_S)
             research = lanes.next_doubles(asking) < cfg.p_background_foodclick
             rows = zip(asking[research].tolist(), ts[research].tolist(), lanes.escape(asking[research], _health_research))
-            queries.append(_query_columns([(lane, t, *query) for lane, t, query in rows]))
+            queries.append(_query_columns(self.texts.code([(lane, t, *query) for lane, t, query in rows])))
             # the rest search the head-heavy background mix: bare templates
             # repeat a lot, long combinations are rare. r below 0.35 keeps the
             # bare template, below 0.75 adds a suffix, below 0.90 a locality,
             # and above both, the suffix drawn first
             asking, ts = asking[~research], ts[~research]
-            template = lanes.integers(asking, len(BACKGROUND_TEMPLATES))
+            text = lanes.integers(asking, len(BACKGROUND_TEMPLATES)) * len(_SUFFIXES)
             r = lanes.next_doubles(asking)
-            suffix, locality = np.zeros(len(asking), dtype=np.int64), np.zeros(len(asking), dtype=np.int64)
             with_suffix = (r >= 0.35) & ((r < 0.75) | (r >= 0.90))
-            suffix[with_suffix] = 1 + lanes.integers(asking[with_suffix], len(BACKGROUND_SUFFIXES))
+            text[with_suffix] += 1 + lanes.integers(asking[with_suffix], len(BACKGROUND_SUFFIXES))
+            text *= len(_LOCALITY_SUFFIXES)
             with_locality = r >= 0.75
-            locality[with_locality] = 1 + lanes.integers(asking[with_locality], len(LOCALITIES))
-            text = [
-                BACKGROUND_TEMPLATES[t] + _SUFFIXES[s] + _LOCALITY_SUFFIXES[loc]
-                for t, s, loc in zip(template.tolist(), suffix.tolist(), locality.tolist())
-            ]
+            text[with_locality] += 1 + lanes.integers(asking[with_locality], len(LOCALITIES))
             page = _GENERIC_PAGE + lanes.integers(asking, 2)
             clicked = lanes.next_doubles(asking) < 0.5
             dwell = np.zeros(len(asking))
-            dwell[clicked] = lanes.escape(asking[clicked], _generic_dwell)
-            queries.append([asking, ts, np.array(text, dtype=object), page, clicked, dwell, np.zeros(len(asking), dtype=np.int64)])
+            dwell[clicked] = _round_tenths(lanes.exponential(asking[clicked], 40.0))
+            queries.append([asking, ts, text, page, clicked, dwell, np.zeros(len(asking), dtype=np.int64)])
 
         complaining = np.flatnonzero(lanes.next_doubles(everyone) < cfg.p_frivolous_complaint)
-        frivolous = [complaining, day_start + lanes.integers(complaining, DAY_S), lanes.next_doubles(complaining)]
-        return _by_lane(visits), _by_lane(queries), sorted(infections, key=lambda row: row[0]), frivolous
+        ts = day_start[complaining] + lanes.integers(complaining, DAY_S)
+        frivolous = [user[complaining], ts, lanes.next_doubles(complaining)]
+        visits, queries = _by_lane(visits), _by_lane(queries)
+        visits[0], queries[0] = user[visits[0]], user[queries[0]]
+        infections = [(int(user[lane]), *rest) for lane, *rest in infections]
+        return visits, queries, infections, frivolous
 
 
 def simulate(
@@ -523,7 +604,6 @@ def simulate(
     pids = [user_ids[uid] for uid in world.users]
     rids = [r.restaurant_id for r in world.restaurants]
 
-    user_days = _Days(world, days, seed)
     visits, queries = VisitColumns(), QueryColumns()
     labels = []  # per query, as drawn
     infections: list[InfectionRecord] = []
@@ -531,21 +611,21 @@ def simulate(
     # frivolous complaints: (user_id, complaint_ts, pick in [0,1))
     ill_complaints: list[tuple[str, int, bool, str]] = []
     frivolous_complaints: list[tuple[str, int, float]] = []
-    for day in range(days):
-        day_visits, day_queries, day_infections, frivolous = user_days.day(day)
-        user, restaurant, entry_ts, exit_ts = day_visits
+    user_days = _Days(world, days, seed)
+    for block_visits, block_queries, block_infections, frivolous in user_days.blocks():
+        user, restaurant, entry_ts, exit_ts = block_visits
         visits.extend(pids, user, rids, restaurant, entry_ts, exit_ts)
-        user, ts, text, page, clicked, dwell, label = day_queries
-        queries.extend(pids, user, ts, text.tolist(), RESULT_PAGES, page, clicked, dwell)
+        user, ts, text, page, clicked, dwell, label = block_queries
+        queries.extend(pids, user, ts, user_days.texts, text, RESULT_PAGES, page, clicked, dwell)
         labels.append(label)
-        for lane, restaurant, exit_ts, delay, query, blame_last in day_infections:
+        for user, restaurant, exit_ts, delay, query, blame_last in block_infections:
             symptom_ts, searched = exit_ts + delay, query is not None
             infections.append(
-                InfectionRecord(pids[lane], rids[restaurant], exit_ts, symptom_ts, searched, symptom_ts if searched else None)
+                InfectionRecord(pids[user], rids[restaurant], exit_ts, symptom_ts, searched, symptom_ts if searched else None)
             )
             if blame_last is not None:
-                ill_complaints.append((pids[lane], symptom_ts, blame_last, rids[restaurant]))
-        frivolous_complaints += [(pids[lane], ts, pick) for lane, ts, pick in zip(*(c.tolist() for c in frivolous))]
+                ill_complaints.append((pids[user], symptom_ts, blame_last, rids[restaurant]))
+        frivolous_complaints += [(pids[user], ts, pick) for user, ts, pick in zip(*(c.tolist() for c in frivolous))]
 
     # the order loading gives: by time, stably
     visits = visits.log()

@@ -37,8 +37,10 @@ restaurant ids sorted, so its codes ascend with the ids.
 The query and visit loaders take a bulk path for the lines of a file that
 are in the writers' own layout, which every line the simulator writes is,
 and parse any other line on its own; only that per-line parse reports
-errors. The CSV streams go through ``report.read_csv``, the pipeline's one
-CSV reader, except a visit log wholly in the writer's layout. Each must
+errors. The CSV streams go through ``report.read_csv`` and
+``report.write_csv``, the pipeline's one CSV codec, except a visit log
+wholly in the writer's layout, read in bulk, and one whose ids need no
+quoting, written in bulk to the bytes ``write_csv`` gives. Each must
 start with its header line: a file without one, even a zero-byte file, is a
 data error, not an empty stream. A malformed record, or a byte that is not
 UTF-8, is a data error that names the file and line.
@@ -46,12 +48,14 @@ UTF-8, is a data error that names the file and line.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import re
 import sys
 from array import array
 from collections.abc import Sequence
+from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import date as Date
 from enum import Enum
@@ -358,17 +362,20 @@ class QueryColumns:
         user: np.ndarray,
         ts: np.ndarray,
         texts: Sequence[str],
+        text: np.ndarray,
         pages: Sequence[tuple[str, str, str, frozenset[str]]],
         page: np.ndarray,
         clicked: np.ndarray,
         dwell_s: np.ndarray,
     ) -> None:
         """Events given as columns, each with one result page: event i is by
-        ``users[user[i]]`` and shows ``pages[page[i]]``, a (url, title,
-        snippet, tags) row, with ``clicked[i]`` and ``dwell_s[i]``."""
+        ``users[user[i]]``, searches ``texts[text[i]]`` and shows
+        ``pages[page[i]]``, a (url, title, snippet, tags) row, with
+        ``clicked[i]`` and ``dwell_s[i]``."""
         tables = (self.urls, self.titles, self.snippets, self.tag_sets)
         page_codes = [_indexed_codes(table, values, page) for table, values in zip(tables, zip(*pages))]
-        self._append_codes(_indexed_codes(self.users, users, user), ts, texts, page_codes, clicked, dwell_s)
+        user, text = _indexed_codes(self.users, users, user), _indexed_codes(self.texts, texts, text)
+        self._append_codes(user, ts, text, page_codes, clicked, dwell_s)
 
     def extend_values(
         self,
@@ -383,14 +390,14 @@ class QueryColumns:
         ``pages`` holds the url, title, snippet and tag-set columns."""
         tables = (self.urls, self.titles, self.snippets, self.tag_sets)
         page_codes = [_codes(table, values) for table, values in zip(tables, pages)]
-        self._append_codes(_codes(self.users, users), ts, texts, page_codes, clicked, dwell_s)
+        self._append_codes(_codes(self.users, users), ts, _codes(self.texts, texts), page_codes, clicked, dwell_s)
 
-    def _append_codes(self, user, ts, texts: Sequence[str], page_codes, clicked, dwell_s) -> None:
-        """Events given as user codes, times, texts, the code columns of their
-        one page's fields, clicks and dwell times."""
+    def _append_codes(self, user, ts, text, page_codes, clicked, dwell_s) -> None:
+        """Events given as user codes, times, text codes, the code columns of
+        their one page's fields, clicks and dwell times."""
         _append(self.user, np.asarray(user, dtype=np.int32))
         _append(self.ts, np.asarray(ts, dtype=np.int64))
-        self.text.extend(_codes(self.texts, texts))
+        _append(self.text, np.asarray(text, dtype=np.int32))
         end = self.page_start[-1]
         _append(self.page_start, np.arange(end + 1, end + 1 + len(ts), dtype=np.int64))
         for column, codes in zip((self.url, self.title, self.snippet, self.concept_tags), page_codes):
@@ -690,8 +697,8 @@ def load_queries(path: Path) -> QueryLog:
     keeps every table in order of first appearance."""
     columns = QueryColumns()
     batch: list[re.Match] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(utf8_lines(path, fh), start=1):
+    with closing(utf8_lines(path)) as lines:
+        for lineno, line in enumerate(lines, start=1):
             match = _WRITER_QUERY.fullmatch(line)
             if match:
                 batch.append(match)
@@ -766,6 +773,8 @@ def _bulk_visits(path: Path) -> VisitLog | None:
                 if not _WRITER_VISITS.fullmatch(rows):
                     return None
                 fields = rows.replace("\r\n", ",").split(",")
+                if len(rows) > csv.field_size_limit() and max(map(len, fields)) > csv.field_size_limit():
+                    return None  # a field the csv module refuses
                 n = len(fields) // 4
                 entry_ts = np.fromiter(map(int, fields[2::4]), np.int64, n)
                 exit_ts = np.fromiter(map(int, fields[3::4]), np.int64, n)
@@ -903,23 +912,73 @@ def write_queries(log: QueryLog, path: Path) -> None:
     """One JSON object per event and line, byte for byte what ``json.dumps(
     ..., ensure_ascii=False)`` gives. Each table value is encoded once; each
     line joins the encodings of its codes with its time, clicks and dwell
-    times."""
+    times, a chunk of events at a time. A chunk whose events have one page
+    each and finite dwell times, as every simulated chunk has, takes each
+    line's pieces from columns."""
     tables = (log.users, log.texts, log.urls, log.titles, log.snippets)
-    users, texts, urls, titles, snippets = ([encode_basestring(value) for value in table] for table in tables)
-    tag_sets = [json.dumps(sorted(tags), ensure_ascii=False) for tags in log.tag_sets]
+    users, texts, urls, titles, snippets = (np.array([encode_basestring(v) for v in t], dtype=object) for t in tables)
+    tag_sets = np.array([json.dumps(sorted(tags), ensure_ascii=False) for tags in log.tag_sets], dtype=object)
+    clicks = np.array(["false", "true"], dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
-        for u, ts, x, pages in log.chunked(log.code_rows):  # a chunk's codes at a time, as a view iterates
-            results = ", ".join(
-                f'{{"url": {urls[a]}, "title": {titles[b]}, "snippet": {snippets[c]}, '
-                f'"concept_tags": {tag_sets[d]}, "clicked": {"true" if clicked else "false"}, '
-                f'"dwell_s": {_json_float(dwell)}}}'
-                for a, b, c, d, clicked, dwell in pages
+        for start in range(0, len(log), VIEW_CHUNK):
+            stop = min(start + VIEW_CHUNK, len(log))
+            first, last = log.page_start[start], log.page_start[stop]
+            one_page = np.all(np.diff(log.page_start[start : stop + 1]) == 1)
+            if not one_page or not np.all(np.isfinite(log.dwell_s[first:last])):
+                for u, ts, x, pages in log.code_rows(start, stop):
+                    results = ", ".join(
+                        f'{{"url": {urls[a]}, "title": {titles[b]}, "snippet": {snippets[c]}, '
+                        f'"concept_tags": {tag_sets[d]}, "clicked": {clicks[int(clicked)]}, '
+                        f'"dwell_s": {_json_float(dwell)}}}'
+                        for a, b, c, d, clicked, dwell in pages
+                    )
+                    fh.write(f'{{"user_id": {users[u]}, "ts": {ts}, "text": {texts[x]}, "results": [{results}]}}\n')
+                continue
+            events, pages = slice(start, stop), slice(first, last)
+            columns = (
+                users[log.user[events]],
+                log.ts[events],
+                texts[log.text[events]],
+                urls[log.url[pages]],
+                titles[log.title[pages]],
+                snippets[log.snippet[pages]],
+                tag_sets[log.concept_tags[pages]],
+                clicks[log.clicked[pages].view(np.int8)],
+                log.dwell_s[pages],
             )
-            fh.write(f'{{"user_id": {users[u]}, "ts": {ts}, "text": {texts[x]}, "results": [{results}]}}\n')
+            fh.writelines(
+                f'{{"user_id": {u}, "ts": {ts}, "text": {x}, "results": [{{"url": {a}, "title": {b}, '
+                f'"snippet": {c}, "concept_tags": {d}, "clicked": {clicked}, "dwell_s": {dwell!r}}}]}}\n'
+                for u, ts, x, a, b, c, d, clicked, dwell in zip(*(column.tolist() for column in columns))
+            )
+
+
+# A visit row's ids, if ``csv.writer`` writes them as they are: no
+# delimiter, quote, line break or NUL in them.
+_PLAIN_ID = re.compile(_VISIT_ID)
 
 
 def write_visits(log: VisitLog, path: Path) -> None:
-    write_csv(path, VISIT_HEADER, log.chunked(log.rows))
+    """The visit log as ``write_csv`` writes it. When no id needs quoting,
+    as none the simulator makes does, each row is one format of its ids
+    and times."""
+    if not all(_PLAIN_ID.fullmatch(value) for value in (*log.users, *log.restaurants)):
+        write_csv(path, VISIT_HEADER, log.chunked(log.rows))
+        return
+    users, restaurants = np.array(log.users, dtype=object), np.array(log.restaurants, dtype=object)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(VISIT_HEADER) + "\r\n")
+        for start in range(0, len(log), VIEW_CHUNK):
+            stop = min(start + VIEW_CHUNK, len(log))
+            fh.writelines(
+                map(
+                    "{},{},{},{}\r\n".format,
+                    users[log.user[start:stop]].tolist(),
+                    restaurants[log.restaurant[start:stop]].tolist(),
+                    log.entry_ts[start:stop].tolist(),
+                    log.exit_ts[start:stop].tolist(),
+                )
+            )
 
 
 def write_restaurants(records: Iterable[RestaurantRecord], path: Path) -> None:

@@ -4,14 +4,18 @@ Every table the pipeline emits is a plain CSV; the text report is rendered
 from those CSVs (not from in-memory state), so the two can never disagree.
 Floats are written with ``repr`` and parse back to the exact same values.
 ``read_csv`` and ``write_csv`` are the package's one CSV codec: the dataset
-streams and every pipeline table are read and written through them, and each
-table's header is declared once, next to its file name.
+streams and every pipeline table are read and written through them, bar a
+visit log whose rows need no quoting, which ``logdata`` splits and spells in
+bulk to the same bytes, and each table's header is declared once, next to
+its file name.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+from contextlib import closing
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -89,24 +93,36 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write("}")
 
 
-def utf8_lines(path: Path, fh: Iterable[str]) -> Iterator[str]:
-    """The lines of ``fh``, a file of ``path`` open for UTF-8 text; a byte
-    that does not decode is a data error that names its line."""
-    try:
-        yield from fh
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+def utf8_lines(path: Path, newline: str | None = None) -> Iterator[str]:
+    """The lines of a UTF-8 text file, as ``open(path, encoding="utf-8",
+    newline=newline)`` yields them; a missing file raises at once. A byte
+    that does not decode is a data error that names its line, raised only
+    after every line before that one: the file object decodes a block at a
+    time and fails the whole block, so the rest of the lines ahead of the
+    bad byte are yielded from the file's bytes."""
+    return _utf8_lines(path, open(path, "r", encoding="utf-8", newline=newline), newline)
 
 
-def _not_utf8(path: Path) -> DataFormatError:
+def _utf8_lines(path: Path, fh: Iterable[str], newline: str | None) -> Iterator[str]:
+    yielded = 0
+    with fh:
+        try:
+            for yielded, line in enumerate(fh, start=1):
+                yield line
+            return
+        except UnicodeDecodeError:
+            pass
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        before = data[: exc.start]  # lines end at \n, \r or \r\n, as text files split them
-        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
-        return DataFormatError(f"{path}:{line}: not UTF-8 ({exc.reason}, byte {data[exc.start]:#04x})")
-    return DataFormatError(f"{path}: not UTF-8")  # the file changed since it failed to decode
+        # whole lines end at \n, \r or \r\n, as text files split them
+        lines = io.StringIO(data[: exc.start].decode("utf-8"), newline=newline).readlines()
+        if lines and not lines[-1].endswith(("\n", "\r")):
+            lines.pop()  # the start of the bad byte's own line
+        yield from lines[yielded:]
+        raise DataFormatError(f"{path}:{len(lines) + 1}: not UTF-8 ({exc.reason}, byte {data[exc.start]:#04x})") from None
+    raise DataFormatError(f"{path}: not UTF-8")  # the file changed since it failed to decode
 
 
 def read_csv(
@@ -125,11 +141,11 @@ def read_csv(
     file and line.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        lines = utf8_lines(path, newline="")
     except FileNotFoundError:
         raise DataError(f"missing file {path}") from None
-    with fh:
-        reader = csv.reader(utf8_lines(path, fh))
+    with closing(lines):
+        reader = csv.reader(lines)
         try:
             found = next(reader, None)
             if header is not None and found != list(header):

@@ -8,6 +8,7 @@ process and must never be used here.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -51,6 +52,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence entropy mixing
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # SeedSequence.generate_state
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_PCG64_MULT_INV = pow(_PCG64_MULT, -1, 1 << 128)
 
 
 def _hash_consts(start: int, mult: int, n: int) -> list[tuple[np.uint32, np.uint32]]:
@@ -100,7 +102,8 @@ def _seed_sequence_words(seeds: Sequence[int]) -> list[np.ndarray]:
 
 # 128-bit integers below are (high, low) pairs of uint64 arrays; numpy's
 # uint64 arithmetic wraps modulo 2**64, as the C code's does.
-_U32, _U11, _U58, _U63, _U64, _LOW32, _TWO32 = (np.uint64(k) for k in (32, 11, 58, 63, 64, _M32, 1 << 32))
+_U3, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (3, 11, 32, 58, 63, 64))
+_LOW8, _LOW32, _TWO32 = np.uint64(0xFF), np.uint64(_M32), np.uint64(1 << 32)
 _PCG64_MULT_HI, _PCG64_MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & ((1 << 64) - 1))
 
 
@@ -140,10 +143,11 @@ class PCG64Lanes:
     starts, stepped together on uint64 arrays.
 
     Each lane draws exactly what its ``Generator`` would, draw for draw:
-    ``next_doubles`` is ``random()``, ``integers`` is ``integers(n)`` and
-    ``poisson`` is ``poisson(lam)``. Any other draw runs on a ``Generator``
-    put in the lane's state, through ``escape``. Every method takes ``lanes``,
-    distinct lane indices, and moves no other lane.
+    ``next_doubles`` is ``random()``, ``integers`` is ``integers(n)``,
+    ``poisson`` is ``poisson(lam)`` and ``exponential`` is
+    ``exponential(scale)``. Any other draw runs on a ``Generator`` put in the
+    lane's state, through ``escape``. Every method takes ``lanes``, distinct
+    lane indices, and moves no other lane.
     """
 
     def __init__(self, seeds: np.ndarray):
@@ -154,12 +158,17 @@ class PCG64Lanes:
         self.uinteger = np.zeros(len(self.hi), dtype=np.uint64)
         self._rng: np.random.Generator | None = None  # built at the first escape
 
-    def _next_uint64s(self, lanes: np.ndarray) -> np.ndarray:
+    def _peek(self, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next 64-bit output of each lane, and the state (high, low) it
+        leaves the lane in; the lanes do not move."""
         hi, lo = _pcg64_step(self.hi[lanes], self.lo[lanes], self.inc_hi[lanes], self.inc_lo[lanes])
-        self.hi[lanes], self.lo[lanes] = hi, lo
         # XSL-RR output: the xor of both halves, rotated right by the top 6 state bits
         x, rot = hi ^ lo, hi >> _U58
-        return (x >> rot) | (x << ((_U64 - rot) & _U63))
+        return (x >> rot) | (x << ((_U64 - rot) & _U63)), hi, lo
+
+    def _next_uint64s(self, lanes: np.ndarray) -> np.ndarray:
+        out, self.hi[lanes], self.lo[lanes] = self._peek(lanes)
+        return out
 
     def next_doubles(self, lanes: np.ndarray) -> np.ndarray:
         """The next double in [0, 1) of each lane, as ``Generator.random()``
@@ -205,13 +214,35 @@ class PCG64Lanes:
         rates = iter(rate[high].tolist())  # each escape takes the next lane's rate
         out[high] = self.escape(lanes[high], lambda rng: rng.poisson(next(rates)))
         pending = np.flatnonzero((rate > 0) & (rate < 10))
-        floor = np.array([math.exp(-x) for x in rate[pending].tolist()])  # libm's exp, as numpy's C code calls it
+        distinct, which = np.unique(rate[pending], return_inverse=True)
+        floor = np.array([math.exp(-x) for x in distinct.tolist()])[which]  # libm's exp, as numpy's C code calls it
         product = np.ones(len(pending))
         while len(pending):
             product *= self.next_doubles(lanes[pending])
             more = product > floor
             out[pending[more]] += 1
             pending, product, floor = pending[more], product[more], floor[more]
+        return out
+
+    def exponential(self, lanes: np.ndarray, scale) -> np.ndarray:
+        """An exponential draw per lane, as ``Generator.exponential(scale)``
+        draws it (``scale`` one mean or one per lane): numpy's ziggurat takes
+        a 64-bit output v, a layer ``idx = (v >> 3) & 0xFF`` and ``ri = v >>
+        11``, and returns ``scale * (ri * we[idx])`` when ri is below the
+        layer's accept bound. A lane whose ri is not safely below it
+        escapes, so the rare rejections and tail draws run on numpy's own
+        code."""
+        scale = np.broadcast_to(np.asarray(scale, dtype=np.float64), lanes.shape)
+        we, bound = _ziggurat_exp()
+        v, hi, lo = self._peek(lanes)
+        layer, ri = ((v >> _U3) & _LOW8).astype(np.intp), v >> _U11
+        fast = ri < bound[layer]
+        out = np.empty(len(lanes))
+        taken = lanes[fast]
+        self.hi[taken], self.lo[taken] = hi[fast], lo[fast]
+        out[fast] = scale[fast] * (ri[fast].astype(np.float64) * we[layer[fast]])  # numpy's order of products
+        scales = iter(scale[~fast].tolist())  # each escape takes the next lane's mean
+        out[~fast] = self.escape(lanes[~fast], lambda rng: rng.exponential(next(scales)))
         return out
 
     def state(self, lane: int) -> dict:
@@ -238,6 +269,30 @@ class PCG64Lanes:
             has_uint32[i], uinteger[i] = state["has_uint32"], state["uinteger"]
         self.hi[lanes], self.lo[lanes], self.has_uint32[lanes], self.uinteger[lanes] = hi, lo, has_uint32, uinteger
         return results
+
+
+@functools.cache
+def _ziggurat_exp() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's exponential ziggurat as two tables over its 256 layers: the
+    width ``we`` and a bound below which numpy surely accepts ri.
+
+    Each width is read from numpy itself, by one draw on a PCG64 state whose
+    next output has ri = 1 in that layer. numpy accepts ri below a table
+    value ``ke``, which is 2**53 * we[idx - 1] / we[idx] (we[255] / we[0] in
+    layer 0) up to a few units of rounding, and no ri in layer 1. The bound
+    is that ratio less a relative 1e-9, far more than those few units.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    inc = 1
+    we = np.empty(256)
+    for layer in range(256):
+        nxt = (1 << 11) | (layer << 3)  # from state high 0 and low nxt, XSL-RR outputs nxt
+        state = ((nxt - inc) * _PCG64_MULT_INV) % (1 << 128)
+        rng.bit_generator.state = _state(state >> 64, state & ((1 << 64) - 1), 0, inc, 0, 0)
+        we[layer] = rng.standard_exponential()
+    bound = np.floor(2.0**53 * np.roll(we, 1) / we * (1 - 1e-9)).astype(np.uint64)
+    bound[1] = 0
+    return we, bound
 
 
 def _state(hi: int, lo: int, inc_hi: int, inc_lo: int, has_uint32: int, uinteger: int) -> dict:

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foodwatch import logdata
+from foodwatch import logdata, report
 from foodwatch.errors import DataFormatError, ReferentialError
 from foodwatch.locmodel import ScoredQueries
 from foodwatch.logdata import (
     MAX_TS,
+    VISIT_HEADER,
     Dataset,
     DatasetPaths,
     InspectionRecord,
@@ -386,6 +387,20 @@ def test_visit_log_yields_what_the_object_loader_gives(tmp_path_factory, rows):
     assert list(VisitLog.of(visits)) == visits
 
 
+VISIT_IDS = st.one_of(st.sampled_from(["", "u1", "a,b", 'say "hi"', "cr\rlf\n", "nul\x00", " pad ", "café"]), st.text(max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(VISIT_IDS, VISIT_IDS, st.integers(0, 2**62), st.integers(0, 2**62)), max_size=8))
+def test_visit_writer_writes_what_the_csv_writer_writes(tmp_path_factory, rows):
+    # ids that need no quoting take the writer's own spelling, any other the csv module's
+    path = tmp_path_factory.mktemp("visits")
+    log = VisitLog.of(visit(*row) for row in rows)
+    write_visits(log, path / "visits.csv")
+    report.write_csv(path / "reference.csv", VISIT_HEADER, log.rows(0, len(log)))
+    assert (path / "visits.csv").read_bytes() == (path / "reference.csv").read_bytes()
+
+
 BAD_QUERY_LINES = [
     "{oops",
     "[1, 2]",
@@ -506,17 +521,34 @@ def test_mixed_layouts_load_as_the_object_loader_does(tmp_path_factory, events, 
     assert_same_log(loaded, log.take(np.argsort(log.ts, kind="stable")))
 
 
-@pytest.mark.parametrize("stream", ["queries", "visits", "restaurants", "inspections"])
-def test_undecodable_byte_names_file_and_line(tmp_path, stream):
+@pytest.mark.parametrize(
+    "stream, malformed",
+    [
+        ("queries", None),
+        ("visits", None),
+        ("restaurants", None),
+        ("inspections", None),
+        # a malformed line ahead of the bad byte, within one decoder block, is named first
+        ("queries", ("{oops", "1: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)")),
+        ("visits", ("u1,r1,x,5", "2: entry_ts must be an integer, got 'x'")),
+    ],
+)
+def test_undecodable_byte_names_file_and_line(tmp_path, stream, malformed):
     paths = DatasetPaths.in_dir(tmp_path)
     write_dataset(sample_dataset(), paths)
     path = getattr(paths, stream)
     lines = path.read_bytes().splitlines(keepends=True)
     lines[1] = lines[1][:3] + b"\xff" + lines[1][3:]
+    expected = f"{path}:2: not UTF-8 (invalid start byte, byte 0xff)"
+    if malformed is not None:  # before the first row: the queries' first line, the visits' after the header
+        line, problem = malformed
+        at = 0 if stream == "queries" else 1
+        lines.insert(at, line.encode() + lines[at][len(lines[at].rstrip()) :])
+        expected = f"{path}:{problem}"
     path.write_bytes(b"".join(lines))
     with pytest.raises(DataFormatError) as excinfo:
         load_dataset(paths)
-    assert str(excinfo.value) == f"{path}:2: not UTF-8 (invalid start byte, byte 0xff)"
+    assert str(excinfo.value) == expected
 
 
 @pytest.mark.parametrize("dwells", [(-0.0, 0.0), (0.0, -0.0)])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from foodwatch import features, logdata, pipeline, privacy
+from foodwatch import citysim, features, logdata, pipeline, privacy
 from foodwatch import report as report_mod
 from foodwatch.citysim import (
     DAY_S,
@@ -101,6 +101,31 @@ def test_all_artifacts_present_and_listed(small_run):
         str(p.relative_to(out)) for p in out.rglob("*") if p.is_file() and p.name != MANIFEST
     }
     assert on_disk == expected  # no orphan outputs
+
+
+# The files that carry user pseudonyms, and the manifest that hashes them.
+PSEUDONYMOUS_FILES = {
+    "dataset/queries.jsonl",
+    "dataset/visits.csv",
+    "links.csv",
+    "scored_queries.csv",
+    "private/ground_truth.json",
+    MANIFEST,
+}
+
+
+def test_a_second_pseudonym_key_changes_only_the_files_that_carry_pseudonyms(tmp_path):
+    # the draws are keyed by raw user ids, so the key renames users and
+    # changes nothing else: not the release, the lists or the model
+    runs = {}
+    for key in ("default", "f" * 32):
+        runs[key] = tmp_path / key
+        run_pipeline(small_config(5, [] if key == "default" else [f"privacy.hash_key={key}"]), runs[key])
+    first, second = runs.values()
+    files = {str(p.relative_to(first)) for p in first.rglob("*") if p.is_file()}
+    assert files == {str(p.relative_to(second)) for p in second.rglob("*") if p.is_file()}
+    changed = {name for name in files if (first / name).read_bytes() != (second / name).read_bytes()}
+    assert changed == PSEUDONYMOUS_FILES
 
 
 def test_manifest_checksums_match_recomputed_hashes(small_run):
@@ -464,6 +489,16 @@ def _oversized_registry_field(out):
     return f"{path}:2: field larger than field limit"
 
 
+def _oversized_visit_field(out):
+    # in the writer's layout, which the bulk reader splits, but longer than
+    # csv.field_size_limit(), which the row reader refuses
+    path = dataset_dir(out) / "visits.csv"
+    lines = path.read_bytes().split(b"\r\n")
+    lines[2] = b"x" * 200_000 + lines[2]
+    path.write_bytes(b"\r\n".join(lines))
+    return f"{path}:3: field larger than field limit"
+
+
 def _visit_unregistered_restaurant(out):
     def edit(line):
         user_id, _, entry_ts, exit_ts = line.split(",")
@@ -656,6 +691,7 @@ def _non_string_infection_ids(out):
         ("rank", _undecodable_visit_byte),
         ("evaluate", _undecodable_visit_byte),
         ("evaluate", _oversized_registry_field),
+        ("rank", _oversized_visit_field),
     ],
 )
 def test_corrupt_intermediates_are_data_errors(tmp_path, small_run, capsys, command, corrupt):
@@ -923,6 +959,18 @@ SIMULATE_HASHES = {
         "private/ground_truth.json": "416b4bb4c43926482e0d6d25e5cae45cf20c350bf6ed3629c248115655817f9f",
         "validation.json": "e8f3fcf7c0bb59de23dba80c181e1886d59722a6ae014dec6451ef86ba354958",
     },
+    # 1,000 users over 20 days: lane blocks of 8, 8 and 4 days (see
+    # test_three_block_config_ends_in_a_partial_block); recorded before the
+    # simulator drew blocks of days as one lane set
+    "small-seed5-three-blocks": {
+        "dataset/queries.jsonl": "a2bf725fbe4423e2aece21473f59db239b16c1aa38ec8fc15641800ce1a22c7e",
+        "dataset/visits.csv": "e289ec79b23032a10ce68433e6d2120f57eeb60b5c023b0ef981d3fd6a165529",
+        "dataset/restaurants.csv": "1dd9ab4951fdacb4eadb9ee6461d137d6b8d94d6432146f210cf40197262755e",
+        "dataset/inspections.csv": "bf904b05ab4e95ce0608ea819c6737cb0a8c5d1fafe304c284adae89650b583a",
+        "private/world.json": "ecfcb2ff22dd5b6cac9147fd7da1401793541104b343d871c3e6f5cdc3bb5715",
+        "private/ground_truth.json": "c4e81ac1bf7a3ee7d10c84851849c1c88e9b759d58b9ca305aa072c015f38395",
+        "validation.json": "20d5afde3db1dec8c78230ba1d034c40e574f815bcb6533c49f6bf5ff7a3e27b",
+    },
 }
 
 SIMULATE_CONFIGS = {
@@ -934,7 +982,15 @@ SIMULATE_CONFIGS = {
     "small-seed5-no-background": small_config(5, ["sim.background_queries_per_day=0"]),
     "small-seed5-many-meals": small_config(5, ["sim.meals_per_day=12"]),
     "small-seed5-fixed-incubation": small_config(5, ["sim.incubation_sigma=0"]),
+    "small-seed5-three-blocks": small_config(5, ["days=20", "sim.n_users=1000"]),
 }
+
+
+def test_three_block_config_ends_in_a_partial_block():
+    config = SIMULATE_CONFIGS["small-seed5-three-blocks"]
+    days_per_block = citysim.LANE_BLOCK // config.sim.n_users
+    blocks, last = divmod(config.days, days_per_block)
+    assert blocks >= 2 and 0 < last
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATE_HASHES))

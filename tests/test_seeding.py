@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foodwatch import seeding
 from foodwatch.seeding import PCG64Lanes, derive_seed, derive_seeds, make_rng
 
 # every distribution citysim and privacy.release draw from, in one call each
@@ -73,6 +74,7 @@ OPS = st.one_of(
         st.sampled_from([0.0, 1e-300, 9.999999999999998, 10.0, 50.0]) | st.floats(0, 30, allow_nan=False),
     ),
     st.tuples(st.just("escape"), st.sampled_from(sorted(ESCAPES))),
+    st.tuples(st.just("exponential"), st.sampled_from([8.0, 20.0, 40.0]) | st.floats(0, 1e6, allow_nan=False)),
 )
 
 
@@ -83,13 +85,15 @@ def scalar_draw(rng, op, arg):
         return rng.random()
     if op == "poisson":
         return int(rng.poisson(arg))
+    if op == "exponential":
+        return rng.exponential(arg)
     return ESCAPES[arg](rng)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 2**64 - 1), st.lists(OPS, max_size=25)), min_size=1, max_size=5),
-    st.lists(st.sampled_from(["integers", "random", "poisson", "escape"]), min_size=1, max_size=8),
+    st.lists(st.sampled_from(["integers", "random", "poisson", "escape", "exponential"]), min_size=1, max_size=8),
 )
 def test_lane_kernels_draw_like_scalar_generator_calls(programs, rotation):
     """Lanes run their programs interleaved: each turn, every lane whose next
@@ -112,6 +116,8 @@ def test_lane_kernels_draw_like_scalar_generator_calls(programs, rotation):
             drawn = lanes.next_doubles(at).tolist()
         elif kind == "poisson":
             drawn = lanes.poisson(at, args).tolist()
+        elif kind == "exponential":
+            drawn = lanes.exponential(at, args).tolist()
         else:
             drawn = [None] * len(ready)
             for kind_of_escape in set(args):  # the lanes running one kind of escape, together
@@ -158,3 +164,53 @@ def test_lanes_advance_only_the_lanes_asked_for():
     streams = [np.random.default_rng(seed).random(2).tolist() for seed in seeds]
     assert first.tolist() == [streams[1][0]]
     assert rest.tolist() == [streams[0][0], streams[1][1], streams[2][0]]
+
+
+def _lanes_about_to_output(outputs: list[int]) -> PCG64Lanes:
+    """Lanes whose next 64-bit outputs are ``outputs``: increment 1, and a
+    state one step short of high word 0 and low word the output, which
+    XSL-RR outputs as it is."""
+    lanes = PCG64Lanes(np.zeros(len(outputs), dtype=np.uint64))
+    states = [((v - 1) * seeding._PCG64_MULT_INV) % (1 << 128) for v in outputs]
+    lanes.hi[:] = [state >> 64 for state in states]
+    lanes.lo[:] = [state & (2**64 - 1) for state in states]
+    lanes.inc_hi[:], lanes.inc_lo[:] = 0, 1
+    return lanes
+
+
+def _numpy_accept_bound(layer: int) -> int:
+    """The least ri that numpy's exponential ziggurat does not accept at
+    once in ``layer``, found by bisection: an accepted draw steps its
+    generator once, any other draw at least twice."""
+    lo, hi = -1, 1 << 53  # ri = lo is accepted (or lo = -1), ri = hi is not
+    while hi - lo > 1:
+        ri = (lo + hi) // 2
+        lanes = _lanes_about_to_output([(ri << 11) | (layer << 3)])
+        rng = np.random.Generator(np.random.PCG64(0))
+        rng.bit_generator.state = lanes.state(0)
+        rng.standard_exponential()
+        once = rng.bit_generator.state["state"]["state"] == (ri << 11) | (layer << 3)
+        lo, hi = (ri, hi) if once else (lo, ri)
+    return hi
+
+
+def test_lane_exponential_at_every_ziggurat_layer_and_its_bound(monkeypatch):
+    """In each of the 256 layers, ri just below the lanes' bound is drawn in
+    the lanes and ri at it escapes; both equal ``Generator.exponential``. The
+    bound lies below numpy's own, and within a relative 1e-8 of it."""
+    we, bound = seeding._ziggurat_exp()
+    for layer in range(256):
+        assert bound[layer] <= _numpy_accept_bound(layer) <= bound[layer] * (1 + 1e-8)
+    outputs = [(int(ri) << 11) | (layer << 3) for layer in range(256) for ri in (max(int(bound[layer]) - 1, 0), bound[layer])]
+    escaped = []
+    escape = PCG64Lanes.escape
+    monkeypatch.setattr(PCG64Lanes, "escape", lambda self, lanes, draw: escaped.extend(lanes.tolist()) or escape(self, lanes, draw))
+    lanes = _lanes_about_to_output(outputs)
+    got = lanes.exponential(np.arange(len(outputs)), 40.0).tolist()
+    assert escaped == [i for i, v in enumerate(outputs) if (v >> 11) >= bound[(v >> 3) & 0xFF]]
+    assert len(escaped) == 256 + (bound[1] == 0)  # each layer's bound; layer 1 accepts no ri at once
+    for i, v in enumerate(outputs):
+        rng = np.random.Generator(np.random.PCG64(0))
+        rng.bit_generator.state = _lanes_about_to_output([v]).state(0)
+        assert got[i] == rng.exponential(40.0)
+        assert lanes.state(i) == rng.bit_generator.state
