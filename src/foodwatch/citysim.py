@@ -47,6 +47,9 @@ from .logdata import (
     RiskLevel,
     Trigger,
     VisitColumns,
+    VisitEvent,
+    VisitLog,
+    sorted_by,
 )
 from .raters import JudgmentMatrix
 from .report import write_json
@@ -629,9 +632,10 @@ def simulate(
 
     # the order loading gives: by time, stably
     visits = visits.log()
-    visits = visits.take(np.argsort(visits.exit_ts, kind="stable"))
+    visits = sorted_by(visits, visits.exit_ts)
     log = queries.log()
-    order = np.argsort(log.ts, kind="stable")
+    labels = sorted_by(np.concatenate(labels), log.ts)
+    log = sorted_by(log, log.ts)
 
     # a user's visits, in exit order, are a span of the exit-sorted log taken stably by user code
     by_user = np.argsort(visits.user, kind="stable")
@@ -680,14 +684,14 @@ def simulate(
     inspections.sort(key=lambda r: r.date)
 
     dataset = Dataset(
-        queries=log.take(order),
+        queries=log,
         visits=visits,
         restaurants=world.restaurants,
         inspections=tuple(inspections),
     )
     truth = GroundTruth(
         infections=tuple(infections),
-        query_labels=tuple(np.concatenate(labels)[order].tolist()),
+        query_labels=tuple(labels.tolist()),
     )
     return dataset, truth
 
@@ -765,7 +769,7 @@ def planted_exposures(
     source_ids = [f"s{i:04d}" for i in range(n_source)]
     decoy_ids = [f"d{i:04d}" for i in range(n_decoy)]
 
-    visits = VisitColumns()
+    visits: list[VisitEvent] = []
     queries: list = []
     planted_counts = [0, 0, 0, 0]
     gap = 12 * 3600
@@ -785,18 +789,18 @@ def planted_exposures(
         for pos in range(visits_per_user):  # pos 0 = most recent visit
             exit_ts = query_ts - 3600 - pos * gap
             rid = source if pos == rank - 1 else decoys.pop()
-            visits.visit(uid, rid, exit_ts - 1800, exit_ts)
+            visits.append(VisitEvent(uid, rid, exit_ts - 1800, exit_ts))
         queries.append((uid, query_ts, 0.99))
 
     for i in range(n_decoy * padding_per_decoy):
         uid = f"pad{i:06d}"
         rid = decoy_ids[i % n_decoy]
         exit_ts = 1_000_000_000 + i  # far from every query window
-        visits.visit(uid, rid, exit_ts - 1800, exit_ts)
+        visits.append(VisitEvent(uid, rid, exit_ts - 1800, exit_ts))
 
-    log = visits.log()
+    log = VisitLog.of(visits)
     queries.sort(key=lambda q: q[1])
-    return log.take(np.argsort(log.exit_ts, kind="stable")), ScoredQueries.of(queries), tuple(planted_counts)
+    return sorted_by(log, log.exit_ts), ScoredQueries.of(queries), tuple(planted_counts)
 
 
 def save_ground_truth(truth: GroundTruth, path: Path) -> None:

@@ -195,6 +195,10 @@ class RunConfig:
     privacy: PrivacySettings = field(default_factory=PrivacySettings)
     cli: CliSettings = field(default_factory=CliSettings)
 
+    def __post_init__(self) -> None:
+        if self.days < 1:
+            raise UsageError(f"days must be >= 1, got {self.days}")
+
 
 @dataclass(frozen=True)
 class Stage:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -48,12 +48,6 @@ class FeatureRows:
 
     indices: np.ndarray
     lengths: np.ndarray
-
-    @classmethod
-    def of(cls, vectors: Sequence[Sequence[int]]) -> FeatureRows:
-        lengths = np.array([len(v) for v in vectors], dtype=np.intp)
-        indices = np.fromiter(chain.from_iterable(vectors), dtype=np.intp, count=int(lengths.sum()))
-        return cls(indices, lengths)
 
     def __len__(self) -> int:
         return len(self.lengths)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import LocSettings
 from .errors import DataError
-from .logdata import Columns, VisitEvent, VisitLog, first_occurrences
+from .logdata import Columns, VisitEvent, VisitLog, first_occurrences, sorted_by
 
 ONE_SIDED_95_Z = 1.6448536269514722  # standard normal 95th percentile
 
@@ -231,41 +231,26 @@ def link_exposures(
     """One link per (affected user, restaurant) with a qualifying visit.
 
     Qualifying means 0 < anchor_ts - exit_ts <= window_s (strictly after
-    leaving, inclusive at the window edge). Recency ranks are assigned over
-    all qualifying visits by descending exit; duplicates of a (user,
-    restaurant) pair are then collapsed keeping the earliest qualifying visit.
-    Each anchor's visits are found by binary search over the visits sorted
-    by (user, exit).
+    leaving, inclusive at the window edge). Each (user, restaurant) pair
+    keeps its earliest qualifying visit, ranked by ``_recency_ranks`` over
+    all the user's qualifying visits. Links are ordered by user id, then
+    rank.
     """
+    visits = sorted_by(visits, visits.exit_ts)
     anchors = first_positive_queries(scored_queries, settings.p_star)
-    order = np.lexsort((visits.exit_ts, visits.user))
-    user, exit_ts = visits.user[order], visits.exit_ts[order]
-    code_of = {user_id: code for code, user_id in enumerate(visits.users)}
-
-    links: list[ExposureLink] = []
-    for user_id in sorted(anchors):
-        code = code_of.get(user_id)
-        if code is None:
-            continue
-        t_q = anchors[user_id]
-        lo, hi = np.searchsorted(user, [code, code + 1])
-        # exits in [t_q - window_s, t_q)
-        first, last = lo + np.searchsorted(exit_ts[lo:hi], [t_q - settings.window_s, t_q])
-        qualifying = sorted(
-            (-x, visits.restaurants[r], entry)
-            for x, r, entry in zip(
-                exit_ts[first:last].tolist(),
-                visits.restaurant[order[first:last]].tolist(),
-                visits.entry_ts[order[first:last]].tolist(),
-            )
-        )
-        kept: dict[str, ExposureLink] = {}
-        for rank, (neg_exit, restaurant_id, _) in enumerate(qualifying, start=1):
-            prev = kept.get(restaurant_id)
-            if prev is None or -neg_exit < prev.visit_exit_ts:
-                kept[restaurant_id] = ExposureLink(user_id, restaurant_id, -neg_exit, t_q, rank)
-        links.extend(sorted(kept.values(), key=lambda l: l.recency_rank))
-    return tuple(links)
+    affected = np.array([user_id in anchors for user_id in visits.users], dtype=bool)
+    anchor = np.array([anchors.get(user_id, 0) for user_id in visits.users], dtype=np.int64)[visits.user]
+    in_window = (anchor - settings.window_s <= visits.exit_ts) & (visits.exit_ts < anchor)
+    qualifying = np.flatnonzero(affected[visits.user] & in_window)
+    # each (user, restaurant) pair's first qualifying visit in the exit-sorted log is its earliest
+    kept = qualifying[first_occurrences(_pair_codes(visits)[qualifying])]
+    user, restaurant, exit_ts, anchor = visits.user[kept], visits.restaurant[kept], visits.exit_ts[kept], anchor[kept]
+    ranks = _recency_ranks(visits, user, restaurant, exit_ts, anchor)
+    links = np.lexsort((ranks, user))  # user codes ascend with the ids
+    return tuple(
+        ExposureLink(visits.users[u], visits.restaurants[r], x, t, rank)
+        for u, r, x, t, rank in zip(*(column[links].tolist() for column in (user, restaurant, exit_ts, anchor, ranks)))
+    )
 
 
 def _pair_codes(visits: VisitLog) -> np.ndarray:
@@ -303,51 +288,53 @@ def _visits_ending_at(visits: VisitLog, exits: np.ndarray) -> tuple[np.ndarray, 
     return i, first[i] + np.arange(len(i)) - (np.cumsum(counts) - counts)[i]
 
 
-def _exit_sorted(visits: VisitLog) -> VisitLog:
-    if np.any(visits.exit_ts[1:] < visits.exit_ts[:-1]):  # a loaded log is sorted already
-        return visits.take(np.argsort(visits.exit_ts, kind="stable"))
-    return visits
-
-
 def unvisited_links(visits: VisitLog, links: Sequence[ExposureLink]) -> np.ndarray:
     """Positions of the links whose (user, restaurant, visit exit) is no visit
     of the log. Each link's candidates are the visits ending at its exit."""
-    visits = _exit_sorted(visits)
+    visits = sorted_by(visits, visits.exit_ts)
     link_pair, link_exit = _link_pairs(visits, links)
     link, at = _visits_ending_at(visits, link_exit)
     found = link[_pair_codes(visits.take(at)) == link_pair[link]]
     return np.flatnonzero(np.bincount(found, minlength=len(links)) == 0)
 
 
-def recency_ranks(visits: VisitLog, links: Sequence[ExposureLink], window_s: int) -> np.ndarray:
-    """The recency rank ``link_exposures`` gives each link's visit: 1 plus the
-    number of the user's visits that end in [anchor - window_s, anchor) and
-    come before it by descending exit, then restaurant id. 0 for a link whose
-    visit ends outside that window or whose user never visits.
+def _recency_ranks(visits: VisitLog, user, restaurant, exit_ts, anchor) -> np.ndarray:
+    """Per row of the code columns, the recency rank of a visit by ``user``
+    to ``restaurant`` that ends at ``exit_ts``, before ``anchor``: 1, plus
+    the user's visits that end in (exit_ts, anchor), plus those that end at
+    exit_ts at a restaurant with a smaller id. ``visits`` is sorted by exit.
 
     The user's visits that end before a time are counted by binary search
     over one sorted array of (user, log position) codes; visits that tie on
     the exit are the ones ending at it."""
-    visits = _exit_sorted(visits)
     n = len(visits)
-    user_code = {user_id: code for code, user_id in enumerate(visits.users)}
-    restaurant_code = {rid: code for code, rid in enumerate(visits.restaurants)}
-    user = np.array([user_code.get(l.user_id, -1) for l in links], dtype=np.int64)
-    restaurant = np.array([restaurant_code.get(l.restaurant_id, -1) for l in links], dtype=np.int64)
-    exit_ts = np.array([l.visit_exit_ts for l in links], dtype=np.int64)
-    anchor = np.array([l.first_positive_query_ts for l in links], dtype=np.int64)
+    user = user.astype(np.int64)
     keys = visits.user.astype(np.int64)  # (user, log position) codes, sorted: by user, then exit
     keys *= n
     keys += np.arange(n)
     keys.sort()
 
     def ending_before(ts: np.ndarray) -> np.ndarray:
-        """Per link, how many of its user's visits end before ``ts``."""
+        """Per row, how many of its user's visits end before ``ts``."""
         return np.searchsorted(keys, user * n + np.searchsorted(visits.exit_ts, ts)) - np.searchsorted(keys, user * n)
 
-    link, at = _visits_ending_at(visits, exit_ts)
-    tied = link[(visits.user[at] == user[link]) & (visits.restaurant[at] < restaurant[link])]
-    ranks = 1 + ending_before(anchor) - ending_before(exit_ts + 1) + np.bincount(tied, minlength=len(links))
+    row, at = _visits_ending_at(visits, exit_ts)
+    tied = row[(visits.user[at] == user[row]) & (visits.restaurant[at] < restaurant[row])]
+    return 1 + ending_before(anchor) - ending_before(exit_ts + 1) + np.bincount(tied, minlength=len(user))
+
+
+def recency_ranks(visits: VisitLog, links: Sequence[ExposureLink], window_s: int) -> np.ndarray:
+    """The recency rank ``link_exposures`` gives each link's visit, by
+    ``_recency_ranks``; 0 for a link whose visit ends outside [anchor -
+    window_s, anchor) or whose user never visits."""
+    visits = sorted_by(visits, visits.exit_ts)
+    user_code = {user_id: code for code, user_id in enumerate(visits.users)}
+    restaurant_code = {rid: code for code, rid in enumerate(visits.restaurants)}
+    user = np.array([user_code.get(l.user_id, -1) for l in links], dtype=np.int64)
+    restaurant = np.array([restaurant_code.get(l.restaurant_id, -1) for l in links], dtype=np.int64)
+    exit_ts = np.array([l.visit_exit_ts for l in links], dtype=np.int64)
+    anchor = np.array([l.first_positive_query_ts for l in links], dtype=np.int64)
+    ranks = _recency_ranks(visits, user, restaurant, exit_ts, anchor)
     return np.where((user >= 0) & (anchor - window_s <= exit_ts) & (exit_ts < anchor), ranks, 0)
 
 
@@ -398,10 +385,8 @@ def sliding_aggregates(
     being non-zero. The cost is O(visits + links + periods x restaurants)
     instead of a full scan per period.
     """
+    visits = sorted_by(visits, visits.exit_ts)
     visit_exit, visit_pair = visits.exit_ts, _pair_codes(visits)
-    if np.any(visit_exit[1:] < visit_exit[:-1]):  # a loaded log is sorted already
-        order = np.argsort(visit_exit, kind="stable")
-        visit_exit, visit_pair = visit_exit[order], visit_pair[order]
     pair_codes, visit_pair = np.unique(visit_pair, return_inverse=True)
     visit_pair = visit_pair.astype(np.int32)
     link_pair, link_exit = _link_pairs(visits, links)

@@ -21,14 +21,15 @@ few values across many events, so the tables are short and the columns hold
 numbers only. A page's click and dwell time are plain columns: ``-0.0 ==
 0.0``, and a dwell keeps its sign.
 
-A log is built one event at a time by :class:`QueryColumns` or
-:class:`VisitColumns`: the loaders fill them from the files, and the
-simulator as it draws. The pipeline's steps, the writers and
-``validate_dataset`` read the columns. Indexing or iterating a log yields
-:class:`QueryEvent` and :class:`VisitEvent` objects, built on demand, as a
-view for code that reads events one at a time (tests, scripts, the benchmark
-harness); no stage asks for it. ``QueryLog.of`` and ``VisitLog.of`` turn
-events into a log (a test's, the per-event references'); a log equals the
+A log is built a batch of events at a time by :class:`QueryColumns` or
+:class:`VisitColumns`, from columns of values or of codes: the loaders fill
+them from the files, and the simulator a block of days at a time. The
+pipeline's steps, the writers and ``validate_dataset`` read the columns.
+Indexing or iterating a log yields :class:`QueryEvent` and
+:class:`VisitEvent` objects, built on demand, as a view for code that reads
+events one at a time (tests, scripts, the benchmark harness); no stage asks
+for it. ``QueryLog.of`` and ``VisitLog.of`` turn events into a log in one
+batch (a test's, or the row reader's visits); a log equals the
 list of events it yields, and a slice of it is a tuple of them. Codes carry
 no order of their own in a query log; whatever depends on first occurrence
 finds it from positions in the stream. A visit log tables its user and
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import re
 import sys
 from array import array
@@ -59,6 +59,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import date as Date
 from enum import Enum
+from itertools import islice
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
@@ -218,10 +219,7 @@ class QueryLog(Columns):
     def of(cls, events: Iterable[QueryEvent]) -> QueryLog:
         """A log of the events, in the given order."""
         columns = QueryColumns()
-        for event in events:
-            columns.event(event.user_id, event.ts, event.text)
-            for page in event.results:
-                columns.page(page.url, page.title, page.snippet, page.concept_tags, page.clicked, page.dwell_s)
+        columns.extend_events(events)
         return columns.log()
 
     def __len__(self) -> int:
@@ -276,27 +274,19 @@ class QueryLog(Columns):
         """Per event, whether any of its pages has its flag set."""
         return np.bincount(self.page_event()[flags], minlength=len(self)) > 0
 
-    def code_rows(self, start: int, stop: int) -> Iterator[tuple[int, int, int, list[tuple]]]:
-        """Per event of ``start:stop``: its user code, time and text code, and
-        the url, title, snippet and tag-set codes, click and dwell time of
-        each of its pages."""
+    def _views(self, start: int, stop: int) -> Iterator[QueryEvent]:
         first, last = self.page_start[start], self.page_start[stop]
+        urls, titles, snippets, tag_sets = self.urls, self.titles, self.snippets, self.tag_sets
         columns = (*self.page_columns(), self.clicked, self.dwell_s)
-        pages = list(zip(*(column[first:last].tolist() for column in columns)))
+        pages = [
+            ResultPage(urls[a], titles[b], snippets[c], tag_sets[d], clicked, dwell)
+            for a, b, c, d, clicked, dwell in zip(*(column[first:last].tolist() for column in columns))
+        ]
         bounds = (self.page_start[start : stop + 1] - first).tolist()
         for u, ts, x, lo, hi in zip(
             self.user[start:stop].tolist(), self.ts[start:stop].tolist(), self.text[start:stop].tolist(), bounds, bounds[1:]
         ):
-            yield u, ts, x, pages[lo:hi]
-
-    def _views(self, start: int, stop: int) -> Iterator[QueryEvent]:
-        urls, titles, snippets, tag_sets = self.urls, self.titles, self.snippets, self.tag_sets
-        for u, ts, x, pages in self.code_rows(start, stop):
-            results = tuple(
-                ResultPage(urls[a], titles[b], snippets[c], tag_sets[d], clicked, dwell)
-                for a, b, c, d, clicked, dwell in pages
-            )
-            yield QueryEvent(self.users[u], ts, self.texts[x], results)
+            yield QueryEvent(self.users[u], ts, self.texts[x], tuple(pages[lo:hi]))
 
 
 def _codes(table: dict, values: Iterable) -> list[int]:
@@ -323,8 +313,8 @@ def _append(column: array, values: np.ndarray) -> None:
 
 
 class QueryColumns:
-    """A query log built one event and page at a time, each distinct value
-    of a field tabled when it first appears."""
+    """A query log built a batch of events at a time, each distinct value of
+    a field tabled when it first appears."""
 
     def __init__(self) -> None:
         self.users: dict[str, int] = {}
@@ -339,22 +329,6 @@ class QueryColumns:
         self.page_start = array("q", [0])
         self.url, self.title, self.snippet, self.concept_tags = (array("i") for _ in PAGE_FIELDS)
         self.clicked, self.dwell_s = array("b"), array("d")
-
-    def event(self, user_id: str, ts: int, text: str) -> None:
-        self.user.append(self.users.setdefault(user_id, len(self.users)))
-        self.ts.append(ts)
-        self.text.append(self.texts.setdefault(text, len(self.texts)))
-        self.page_start.append(self.page_start[-1])
-
-    def page(self, url: str, title: str, snippet: str, tags: frozenset[str], clicked: bool, dwell_s: float) -> None:
-        """A result page of the last event."""
-        self.url.append(self.urls.setdefault(url, len(self.urls)))
-        self.title.append(self.titles.setdefault(title, len(self.titles)))
-        self.snippet.append(self.snippets.setdefault(snippet, len(self.snippets)))
-        self.concept_tags.append(self.tag_sets.setdefault(tags, len(self.tag_sets)))
-        self.clicked.append(clicked)
-        self.dwell_s.append(dwell_s)
-        self.page_start[-1] += 1
 
     def extend(
         self,
@@ -375,31 +349,48 @@ class QueryColumns:
         tables = (self.urls, self.titles, self.snippets, self.tag_sets)
         page_codes = [_indexed_codes(table, values, page) for table, values in zip(tables, zip(*pages))]
         user, text = _indexed_codes(self.users, users, user), _indexed_codes(self.texts, texts, text)
-        self._append_codes(user, ts, text, page_codes, clicked, dwell_s)
+        self._append_codes(user, ts, text, np.ones(len(ts), dtype=np.int64), page_codes, clicked, dwell_s)
 
     def extend_values(
         self,
         users: Sequence[str],
         ts: Sequence[int],
         texts: Sequence[str],
+        page_counts: Sequence[int],
         pages: Sequence[Sequence],
         clicked: Sequence[bool],
         dwell_s: Sequence[float],
     ) -> None:
-        """Events given as columns of values, each with one result page:
-        ``pages`` holds the url, title, snippet and tag-set columns."""
+        """Events given as columns of values: event i has ``page_counts[i]``
+        result pages, the next ones of the page columns. ``pages`` holds the
+        url, title, snippet and tag-set columns."""
         tables = (self.urls, self.titles, self.snippets, self.tag_sets)
         page_codes = [_codes(table, values) for table, values in zip(tables, pages)]
-        self._append_codes(_codes(self.users, users), ts, _codes(self.texts, texts), page_codes, clicked, dwell_s)
+        user, text = _codes(self.users, users), _codes(self.texts, texts)
+        self._append_codes(user, ts, text, page_counts, page_codes, clicked, dwell_s)
 
-    def _append_codes(self, user, ts, text, page_codes, clicked, dwell_s) -> None:
-        """Events given as user codes, times, text codes, the code columns of
-        their one page's fields, clicks and dwell times."""
+    def extend_events(self, events: Iterable[QueryEvent]) -> None:
+        """The events, in the given order."""
+        events = list(events)
+        pages = [page for event in events for page in event.results]
+        self.extend_values(
+            [event.user_id for event in events],
+            [event.ts for event in events],
+            [event.text for event in events],
+            [len(event.results) for event in events],
+            [[getattr(page, name) for page in pages] for name in PAGE_FIELDS],
+            [page.clicked for page in pages],
+            [page.dwell_s for page in pages],
+        )
+
+    def _append_codes(self, user, ts, text, page_counts, page_codes, clicked, dwell_s) -> None:
+        """Events given as user codes, times, text codes and page counts, and
+        their pages as the code columns of their fields, clicks and dwell
+        times."""
         _append(self.user, np.asarray(user, dtype=np.int32))
         _append(self.ts, np.asarray(ts, dtype=np.int64))
         _append(self.text, np.asarray(text, dtype=np.int32))
-        end = self.page_start[-1]
-        _append(self.page_start, np.arange(end + 1, end + 1 + len(ts), dtype=np.int64))
+        _append(self.page_start, self.page_start[-1] + np.cumsum(page_counts, dtype=np.int64))
         for column, codes in zip((self.url, self.title, self.snippet, self.concept_tags), page_codes):
             _append(column, np.asarray(codes, dtype=np.int32))
         _append(self.clicked, np.asarray(clicked, dtype=bool))
@@ -436,9 +427,9 @@ class VisitLog(Columns):
     @classmethod
     def of(cls, visits: Iterable[VisitEvent]) -> VisitLog:
         """A log of the visits, in the given order."""
+        visits = list(visits)
         columns = VisitColumns()
-        for v in visits:
-            columns.visit(v.user_id, v.restaurant_id, v.entry_ts, v.exit_ts)
+        columns.extend_values(*([getattr(v, name) for v in visits] for name in VISIT_HEADER))
         return columns.log()
 
     def __len__(self) -> int:
@@ -474,18 +465,12 @@ def _sorted_table(codes: dict[str, int], column: array) -> tuple[tuple[str, ...]
 
 
 class VisitColumns:
-    """A visit log built one visit at a time."""
+    """A visit log built a batch of visits at a time."""
 
     def __init__(self) -> None:
         self.users: dict[str, int] = {}
         self.restaurants: dict[str, int] = {}
         self.user, self.restaurant, self.entry_ts, self.exit_ts = array("i"), array("i"), array("q"), array("q")
-
-    def visit(self, user_id: str, restaurant_id: str, entry_ts: int, exit_ts: int) -> None:
-        self.user.append(self.users.setdefault(user_id, len(self.users)))
-        self.restaurant.append(self.restaurants.setdefault(restaurant_id, len(self.restaurants)))
-        self.entry_ts.append(entry_ts)
-        self.exit_ts.append(exit_ts)
 
     def extend(
         self,
@@ -520,8 +505,9 @@ class VisitColumns:
         return VisitLog(users, restaurants, user, restaurant, entry_ts, exit_ts)
 
 
-def _sorted_by(log, times: np.ndarray):
-    """``log`` sorted stably by ``times``; ``log`` itself if it already is."""
+def sorted_by(log, times: np.ndarray):
+    """``log`` (a log, or an array with an entry per event) sorted stably by
+    ``times``; ``log`` itself if it already is."""
     return log.take(np.argsort(times, kind="stable")) if np.any(times[1:] < times[:-1]) else log
 
 
@@ -601,7 +587,7 @@ def _not_a_string(obj: dict, names: tuple[str, ...]) -> ValueError:
     return ValueError(f"{name} must be a string, got {type(obj[name]).__name__}")
 
 
-def _parse_page(obj: object, columns: QueryColumns) -> None:
+def _parse_page(obj: object) -> ResultPage:
     if not isinstance(obj, dict):
         raise ValueError("result entry is not an object")
     if obj.keys() != _RESULT_KEYS:
@@ -621,10 +607,10 @@ def _parse_page(obj: object, columns: QueryColumns) -> None:
     url, title, snippet = obj["url"], obj["title"], obj["snippet"]
     if not type(url) is type(title) is type(snippet) is str:
         raise _not_a_string(obj, ("url", "title", "snippet"))
-    columns.page(url, title, snippet, frozenset(tags), clicked, float(dwell))
+    return ResultPage(url, title, snippet, frozenset(tags), clicked, float(dwell))
 
 
-def _parse_query(line: str, columns: QueryColumns) -> None:
+def _parse_query(line: str) -> QueryEvent:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
@@ -643,9 +629,7 @@ def _parse_query(line: str, columns: QueryColumns) -> None:
     user_id, text = obj["user_id"], obj["text"]
     if not type(user_id) is type(text) is str:
         raise _not_a_string(obj, ("user_id", "text"))
-    columns.event(user_id, ts, text)
-    for result in results:
-        _parse_page(result, columns)
+    return QueryEvent(user_id, ts, text, tuple(map(_parse_page, results)))
 
 
 # A query line in the writer's layout with one result page: the keys in
@@ -662,59 +646,67 @@ _WRITER_QUERY = re.compile(
     + r', "results": \[\{"url": ' + _STRING + r', "title": ' + _STRING + r', "snippet": ' + _STRING
     + r', "concept_tags": \[' + _TAGS + r'\], "clicked": (true|false), "dwell_s": ' + _DWELL + r"\}\]\}\n?"
 )
-# Matched lines coded together, at most this many at a time. Batches of
+# Lines of one kind coded together, at most this many at a time. Batches of
 # 1,024 left a stand-alone rank's peak RSS about 0.7 MB above the per-line
 # loader's at the daily_rank_long config; batches of 256 leave it level and
 # load as fast.
 BULK_LINES = 256
 
 
-def _code_batch(columns: QueryColumns, batch: list[re.Match]) -> None:
-    """Code the events of a batch of ``_WRITER_QUERY`` matches, in order,
-    and empty the batch."""
-    if not batch:
-        return
-    users, ts, texts, urls, titles, snippets, tags, clicked, dwell = (
-        list(map(itemgetter(group), batch)) for group in range(1, 10)
-    )
-    tag_sets = {raw: frozenset(raw[1:-1].split('", "') if raw else ()) for raw in set(tags)}
-    columns.extend_values(
-        users,
-        list(map(int, ts)),
-        texts,
-        (urls, titles, snippets, list(map(tag_sets.__getitem__, tags))),
-        list(map("true".__eq__, clicked)),
-        list(map(float, dwell)),
-    )
+def _code_batch(columns: QueryColumns, batch: list[re.Match] | list[QueryEvent]) -> None:
+    """Code the events of a batch of lines of one kind, ``_WRITER_QUERY``
+    matches or parsed events, in order, and empty the batch."""
+    if batch and isinstance(batch[0], QueryEvent):
+        columns.extend_events(batch)
+    elif batch:
+        users, ts, texts, urls, titles, snippets, tags, clicked, dwell = (
+            list(map(itemgetter(group), batch)) for group in range(1, 10)
+        )
+        tag_sets = {raw: frozenset(raw[1:-1].split('", "') if raw else ()) for raw in set(tags)}
+        columns.extend_values(
+            users,
+            list(map(int, ts)),
+            texts,
+            [1] * len(batch),
+            (urls, titles, snippets, list(map(tag_sets.__getitem__, tags))),
+            list(map("true".__eq__, clicked)),
+            list(map(float, dwell)),
+        )
     batch.clear()
 
 
 def load_queries(path: Path) -> QueryLog:
     """The query log, read and checked in one pass, sorted stably by time.
 
-    Lines in the writer's layout are matched and coded a batch at a time;
-    the batch is coded before any other line is parsed on its own, which
-    keeps every table in order of first appearance."""
+    Lines in the writer's layout are matched, and any other line is parsed
+    on its own. Consecutive lines of one kind are coded a batch at a time,
+    in file order, which keeps every table in order of first appearance."""
     columns = QueryColumns()
-    batch: list[re.Match] = []
+    matches: list[re.Match] = []
+    events: list[QueryEvent] = []
     with closing(utf8_lines(path)) as lines:
         for lineno, line in enumerate(lines, start=1):
             match = _WRITER_QUERY.fullmatch(line)
             if match:
-                batch.append(match)
-                if len(batch) == BULK_LINES:
-                    _code_batch(columns, batch)
+                if events:
+                    _code_batch(columns, events)
+                matches.append(match)
+                if len(matches) == BULK_LINES:
+                    _code_batch(columns, matches)
                 continue
             if not line.strip():
                 continue
-            _code_batch(columns, batch)
+            _code_batch(columns, matches)
             try:
-                _parse_query(line, columns)
+                events.append(_parse_query(line))
             except ValueError as exc:  # json.JSONDecodeError included
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    _code_batch(columns, batch)
+            if len(events) == BULK_LINES:
+                _code_batch(columns, events)
+    _code_batch(columns, matches)
+    _code_batch(columns, events)
     log = columns.log()
-    return _sorted_by(log, log.ts)
+    return sorted_by(log, log.ts)
 
 
 def _field(parse: Callable[[str], T], raw: str, what: str) -> T:
@@ -788,17 +780,16 @@ def _bulk_visits(path: Path) -> VisitLog | None:
 
 def _read_visits(path: Path) -> VisitLog:
     """The visit log, read and checked row by row."""
-    columns = VisitColumns()
 
-    def parse(row: list[str]) -> None:
+    def parse(row: list[str]) -> VisitEvent:
         user_id, restaurant_id, entry_s, exit_s = row
         entry_ts, exit_ts = _ts_field(entry_s, "entry_ts"), _ts_field(exit_s, "exit_ts")
         if entry_ts > exit_ts:
             raise ValueError(f"entry_ts {entry_ts} > exit_ts {exit_ts}")
-        columns.visit(user_id, restaurant_id, entry_ts, exit_ts)
+        return VisitEvent(user_id, restaurant_id, entry_ts, exit_ts)
 
-    read_csv(path, VISIT_HEADER, parse)
-    return columns.log()
+    _, visits = read_csv(path, VISIT_HEADER, parse)
+    return VisitLog.of(visits)
 
 
 def load_visits(path: Path) -> VisitLog:
@@ -808,7 +799,7 @@ def load_visits(path: Path) -> VisitLog:
     log = _bulk_visits(path)
     if log is None:
         log = _read_visits(path)
-    return _sorted_by(log, log.exit_ts)
+    return sorted_by(log, log.exit_ts)
 
 
 def load_restaurants(path: Path) -> tuple[RestaurantRecord, ...]:
@@ -903,18 +894,11 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
     )
 
 
-def _json_float(value: float) -> str:
-    """``json.dumps(value)``, whose spelling of a finite float is its ``repr``."""
-    return repr(value) if math.isfinite(value) else json.dumps(value)
-
-
 def write_queries(log: QueryLog, path: Path) -> None:
     """One JSON object per event and line, byte for byte what ``json.dumps(
-    ..., ensure_ascii=False)`` gives. Each table value is encoded once; each
-    line joins the encodings of its codes with its time, clicks and dwell
-    times, a chunk of events at a time. A chunk whose events have one page
-    each and finite dwell times, as every simulated chunk has, takes each
-    line's pieces from columns."""
+    ..., ensure_ascii=False)`` gives. Each table value is encoded once. A
+    chunk of events at a time, each page is spelled from the page columns,
+    and each line joins its event's codes and time with its span of pages."""
     tables = (log.users, log.texts, log.urls, log.titles, log.snippets)
     users, texts, urls, titles, snippets = (np.array([encode_basestring(v) for v in t], dtype=object) for t in tables)
     tag_sets = np.array([json.dumps(sorted(tags), ensure_ascii=False) for tags in log.tag_sets], dtype=object)
@@ -922,34 +906,29 @@ def write_queries(log: QueryLog, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(log), VIEW_CHUNK):
             stop = min(start + VIEW_CHUNK, len(log))
-            first, last = log.page_start[start], log.page_start[stop]
-            one_page = np.all(np.diff(log.page_start[start : stop + 1]) == 1)
-            if not one_page or not np.all(np.isfinite(log.dwell_s[first:last])):
-                for u, ts, x, pages in log.code_rows(start, stop):
-                    results = ", ".join(
-                        f'{{"url": {urls[a]}, "title": {titles[b]}, "snippet": {snippets[c]}, '
-                        f'"concept_tags": {tag_sets[d]}, "clicked": {clicks[int(clicked)]}, '
-                        f'"dwell_s": {_json_float(dwell)}}}'
-                        for a, b, c, d, clicked, dwell in pages
-                    )
-                    fh.write(f'{{"user_id": {users[u]}, "ts": {ts}, "text": {texts[x]}, "results": [{results}]}}\n')
-                continue
-            events, pages = slice(start, stop), slice(first, last)
-            columns = (
-                users[log.user[events]],
-                log.ts[events],
-                texts[log.text[events]],
+            events, pages = slice(start, stop), slice(log.page_start[start], log.page_start[stop])
+            # each dwell time as json.dumps spells it, NaN and Infinity included;
+            # a chunk without pages gives one empty string, which the zip drops
+            dwell = json.dumps(log.dwell_s[pages].tolist())[1:-1].split(", ")
+            page_columns = (
                 urls[log.url[pages]],
                 titles[log.title[pages]],
                 snippets[log.snippet[pages]],
                 tag_sets[log.concept_tags[pages]],
                 clicks[log.clicked[pages].view(np.int8)],
-                log.dwell_s[pages],
             )
+            # spelled as the lines take them: a list of a chunk's spelled
+            # pages raised a default simulate's peak RSS by about 3 MB
+            spelled = (
+                f'{{"url": {a}, "title": {b}, "snippet": {c}, "concept_tags": {d}, '
+                f'"clicked": {clicked}, "dwell_s": {w}}}'
+                for a, b, c, d, clicked, w in zip(*(column.tolist() for column in page_columns), dwell)
+            )
+            counts = np.diff(log.page_start[start : stop + 1])
+            event_columns = (users[log.user[events]], log.ts[events], texts[log.text[events]], counts)
             fh.writelines(
-                f'{{"user_id": {u}, "ts": {ts}, "text": {x}, "results": [{{"url": {a}, "title": {b}, '
-                f'"snippet": {c}, "concept_tags": {d}, "clicked": {clicked}, "dwell_s": {dwell!r}}}]}}\n'
-                for u, ts, x, a, b, c, d, clicked, dwell in zip(*(column.tolist() for column in columns))
+                f'{{"user_id": {u}, "ts": {ts}, "text": {x}, "results": [{", ".join(islice(spelled, n))}]}}\n'
+                for u, ts, x, n in zip(*(column.tolist() for column in event_columns))
             )
 
 

@@ -245,11 +245,6 @@ class PCG64Lanes:
         out[~fast] = self.escape(lanes[~fast], lambda rng: rng.exponential(next(scales)))
         return out
 
-    def state(self, lane: int) -> dict:
-        """The lane's state, in the form of ``Generator.bit_generator.state``."""
-        words = (self.hi, self.lo, self.inc_hi, self.inc_lo, self.has_uint32, self.uinteger)
-        return _state(*(int(word[lane]) for word in words))
-
     def escape(self, lanes: np.ndarray, draw: Callable[[np.random.Generator], _T]) -> list[_T]:
         """``draw(rng)`` for each lane in turn, on a Generator in exactly the
         lane's state: for any draw the lanes do not step themselves. Each lane

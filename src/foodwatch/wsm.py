@@ -147,29 +147,12 @@ def _mean_loss(z: np.ndarray, labels: np.ndarray, weights: np.ndarray, l2: float
     )
 
 
-def loss_and_gradient(
-    weights: np.ndarray,
-    intercept: float,
-    features: FeatureRows,
-    labels: np.ndarray,
-    l2: float,
-) -> tuple[float, np.ndarray, float]:
-    """Mean logistic loss plus (l2/2)*||w||^2, and its exact gradient.
-
-    Returns (loss, grad_weights, grad_intercept). The intercept is not
-    regularized. Exposed at module level so the gradient can be checked
-    against finite differences.
-    """
-    z = _margins(weights, intercept, features)
-    grad_w, grad_b = _gradient(z, weights, features, labels, l2)
-    return _mean_loss(z, labels, weights, l2), grad_w, grad_b
-
-
 def _gradient(
     z: np.ndarray, weights: np.ndarray, features: FeatureRows, labels: np.ndarray, l2: float
 ) -> tuple[np.ndarray, float]:
-    """The gradient of :func:`loss_and_gradient`'s loss at margins ``z``,
-    without the loss, which training does not need at each step."""
+    """The exact gradient of ``_mean_loss`` at margins ``z`` in the weights
+    and the intercept, which is not regularized, without the loss, which
+    training does not need at each step."""
     err = (_sigmoid(z) - labels) / len(features)
     grad_w = l2 * weights
     # np.add.at adds entry by entry, so each bucket sums its rows' errors in

@@ -1,6 +1,10 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 
+from foodwatch import wsm
+from foodwatch.features import FeatureRows
 from foodwatch.locmodel import RestaurantCells
 from foodwatch.logdata import QueryEvent, ResultPage, VisitEvent
 
@@ -40,6 +44,22 @@ def cells(aggregates):
     visitors = np.array([aggregates[rid].visitors for rid in ids], dtype=np.int64)
     affected = np.array([aggregates[rid].affected for rid in ids], dtype=np.int64)
     return RestaurantCells.exact(tuple(ids), np.arange(len(ids)), visitors, affected)
+
+
+def feature_rows(vectors):
+    """The ``FeatureRows`` of a sequence of index vectors, one row each."""
+    lengths = np.array([len(v) for v in vectors], dtype=np.intp)
+    indices = np.fromiter(chain.from_iterable(vectors), dtype=np.intp, count=int(lengths.sum()))
+    return FeatureRows(indices, lengths)
+
+
+def loss_and_gradient(weights, intercept, features, labels, l2):
+    """Mean logistic loss plus (l2/2)*||w||^2 and its exact gradient, as
+    training computes them: (loss, grad_weights, grad_intercept). The
+    intercept is not regularized."""
+    z = wsm._margins(weights, intercept, features)
+    grad_w, grad_b = wsm._gradient(z, weights, features, labels, l2)
+    return wsm._mean_loss(z, labels, weights, l2), grad_w, grad_b
 
 
 @pytest.fixture(scope="session")

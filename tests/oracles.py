@@ -4,9 +4,10 @@ These deliberately take different computational routes from the library code
 they check: closed-form 2x2 odds ratios, Simpson quadrature for the
 chi-square tail, pairwise-disagreement Krippendorff alpha, brute-force
 majority voting, O(n^2) pairwise AUC, a per-example logistic loss and
-gradient, a query log written with one ``json.dumps`` per event, the query
-and visit logs loaded as one object per event and page, and the city
-simulated with one scalar generator per user-day.
+gradient, exposure links ranked one anchor at a time, a query log written
+with one ``json.dumps`` per event, the query and visit logs loaded as one
+object per event and page, and the city simulated with one scalar generator
+per user-day.
 """
 
 import json
@@ -34,17 +35,18 @@ from foodwatch.citysim import (
     simulate_inspection,
 )
 from foodwatch.errors import DataError, DataFormatError
+from foodwatch.locmodel import ExposureLink
 from foodwatch.logdata import (
     MAX_RESULTS_PER_QUERY,
     MAX_TS,
     Dataset,
     InspectionRecord,
-    QueryColumns,
     QueryEvent,
+    QueryLog,
     ResultPage,
     Trigger,
-    VisitColumns,
     VisitEvent,
+    VisitLog,
 )
 from foodwatch.report import read_csv
 from foodwatch.seeding import make_rng
@@ -149,6 +151,28 @@ def logistic_oracle(weights, intercept, vectors, labels, l2, sigmoid):
     for idx, e in zip(vectors, err):
         np.add.at(grad_w, idx, e)
     return loss, grad_w, float(err.sum())
+
+
+def link_exposures_oracle(visits, anchors, window_s):
+    """The links of visit events to each user's anchor in ``anchors``, one
+    anchor at a time: the user's visits that end in [anchor - window_s,
+    anchor), sorted by descending exit, then restaurant id, are ranked 1, 2,
+    ...; each restaurant keeps its earliest such visit with that visit's
+    rank. Ordered by user id, then rank."""
+    links = []
+    for user_id in sorted(anchors):
+        anchor = anchors[user_id]
+        qualifying = sorted(
+            (-v.exit_ts, v.restaurant_id)
+            for v in visits
+            if v.user_id == user_id and anchor - window_s <= v.exit_ts < anchor
+        )
+        kept = {}
+        for rank, (neg_exit, restaurant_id) in enumerate(qualifying, start=1):
+            if restaurant_id not in kept or -neg_exit < kept[restaurant_id].visit_exit_ts:
+                kept[restaurant_id] = ExposureLink(user_id, restaurant_id, -neg_exit, anchor, rank)
+        links += sorted(kept.values(), key=lambda l: l.recency_rank)
+    return tuple(links)
 
 
 def write_queries_per_event(events, path):
@@ -385,8 +409,8 @@ def simulate_oracle(
         raise DataError("days >= 1")
     cfg = world.cfg
 
-    visits = VisitColumns()
-    queries = QueryColumns()
+    visits: list[VisitEvent] = []
+    queries: list[QueryEvent] = []
     labels: list[int] = []  # per query, as drawn
     infections: list[InfectionRecord] = []
     # illness complaints: (user_id, symptom_ts, blame_last, true_source);
@@ -407,7 +431,7 @@ def simulate_oracle(
                 rid = pool[int(rng.integers(len(pool)))]
                 entry = day_start + int(rng.integers(6 * 3600, 21 * 3600))
                 exit_ts = entry + int(rng.integers(1800, 5400))
-                visits.visit(pid, rid, entry, exit_ts)
+                visits.append(VisitEvent(pid, rid, entry, exit_ts))
                 p_infect = (
                     cfg.p_infect_unsafe
                     if world.latent_unsafe[rid]
@@ -419,8 +443,7 @@ def simulate_oracle(
                     query_ts = symptom_ts if searched else None
                     if searched:
                         text, page = _positive_query(rng, cfg)
-                        queries.event(pid, symptom_ts, text)
-                        queries.page(*page)
+                        queries.append(QueryEvent(pid, symptom_ts, text, (ResultPage(*page),)))
                         labels.append(1)
                     infections.append(
                         InfectionRecord(pid, rid, exit_ts, symptom_ts, searched, query_ts)
@@ -433,8 +456,7 @@ def simulate_oracle(
             for _ in range(n_bg):
                 ts = day_start + int(rng.integers(0, DAY_S))
                 text, page, label = _background_query(rng, cfg)
-                queries.event(pid, ts, text)
-                queries.page(*page)
+                queries.append(QueryEvent(pid, ts, text, (ResultPage(*page),)))
                 labels.append(label)
 
             if rng.random() < cfg.p_frivolous_complaint:
@@ -442,9 +464,9 @@ def simulate_oracle(
                 frivolous_complaints.append((pid, ts, float(rng.random())))
 
     # the order loading gives: by time, stably
-    visits = visits.log()
+    visits = VisitLog.of(visits)
     visits = visits.take(np.argsort(visits.exit_ts, kind="stable"))
-    log = queries.log()
+    log = QueryLog.of(queries)
     order = np.argsort(log.ts, kind="stable")
 
     # a user's visits, in exit order, are a span of the exit-sorted log taken stably by user code

@@ -14,7 +14,7 @@ import numpy as np
 
 from foodwatch.citysim import SimConfig, planted_exposures, simulate_raters
 from foodwatch.config import RunConfig
-from foodwatch.features import DIM, FeatureRows, featurize
+from foodwatch.features import DIM, featurize
 from foodwatch.locmodel import Period, aggregate_restaurants, attribute_sources, link_exposures
 from foodwatch.logdata import Outcome
 from foodwatch.pipeline import (
@@ -34,9 +34,9 @@ from foodwatch.stats import (
     chi_square_upper_tail,
     fit_binomial_logit,
 )
-from foodwatch.wsm import loss_and_gradient, roc_auc
+from foodwatch.wsm import roc_auc
 
-from conftest import cells, query
+from conftest import cells, feature_rows, loss_and_gradient, query
 from oracles import (
     alpha_pairwise_oracle,
     auc_pairwise_oracle,
@@ -126,7 +126,7 @@ def test_criterion_4_wsm_numerics(default_run):
     events = [query(f"u{i}", i, f"token{i} shared word{i % 7}") for i in range(30)]
     labels = np.array([i % 2 for i in range(30)], dtype=float)
     vectors = [np.array(featurize(e), dtype=np.intp) for e in events]
-    rows = FeatureRows.of(vectors)
+    rows = feature_rows(vectors)
     weights = rng.normal(0, 0.4, DIM)
     intercept = -0.2
     _, grad_w, grad_b = loss_and_gradient(weights, intercept, rows, labels, 1e-4)

@@ -26,7 +26,7 @@ from foodwatch.locmodel import (
 )
 from foodwatch.logdata import VisitLog
 from foodwatch.seeding import make_rng
-from oracles import wilson_oracle
+from oracles import link_exposures_oracle, wilson_oracle
 
 from conftest import visit
 
@@ -311,6 +311,10 @@ def test_recency_ranks_match_link_exposures(visits, anchors, window_days):
     visit_events = [visit(u, r, ts - gap, ts) for (u, r), ts, gap in visits]
     loc = LocSettings(window_s=window_days * DAY_S)
     links = exposures(visit_events, [positive(u, ts + 1) for (u, _), ts in anchors], loc)
+    first_anchors = {}
+    for (u, _), ts in anchors:
+        first_anchors.setdefault(u, ts + 1)
+    assert links == link_exposures_oracle(visit_events, first_anchors, loc.window_s)
     log = VisitLog.of(visit_events)
     assert locmodel.recency_ranks(log, links, loc.window_s).tolist() == [l.recency_rank for l in links]
     # a link whose visit ends before its window has no rank, nor one of an unknown user

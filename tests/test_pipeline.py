@@ -128,6 +128,56 @@ def test_a_second_pseudonym_key_changes_only_the_files_that_carry_pseudonyms(tmp
     assert changed == PSEUDONYMOUS_FILES
 
 
+# The files rank, inspect and evaluate write that do not depend on the order
+# of the dataset's lines. scored_queries.csv is in stream order, which is
+# stable by time, so only its rows with equal times may swap.
+ROW_ORDER_FREE_FILES = (
+    LINKS_CSV,
+    report_mod.RELEASED_CSV,
+    report_mod.DAILY_LISTS_CSV,
+    pipeline.FINDER_INSPECTIONS_CSV,
+    ALL_INSPECTIONS_CSV,
+    report_mod.PRECISION_CSV,
+    report_mod.RISK_DISTRIBUTION_CSV,
+    report_mod.VIOLATIONS_CSV,
+    report_mod.ATTRIBUTION_CSV,
+)
+
+
+def _shuffle_lines(path: Path, rng: np.random.Generator, header: int) -> None:
+    """Permute the lines of a file after its first ``header`` lines."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    rows = lines[header:]
+    path.write_bytes(b"".join(lines[:header] + [rows[i] for i in rng.permutation(len(rows))]))
+
+
+@pytest.mark.parametrize("shuffle, extra", [(1, []), (2, ["privacy.enabled=false"])])
+def test_dataset_row_order_changes_no_rank_inspect_or_evaluate_output(tmp_path, small_run, shuffle, extra):
+    # a metamorphic relation: with the model kept, permuting the lines of
+    # the query log and the rows of the visit log leaves the links, release,
+    # lists, inspections and evaluation tables byte-identical, so visits
+    # that tie on exit, arriving in another order, rank the same
+    args = ["--seed", "5"] + [f"--set={kv}" for kv in SMALL + extra]
+    runs = {}
+    for name in ("kept", "shuffled"):
+        runs[name] = tmp_path / name
+        shutil.copytree(small_run[0], runs[name])
+        if name == "shuffled":
+            rng = np.random.default_rng(shuffle)
+            _shuffle_lines(dataset_dir(runs[name]) / "queries.jsonl", rng, header=0)
+            _shuffle_lines(dataset_dir(runs[name]) / "visits.csv", rng, header=1)
+        for command in ("rank", "inspect", "evaluate"):
+            assert cli_main([command, "--out", str(runs[name])] + args) == 0, command
+    kept, shuffled = runs.values()
+    assert (dataset_dir(kept) / "visits.csv").read_bytes() != (dataset_dir(shuffled) / "visits.csv").read_bytes()
+    for name in ROW_ORDER_FREE_FILES:
+        assert (kept / name).read_bytes() == (shuffled / name).read_bytes(), name
+    (kept_header, kept_rows), (header, rows) = (report_mod.read_csv(run / SCORED_CSV) for run in (kept, shuffled))
+    assert header == kept_header
+    assert [row[1] for row in rows] == [row[1] for row in kept_rows]
+    assert sorted(rows) == sorted(kept_rows)
+
+
 def test_manifest_checksums_match_recomputed_hashes(small_run):
     out, manifest = small_run
     for rel, digest in manifest["files"].items():

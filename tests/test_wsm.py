@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from foodwatch.errors import DataError, NumericalError, UsageError
 from foodwatch import wsm
-from foodwatch.features import DIM, FeatureRows, bucket, featurize, featurize_rows
+from foodwatch.features import DIM, bucket, featurize, featurize_rows
 from foodwatch.logdata import QueryLog
 from foodwatch.seeding import make_rng
 from foodwatch.wsm import (
@@ -23,7 +23,6 @@ from foodwatch.wsm import (
     _mean_loss as mean_loss,
     _sigmoid,
     _weighted_sample_without_replacement,
-    loss_and_gradient,
     roc_auc,
     save_model,
     score_queries,
@@ -32,7 +31,7 @@ from foodwatch.wsm import (
     weak_label,
 )
 
-from conftest import FOOD_TAG, page, query
+from conftest import FOOD_TAG, feature_rows, loss_and_gradient, page, query
 from oracles import logistic_oracle
 
 
@@ -156,7 +155,7 @@ def test_loss_non_increasing_across_epochs_default_schedule():
 def test_gradient_matches_central_finite_differences():
     labeled = separable_set(8)
     vectors = [np.array(featurize(e), dtype=np.intp) for e, _ in pairs(labeled)]
-    rows = FeatureRows.of(vectors)
+    rows = feature_rows(vectors)
     labels = np.array([y for _, y in pairs(labeled)], dtype=float)
     rng = make_rng(123, "gradcheck")
     weights = rng.normal(0, 0.5, DIM)
@@ -189,7 +188,7 @@ def test_loss_and_gradient_match_per_example_oracle():
         for i in range(300)
     ]  # 0 to 11 tokens: empty rows, and margins longer than numpy's 8-way unrolled sum
     vectors = [np.array(featurize(e), dtype=np.intp) for e in events]
-    rows = FeatureRows.of(vectors)
+    rows = feature_rows(vectors)
     labels = (rng.random(len(events)) < 0.4).astype(float)
     weights = rng.normal(0, 0.5, DIM)
     intercept, l2 = -0.3, 1e-3
