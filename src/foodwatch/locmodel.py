@@ -5,8 +5,10 @@ positive threshold; the anchor is their first such query. Every visit whose
 exit falls strictly before the anchor and within the incubation window links
 the user to the visited restaurant. Per-restaurant evidence is the one-sided
 95% Wilson lower bound on the affected-visitor proportion, which penalizes
-small samples and is monotone in evidence. A day's counts have one shape,
-``RestaurantCells``: the sliding window yields them exact and
+small samples and is monotone in evidence. Each day's window is counted
+directly, from masks over the log's (restaurant, user) pairs, with no state
+carried from the day before. A day's counts have one shape,
+``RestaurantCells``: the window count yields them exact and
 ``privacy.release`` noises them, and both take their shares from ``shares``.
 """
 
@@ -258,24 +260,17 @@ def _pair_codes(visits: VisitLog) -> np.ndarray:
     return visits.restaurant.astype(np.int64) * max(len(visits.users), 1) + visits.user
 
 
-def _link_pairs(visits: VisitLog, links: Sequence[ExposureLink]) -> tuple[np.ndarray, np.ndarray]:
-    """Each link's (restaurant, user) pair as a visit-log pair code, -1 where
-    its user or restaurant never visits, and its visit exit."""
+def _link_codes(visits: VisitLog, links: Sequence[ExposureLink]) -> tuple[np.ndarray, ...]:
+    """Each link's user and restaurant as codes of ``visits``, -1 for an id
+    the log lacks, and its visit exit and anchor."""
     users = {user_id: code for code, user_id in enumerate(visits.users)}
     restaurants = {rid: code for code, rid in enumerate(visits.restaurants)}
-    pairs = [
-        restaurants[l.restaurant_id] * max(len(users), 1) + users[l.user_id]
-        if l.user_id in users and l.restaurant_id in restaurants
-        else -1
-        for l in links
-    ]
-    return np.array(pairs, dtype=np.int64), np.array([l.visit_exit_ts for l in links], dtype=np.int64)
-
-
-def _contains(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Whether each of ``codes`` is in the sorted array ``sorted_codes``."""
-    at = np.searchsorted(sorted_codes, codes)
-    return sorted_codes[np.minimum(at, len(sorted_codes) - 1)] == codes if len(sorted_codes) else at < 0
+    return (
+        np.array([users.get(l.user_id, -1) for l in links], dtype=np.int64),
+        np.array([restaurants.get(l.restaurant_id, -1) for l in links], dtype=np.int64),
+        np.array([l.visit_exit_ts for l in links], dtype=np.int64),
+        np.array([l.first_positive_query_ts for l in links], dtype=np.int64),
+    )
 
 
 def _visits_ending_at(visits: VisitLog, exits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,9 +287,9 @@ def unvisited_links(visits: VisitLog, links: Sequence[ExposureLink]) -> np.ndarr
     """Positions of the links whose (user, restaurant, visit exit) is no visit
     of the log. Each link's candidates are the visits ending at its exit."""
     visits = sorted_by(visits, visits.exit_ts)
-    link_pair, link_exit = _link_pairs(visits, links)
-    link, at = _visits_ending_at(visits, link_exit)
-    found = link[_pair_codes(visits.take(at)) == link_pair[link]]
+    user, restaurant, exit_ts, _ = _link_codes(visits, links)
+    link, at = _visits_ending_at(visits, exit_ts)
+    found = link[(visits.user[at] == user[link]) & (visits.restaurant[at] == restaurant[link])]
     return np.flatnonzero(np.bincount(found, minlength=len(links)) == 0)
 
 
@@ -326,16 +321,12 @@ def _recency_ranks(visits: VisitLog, user, restaurant, exit_ts, anchor) -> np.nd
 def recency_ranks(visits: VisitLog, links: Sequence[ExposureLink], window_s: int) -> np.ndarray:
     """The recency rank ``link_exposures`` gives each link's visit, by
     ``_recency_ranks``; 0 for a link whose visit ends outside [anchor -
-    window_s, anchor) or whose user never visits."""
+    window_s, anchor) or whose user or restaurant never visits."""
     visits = sorted_by(visits, visits.exit_ts)
-    user_code = {user_id: code for code, user_id in enumerate(visits.users)}
-    restaurant_code = {rid: code for code, rid in enumerate(visits.restaurants)}
-    user = np.array([user_code.get(l.user_id, -1) for l in links], dtype=np.int64)
-    restaurant = np.array([restaurant_code.get(l.restaurant_id, -1) for l in links], dtype=np.int64)
-    exit_ts = np.array([l.visit_exit_ts for l in links], dtype=np.int64)
-    anchor = np.array([l.first_positive_query_ts for l in links], dtype=np.int64)
+    user, restaurant, exit_ts, anchor = _link_codes(visits, links)
     ranks = _recency_ranks(visits, user, restaurant, exit_ts, anchor)
-    return np.where((user >= 0) & (anchor - window_s <= exit_ts) & (exit_ts < anchor), ranks, 0)
+    known = (user >= 0) & (restaurant >= 0)
+    return np.where(known & (anchor - window_s <= exit_ts) & (exit_ts < anchor), ranks, 0)
 
 
 def aggregate_restaurants(
@@ -375,60 +366,31 @@ def sliding_aggregates(
     periods: Iterable[Period],
 ) -> Iterator[RestaurantCells]:
     """``aggregate_restaurants(visits, links, period)`` for each period in
-    turn, as exact cells, computed in one pass.
+    turn, as exact cells; periods may come in any order.
 
-    Periods must start and end in non-decreasing order. Every visit and link
-    enters the window once and leaves it once, as a slice of the visits or
-    links sorted by exit; the window keeps a count per (restaurant, user)
-    code pair that visits, and per restaurant its distinct visitors and
-    affected visitors, updated only where a pair's count becomes or stops
-    being non-zero. The cost is O(visits + links + periods x restaurants)
-    instead of a full scan per period.
+    Each period counts its window directly, over the distinct (restaurant,
+    user) code pairs of the visits and links: one mask marks the pairs with
+    a visit in the period's slice of the exit-sorted log, another those with
+    a link whose exit falls in the period. A restaurant's visitors are its
+    marked pairs, and its affected visitors those marked in both masks.
     """
     visits = sorted_by(visits, visits.exit_ts)
-    visit_exit, visit_pair = visits.exit_ts, _pair_codes(visits)
-    pair_codes, visit_pair = np.unique(visit_pair, return_inverse=True)
-    visit_pair = visit_pair.astype(np.int32)
-    link_pair, link_exit = _link_pairs(visits, links)
-    # a link counts only where its user visits its restaurant
-    visited = _contains(pair_codes, link_pair)
-    link_order = np.argsort(link_exit[visited], kind="stable")
-    link_exit = link_exit[visited][link_order]
-    link_pair = np.searchsorted(pair_codes, link_pair[visited][link_order])
-    pair_restaurant = (pair_codes // max(len(visits.users), 1)).astype(np.int32)
+    user, restaurant, link_exit, _ = _link_codes(visits, links)
+    known = (user >= 0) & (restaurant >= 0)  # a link of an unknown id meets no visit
+    width = max(len(visits.users), 1)  # as in _pair_codes
+    link_pair = restaurant[known] * width + user[known]
+    pairs, pair = np.unique(np.concatenate((_pair_codes(visits), link_pair)), return_inverse=True)
+    visit_pair, link_pair, link_exit = pair[: len(visits)], pair[len(visits) :], link_exit[known]
+    pair_restaurant = pairs // width
     n = len(visits.restaurants)
-
-    in_window = np.zeros(len(pair_codes), dtype=np.int32)  # visits of each pair in the window
-    linked = np.zeros(len(pair_codes), dtype=np.int32)  # links of each pair in the window
-    del pair_codes, visited, link_order
-    visitors = np.zeros(n, dtype=np.int64)
-    affected = np.zeros(n, dtype=np.int64)
-
-    def move(counts, other, pairs: np.ndarray, sign: int, distinct: np.ndarray | None) -> None:
-        pairs, times = np.unique(pairs, return_counts=True)
-        was = counts[pairs] > 0
-        counts[pairs] += sign * times
-        changed = pairs[was != (counts[pairs] > 0)]
-        if distinct is not None:
-            distinct += sign * np.bincount(pair_restaurant[changed], minlength=n)
-        affected[:] += sign * np.bincount(pair_restaurant[changed[other[changed] > 0]], minlength=n)
-
-    v_in = v_out = l_in = l_out = 0  # the window holds visits[v_out:v_in], links[l_out:l_in]
-    last: Period | None = None
     for period in periods:
-        if last and (period.start_ts < last.start_ts or period.end_ts < last.end_ts):
-            raise ValueError(f"periods must not move backwards: {period} after {last}")
-        last = period
-        v_end = int(np.searchsorted(visit_exit, period.end_ts))
-        l_end = int(np.searchsorted(link_exit, period.end_ts))
-        move(in_window, linked, visit_pair[v_in:v_end], 1, visitors)
-        move(linked, in_window, link_pair[l_in:l_end], 1, None)
-        v_in, l_in = max(v_in, v_end), max(l_in, l_end)
-        v_start = min(int(np.searchsorted(visit_exit, period.start_ts)), v_in)
-        l_start = min(int(np.searchsorted(link_exit, period.start_ts)), l_in)
-        move(in_window, linked, visit_pair[v_out:v_start], -1, visitors)
-        move(linked, in_window, link_pair[l_out:l_start], -1, None)
-        v_out, l_out = max(v_out, v_start), max(l_out, l_start)
+        start, end = np.searchsorted(visits.exit_ts, (period.start_ts, period.end_ts)).tolist()
+        visited = np.zeros(len(pairs), dtype=bool)
+        visited[visit_pair[start:end]] = True
+        linked = np.zeros(len(pairs), dtype=bool)
+        linked[link_pair[(period.start_ts <= link_exit) & (link_exit < period.end_ts)]] = True
+        visitors = np.bincount(pair_restaurant[visited], minlength=n)
+        affected = np.bincount(pair_restaurant[visited & linked], minlength=n)
         present = np.flatnonzero(visitors)
         yield RestaurantCells.exact(visits.restaurants, present, visitors[present], affected[present])
 

@@ -317,15 +317,29 @@ def test_recency_ranks_match_link_exposures(visits, anchors, window_days):
     assert links == link_exposures_oracle(visit_events, first_anchors, loc.window_s)
     log = VisitLog.of(visit_events)
     assert locmodel.recency_ranks(log, links, loc.window_s).tolist() == [l.recency_rank for l in links]
-    # a link whose visit ends before its window has no rank, nor one of an unknown user
+    # a link whose visit ends before its window has no rank, nor one of an
+    # unknown user or restaurant
     moved = [replace(l, first_positive_query_ts=l.visit_exit_ts + loc.window_s + 1) for l in links]
     moved.append(ExposureLink("nobody", "r0", 0, 1, 1))
+    moved += [ExposureLink(v.user_id, "nowhere", v.exit_ts, v.exit_ts + 1, 1) for v in visit_events[:1]]
     assert locmodel.recency_ranks(log, moved, loc.window_s).tolist() == [0] * len(moved)
 
 
-def test_sliding_window_rejects_periods_that_move_backwards():
-    with pytest.raises(ValueError):
-        list(sliding_aggregates(VisitLog.of([]), [], [Period(DAY_S, 2 * DAY_S), Period(0, 3 * DAY_S)]))
+# a period between two exit times, empty where they are equal
+periods = st.tuples(exit_times, exit_times).map(lambda ts: Period(min(ts), max(ts)))
+
+
+@given(
+    visits=st.lists(st.tuples(ids, exit_times), max_size=40),
+    links=st.lists(st.tuples(ids, exit_times), max_size=20),
+    periods=st.lists(periods, min_size=1, max_size=6).flatmap(lambda ps: st.permutations(ps + ps[:2])),
+)
+@settings(max_examples=300, deadline=None)
+def test_sliding_window_takes_periods_in_any_order(visits, links, periods):
+    # shuffled, overlapping and repeated periods each give their own cells
+    visit_events = [visit(u, r, ts, ts) for (u, r), ts in visits]
+    link_events = [ExposureLink(u, r, ts, ts + 3600, 1) for (u, r), ts in links]
+    assert_sliding_matches_oracle(visit_events, link_events, periods)
 
 
 # --- ranking -----------------------------------------------------------------

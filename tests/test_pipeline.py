@@ -178,6 +178,41 @@ def test_dataset_row_order_changes_no_rank_inspect_or_evaluate_output(tmp_path, 
     assert sorted(rows) == sorted(kept_rows)
 
 
+# The files rank, inspect and evaluate write from distinct visitor and
+# affected counts, which a repeated visit row cannot move.
+VISIT_REPEAT_FREE_FILES = tuple(
+    name for name in ROW_ORDER_FREE_FILES if name not in (LINKS_CSV, report_mod.ATTRIBUTION_CSV)
+)
+
+
+@pytest.mark.parametrize("extra", [[], ["privacy.enabled=false"]])
+def test_repeated_visit_rows_change_no_count(tmp_path, small_run, extra):
+    # a metamorphic relation: with the model kept, repeating a third of the
+    # visit rows (same user, restaurant and times) leaves the release, lists,
+    # inspections and every evaluation table but attribution byte-identical.
+    # The links keep their (user, restaurant, exit, anchor) keys; recency
+    # ranks count visit rows, so a repeated row may raise a rank, never lower it
+    args = ["--seed", "5"] + [f"--set={kv}" for kv in SMALL + extra]
+    runs = {}
+    for name in ("kept", "repeated"):
+        runs[name] = tmp_path / name
+        shutil.copytree(small_run[0], runs[name])
+        if name == "repeated":
+            path = dataset_dir(runs[name]) / "visits.csv"
+            lines = path.read_bytes().splitlines(keepends=True)
+            path.write_bytes(b"".join(lines + lines[1::3]))
+        for command in ("rank", "inspect", "evaluate"):
+            assert cli_main([command, "--out", str(runs[name])] + args) == 0, command
+    kept, repeated = runs.values()
+    for name in VISIT_REPEAT_FREE_FILES:
+        assert (kept / name).read_bytes() == (repeated / name).read_bytes(), name
+    kept_ranks, ranks = (
+        {tuple(row[:4]): int(row[4]) for row in report_mod.read_csv(run / LINKS_CSV)[1]} for run in (kept, repeated)
+    )
+    assert ranks.keys() == kept_ranks.keys()
+    assert all(kept_ranks[key] <= rank for key, rank in ranks.items())
+
+
 def test_manifest_checksums_match_recomputed_hashes(small_run):
     out, manifest = small_run
     for rel, digest in manifest["files"].items():

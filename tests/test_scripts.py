@@ -20,6 +20,11 @@ ROOT = Path(__file__).resolve().parents[1]
             ["--seed", "5", "--days", "8", "--set", "sim.n_users=700", "--set", "sim.cities=A:60,B:60",
              "--set", "wsm.eval_size=60", "--set", "wsm.epochs=5", "--set", "cli.warmup_days=4"],
         ),
+        (
+            "unreached.py",
+            ["--seed", "5", "--days", "8", "--set", "sim.n_users=700", "--set", "sim.cities=A:60,B:60",
+             "--set", "wsm.eval_size=60", "--set", "wsm.epochs=5", "--set", "cli.warmup_days=4"],
+        ),
     ],
 )
 def test_script_runs_at_small_size(script, args):
