@@ -37,7 +37,6 @@ import numpy as np
 
 from .config import SimConfig
 from .errors import DataError
-from .locmodel import ScoredQueries
 from .logdata import (
     Dataset,
     InspectionRecord,
@@ -47,12 +46,10 @@ from .logdata import (
     RiskLevel,
     Trigger,
     VisitColumns,
-    VisitEvent,
-    VisitLog,
     sorted_by,
 )
 from .raters import JudgmentMatrix
-from .report import write_json
+from .report import json_int, write_json
 from .seeding import PCG64Lanes, derive_seeds, make_rng
 from .wsm import FOODBORNE_TAG
 
@@ -741,68 +738,6 @@ def simulate_raters(truth_labels: Sequence[int], cfg: SimConfig, seed: int) -> J
     )
 
 
-def planted_exposures(
-    n_users: int,
-    rank_probs: Sequence[float],
-    seed: int,
-    visits_per_user: int = 5,
-    n_source: int = 200,
-    n_decoy: int = 400,
-    padding_per_decoy: int = 100,
-):
-    """Validation scenario with known source recency ranks.
-
-    Every planted user visits ``visits_per_user`` restaurants and then issues
-    one positive query; the true source sits at a recency rank drawn from
-    ``rank_probs`` (over ranks 1, 2, 3, >=4) and is a dedicated high-signal
-    restaurant, while decoy restaurants are diluted by unaffected padding
-    visitors so their signal stays low. Returns (visits, scored_queries,
-    planted_rank_counts), the first two as a visit log and scored queries.
-    """
-    if len(rank_probs) != 4 or abs(sum(rank_probs) - 1.0) > 0.01:
-        raise ValueError("rank_probs must be four probabilities summing to ~1")
-    if visits_per_user < 4:
-        raise ValueError("need at least 4 visits per user to cover the 4+ bin")
-    rank_probs = np.asarray(rank_probs, dtype=float)
-    rank_probs = rank_probs / rank_probs.sum()  # absorb rounding in quoted fractions
-    rng = make_rng(seed, "planted-exposures")
-    source_ids = [f"s{i:04d}" for i in range(n_source)]
-    decoy_ids = [f"d{i:04d}" for i in range(n_decoy)]
-
-    visits: list[VisitEvent] = []
-    queries: list = []
-    planted_counts = [0, 0, 0, 0]
-    gap = 12 * 3600
-
-    for i in range(n_users):
-        uid = f"p{i:06d}"
-        bin_idx = int(rng.choice(4, p=rank_probs))
-        planted_counts[bin_idx] += 1
-        rank = bin_idx + 1
-        if rank == 4 and visits_per_user > 4:
-            rank = 4 + int(rng.integers(visits_per_user - 3))  # anywhere in the 4+ bin
-        source = source_ids[int(rng.integers(n_source))]
-        decoys = [decoy_ids[j] for j in rng.choice(n_decoy, size=visits_per_user - 1, replace=False)]
-
-        base = i * 10  # stagger users; window arithmetic only needs offsets
-        query_ts = base + visits_per_user * gap + 3600
-        for pos in range(visits_per_user):  # pos 0 = most recent visit
-            exit_ts = query_ts - 3600 - pos * gap
-            rid = source if pos == rank - 1 else decoys.pop()
-            visits.append(VisitEvent(uid, rid, exit_ts - 1800, exit_ts))
-        queries.append((uid, query_ts, 0.99))
-
-    for i in range(n_decoy * padding_per_decoy):
-        uid = f"pad{i:06d}"
-        rid = decoy_ids[i % n_decoy]
-        exit_ts = 1_000_000_000 + i  # far from every query window
-        visits.append(VisitEvent(uid, rid, exit_ts - 1800, exit_ts))
-
-    log = VisitLog.of(visits)
-    queries.sort(key=lambda q: q[1])
-    return sorted_by(log, log.exit_ts), ScoredQueries.of(queries), tuple(planted_counts)
-
-
 def save_ground_truth(truth: GroundTruth, path: Path) -> None:
     payload = {
         "infections": [
@@ -819,12 +754,6 @@ def save_ground_truth(truth: GroundTruth, path: Path) -> None:
         "query_labels": list(truth.query_labels),
     }
     write_json(path, payload)
-
-
-def _json_int(value, name: str) -> int:
-    if type(value) is not int:  # a bool is an int to isinstance, but no timestamp
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def load_ground_truth(path: Path) -> GroundTruth:
@@ -845,10 +774,10 @@ def load_ground_truth(path: Path) -> GroundTruth:
             InfectionRecord(
                 user_id=r["user_id"],
                 source_restaurant_id=r["source_restaurant_id"],
-                meal_exit_ts=_json_int(r["meal_exit_ts"], "meal_exit_ts"),
-                symptom_ts=_json_int(r["symptom_ts"], "symptom_ts"),
+                meal_exit_ts=json_int(r["meal_exit_ts"], "meal_exit_ts"),
+                symptom_ts=json_int(r["symptom_ts"], "symptom_ts"),
                 searched=r["searched"],
-                query_ts=None if r["query_ts"] is None else _json_int(r["query_ts"], "query_ts"),
+                query_ts=None if r["query_ts"] is None else json_int(r["query_ts"], "query_ts"),
             )
         )
     labels = payload["query_labels"]

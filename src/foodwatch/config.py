@@ -327,18 +327,24 @@ def parse_config_file(path: Path, base: RunConfig | None = None) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, raw = stripped.split("=", 1)
-            try:
-                config = set_key(config, key.strip(), raw)
-            except UsageError as exc:
-                raise UsageError(f"{path}:{lineno}: {exc}") from None
+    try:
+        lines = path.read_bytes().splitlines()  # the line ends text mode reads: \n, \r\n and \r
+    except OSError as exc:  # a directory, say
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}") from None
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            stripped = line.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}:{lineno}: not UTF-8 ({exc.reason}, byte {line[exc.start]:#04x})") from None
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        key, raw = stripped.split("=", 1)
+        try:
+            config = set_key(config, key.strip(), raw)
+        except UsageError as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}") from None
     return config
 
 

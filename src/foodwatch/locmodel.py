@@ -14,7 +14,6 @@ carried from the day before. A day's counts have one shape,
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -39,19 +38,6 @@ class ScoredQueries(Columns):
     ts: np.ndarray
     score: np.ndarray
 
-    @classmethod
-    def of(cls, rows: Iterable[tuple[str, int, float]]) -> ScoredQueries:
-        """Columns of the ``(user_id, ts, score)`` rows, in the given order."""
-        rows = list(rows)
-        codes: dict[str, int] = {}
-        user = [codes.setdefault(user_id, len(codes)) for user_id, _, _ in rows]
-        return cls(
-            tuple(codes),
-            np.array(user, dtype=np.int32),
-            np.array([ts for _, ts, _ in rows], dtype=np.int64),
-            np.array([score for _, _, score in rows], dtype=float),
-        )
-
     def __len__(self) -> int:
         return len(self.ts)
 
@@ -70,21 +56,6 @@ class ExposureLink:
     visit_exit_ts: int
     first_positive_query_ts: int
     recency_rank: int  # 1 = most recent qualifying visit before the query
-
-
-@dataclass(frozen=True)
-class RestaurantAggregate:
-    restaurant_id: str
-    visitors: int
-    affected: int
-
-    @property
-    def proportion(self) -> float:
-        return self.affected / self.visitors if self.visitors else 0.0
-
-    @property
-    def signal(self) -> float:
-        return wilson_lower_bound(self.affected, self.visitors)
 
 
 @dataclass(frozen=True)
@@ -170,20 +141,10 @@ class Period:
         return self.start_ts <= ts < self.end_ts
 
 
-def wilson_lower_bound(successes: float, trials: float, z: float = ONE_SIDED_95_Z) -> float:
-    """One-sided Wilson score lower bound; 0 when there are no trials."""
-    if trials <= 0:
-        return 0.0
-    p = successes / trials
-    z2 = z * z
-    center = p + z2 / (2 * trials)
-    half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials))
-    return max(0.0, (center - half) / (1 + z2 / trials))
-
-
 def wilson_lower_bounds(successes: np.ndarray, trials: np.ndarray, z: float = ONE_SIDED_95_Z) -> np.ndarray:
-    """``wilson_lower_bound`` of each pair, bit for bit: the same operations in
-    the same order, on arrays."""
+    """The one-sided Wilson score lower bound of each pair, 0 where there are
+    no trials. The operations and their order are those of the scalar
+    formula, so each bound equals the scalar one bit for bit."""
     with np.errstate(divide="ignore", invalid="ignore"):  # trials <= 0 give 0.0 below
         p = successes / trials
         z2 = z * z
@@ -206,9 +167,8 @@ def _min(x: np.ndarray, y: np.ndarray | float) -> np.ndarray:
 def shares(visitors: np.ndarray, affected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each cell's proportion, clamped to [0, 1], and its Wilson lower bound,
     with the counts clamped to a valid (successes, trials) pair, so noised
-    counts get valid shares. On exact counts both equal
-    ``RestaurantAggregate.proportion`` and ``.signal`` bit for bit, 0.0 at 0
-    visitors included."""
+    counts get valid shares. On exact counts they are affected / visitors and
+    the Wilson bound of (affected, visitors), 0.0 at 0 visitors."""
     trials = _max(visitors, 1.0)
     proportion = _min(_max(affected / trials, 0.0), 1.0)
     return proportion, wilson_lower_bounds(_min(_max(affected, 0.0), trials), trials)
@@ -283,25 +243,17 @@ def _visits_ending_at(visits: VisitLog, exits: np.ndarray) -> tuple[np.ndarray, 
     return i, first[i] + np.arange(len(i)) - (np.cumsum(counts) - counts)[i]
 
 
-def unvisited_links(visits: VisitLog, links: Sequence[ExposureLink]) -> np.ndarray:
-    """Positions of the links whose (user, restaurant, visit exit) is no visit
-    of the log. Each link's candidates are the visits ending at its exit."""
-    visits = sorted_by(visits, visits.exit_ts)
-    user, restaurant, exit_ts, _ = _link_codes(visits, links)
-    link, at = _visits_ending_at(visits, exit_ts)
-    found = link[(visits.user[at] == user[link]) & (visits.restaurant[at] == restaurant[link])]
-    return np.flatnonzero(np.bincount(found, minlength=len(links)) == 0)
-
-
 def _recency_ranks(visits: VisitLog, user, restaurant, exit_ts, anchor) -> np.ndarray:
     """Per row of the code columns, the recency rank of a visit by ``user``
     to ``restaurant`` that ends at ``exit_ts``, before ``anchor``: 1, plus
     the user's visits that end in (exit_ts, anchor), plus those that end at
-    exit_ts at a restaurant with a smaller id. ``visits`` is sorted by exit.
+    exit_ts at a restaurant with a smaller id; 0 for a row that names no
+    visit of the log. ``visits`` is sorted by exit.
 
     The user's visits that end before a time are counted by binary search
-    over one sorted array of (user, log position) codes; visits that tie on
-    the exit are the ones ending at it."""
+    over one sorted array of (user, log position) codes; the visits ending
+    at exit_ts tell both whether the row's visit is there and which visits
+    tie with it."""
     n = len(visits)
     user = user.astype(np.int64)
     keys = visits.user.astype(np.int64)  # (user, log position) codes, sorted: by user, then exit
@@ -314,27 +266,30 @@ def _recency_ranks(visits: VisitLog, user, restaurant, exit_ts, anchor) -> np.nd
         return np.searchsorted(keys, user * n + np.searchsorted(visits.exit_ts, ts)) - np.searchsorted(keys, user * n)
 
     row, at = _visits_ending_at(visits, exit_ts)
-    tied = row[(visits.user[at] == user[row]) & (visits.restaurant[at] < restaurant[row])]
-    return 1 + ending_before(anchor) - ending_before(exit_ts + 1) + np.bincount(tied, minlength=len(user))
+    own = visits.user[at] == user[row]
+    tied = np.bincount(row[own & (visits.restaurant[at] < restaurant[row])], minlength=len(user))
+    visited = np.bincount(row[own & (visits.restaurant[at] == restaurant[row])], minlength=len(user)) > 0
+    return np.where(visited, 1 + ending_before(anchor) - ending_before(exit_ts + 1) + tied, 0)
 
 
 def recency_ranks(visits: VisitLog, links: Sequence[ExposureLink], window_s: int) -> np.ndarray:
     """The recency rank ``link_exposures`` gives each link's visit, by
-    ``_recency_ranks``; 0 for a link whose visit ends outside [anchor -
-    window_s, anchor) or whose user or restaurant never visits."""
+    ``_recency_ranks``; 0 for a link that names no qualifying visit: its
+    (user, restaurant, visit exit) is no visit of the log, an unknown id
+    included, or its visit ends outside [anchor - window_s, anchor)."""
     visits = sorted_by(visits, visits.exit_ts)
     user, restaurant, exit_ts, anchor = _link_codes(visits, links)
-    ranks = _recency_ranks(visits, user, restaurant, exit_ts, anchor)
-    known = (user >= 0) & (restaurant >= 0)
-    return np.where(known & (anchor - window_s <= exit_ts) & (exit_ts < anchor), ranks, 0)
+    ranks = _recency_ranks(visits, user, restaurant, exit_ts, anchor)  # an unknown id's -1 meets no visit
+    return np.where((anchor - window_s <= exit_ts) & (exit_ts < anchor), ranks, 0)
 
 
 def aggregate_restaurants(
     visits: Iterable[VisitEvent],
     links: Sequence[ExposureLink],
     period: Period,
-) -> dict[str, RestaurantAggregate]:
-    """Distinct visitor and affected-visitor counts per restaurant.
+) -> RestaurantCells:
+    """Distinct visitor and affected-visitor counts per restaurant, as exact
+    cells in restaurant-id order.
 
     Both counts are restricted to visits whose exit falls in the period, so
     affected <= visitors holds by construction. The counts are sizes of
@@ -350,14 +305,10 @@ def aggregate_restaurants(
         if period.contains(link.visit_exit_ts):
             affected_sets.setdefault(link.restaurant_id, set()).add(link.user_id)
 
-    aggregates: dict[str, RestaurantAggregate] = {}
-    for rid in sorted(visitor_sets):
-        visitors = visitor_sets[rid]
-        affected = affected_sets.get(rid, set()) & visitors
-        aggregates[rid] = RestaurantAggregate(
-            restaurant_id=rid, visitors=len(visitors), affected=len(affected)
-        )
-    return aggregates
+    ids = sorted(visitor_sets)
+    visitors = np.array([len(visitor_sets[rid]) for rid in ids], dtype=np.int64)
+    affected = np.array([len(affected_sets.get(rid, set()) & visitor_sets[rid]) for rid in ids], dtype=np.int64)
+    return RestaurantCells.exact(tuple(ids), np.arange(len(ids)), visitors, affected)
 
 
 def sliding_aggregates(
@@ -405,7 +356,7 @@ def rank_restaurants(visitors: np.ndarray, signal: np.ndarray, settings: LocSett
 
 def attribute_sources(
     links: Sequence[ExposureLink],
-    aggregates: Mapping[str, RestaurantAggregate | ReleasedAggregate],
+    aggregates: Mapping[str, ReleasedAggregate],
 ) -> tuple[dict[str, tuple[str, int]], AttributionHistogram]:
     """Per affected user, the linked restaurant with the strongest signal
     (ties: most recent visit, then id), plus the histogram of chosen source

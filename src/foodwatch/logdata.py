@@ -717,18 +717,15 @@ def _field(parse: Callable[[str], T], raw: str, what: str) -> T:
         raise ValueError(f"{what}, got {raw!r}") from None
 
 
-def _int_field(raw: str, name: str) -> int:
+def int_field(raw: str, name: str, least: int = 0) -> int:
+    """A count, rank or time: an integer in [least, MAX_TS], which int64
+    holds."""
     try:
         value = int(raw)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
-
-
-def _ts_field(raw: str, name: str) -> int:
-    value = _int_field(raw, name)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     if value > MAX_TS:
         raise ValueError(f"{name} must be <= {MAX_TS}, got {value}")
     return value
@@ -783,7 +780,7 @@ def _read_visits(path: Path) -> VisitLog:
 
     def parse(row: list[str]) -> VisitEvent:
         user_id, restaurant_id, entry_s, exit_s = row
-        entry_ts, exit_ts = _ts_field(entry_s, "entry_ts"), _ts_field(exit_s, "exit_ts")
+        entry_ts, exit_ts = int_field(entry_s, "entry_ts"), int_field(exit_s, "exit_ts")
         if entry_ts > exit_ts:
             raise ValueError(f"entry_ts {entry_ts} > exit_ts {exit_ts}")
         return VisitEvent(user_id, restaurant_id, entry_ts, exit_ts)
@@ -825,8 +822,8 @@ def _parse_inspection(row: list[str]) -> InspectionRecord:
         _field(Date.fromisoformat, date_s, "date must be YYYY-MM-DD"),
         _field(lambda t: Trigger(t.upper()), trigger_s, "unknown trigger"),
         _field(lambda o: Outcome(o.capitalize()), outcome_s, "outcome must be Safe or Unsafe"),
-        _int_field(crit_s, "critical_count"),
-        _int_field(major_s, "major_count"),
+        int_field(crit_s, "critical_count"),
+        int_field(major_s, "major_count"),
     )
 
 

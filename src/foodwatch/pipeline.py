@@ -47,7 +47,6 @@ from .locmodel import (
     rank_restaurants,
     recency_ranks,
     sliding_aggregates,
-    unvisited_links,
 )
 from .logdata import (
     Columns,
@@ -60,6 +59,7 @@ from .logdata import (
     Trigger,
     VisitLog,
     first_occurrences,
+    int_field,
     load_dataset,  # unused here; the benchmark tracer wraps it
     load_inspections,
     load_queries,
@@ -137,9 +137,8 @@ def load_world_recipe(path: Path) -> World:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError("world recipe must be a JSON object")
-    if type(payload["seed"]) is not int:  # int() would truncate 1.7 and take true as 1
-        raise ValueError(f"seed must be an integer, got {payload['seed']!r}")
-    return generate_world(apply_overrides(RunConfig(), payload["sim"]).sim, payload["seed"])
+    seed = report_mod.json_int(payload["seed"], "seed")
+    return generate_world(apply_overrides(RunConfig(), payload["sim"]).sim, seed)
 
 
 # --- the run: one artifact directory and the inputs its stages share ---------
@@ -155,9 +154,14 @@ def _read_artifact(path: Path, read: Callable[[Path], object]):
 
 
 def _parse_link(row: list[str]) -> ExposureLink:
-    link = ExposureLink(row[0], row[1], int(row[2]), int(row[3]), int(row[4]))
-    if link.recency_rank < 1:
-        raise ValueError(f"recency_rank must be >= 1, got {link.recency_rank}")
+    user_id, restaurant_id, exit_ts, anchor, rank = row
+    link = ExposureLink(
+        user_id,
+        restaurant_id,
+        int_field(exit_ts, "visit_exit_ts"),
+        int_field(anchor, "first_positive_query_ts"),
+        int_field(rank, "recency_rank", least=1),
+    )
     if link.visit_exit_ts >= link.first_positive_query_ts:
         raise ValueError(f"visit_exit_ts {link.visit_exit_ts} is not before its anchor {link.first_positive_query_ts}")
     return link
@@ -434,9 +438,8 @@ def compute_evaluation_tables(
     all_inspections,
     links: tuple[ExposureLink, ...],
 ) -> dict[str, list]:
-    table = precision_table(all_inspections, registry)
     precision_rows = []
-    for row in table.rows:
+    for row in precision_table(all_inspections, registry):
         fit = row.fit
         precision_rows.append(
             [
@@ -609,20 +612,14 @@ def stage_evaluate(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
     visits, registry = run.visit_log
     links = run.links
-    unvisited = unvisited_links(visits, links)
-    if len(unvisited):
-        link = links[unvisited[0]]
-        raise DataFormatError(
-            f"{run.out / LINKS_CSV}: link {link.user_id},{link.restaurant_id},{link.visit_exit_ts} "
-            "names no visit of the visit log"
-        )
     ranks = recency_ranks(visits, links, config.locmodel.window_s)
     wrong = np.flatnonzero(ranks != np.array([link.recency_rank for link in links], dtype=np.int64))
     if len(wrong):
-        link = links[wrong[0]]
+        link, rank = links[wrong[0]], ranks[wrong[0]]
         raise DataFormatError(
             f"{run.out / LINKS_CSV}: link {link.user_id},{link.restaurant_id},{link.visit_exit_ts} has recency rank "
-            f"{link.recency_rank}, but the visit log ranks it {ranks[wrong[0]]}"
+            f"{link.recency_rank}, but the visit log ranks it {rank}"
+            + ("" if rank else ": it names no qualifying visit")
         )
     tables = compute_evaluation_tables(config, visits, registry, run.all_inspections, links)
     report_mod.write_csv(

@@ -74,6 +74,15 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]
 _JSON_BLOCK = 1024  # list items per C-encoded block
 
 
+def json_int(value, name: str) -> int:
+    """``value``, a JSON integer; any other JSON value is a ValueError. A
+    float such as 1.7 or 0.0 is refused, not truncated, and so is a bool,
+    which is an int to ``isinstance``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def write_json(path: Path, payload: dict) -> None:
     """Write ``payload`` as ``json.dump`` would, byte for byte, but from the C
     encoder: ``json.dump`` encodes in pure Python, and ``json.dumps`` would

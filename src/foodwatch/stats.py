@@ -68,10 +68,6 @@ class LinearFit:
     adjusted_means: tuple[float, float]  # group 0, group 1
     n: int
 
-    @property
-    def adjusted_gap(self) -> float:
-        return self.adjusted_means[1] - self.adjusted_means[0]
-
 
 @dataclass(frozen=True)
 class ChiSquareResult:
@@ -336,12 +332,6 @@ class PrecisionRow:
         return self.unsafe_other / self.n_other if self.n_other else 0.0
 
 
-@dataclass(frozen=True)
-class PrecisionTable:
-    rows: tuple[PrecisionRow, ...]
-    group_sizes: dict[str, int]
-
-
 def build_design_matrix(
     group_flags: Sequence[int],
     cities: Sequence[str],
@@ -368,9 +358,9 @@ def build_design_matrix(
 def precision_table(
     inspections: Sequence[InspectionRecord],
     registry: Mapping[str, RestaurantRecord],
-) -> PrecisionTable:
-    """Unsafe rates and adjusted odds ratios per trigger comparison and risk
-    stratum. Comparisons that cannot be fit (empty stratum, single outcome
+) -> tuple[PrecisionRow, ...]:
+    """Unsafe rates and adjusted odds ratios, one row per trigger comparison
+    and risk stratum. Comparisons that cannot be fit (empty stratum, single outcome
     class, separation) carry a note instead of an odds ratio."""
     missing = sorted({i.restaurant_id for i in inspections} - set(registry))
     if missing:
@@ -381,13 +371,6 @@ def precision_table(
 
     def city_of(rec: InspectionRecord) -> str:
         return registry[rec.restaurant_id].city
-
-    group_sizes = {
-        "FINDER": sum(1 for i in inspections if i.trigger == Trigger.FINDER),
-        "BASELINE": sum(1 for i in inspections if i.trigger != Trigger.FINDER),
-        "COMPLAINT": sum(1 for i in inspections if i.trigger == Trigger.COMPLAINT),
-        "ROUTINE": sum(1 for i in inspections if i.trigger == Trigger.ROUTINE),
-    }
 
     rows: list[PrecisionRow] = []
     for name, other_pred in COMPARISONS:
@@ -428,4 +411,4 @@ def precision_table(
                     fit_note=note,
                 )
             )
-    return PrecisionTable(rows=tuple(rows), group_sizes=group_sizes)
+    return tuple(rows)

@@ -31,7 +31,7 @@ from .features import (
     featurize_rows,
 )
 from .logdata import QueryEvent, QueryLog, first_occurrences
-from .report import write_json
+from .report import json_int, write_json
 from .seeding import make_rng
 
 FOODBORNE_TAG = "foodborne_illness"
@@ -278,7 +278,7 @@ def load_model(path: Path) -> WsmModel:
         weights=weights,
         intercept=intercept,
         hyper=WsmSettings(**payload["hyper"]),
-        train_seed=int(payload["train_seed"]),
+        train_seed=json_int(payload["train_seed"], "train_seed"),
         final_loss=final_loss,
         epoch_losses=epoch_losses,
     )

@@ -37,12 +37,12 @@ def visit(user="u1", restaurant="r1", entry=0, exit_ts=1800):
     return VisitEvent(user_id=user, restaurant_id=restaurant, entry_ts=entry, exit_ts=exit_ts)
 
 
-def cells(aggregates):
-    """The exact cells of a mapping of ``RestaurantAggregate``, in id order,
-    as the sliding window yields them."""
-    ids = sorted(aggregates)
-    visitors = np.array([aggregates[rid].visitors for rid in ids], dtype=np.int64)
-    affected = np.array([aggregates[rid].affected for rid in ids], dtype=np.int64)
+def cells(counts):
+    """The exact cells of a mapping of restaurant ids to ``(visitors,
+    affected)`` pairs, in id order, as the sliding window yields them."""
+    ids = sorted(counts)
+    visitors = np.array([counts[rid][0] for rid in ids], dtype=np.int64)
+    affected = np.array([counts[rid][1] for rid in ids], dtype=np.int64)
     return RestaurantCells.exact(tuple(ids), np.arange(len(ids)), visitors, affected)
 
 

@@ -4,7 +4,8 @@ These deliberately take different computational routes from the library code
 they check: closed-form 2x2 odds ratios, Simpson quadrature for the
 chi-square tail, pairwise-disagreement Krippendorff alpha, brute-force
 majority voting, O(n^2) pairwise AUC, a per-example logistic loss and
-gradient, exposure links ranked one anchor at a time, a query log written
+gradient, the scalar Wilson bound, exposure links ranked one anchor at a
+time, a planted-recency scenario built one user at a time, a query log written
 with one ``json.dumps`` per event, the query and visit logs loaded as one
 object per event and page, and the city simulated with one scalar generator
 per user-day.
@@ -13,7 +14,7 @@ per user-day.
 import json
 import math
 import sys
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from foodwatch.citysim import (
     simulate_inspection,
 )
 from foodwatch.errors import DataError, DataFormatError
-from foodwatch.locmodel import ExposureLink
+from foodwatch.locmodel import ONE_SIDED_95_Z, ExposureLink, ScoredQueries
 from foodwatch.logdata import (
     MAX_RESULTS_PER_QUERY,
     MAX_TS,
@@ -47,6 +48,7 @@ from foodwatch.logdata import (
     Trigger,
     VisitEvent,
     VisitLog,
+    sorted_by,
 )
 from foodwatch.report import read_csv
 from foodwatch.seeding import make_rng
@@ -129,6 +131,19 @@ def wilson_oracle(k, n, z=1.6448536269514722):
     return max(0.0, (centre - margin) / denominator)
 
 
+def wilson_lower_bound(successes: float, trials: float, z: float = ONE_SIDED_95_Z) -> float:
+    """One-sided Wilson score lower bound of one pair; 0 when there are no
+    trials. ``locmodel.wilson_lower_bounds`` runs these operations in this
+    order on arrays, so it must equal this bit for bit."""
+    if trials <= 0:
+        return 0.0
+    p = successes / trials
+    z2 = z * z
+    center = p + z2 / (2 * trials)
+    half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials))
+    return max(0.0, (center - half) / (1 + z2 / trials))
+
+
 def logistic_oracle(weights, intercept, vectors, labels, l2, sigmoid):
     """Mean logistic loss plus (l2/2)*||w||^2 and its gradient, one example
     at a time: each margin summed left to right in Python, the loss from a
@@ -173,6 +188,83 @@ def link_exposures_oracle(visits, anchors, window_s):
                 kept[restaurant_id] = ExposureLink(user_id, restaurant_id, -neg_exit, anchor, rank)
         links += sorted(kept.values(), key=lambda l: l.recency_rank)
     return tuple(links)
+
+
+def scored_queries(rows: Iterable[tuple[str, int, float]]) -> ScoredQueries:
+    """The ``ScoredQueries`` columns of ``(user_id, ts, score)`` rows, in the
+    given order."""
+    rows = list(rows)
+    codes: dict[str, int] = {}
+    user = [codes.setdefault(user_id, len(codes)) for user_id, _, _ in rows]
+    return ScoredQueries(
+        tuple(codes),
+        np.array(user, dtype=np.int32),
+        np.array([ts for _, ts, _ in rows], dtype=np.int64),
+        np.array([score for _, _, score in rows], dtype=float),
+    )
+
+
+def planted_exposures(
+    n_users: int,
+    rank_probs: Sequence[float],
+    seed: int,
+    visits_per_user: int = 5,
+    n_source: int = 200,
+    n_decoy: int = 400,
+    padding_per_decoy: int = 100,
+):
+    """Validation scenario with known source recency ranks.
+
+    Every planted user visits ``visits_per_user`` restaurants and then issues
+    one positive query; the true source sits at a recency rank drawn from
+    ``rank_probs`` (over ranks 1, 2, 3, >=4) and is a dedicated high-signal
+    restaurant, while decoy restaurants are diluted by unaffected padding
+    visitors so their signal stays low. Returns (visits, scored_queries,
+    planted_rank_counts), the first two as a visit log and scored queries.
+    """
+    if len(rank_probs) != 4 or abs(sum(rank_probs) - 1.0) > 0.01:
+        raise ValueError("rank_probs must be four probabilities summing to ~1")
+    if visits_per_user < 4:
+        raise ValueError("need at least 4 visits per user to cover the 4+ bin")
+    rank_probs = np.asarray(rank_probs, dtype=float)
+    rank_probs = rank_probs / rank_probs.sum()  # absorb rounding in quoted fractions
+    rng = make_rng(seed, "planted-exposures")
+    source_ids = [f"s{i:04d}" for i in range(n_source)]
+    decoy_ids = [f"d{i:04d}" for i in range(n_decoy)]
+
+    visits: list[VisitEvent] = []
+    queries: list = []
+    planted_counts = [0, 0, 0, 0]
+    gap = 12 * 3600
+
+    for i in range(n_users):
+        uid = f"p{i:06d}"
+        bin_idx = int(rng.choice(4, p=rank_probs))
+        planted_counts[bin_idx] += 1
+        rank = bin_idx + 1
+        if rank == 4 and visits_per_user > 4:
+            rank = 4 + int(rng.integers(visits_per_user - 3))  # anywhere in the 4+ bin
+        source = source_ids[int(rng.integers(n_source))]
+        decoys = [decoy_ids[j] for j in rng.choice(n_decoy, size=visits_per_user - 1, replace=False)]
+
+        base = i * 10  # stagger users; window arithmetic only needs offsets
+        query_ts = base + visits_per_user * gap + 3600
+        for pos in range(visits_per_user):  # pos 0 = most recent visit
+            exit_ts = query_ts - 3600 - pos * gap
+            rid = source if pos == rank - 1 else decoys.pop()
+            visits.append(VisitEvent(uid, rid, exit_ts - 1800, exit_ts))
+        queries.append((uid, query_ts, 0.99))
+
+    for i in range(n_decoy * padding_per_decoy):
+        uid = f"pad{i:06d}"
+        rid = decoy_ids[i % n_decoy]
+        exit_ts = 1_000_000_000 + i  # far from every query window
+        visits.append(VisitEvent(uid, rid, exit_ts - 1800, exit_ts))
+
+    log = VisitLog.of(visits)
+    queries.sort(key=lambda q: q[1])
+    return sorted_by(log, log.exit_ts), scored_queries(queries), tuple(planted_counts)
+
 
 
 def write_queries_per_event(events, path):

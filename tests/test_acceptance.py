@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from foodwatch.citysim import SimConfig, planted_exposures, simulate_raters
+from foodwatch.citysim import SimConfig, simulate_raters
 from foodwatch.config import RunConfig
 from foodwatch.features import DIM, featurize
 from foodwatch.locmodel import Period, aggregate_restaurants, attribute_sources, link_exposures
@@ -42,6 +42,7 @@ from oracles import (
     auc_pairwise_oracle,
     chi2_sf_quadrature,
     crossproduct_oracle,
+    planted_exposures,
     vote_majority_oracle,
 )
 
@@ -209,9 +210,7 @@ def test_criterion_7_privacy(default_run):
     # Laplace moments
     n = 20_000
     policy = PrivacySettings(epsilon=1.0, suppress_below=0)
-    from foodwatch.locmodel import RestaurantAggregate
-
-    aggs = {f"r{i:05d}": RestaurantAggregate(f"r{i:05d}", 100, 0) for i in range(n)}
+    aggs = {f"r{i:05d}": (100, 0) for i in range(n)}
     rel = release(cells(aggs), policy, rng_seed=77)
     noise = np.array([r.visitors - 100 for r in rel.values()])
     sigma = math.sqrt(2.0)  # Laplace sd at scale 1

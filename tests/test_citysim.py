@@ -10,7 +10,6 @@ from foodwatch.citysim import (
     day_to_date,
     generate_world,
     load_ground_truth,
-    planted_exposures,
     save_ground_truth,
     simulate,
     simulate_inspection,
@@ -247,17 +246,3 @@ def test_dataset_files_leak_no_latent_state(tmp_path):
     blob = "".join(p.read_text() for p in (paths.queries, paths.visits, paths.restaurants, paths.inspections))
     assert "latent" not in blob and "infection" not in blob
     assert load_dataset(paths) == ds  # round trip intact
-
-
-# --- planted attribution scenario ---------------------------------------------
-
-
-def test_planted_exposures_window_geometry():
-    visits, queries, counts = planted_exposures(50, (0.62, 0.194, 0.115, 0.072), seed=1)
-    assert sum(counts) == 50
-    by_user = {}
-    for v in visits:
-        by_user.setdefault(v.user_id, []).append(v)
-    for user_id, ts, _ in queries:
-        for v in by_user[user_id]:
-            assert 0 < ts - v.exit_ts <= 259_200

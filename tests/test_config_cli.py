@@ -182,6 +182,23 @@ def test_cli_missing_config_file_is_usage_error(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"seed=3\n# a comment\nsim.n_users=\xff9\n", ":3: not UTF-8 (invalid start byte, byte 0xff)"), (None, ": Is a directory")],
+)
+def test_cli_unreadable_config_file_is_usage_error(tmp_path, capsys, content, message):
+    # a byte that is not UTF-8 names its line; a directory is no config file
+    path = tmp_path / "bad.cfg"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code = cli.main(["simulate", "--out", str(tmp_path / "out"), "--config", str(path)])
+    assert code == cli.EXIT_USAGE
+    assert f"{path}{message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_missing_artifacts_are_data_errors(tmp_path, capsys):
     # train-wsm before simulate: the dataset files do not exist yet
     assert cli.main(["train-wsm", "--out", str(tmp_path)]) == cli.EXIT_DATA

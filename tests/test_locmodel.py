@@ -16,19 +16,17 @@ from foodwatch.locmodel import (
     ExposureLink,
     LocSettings,
     Period,
-    RestaurantAggregate,
-    ScoredQueries,
     aggregate_restaurants,
     attribute_sources,
     rank_restaurants,
     sliding_aggregates,
-    wilson_lower_bound,
+    wilson_lower_bounds,
 )
 from foodwatch.logdata import VisitLog
 from foodwatch.seeding import make_rng
-from oracles import link_exposures_oracle, wilson_oracle
+from oracles import link_exposures_oracle, planted_exposures, scored_queries, wilson_lower_bound, wilson_oracle
 
-from conftest import visit
+from conftest import cells, visit
 
 H72 = INCUBATION_WINDOW_S
 
@@ -47,7 +45,7 @@ def positive(user, ts, score=0.9):
 
 def exposures(visits, queries, settings=LocSettings()):
     """``locmodel.link_exposures`` over lists of visit events and scored rows."""
-    return locmodel.link_exposures(VisitLog.of(visits), ScoredQueries.of(queries), settings)
+    return locmodel.link_exposures(VisitLog.of(visits), scored_queries(queries), settings)
 
 
 # --- linking -----------------------------------------------------------------
@@ -142,8 +140,9 @@ def test_wilson_signal_matches_closed_form_oracle():
 @given(st.integers(0, 400), st.integers(1, 400))
 def test_wilson_bound_never_exceeds_proportion(k, n):
     k = min(k, n)
-    assert wilson_lower_bound(k, n) <= k / n + 1e-12
-    assert wilson_lower_bound(k, n) == pytest.approx(wilson_oracle(k, n), abs=1e-12)
+    bound = wilson_lower_bounds(np.array([k]), np.array([n])).item()
+    assert bound <= k / n + 1e-12
+    assert bound == pytest.approx(wilson_oracle(k, n), abs=1e-12)
 
 
 def test_counts_match_bruteforce_set_arithmetic():
@@ -284,20 +283,44 @@ def test_sliding_window_matches_oracle_on_random_worlds(window_days):
     assert_sliding_matches_oracle(visits, links, daily_windows(days, window_days))
 
 
+def linked_rank(visit_events, link, window_s):
+    """The rank ``link_exposures`` gives the link's visit, found by linking
+    the link's user to its anchor once the link's pair has no visit that
+    ends before it, so that the visit is its pair's earliest; 0 when the
+    link names no qualifying visit."""
+    pair = (link.user_id, link.restaurant_id)
+    kept = [v for v in visit_events if (v.user_id, v.restaurant_id) != pair or v.exit_ts >= link.visit_exit_ts]
+    linked = exposures(kept, [positive(link.user_id, link.first_positive_query_ts)], LocSettings(window_s=window_s))
+    ranks = [l.recency_rank for l in linked if (l.restaurant_id, l.visit_exit_ts) == (pair[1], link.visit_exit_ts)]
+    return ranks[0] if ranks else 0
+
+
 # links name users and restaurants the log has or lacks
 link_ids = st.tuples(st.sampled_from(["u0", "u1", "u9"]), st.sampled_from(["r0", "r1", "r9"]))
+# a visit's link, or one with its restaurant or exit moved, and its wait to the anchor
+visit_links = st.tuples(
+    st.integers(0, 39), st.sampled_from([None, None, "r0", "r2", "r9"]), st.sampled_from([0, 0, -1, 1]), st.integers(1, 2 * DAY_S)
+)
 
 
-@given(visits=st.lists(st.tuples(ids, exit_times), max_size=40), links=st.lists(st.tuples(link_ids, exit_times), max_size=20))
-@settings(max_examples=300, deadline=None)
-def test_unvisited_links_match_a_set_of_visits(visits, links):
-    # both streams in arbitrary order, and links reuse visits' exits or not
+@given(
+    visits=st.lists(st.tuples(ids, exit_times), min_size=1, max_size=40),
+    picks=st.lists(visit_links, max_size=12),
+    strays=st.lists(st.tuples(link_ids, exit_times, st.integers(1, 2 * DAY_S)), max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_recency_ranks_are_zero_exactly_off_a_qualifying_visit(visits, picks, strays):
+    # a link's visit may be missing (another exit or restaurant, an unknown
+    # id) or end outside its one-day window; repeat visits and ties occur
     visit_events = [visit(u, r, ts, ts) for (u, r), ts in visits]
-    link_events = [ExposureLink(u, r, ts, ts + 3600, 1) for (u, r), ts in links]
-    link_events += [ExposureLink(v.user_id, "r0", v.exit_ts, v.exit_ts + 1, 1) for v in visit_events[::3]]
-    visited = {(v.user_id, v.restaurant_id, v.exit_ts) for v in visit_events}
-    expected = [i for i, l in enumerate(link_events) if (l.user_id, l.restaurant_id, l.visit_exit_ts) not in visited]
-    assert locmodel.unvisited_links(VisitLog.of(visit_events), link_events).tolist() == expected
+    links = []
+    for at, restaurant, shift, wait in picks:
+        v = visit_events[at % len(visit_events)]
+        exit_ts = v.exit_ts + shift
+        links.append(ExposureLink(v.user_id, restaurant or v.restaurant_id, exit_ts, exit_ts + wait, 1))
+    links += [ExposureLink(u, r, ts, ts + wait, 1) for (u, r), ts, wait in strays]
+    expected = [linked_rank(visit_events, link, DAY_S) for link in links]
+    assert locmodel.recency_ranks(VisitLog.of(visit_events), links, DAY_S).tolist() == expected
 
 
 @given(
@@ -345,47 +368,35 @@ def test_sliding_window_takes_periods_in_any_order(visits, links, periods):
 # --- ranking -----------------------------------------------------------------
 
 
-def ranked_ids(aggs, settings):
-    """rank_restaurants over the aggregates' columns in id order, as ids."""
-    aggs = sorted(aggs, key=lambda a: a.restaurant_id)
-    visitors = np.array([a.visitors for a in aggs])
-    signal = np.array([a.signal for a in aggs])
-    return [aggs[at].restaurant_id for at in rank_restaurants(visitors, signal, settings).tolist()]
+def ranked_ids(counts, settings):
+    """rank_restaurants over the exact cells of ``(visitors, affected)``
+    pairs by id, as ids."""
+    exact = cells(counts)
+    return [exact.restaurants[at] for at in rank_restaurants(exact.visitors, exact.signal, settings).tolist()]
 
 
 def test_all_below_cutoff_is_empty():
-    aggs = [RestaurantAggregate("r1", visitors=100, affected=1)]
-    assert ranked_ids(aggs, LocSettings(min_visitors=20, cutoff=0.9)) == []
+    assert ranked_ids({"r1": (100, 1)}, LocSettings(min_visitors=20, cutoff=0.9)) == []
 
 
 def test_tie_order_is_deterministic():
-    a = RestaurantAggregate("rB", visitors=50, affected=10)
-    b = RestaurantAggregate("rA", visitors=50, affected=10)
-    c = RestaurantAggregate("rC", visitors=80, affected=16)
-    ranked = ranked_ids([a, b, c], LocSettings(min_visitors=20, cutoff=0.0))
+    counts = {"rB": (50, 10), "rA": (50, 10), "rC": (80, 16)}
+    ranked = ranked_ids(counts, LocSettings(min_visitors=20, cutoff=0.0))
     # equal signal: more visitors first, then id ascending
     assert ranked[-2:] == ["rA", "rB"]
 
 
 def test_ranking_matches_bruteforce_oracle():
     rng = make_rng(19, "rank")
-    aggs = [
-        RestaurantAggregate(
-            f"r{i:03d}", visitors=int(rng.integers(1, 200)), affected=0
-        )
-        for i in range(500)
-    ]
-    aggs = [
-        RestaurantAggregate(a.restaurant_id, a.visitors, int(rng.integers(0, a.visitors + 1)))
-        for a in aggs
-    ]
-    rng.shuffle(aggs)
-    got = ranked_ids(aggs, LocSettings(min_visitors=20, cutoff=0.05))
+    visitors = [int(rng.integers(1, 200)) for _ in range(500)]
+    counts = {f"r{i:03d}": (v, int(rng.integers(0, v + 1))) for i, v in enumerate(visitors)}
+    got = ranked_ids(counts, LocSettings(min_visitors=20, cutoff=0.05))
+    signal = {rid: wilson_lower_bound(a, v) for rid, (v, a) in counts.items()}
     expected = sorted(
-        (a for a in aggs if a.visitors >= 20 and a.signal >= 0.05),
-        key=lambda a: (-a.signal, -a.visitors, a.restaurant_id),
+        (rid for rid, (v, _) in counts.items() if v >= 20 and signal[rid] >= 0.05),
+        key=lambda rid: (-signal[rid], -counts[rid][0], rid),
     )
-    assert got == [a.restaurant_id for a in expected]
+    assert got == expected
 
 
 def test_cutoff_validation():
@@ -394,6 +405,17 @@ def test_cutoff_validation():
 
 
 # --- attribution -------------------------------------------------------------
+
+
+def test_planted_exposures_window_geometry():
+    visits, queries, counts = planted_exposures(50, (0.62, 0.194, 0.115, 0.072), seed=1)
+    assert sum(counts) == 50
+    by_user = {}
+    for v in visits:
+        by_user.setdefault(v.user_id, []).append(v)
+    for user_id, ts, _ in queries:
+        for v in by_user[user_id]:
+            assert 0 < ts - v.exit_ts <= 259_200
 
 
 def build_linked_case():

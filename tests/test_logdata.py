@@ -36,7 +36,7 @@ from foodwatch.logdata import (
 )
 
 from conftest import assert_same_log, page, query, visit
-from oracles import load_query_objects, load_visit_objects, write_queries_per_event
+from oracles import load_query_objects, load_visit_objects, scored_queries, write_queries_per_event
 
 
 def write_files(tmp_path, queries="", visits="user_id,restaurant_id,entry_ts,exit_ts\n",
@@ -579,6 +579,7 @@ LOG_ITEMS = {
     VisitLog: [visit(f"u{i % 3}", f"r{i % 2}", i, i + 5) for i in range(7)],
     ScoredQueries: [(f"u{i % 2}", i, i / 10) for i in range(7)],
 }
+LOG_OF = {QueryLog: QueryLog.of, VisitLog: VisitLog.of, ScoredQueries: scored_queries}  # a log of its items
 
 
 @pytest.mark.parametrize(
@@ -588,6 +589,6 @@ LOG_ITEMS = {
 @pytest.mark.parametrize("kind", [QueryLog, VisitLog, ScoredQueries], ids=lambda kind: kind.__name__)
 def test_a_slice_of_a_log_is_a_tuple_of_its_items(kind, index):
     items = LOG_ITEMS[kind]
-    got = kind.of(items)[index]
+    got = LOG_OF[kind](items)[index]
     assert type(got) is tuple
     assert got == tuple(items)[index]

@@ -500,7 +500,7 @@ def _edit_first_link(out, edit):
     row = edit(out, *lines[1].split(","))
     lines[1] = ",".join(row)
     path.write_text("\n".join(lines) + "\n")
-    return f"{path}: link {row[0]},{row[1]},{row[2]} names no visit of the visit log"
+    return f"{path}: link {row[0]},{row[1]},{row[2]} has recency rank {row[4]}, but the visit log ranks it 0: it names no qualifying visit"
 
 
 def _visit_rows(out):
@@ -550,6 +550,33 @@ def _wrong_link_rank(out):
     lines[1] = ",".join([user_id, restaurant_id, exit_ts, anchor, str(int(rank) + 1)])
     path.write_text("\n".join(lines) + "\n")
     return f"{path}: link {user_id},{restaurant_id},{exit_ts} has recency rank {int(rank) + 1}"
+
+
+def _link_times_past_int64(out):
+    # digits that int() reads, but that no int64 column holds
+    path = out / LINKS_CSV
+    _edit_line(path, 1, lambda line: ",".join([*line.split(",")[:2], str(10**19), str(10**19 + 5), "1"]))
+    return f"{path}:2: visit_exit_ts must be <= {2**63 - 1}, got {10**19}"
+
+
+def _huge_critical_count(out):
+    # too large for a float, which the violations model would take it as
+    path = out / ALL_INSPECTIONS_CSV
+
+    def edit(line):
+        fields = line.split(",")
+        fields[4] = "9" * 401
+        return ",".join(fields)
+
+    _edit_line(path, 3, edit)
+    return f"{path}:4: critical_count must be <= {2**63 - 1}, got 999"
+
+
+def _fractional_train_seed(out):
+    # int() would truncate it, and the model would claim another seed
+    path = out / MODEL_FILE
+    _edit_json(path, lambda payload: payload.update(train_seed=1.7))
+    return f"{path}: malformed artifact (ValueError: train_seed must be an integer, got 1.7)"
 
 
 def _undecodable_byte(path, index):
@@ -772,6 +799,10 @@ def _non_string_infection_ids(out):
         ("evaluate", _link_exit_of_no_visit),
         ("evaluate", _link_exit_of_another_visit),
         ("evaluate", _wrong_link_rank),
+        ("evaluate", _link_times_past_int64),
+        ("evaluate", _huge_critical_count),
+        ("eval-wsm", _fractional_train_seed),
+        ("rank", _fractional_train_seed),
         ("train-wsm", _undecodable_query_byte),
         ("rank", _undecodable_visit_byte),
         ("evaluate", _undecodable_visit_byte),

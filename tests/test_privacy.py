@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from foodwatch.citysim import SimConfig, generate_world, simulate
 from foodwatch.errors import UsageError
-from foodwatch.locmodel import ExposureLink, RestaurantAggregate, shares, wilson_lower_bound
+from foodwatch.locmodel import ExposureLink, shares
 from foodwatch.logdata import Dataset, Trigger
 from foodwatch.privacy import (
     PrivacySettings,
@@ -23,7 +23,7 @@ from foodwatch.privacy import (
 from foodwatch.seeding import PCG64Lanes, derive_seeds, make_rng
 
 from conftest import cells, query, visit
-from oracles import wilson_oracle
+from oracles import wilson_lower_bound, wilson_oracle
 
 KEY = 0xDEADBEEF_CAFEBABE_0123456789ABCDEF
 
@@ -151,7 +151,7 @@ def test_capping_guarantees_unit_sensitivity(raw):
 
 
 def agg(rid="r1", visitors=100, affected=10):
-    return cells({rid: RestaurantAggregate(rid, visitors, affected)})
+    return cells({rid: (visitors, affected)})
 
 
 def test_huge_epsilon_recovers_counts():
@@ -165,7 +165,7 @@ def test_huge_epsilon_recovers_counts():
 def test_laplace_moments_match_oracle():
     policy = PrivacySettings(epsilon=1.0, suppress_below=0)
     n = 20_000
-    aggs = {f"r{i:05d}": RestaurantAggregate(f"r{i:05d}", 100, 0) for i in range(n)}
+    aggs = {f"r{i:05d}": (100, 0) for i in range(n)}
     rel = release(cells(aggs), policy, rng_seed=17)
     noise = np.array([r.visitors - 100 for r in rel.values()])
     assert abs(noise.mean()) < 3 * math.sqrt(2.0) / math.sqrt(n)  # mean-zero bound
@@ -184,7 +184,7 @@ def test_suppression_exposes_no_counts():
 
 def test_release_proportion_clamped():
     policy = PrivacySettings(epsilon=0.2, suppress_below=0)
-    aggs = {f"r{i}": RestaurantAggregate(f"r{i}", 3, 3) for i in range(200)}
+    aggs = {f"r{i}": (3, 3) for i in range(200)}
     for rel in release(cells(aggs), policy, rng_seed=3).values():
         if not rel.suppressed:
             assert 0.0 <= rel.proportion <= 1.0
@@ -192,10 +192,7 @@ def test_release_proportion_clamped():
 
 def test_release_deterministic_and_order_independent():
     policy = PrivacySettings(epsilon=1.0, suppress_below=0)
-    aggs = {
-        "rA": RestaurantAggregate("rA", 50, 5),
-        "rB": RestaurantAggregate("rB", 60, 6),
-    }
+    aggs = {"rA": (50, 5), "rB": (60, 6)}
     flipped = {"rB": aggs["rB"], "rA": aggs["rA"]}
     a = release(cells(aggs), policy, rng_seed=9)
     b = release(cells(flipped), policy, rng_seed=9)
@@ -217,13 +214,13 @@ def test_release_matches_per_cell_bruteforce(counts, seed):
     # noises, visitors first; a suppressed cell's unused affected draw must
     # not shift any other cell's noise
     policy = PrivacySettings(epsilon=0.5, suppress_below=30)
-    aggs = {rid: RestaurantAggregate(rid, v, min(a, v)) for rid, (v, a) in counts.items()}
+    aggs = {rid: (v, min(a, v)) for rid, (v, a) in counts.items()}
     rel = release(cells(aggs), policy, rng_seed=seed)
     assert sorted(rel) == sorted(aggs)
-    for rid, exact in aggs.items():
+    for rid, (exact_visitors, exact_affected) in aggs.items():
         rng = make_rng(seed, "release", rid)
-        visitors = exact.visitors + rng.laplace(0.0, 2.0)
-        affected = exact.affected + rng.laplace(0.0, 2.0)
+        visitors = exact_visitors + rng.laplace(0.0, 2.0)
+        affected = exact_affected + rng.laplace(0.0, 2.0)
         cell = rel[rid]
         assert cell.suppressed == (visitors < 30)
         if cell.suppressed:
@@ -239,20 +236,20 @@ def test_release_matches_per_cell_bruteforce(counts, seed):
 def test_release_with_privacy_off_is_exact():
     policy = PrivacySettings(enabled=False, epsilon=0.01, suppress_below=1000)
     aggs = {
-        "rA": RestaurantAggregate("rA", 50, 5),
-        "rB": RestaurantAggregate("rB", 3, 0),  # far below suppress_below
-        "rC": RestaurantAggregate("rC", 0, 0),
+        "rA": (50, 5),
+        "rB": (3, 0),  # far below suppress_below
+        "rC": (0, 0),
     }
     for seed in (0, 1):
         rel = release(cells(aggs), policy, rng_seed=seed)
         assert sorted(rel) == sorted(aggs)
         for rid, cell in rel.items():
-            exact = aggs[rid]
+            visitors, affected = aggs[rid]
             assert not cell.suppressed
-            assert type(cell.visitors) is int and cell.visitors == exact.visitors
-            assert type(cell.affected) is int and cell.affected == exact.affected
-            assert cell.proportion == (exact.affected / exact.visitors if exact.visitors else 0.0)
-            assert cell.signal == pytest.approx(wilson_oracle(exact.affected, exact.visitors), abs=1e-12)
+            assert type(cell.visitors) is int and cell.visitors == visitors
+            assert type(cell.affected) is int and cell.affected == affected
+            assert cell.proportion == (affected / visitors if visitors else 0.0)
+            assert cell.signal == pytest.approx(wilson_oracle(affected, visitors), abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -266,7 +263,7 @@ def test_release_with_privacy_off_is_exact():
     st.floats(0.01, 10.0),
 )
 def test_release_keeps_the_cell_shape(counts, seed, epsilon):
-    exact = cells({rid: RestaurantAggregate(rid, v, min(a, v)) for rid, (v, a) in counts.items()})
+    exact = cells({rid: (v, min(a, v)) for rid, (v, a) in counts.items()})
     assert release(exact, PrivacySettings(enabled=False, epsilon=epsilon), seed) is exact
     noised = release(exact, PrivacySettings(epsilon=epsilon), seed)
     assert noised.restaurants is exact.restaurants and noised.restaurant is exact.restaurant
@@ -375,6 +372,5 @@ def test_shares_equal_the_scalar_expressions(exact, noised):
             trials = max(v, 1.0)
             assert repr(p) == repr(min(max(a / max(v, 1.0), 0.0), 1.0))
             assert repr(s) == repr(wilson_lower_bound(min(max(a, 0.0), trials), trials))
-            if dtype is np.int64:
-                aggregate = RestaurantAggregate("r", v, a)
-                assert (repr(p), repr(s)) == (repr(aggregate.proportion), repr(aggregate.signal))
+            if dtype is np.int64:  # an exact cell's share and bound of its own counts
+                assert (repr(p), repr(s)) == (repr(a / v if v else 0.0), repr(wilson_lower_bound(a, v)))
