@@ -642,7 +642,7 @@ def simulate(
     def visited(uid: str, first_ts: int, last_ts: int) -> np.ndarray:
         """The restaurant codes of the user's visits ending in [first_ts, last_ts], in exit order."""
         code = code_of.get(uid, -1)  # below every code: a user without visits has an empty span
-        lo, hi = np.searchsorted(user, [code, code + 1])
+        lo, hi = np.searchsorted(user, np.array([code, code + 1], dtype=user.dtype))  # a list would cast the column
         first, last = lo + np.searchsorted(user_exits[lo:hi], [first_ts, last_ts + 1])
         return visits.restaurant[by_user[first:last]]
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from datetime import date as Date, datetime, timezone
 from operator import attrgetter
@@ -276,9 +277,8 @@ def compute_model(config: RunConfig, queries: QueryLog) -> tuple[LabeledSet, obj
 
 def truth_label_by_text(queries: QueryLog, truth: GroundTruth) -> np.ndarray:
     """Ground-truth topical label per text code (consistent by construction),
-    read at each text code's first event."""
-    if len(truth.query_labels) != len(queries):
-        raise ValueError(f"{len(truth.query_labels)} query labels for {len(queries)} queries")
+    read at each text code's first event. ``truth`` holds one label per query
+    event; ``stage_eval_wsm`` refuses a file that does not."""
     first = first_occurrences(queries.text)
     labels = np.zeros(len(queries.texts), dtype=int)
     labels[queries.text[first]] = np.asarray(truth.query_labels)[first]
@@ -437,55 +437,33 @@ def compute_evaluation_tables(
     registry: dict[str, RestaurantRecord],
     all_inspections,
     links: tuple[ExposureLink, ...],
-) -> dict[str, list]:
-    precision_rows = []
-    for row in precision_table(all_inspections, registry):
-        fit = row.fit
-        precision_rows.append(
-            [
-                row.comparison,
-                row.stratum,
-                row.n_finder,
-                row.unsafe_finder,
-                row.pct_finder * 100,
-                row.n_other,
-                row.unsafe_other,
-                row.pct_other * 100,
-                fit.odds_ratio if fit else None,
-                fit.ci95[0] if fit else None,
-                fit.ci95[1] if fit else None,
-                fit.p_value if fit else None,
-                fit.converged if fit else None,
-                row.fit_note,
-            ]
-        )
-
+) -> list[tuple[str, list[str], list]]:
+    """The evaluation tables as (file name, header, rows), each row in its
+    header's column order."""
     finder = [i for i in all_inspections if i.trigger == Trigger.FINDER]
     baseline = [i for i in all_inspections if i.trigger != Trigger.FINDER]
-    risk_rows = []
-    counts = {"finder": [], "baseline": []}
-    for level in (RiskLevel.HIGH, RiskLevel.MEDIUM, RiskLevel.LOW):
-        nf = sum(1 for i in finder if registry[i.restaurant_id].risk_level == level)
-        nb = sum(1 for i in baseline if registry[i.restaurant_id].risk_level == level)
-        counts["finder"].append(nf)
-        counts["baseline"].append(nb)
-    chi_p = None
+    levels = (RiskLevel.HIGH, RiskLevel.MEDIUM, RiskLevel.LOW)
+
+    def per_level(group: list[InspectionRecord]) -> list[int]:
+        counts = Counter(registry[i.restaurant_id].risk_level for i in group)
+        return [counts[level] for level in levels]
+
+    finder_n, baseline_n = per_level(finder), per_level(baseline)
     try:
-        chi_p = chi_square_independence([counts["finder"], counts["baseline"]]).p_value
+        chi_p = chi_square_independence([finder_n, baseline_n]).p_value
     except DataError:
-        pass
-    for i, level in enumerate((RiskLevel.HIGH, RiskLevel.MEDIUM, RiskLevel.LOW)):
-        nf, nb = counts["finder"][i], counts["baseline"][i]
-        risk_rows.append(
-            [
-                level.value,
-                nf,
-                100 * nf / len(finder) if finder else 0.0,
-                nb,
-                100 * nb / len(baseline) if baseline else 0.0,
-                chi_p if i == 0 else None,
-            ]
-        )
+        chi_p = None
+    risk_rows = [
+        [
+            level.value,
+            nf,
+            100 * nf / len(finder) if finder else 0.0,
+            nb,
+            100 * nb / len(baseline) if baseline else 0.0,
+            chi_p if k == 0 else None,
+        ]
+        for k, (level, nf, nb) in enumerate(zip(levels, finder_n, baseline_n))
+    ]
 
     violation_rows = []
     if finder and baseline:
@@ -509,16 +487,13 @@ def compute_evaluation_tables(
     full_window = Period(0, (config.days + 4) * DAY_S)
     aggregates = dict(next(sliding_aggregates(visits, links, [full_window])).items())
     _, histogram = attribute_sources(links, aggregates)
-    attribution_rows = [
-        [label, frac]
-        for label, frac in zip(histogram.BIN_LABELS, histogram.fractions)
+    attribution_rows = list(zip(histogram.BIN_LABELS, histogram.fractions))
+    return [
+        (report_mod.PRECISION_CSV, report_mod.PRECISION_HEADER, precision_table(all_inspections, registry)),
+        (report_mod.RISK_DISTRIBUTION_CSV, report_mod.RISK_DISTRIBUTION_HEADER, risk_rows),
+        (report_mod.VIOLATIONS_CSV, report_mod.VIOLATIONS_HEADER, violation_rows),
+        (report_mod.ATTRIBUTION_CSV, report_mod.ATTRIBUTION_HEADER, attribution_rows),
     ]
-    return {
-        "precision": precision_rows,
-        "risk_distribution": risk_rows,
-        "violations": violation_rows,
-        "attribution": attribution_rows,
-    }
 
 
 # --- file-backed stages -------------------------------------------------------
@@ -621,21 +596,8 @@ def stage_evaluate(config: RunConfig, out: Path | Run) -> None:
             f"{link.recency_rank}, but the visit log ranks it {rank}"
             + ("" if rank else ": it names no qualifying visit")
         )
-    tables = compute_evaluation_tables(config, visits, registry, run.all_inspections, links)
-    report_mod.write_csv(
-        run.out / report_mod.PRECISION_CSV, report_mod.PRECISION_HEADER, tables["precision"]
-    )
-    report_mod.write_csv(
-        run.out / report_mod.RISK_DISTRIBUTION_CSV,
-        report_mod.RISK_DISTRIBUTION_HEADER,
-        tables["risk_distribution"],
-    )
-    report_mod.write_csv(
-        run.out / report_mod.VIOLATIONS_CSV, report_mod.VIOLATIONS_HEADER, tables["violations"]
-    )
-    report_mod.write_csv(
-        run.out / report_mod.ATTRIBUTION_CSV, report_mod.ATTRIBUTION_HEADER, tables["attribution"]
-    )
+    for name, header, rows in compute_evaluation_tables(config, visits, registry, run.all_inspections, links):
+        report_mod.write_csv(run.out / name, header, rows)
 
 
 def stage_report(config: RunConfig, out: Path | Run) -> str:

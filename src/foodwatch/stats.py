@@ -303,33 +303,15 @@ def chi_square_independence(table: Sequence[Sequence[float]]) -> ChiSquareResult
 
 # --- precision table ---------------------------------------------------------
 
+# Each comparison's other group, as a mask over a column of trigger values;
+# numpy would compare a Trigger member as its str(), "Trigger.FINDER".
 COMPARISONS = (
-    ("FINDER_vs_BASELINE", lambda t: t != Trigger.FINDER),
-    ("FINDER_vs_COMPLAINT", lambda t: t == Trigger.COMPLAINT),
-    ("FINDER_vs_ROUTINE", lambda t: t == Trigger.ROUTINE),
+    ("FINDER_vs_BASELINE", lambda t: t != Trigger.FINDER.value),
+    ("FINDER_vs_COMPLAINT", lambda t: t == Trigger.COMPLAINT.value),
+    ("FINDER_vs_ROUTINE", lambda t: t == Trigger.ROUTINE.value),
 )
 
 STRATA = ("overall", RiskLevel.HIGH.value, RiskLevel.MEDIUM.value, RiskLevel.LOW.value)
-
-
-@dataclass(frozen=True)
-class PrecisionRow:
-    comparison: str
-    stratum: str
-    n_finder: int
-    unsafe_finder: int
-    n_other: int
-    unsafe_other: int
-    fit: RegressionFit | None
-    fit_note: str = ""
-
-    @property
-    def pct_finder(self) -> float:
-        return self.unsafe_finder / self.n_finder if self.n_finder else 0.0
-
-    @property
-    def pct_other(self) -> float:
-        return self.unsafe_other / self.n_other if self.n_other else 0.0
 
 
 def build_design_matrix(
@@ -358,57 +340,57 @@ def build_design_matrix(
 def precision_table(
     inspections: Sequence[InspectionRecord],
     registry: Mapping[str, RestaurantRecord],
-) -> tuple[PrecisionRow, ...]:
-    """Unsafe rates and adjusted odds ratios, one row per trigger comparison
-    and risk stratum. Comparisons that cannot be fit (empty stratum, single outcome
-    class, separation) carry a note instead of an odds ratio."""
+) -> list[list]:
+    """``precision.csv`` rows, in ``report.PRECISION_HEADER`` order: unsafe
+    counts and rates (in percent) and the adjusted odds ratio, one row per
+    trigger comparison and risk stratum. A comparison that cannot be fit
+    (empty group, single outcome class, separation) leaves the fit columns
+    empty and says why in the note."""
     missing = sorted({i.restaurant_id for i in inspections} - set(registry))
     if missing:
         raise ReferentialError(f"inspections reference unknown restaurants: {', '.join(missing)}")
 
-    def risk_of(rec: InspectionRecord) -> RiskLevel:
-        return registry[rec.restaurant_id].risk_level
+    restaurants = [registry[i.restaurant_id] for i in inspections]
+    trigger = np.array([i.trigger.value for i in inspections], dtype=str)
+    finder = trigger == Trigger.FINDER.value
+    unsafe = np.array([i.outcome == Outcome.UNSAFE for i in inspections], dtype=bool)
+    cities = np.array([r.city for r in restaurants], dtype=str)
+    risks = np.array([r.risk_level for r in restaurants], dtype=object)
+    strata = [(stratum, (stratum == "overall") | (risks == stratum)) for stratum in STRATA]
 
-    def city_of(rec: InspectionRecord) -> str:
-        return registry[rec.restaurant_id].city
-
-    rows: list[PrecisionRow] = []
-    for name, other_pred in COMPARISONS:
-        for stratum in STRATA:
-            def in_stratum(rec: InspectionRecord) -> bool:
-                return stratum == "overall" or risk_of(rec).value == stratum
-
-            finder = [i for i in inspections if i.trigger == Trigger.FINDER and in_stratum(i)]
-            other = [i for i in inspections if other_pred(i.trigger) and in_stratum(i)]
-            unsafe_f = sum(1 for i in finder if i.outcome == Outcome.UNSAFE)
-            unsafe_o = sum(1 for i in other if i.outcome == Outcome.UNSAFE)
-
-            fit = None
-            note = ""
-            if not finder or not other:
+    rows: list[list] = []
+    for name, other_of in COMPARISONS:
+        other = other_of(trigger)
+        for stratum, members in strata:
+            at_finder, at_other = np.flatnonzero(finder & members), np.flatnonzero(other & members)
+            n_finder, n_other = len(at_finder), len(at_other)
+            unsafe_finder, unsafe_other = int(unsafe[at_finder].sum()), int(unsafe[at_other].sum())
+            fit, note = None, ""
+            if not n_finder or not n_other:
                 note = "empty group"
             else:
-                pooled = finder + other
+                pooled = np.concatenate((at_finder, at_other))
                 X = build_design_matrix(
-                    group_flags=[1] * len(finder) + [0] * len(other),
-                    cities=[city_of(i) for i in pooled],
-                    risks=[risk_of(i) for i in pooled] if stratum == "overall" else None,
+                    group_flags=[1] * n_finder + [0] * n_other,
+                    cities=cities[pooled].tolist(),
+                    risks=risks[pooled].tolist() if stratum == "overall" else None,
                 )
-                y = [1 if i.outcome == Outcome.UNSAFE else 0 for i in pooled]
                 try:
-                    fit = fit_binomial_logit(X, y)
+                    fit = fit_binomial_logit(X, unsafe[pooled])
                 except (DataError, NumericalError) as exc:
                     note = str(exc)
             rows.append(
-                PrecisionRow(
-                    comparison=name,
-                    stratum=stratum,
-                    n_finder=len(finder),
-                    unsafe_finder=unsafe_f,
-                    n_other=len(other),
-                    unsafe_other=unsafe_o,
-                    fit=fit,
-                    fit_note=note,
-                )
+                [
+                    name,
+                    stratum,
+                    n_finder,
+                    unsafe_finder,
+                    (unsafe_finder / n_finder if n_finder else 0.0) * 100,
+                    n_other,
+                    unsafe_other,
+                    (unsafe_other / n_other if n_other else 0.0) * 100,
+                    *((fit.odds_ratio, *fit.ci95, fit.p_value, fit.converged) if fit else (None,) * 5),
+                    note,
+                ]
             )
-    return tuple(rows)
+    return rows

@@ -275,6 +275,30 @@ def test_precision_rows_conserve_inspection_counts(small_run):
     assert int(overall[2]) + int(overall[5]) == total
 
 
+def test_risk_distribution_rows_match_a_bruteforce_count(small_run):
+    out, _ = small_run
+    _, restaurants = report_mod.read_csv(dataset_dir(out) / "restaurants.csv", ["restaurant_id", "city", "risk_level"])
+    risk_of = {rid: risk for rid, _, risk in restaurants}
+    _, inspections = report_mod.read_csv(out / ALL_INSPECTIONS_CSV)
+    groups = {"finder": [], "baseline": []}
+    for restaurant_id, _, trigger, *_ in inspections:
+        groups["finder" if trigger == "FINDER" else "baseline"].append(risk_of[restaurant_id])
+    _, rows = report_mod.read_csv(out / report_mod.RISK_DISTRIBUTION_CSV, report_mod.RISK_DISTRIBUTION_HEADER)
+
+    levels = ["high", "medium", "low"]
+    assert [row[0] for row in rows] == levels
+    table = [[group.count(level) for level in levels] for group in groups.values()]
+    for row, finder_n, baseline_n in zip(rows, *table):
+        assert (int(row[1]), int(row[3])) == (finder_n, baseline_n)
+        assert float(row[2]) == pytest.approx(100 * finder_n / len(groups["finder"]), rel=1e-12)
+        assert float(row[4]) == pytest.approx(100 * baseline_n / len(groups["baseline"]), rel=1e-12)
+    assert [row[5] != "" for row in rows] == [True, False, False]
+    total = sum(map(sum, table))
+    expected = [[sum(group) * level_n / total for level_n in map(sum, zip(*table))] for group in table]
+    statistic = sum((o - e) ** 2 / e for og, eg in zip(table, expected) for o, e in zip(og, eg))
+    assert float(rows[0][5]) == pytest.approx(math.exp(-statistic / 2), rel=1e-9)  # the 2-dof upper tail
+
+
 def test_world_recipe_regenerates_world(small_run):
     out, _ = small_run
     world = load_world_recipe(private_dir(out) / "world.json")

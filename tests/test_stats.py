@@ -17,6 +17,7 @@ from foodwatch.logdata import (
     RiskLevel,
     Trigger,
 )
+from foodwatch.report import PRECISION_HEADER
 from foodwatch.seeding import make_rng
 from oracles import chi2_sf_quadrature, crossproduct_oracle
 
@@ -249,6 +250,11 @@ def inspection(rid, trigger, unsafe, when=date(2016, 6, 1)):
     )
 
 
+def precision_rows(inspections, registry):
+    """``precision_table`` rows as dicts keyed by ``PRECISION_HEADER`` name."""
+    return [dict(zip(PRECISION_HEADER, row, strict=True)) for row in precision_table(inspections, registry)]
+
+
 def test_paper_counts_reproduce_fractions_exactly():
     registry = registry_for(1)
     rows = []
@@ -256,16 +262,16 @@ def test_paper_counts_reproduce_fractions_exactly():
     rows += [inspection("r0", Trigger.FINDER, False) for _ in range(63)]
     rows += [inspection("r0", Trigger.ROUTINE, True) for _ in range(2662)]
     rows += [inspection("r0", Trigger.ROUTINE, False) for _ in range(8124)]
-    table = precision_table(rows, registry)
+    table = precision_rows(rows, registry)
     overall = next(
-        r for r in table if r.comparison == "FINDER_vs_BASELINE" and r.stratum == "overall"
+        r for r in table if r["comparison"] == "FINDER_vs_BASELINE" and r["stratum"] == "overall"
     )
-    assert overall.n_finder == 132 and overall.unsafe_finder == 69
-    assert overall.n_other == 10786 and overall.unsafe_other == 2662
-    assert round(100 * overall.pct_finder, 1) == 52.3
-    assert round(100 * overall.pct_other, 1) == 24.7
-    assert overall.fit is not None
-    assert abs(overall.fit.odds_ratio - 3.342) < 5e-3
+    assert overall["n_finder"] == 132 and overall["unsafe_finder"] == 69
+    assert overall["n_other"] == 10786 and overall["unsafe_other"] == 2662
+    assert round(overall["pct_finder"], 1) == 52.3
+    assert round(overall["pct_other"], 1) == 24.7
+    assert overall["odds_ratio"] is not None
+    assert abs(overall["odds_ratio"] - 3.342) < 5e-3
 
 
 def test_group_counts_match_bruteforce_groupby():
@@ -286,20 +292,20 @@ def test_group_counts_match_bruteforce_groupby():
         )
         for _ in range(1000)
     ]
-    table = precision_table(rows, registry)
-    overall = next(r for r in table if (r.comparison, r.stratum) == ("FINDER_vs_BASELINE", "overall"))
-    assert overall.n_finder + overall.n_other == 1000
+    table = precision_rows(rows, registry)
+    overall = next(r for r in table if (r["comparison"], r["stratum"]) == ("FINDER_vs_BASELINE", "overall"))
+    assert overall["n_finder"] + overall["n_other"] == 1000
     for row in table:
         in_stratum = lambda r: (
-            row.stratum == "overall"
-            or registry[r.restaurant_id].risk_level.value == row.stratum
+            row["stratum"] == "overall"
+            or registry[r.restaurant_id].risk_level.value == row["stratum"]
         )
         finder = [r for r in rows if r.trigger == Trigger.FINDER and in_stratum(r)]
-        assert row.n_finder == len(finder)
-        assert row.unsafe_finder == sum(r.outcome is Outcome.UNSAFE for r in finder)
-        if row.comparison == "FINDER_vs_COMPLAINT":
+        assert row["n_finder"] == len(finder)
+        assert row["unsafe_finder"] == sum(r.outcome is Outcome.UNSAFE for r in finder)
+        if row["comparison"] == "FINDER_vs_COMPLAINT":
             other = [r for r in rows if r.trigger == Trigger.COMPLAINT and in_stratum(r)]
-            assert row.n_other == len(other)
+            assert row["n_other"] == len(other)
 
 
 def test_all_safe_outcomes_leave_fit_absent():
@@ -307,21 +313,21 @@ def test_all_safe_outcomes_leave_fit_absent():
     rows = [inspection("r0", Trigger.FINDER, False)] * 5 + [
         inspection("r1", Trigger.ROUTINE, False)
     ] * 5
-    table = precision_table(rows, registry)
+    table = precision_rows(rows, registry)
     for row in table:
-        assert row.fit is None
-        if row.n_finder and row.n_other:
-            assert "single class" in row.fit_note
+        assert row["odds_ratio"] is None
+        if row["n_finder"] and row["n_other"]:
+            assert "single class" in row["note"]
 
 
 def test_empty_stratum_rows_emitted_with_zero_counts():
     registry = registry_for(2)  # all high risk
     rows = [inspection("r0", Trigger.FINDER, True), inspection("r1", Trigger.ROUTINE, False)]
-    table = precision_table(rows, registry)
+    table = precision_rows(rows, registry)
     low = next(
-        r for r in table if r.comparison == "FINDER_vs_BASELINE" and r.stratum == "low"
+        r for r in table if r["comparison"] == "FINDER_vs_BASELINE" and r["stratum"] == "low"
     )
-    assert low.n_finder == 0 and low.n_other == 0 and low.fit is None
+    assert low["n_finder"] == 0 and low["n_other"] == 0 and low["odds_ratio"] is None
 
 
 def test_unknown_inspection_restaurant_rejected():
