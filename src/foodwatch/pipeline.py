@@ -440,6 +440,7 @@ def compute_evaluation_tables(
 ) -> list[tuple[str, list[str], list]]:
     """The evaluation tables as (file name, header, rows), each row in its
     header's column order."""
+    precision_rows = precision_table(all_inspections, registry)  # refuses unknown restaurants
     finder = [i for i in all_inspections if i.trigger == Trigger.FINDER]
     baseline = [i for i in all_inspections if i.trigger != Trigger.FINDER]
     levels = (RiskLevel.HIGH, RiskLevel.MEDIUM, RiskLevel.LOW)
@@ -489,7 +490,7 @@ def compute_evaluation_tables(
     _, histogram = attribute_sources(links, aggregates)
     attribution_rows = list(zip(histogram.BIN_LABELS, histogram.fractions))
     return [
-        (report_mod.PRECISION_CSV, report_mod.PRECISION_HEADER, precision_table(all_inspections, registry)),
+        (report_mod.PRECISION_CSV, report_mod.PRECISION_HEADER, precision_rows),
         (report_mod.RISK_DISTRIBUTION_CSV, report_mod.RISK_DISTRIBUTION_HEADER, risk_rows),
         (report_mod.VIOLATIONS_CSV, report_mod.VIOLATIONS_HEADER, violation_rows),
         (report_mod.ATTRIBUTION_CSV, report_mod.ATTRIBUTION_HEADER, attribution_rows),

@@ -303,12 +303,10 @@ def chi_square_independence(table: Sequence[Sequence[float]]) -> ChiSquareResult
 
 # --- precision table ---------------------------------------------------------
 
-# Each comparison's other group, as a mask over a column of trigger values;
-# numpy would compare a Trigger member as its str(), "Trigger.FINDER".
 COMPARISONS = (
-    ("FINDER_vs_BASELINE", lambda t: t != Trigger.FINDER.value),
-    ("FINDER_vs_COMPLAINT", lambda t: t == Trigger.COMPLAINT.value),
-    ("FINDER_vs_ROUTINE", lambda t: t == Trigger.ROUTINE.value),
+    ("FINDER_vs_BASELINE", lambda t: t != Trigger.FINDER),
+    ("FINDER_vs_COMPLAINT", lambda t: t == Trigger.COMPLAINT),
+    ("FINDER_vs_ROUTINE", lambda t: t == Trigger.ROUTINE),
 )
 
 STRATA = ("overall", RiskLevel.HIGH.value, RiskLevel.MEDIUM.value, RiskLevel.LOW.value)
@@ -351,8 +349,7 @@ def precision_table(
         raise ReferentialError(f"inspections reference unknown restaurants: {', '.join(missing)}")
 
     restaurants = [registry[i.restaurant_id] for i in inspections]
-    trigger = np.array([i.trigger.value for i in inspections], dtype=str)
-    finder = trigger == Trigger.FINDER.value
+    finder = np.array([i.trigger == Trigger.FINDER for i in inspections], dtype=bool)
     unsafe = np.array([i.outcome == Outcome.UNSAFE for i in inspections], dtype=bool)
     cities = np.array([r.city for r in restaurants], dtype=str)
     risks = np.array([r.risk_level for r in restaurants], dtype=object)
@@ -360,7 +357,7 @@ def precision_table(
 
     rows: list[list] = []
     for name, other_of in COMPARISONS:
-        other = other_of(trigger)
+        other = np.array([other_of(i.trigger) for i in inspections], dtype=bool)
         for stratum, members in strata:
             at_finder, at_other = np.flatnonzero(finder & members), np.flatnonzero(other & members)
             n_finder, n_other = len(at_finder), len(at_other)

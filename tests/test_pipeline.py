@@ -644,6 +644,11 @@ def _visit_unregistered_restaurant(out):
     return "visits reference unknown restaurants: r99999"
 
 
+def _inspection_unregistered_restaurant(out):
+    _edit_line(out / ALL_INSPECTIONS_CSV, 1, lambda line: ",".join(["r99999", *line.split(",")[1:]]))
+    return "inspections reference unknown restaurants: r99999"
+
+
 def _shorten_inspection_row(out):
     path = out / ALL_INSPECTIONS_CSV
     _edit_line(path, 3, lambda line: line.split(",")[0])
@@ -794,6 +799,7 @@ def _non_string_infection_ids(out):
         ("rank", _non_integer_exit_ts),
         ("evaluate", _blank_line_before_short_link_row),
         ("evaluate", _shorten_inspection_row),
+        ("evaluate", _inspection_unregistered_restaurant),
         ("evaluate", _visit_unregistered_restaurant),
         ("report", _rename_risk_distribution_column),
         ("report", _rename_violations_column),
