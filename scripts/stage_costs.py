@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Per-stage cost of the foodwatch CLI: wall time, CPU time and peak RSS.
+"""Per-stage cost of the foodwatch CLI: wall time, CPU time, peak RSS and
+the artifact directory's size.
 
 Runs CLI stages one after another against one artifact directory, each in a
 child process of its own, and prints one JSON line per stage. CPU time and
-peak RSS come from ``os.wait4``. Arguments this script does not know
-(``--seed``, ``--days``, ``--set key=value``, ``--config``) go to every
-stage.
+peak RSS come from ``os.wait4``; ``dir_mb`` is the total size of the files
+in the artifact directory once the stage has exited. Arguments this script
+does not know (``--seed``, ``--days``, ``--set key=value``, ``--config``) go
+to every stage.
 
 Each stage runs with one BLAS thread (``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to 1), as the benchmark runs
@@ -53,7 +55,13 @@ def run_stage(stage: str, out: str, stage_args: list[str]) -> dict:
         "wall_s": round(wall, 3),
         "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
         "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),  # Linux reports kilobytes
+        "dir_mb": round(dir_bytes(out) / 2**20, 1),
     }
+
+
+def dir_bytes(path: str) -> int:
+    """The total size of the files under ``path``; 0 if it does not exist."""
+    return sum(os.path.getsize(os.path.join(top, name)) for top, _, names in os.walk(path) for name in names)
 
 
 def main() -> int:

@@ -260,11 +260,19 @@ class QueryLog(Columns):
         keys[:, 0] = self.text
         for field, column in enumerate(self.page_columns()):
             keys[page_event, 1 + len(PAGE_FIELDS) * slot + field] = column
-        _, first, rows = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        position = np.empty_like(order)
-        position[order] = np.arange(len(order))
-        return first[order], position[rows.reshape(-1)]
+        # a stable sort by key, first column first, so each group of equal
+        # keys starts at its first event
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        rows = np.empty(len(order), dtype=np.intp)
+        rows[order] = np.cumsum(starts) - 1  # each event's group, in key order
+        first = order[starts]
+        by_first = np.argsort(first)
+        position = np.empty_like(by_first)
+        position[by_first] = np.arange(len(by_first))
+        return first[by_first], position[rows]
 
     def page_event(self) -> np.ndarray:
         """The event of each result page."""

@@ -40,7 +40,6 @@ from .errors import DataError, DataFormatError, UsageError
 from .locmodel import (
     ExposureLink,
     Period,
-    RestaurantCells,
     ScoredQueries,
     aggregate_restaurants,  # unused here; the benchmark tracer wraps it
     attribute_sources,
@@ -173,6 +172,28 @@ def _parse_daily_row(row: list[str]) -> tuple:
     return tuple(row)
 
 
+# Each stage input by name: its path in a run directory and its reader. The
+# readers look their loaders up in this module when they run, so a wrapper
+# set on a loader's ``pipeline`` name sees every read.
+INPUTS: dict[str, tuple[Callable[[Path], Path], Callable[[Path], object]]] = {
+    "queries": (lambda out: DatasetPaths.in_dir(dataset_dir(out)).queries, lambda p: load_queries(p)),
+    "visit_log": (dataset_dir, lambda d: load_visit_log(DatasetPaths.in_dir(d))),  # visits, registry by id
+    "background_inspections": (
+        lambda out: DatasetPaths.in_dir(dataset_dir(out)).inspections,
+        lambda p: load_inspections(p),
+    ),
+    "truth": (lambda out: private_dir(out) / GROUND_TRUTH_FILE, lambda p: load_ground_truth(p)),
+    "model": (lambda out: out / MODEL_FILE, lambda p: load_model(p)),
+    "world": (lambda out: private_dir(out) / WORLD_FILE, lambda p: load_world_recipe(p)),
+    "links": (lambda out: out / LINKS_CSV, lambda p: tuple(report_mod.read_csv(p, LINKS_HEADER, _parse_link)[1])),
+    "daily_rows": (
+        lambda out: out / report_mod.DAILY_LISTS_CSV,
+        lambda p: tuple(report_mod.read_csv(p, report_mod.DAILY_LIST_HEADER, _parse_daily_row)[1]),
+    ),
+    "all_inspections": (lambda out: out / ALL_INSPECTIONS_CSV, lambda p: load_inspections(p)),
+}
+
+
 class Run:
     """An artifact directory and the inputs its stages share.
 
@@ -201,61 +222,16 @@ class Run:
         for name in names:
             self._inputs.pop(name, None)
 
-    def get(self, name: str, make: Callable[[], object]):
-        """The kept input ``name``, made and kept first if it is missing."""
+    def path(self, name: str) -> Path:
+        """Where the input ``name`` lives in this run's directory."""
+        return INPUTS[name][0](self.out)
+
+    def get(self, name: str, make: Callable[[], object] | None = None):
+        """The kept input ``name``; if it is missing, ``make()`` or else its
+        ``INPUTS`` read, kept first."""
         if name not in self._inputs:
-            self._inputs[name] = make()
+            self._inputs[name] = make() if make else _read_artifact(self.path(name), INPUTS[name][1])
         return self._inputs[name]
-
-    def _input(self, name: str, path: Path, read: Callable[[Path], object]):
-        return self.get(name, lambda: _read_artifact(path, read))
-
-    @property
-    def queries(self) -> QueryLog:
-        return self._input("queries", DatasetPaths.in_dir(dataset_dir(self.out)).queries, load_queries)
-
-    @property
-    def visit_log(self) -> tuple[VisitLog, dict[str, RestaurantRecord]]:
-        """The visits and the registry by restaurant id."""
-        return self._input("visit_log", dataset_dir(self.out), lambda d: load_visit_log(DatasetPaths.in_dir(d)))
-
-    @property
-    def background_inspections(self) -> tuple[InspectionRecord, ...]:
-        return self._input(
-            "background_inspections", DatasetPaths.in_dir(dataset_dir(self.out)).inspections, load_inspections
-        )
-
-    @property
-    def truth(self) -> GroundTruth:
-        return self._input("truth", private_dir(self.out) / GROUND_TRUTH_FILE, load_ground_truth)
-
-    @property
-    def model(self):
-        return self._input("model", self.out / MODEL_FILE, load_model)
-
-    @property
-    def world(self) -> World:
-        return self._input("world", private_dir(self.out) / WORLD_FILE, load_world_recipe)
-
-    @property
-    def links(self) -> tuple[ExposureLink, ...]:
-        return self._input(
-            "links",
-            self.out / LINKS_CSV,
-            lambda p: tuple(report_mod.read_csv(p, LINKS_HEADER, _parse_link)[1]),
-        )
-
-    @property
-    def daily_rows(self) -> tuple[tuple, ...]:
-        return self._input(
-            "daily_rows",
-            self.out / report_mod.DAILY_LISTS_CSV,
-            lambda p: tuple(report_mod.read_csv(p, report_mod.DAILY_LIST_HEADER, _parse_daily_row)[1]),
-        )
-
-    @property
-    def all_inspections(self) -> tuple[InspectionRecord, ...]:
-        return self._input("all_inspections", self.out / ALL_INSPECTIONS_CSV, load_inspections)
 
 
 # --- pure compute steps ------------------------------------------------------
@@ -361,7 +337,7 @@ class ReleasedRows(Columns):
 @dataclass(frozen=True)
 class DailyOutputs:
     released_rows: ReleasedRows  # released_aggregates.csv rows
-    daily_rows: tuple[tuple, ...]  # daily_lists.csv rows (the shortlists)
+    daily_rows: tuple[tuple, ...]  # daily_lists.csv rows: listed cells' released rows, less the suppressed flag
 
 
 def compute_daily_lists(
@@ -370,52 +346,51 @@ def compute_daily_lists(
     registry: dict[str, RestaurantRecord],
     links: tuple[ExposureLink, ...],
 ) -> DailyOutputs:
-    """Per-day aggregation over a trailing window, privacy release, ranking,
-    and per-city shortlist selection with a listing cooldown."""
-    cities = tuple(registry[rid].city for rid in visits.restaurants)
-    risks = tuple(registry[rid].risk_level.value for rid in visits.restaurants)
-    dates: list[str] = []
-    released: list[RestaurantCells] = []
-    daily_rows: list[tuple] = []
-    last_listed: dict[str, int] = {}
+    """Per-day aggregation over a trailing window and privacy release into
+    one table of released rows; then, from that table alone, per-city
+    shortlists with a listing cooldown. Each list row is its cell's released
+    row without the suppressed flag, so the lists are post-processing of the
+    release."""
     windows = [
         Period(max(0, (day + 1 - config.locmodel.agg_window_days) * DAY_S), (day + 1) * DAY_S)
         for day in range(config.days)
     ]
-    for day, aggregates in enumerate(sliding_aggregates(visits, links, windows)):
-        dates.append(day_to_date(day + 1).isoformat())  # delivered next morning
-        cells = release(aggregates, config.privacy, derive_seed(config.seed, "privacy", day))
-        released.append(cells)
-
-        if day < config.cli.warmup_days:  # too little data for confident lists
-            continue
-        listable = np.flatnonzero(~cells.suppressed)
-        ranked = listable[rank_restaurants(cells.visitors[listable], cells.signal[listable], config.locmodel)]
-        per_city: dict[str, int] = {}
-        for at in ranked.tolist():
-            code = cells.restaurant[at]
-            rid, city = visits.restaurants[code], cities[code]
-            if rid in last_listed and day - last_listed[rid] < config.cli.cooldown_days:
-                continue
-            if per_city.get(city, 0) >= config.cli.max_daily_inspections:
-                continue
-            per_city[city] = per_city.get(city, 0) + 1
-            last_listed[rid] = day
-            cell = cells.cell(at)
-            daily_rows.append(
-                (dates[day], rid, city, risks[code], cell.visitors, cell.affected, cell.proportion, cell.signal)
-            )
+    released = [
+        release(aggregates, config.privacy, derive_seed(config.seed, "privacy", day))
+        for day, aggregates in enumerate(sliding_aggregates(visits, links, windows))
+    ]
 
     def stacked(column: str) -> np.ndarray:
         return np.concatenate([getattr(cells, column) for cells in released] or [np.zeros(0, dtype=np.int64)])
 
-    released_rows = ReleasedRows(
-        dates,
-        (visits.restaurants, cities, risks),
+    rows = ReleasedRows(
+        [day_to_date(day + 1).isoformat() for day in range(len(released))],  # delivered next morning
+        (
+            visits.restaurants,
+            tuple(registry[rid].city for rid in visits.restaurants),
+            tuple(registry[rid].risk_level.value for rid in visits.restaurants),
+        ),
         np.repeat(np.arange(len(released)), [len(cells) for cells in released]),
         *map(stacked, ("restaurant", "suppressed", "visitors", "affected", "proportion", "signal")),
     )
-    return DailyOutputs(released_rows=released_rows, daily_rows=tuple(daily_rows))
+    _, cities, _ = rows.records
+    spans = np.searchsorted(rows.day, np.arange(len(rows.dates) + 1))  # each day's rows
+    listed: list[int] = []
+    last_listed: dict[int, int] = {}  # restaurant code -> the day it was last listed
+    for day in range(config.cli.warmup_days, len(rows.dates)):  # no lists before: too little data
+        listable = spans[day] + np.flatnonzero(~rows.suppressed[spans[day] : spans[day + 1]])
+        ranked = listable[rank_restaurants(rows.visitors[listable], rows.signal[listable], config.locmodel)]
+        per_city: dict[str, int] = {}
+        for at, code in zip(ranked.tolist(), rows.restaurant[ranked].tolist()):
+            city = cities[code]
+            if code in last_listed and day - last_listed[code] < config.cli.cooldown_days:
+                continue
+            if per_city.get(city, 0) >= config.cli.max_daily_inspections:
+                continue
+            per_city[city] = per_city.get(city, 0) + 1
+            last_listed[code] = day
+            listed.append(at)
+    return DailyOutputs(released_rows=rows, daily_rows=tuple(rows[at][:-1] for at in listed))
 
 
 def compute_finder_inspections(
@@ -531,19 +506,16 @@ def stage_simulate(config: RunConfig, out: Path | Run) -> None:
 
 def stage_train(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
-    labeled, model = compute_model(config, run.queries)
+    labeled, model = compute_model(config, run.get("queries"))
     save_model(model, run.out / MODEL_FILE)
     run.keep(model=model, labeled=labeled)
 
 
 def stage_eval_wsm(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
-    queries, model, truth = run.queries, run.model, run.truth
+    queries, model, truth = run.get("queries"), run.get("model"), run.get("truth")
     if len(truth.query_labels) != len(queries):
-        raise DataFormatError(
-            f"{private_dir(run.out) / GROUND_TRUTH_FILE}: "
-            f"{len(truth.query_labels)} query labels for {len(queries)} queries"
-        )
+        raise DataFormatError(f"{run.path('truth')}: {len(truth.query_labels)} query labels for {len(queries)} queries")
     labeled = run.get("labeled", lambda: compute_weak_labels(config, queries))
     metrics = compute_wsm_evaluation(config, queries, truth, model, labeled.texts())
     run.release("truth", "labeled")
@@ -560,8 +532,8 @@ def compute_weak_labels(config: RunConfig, queries: QueryLog) -> LabeledSet:
 
 def stage_rank(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
-    visits, registry = run.visit_log
-    scored, links = compute_exposures(config, run.queries, visits, run.model)
+    visits, registry = run.get("visit_log")
+    scored, links = compute_exposures(config, run.get("queries"), visits, run.get("model"))
     # Neither the rest of this stage nor a later one reads the query log or
     # the model, and the daily lists, where this stage peaks, reuse the
     # memory they free.
@@ -577,27 +549,27 @@ def stage_rank(config: RunConfig, out: Path | Run) -> None:
 
 def stage_inspect(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
-    finder = compute_finder_inspections(config, run.world, run.daily_rows)
+    finder = compute_finder_inspections(config, run.get("world"), run.get("daily_rows"))
     write_inspections(finder, run.out / FINDER_INSPECTIONS_CSV)
-    combined = tuple(sorted(run.background_inspections + finder, key=lambda r: r.date))
+    combined = tuple(sorted(run.get("background_inspections") + finder, key=lambda r: r.date))
     write_inspections(combined, run.out / ALL_INSPECTIONS_CSV)
     run.keep(all_inspections=combined)
 
 
 def stage_evaluate(config: RunConfig, out: Path | Run) -> None:
     run = Run.of(out)
-    visits, registry = run.visit_log
-    links = run.links
+    visits, registry = run.get("visit_log")
+    links = run.get("links")
     ranks = recency_ranks(visits, links, config.locmodel.window_s)
     wrong = np.flatnonzero(ranks != np.array([link.recency_rank for link in links], dtype=np.int64))
     if len(wrong):
         link, rank = links[wrong[0]], ranks[wrong[0]]
         raise DataFormatError(
-            f"{run.out / LINKS_CSV}: link {link.user_id},{link.restaurant_id},{link.visit_exit_ts} has recency rank "
+            f"{run.path('links')}: link {link.user_id},{link.restaurant_id},{link.visit_exit_ts} has recency rank "
             f"{link.recency_rank}, but the visit log ranks it {rank}"
             + ("" if rank else ": it names no qualifying visit")
         )
-    for name, header, rows in compute_evaluation_tables(config, visits, registry, run.all_inspections, links):
+    for name, header, rows in compute_evaluation_tables(config, visits, registry, run.get("all_inspections"), links):
         report_mod.write_csv(run.out / name, header, rows)
 
 

@@ -371,6 +371,41 @@ def test_query_log_yields_what_the_object_loader_gives(tmp_path_factory, events)
         assert len(set(table)) == len(table)
 
 
+# two values per content field, so that contents repeat and many pairs of
+# them differ in one field, or in one page more or less
+TWO = st.sampled_from(["", "a"])
+REPEATED_CONTENTS = st.lists(
+    st.builds(
+        QueryEvent,
+        st.just("u1"),
+        st.integers(0, 3),
+        TWO,
+        st.lists(
+            st.builds(ResultPage, TWO, TWO, TWO, st.sampled_from([frozenset(), frozenset("a")]), st.booleans(), DWELLS),
+            max_size=3,
+        ).map(tuple),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(query_logs(), repetitive_query_logs(), REPEATED_CONTENTS))
+def test_distinct_contents_are_first_events_of_each_content(events):
+    # an event's content is its text and its pages' url, title, snippet and
+    # tags in order; clicks and dwell times are not part of it
+    log = QueryLog.of(events)
+    first_event: dict[tuple, int] = {}
+    contents = []
+    for i, event in enumerate(log):
+        content = (event.text, tuple((p.url, p.title, p.snippet, p.concept_tags) for p in event.results))
+        first_event.setdefault(content, i)
+        contents.append(content)
+    first, rows = log.distinct_contents()
+    assert first.tolist() == list(first_event.values())
+    assert [list(first_event)[row] for row in rows.tolist()] == contents
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(

@@ -5,6 +5,7 @@ import json
 import math
 import shutil
 import sys
+from collections import Counter
 from dataclasses import fields
 from datetime import date as Date
 from pathlib import Path
@@ -878,6 +879,28 @@ def test_run_never_reads_the_dataset_back(monkeypatch, tmp_path):
         monkeypatch.setattr(pipeline, loader, lambda path, name=loader: calls.append(name))
     run_pipeline(small_config(), tmp_path)
     assert calls == []  # simulate keeps the streams and ground truth it wrote for the later stages
+
+
+def test_stages_run_alone_read_through_pipeline_loader_names(monkeypatch, tmp_path, small_run):
+    # a stage command gets a fresh run, which reads each input through the
+    # loader that pipeline's name holds when it runs: the benchmark tracer
+    # counts reads by wrapping those names
+    out = tmp_path / "run"
+    shutil.copytree(small_run[0], out)
+    calls = Counter()
+    for loader in ("load_queries", "load_model", "load_ground_truth", "load_visit_log", "load_inspections"):
+        real = getattr(pipeline, loader)
+        monkeypatch.setattr(pipeline, loader, lambda path, real=real, name=loader: calls.update([name]) or real(path))
+    expected = {
+        "eval-wsm": {"load_queries": 1, "load_model": 1, "load_ground_truth": 1},
+        "inspect": {"load_inspections": 1},  # the background inspections
+        "evaluate": {"load_visit_log": 1, "load_inspections": 1},  # all inspections
+    }
+    args = ["--out", str(out), "--seed", "5"] + [f"--set={kv}" for kv in SMALL]
+    for command, reads in expected.items():
+        calls.clear()
+        assert cli_main([command] + args) == 0
+        assert calls == reads, command
 
 
 def test_run_builds_no_event_objects(monkeypatch, tmp_path):

@@ -42,7 +42,7 @@ def test_script_runs_at_small_size(script, args):
 
 
 STAGE_COSTS_PROBE = """
-import importlib.util, json, subprocess, sys
+import importlib.util, json, os, subprocess, sys, tempfile
 
 spec = importlib.util.spec_from_file_location("stage_costs", sys.argv[1])
 stage_costs = importlib.util.module_from_spec(spec)
@@ -51,21 +51,25 @@ seen = []
 real_popen = subprocess.Popen
 
 
-def popen(cmd, env, **kwargs):  # records the stage's environment, runs nothing
+def popen(cmd, env, **kwargs):  # records the stage's environment, writes 3 MiB as the stage's artifacts
     seen.append({name: env.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
-    return real_popen([sys.executable, "-c", "pass"], env=env, **kwargs)
+    write = "import sys; open(sys.argv[1], 'wb').write(bytes(2**20)); open(sys.argv[2], 'wb').write(bytes(2**21))"
+    return real_popen([sys.executable, "-c", write, out + "/a", out + "/sub/b"], env=env, **kwargs)
 
 
-stage_costs.subprocess.Popen = popen
-cost = stage_costs.run_stage("simulate", "unused", [])
+with tempfile.TemporaryDirectory() as out:
+    os.mkdir(out + "/sub")
+    stage_costs.subprocess.Popen = popen
+    cost = stage_costs.run_stage("simulate", out, [])
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "foodwatch"))
-print(json.dumps({"exit": cost["exit"], "env": seen, "loaded": loaded}))
+print(json.dumps({"exit": cost["exit"], "dir_mb": cost["dir_mb"], "env": seen, "loaded": loaded}))
 """
 
 
 def test_stage_costs_runs_each_stage_on_one_blas_thread():
     # the launcher's own environment asks for four threads; the stage gets one,
-    # as the benchmark's stages do, and the launcher loads no foodwatch or numpy
+    # as the benchmark's stages do, and the launcher loads no foodwatch or
+    # numpy; the stage's line gives the size of every file it left, nested too
     env = dict(os.environ, OPENBLAS_NUM_THREADS="4", OMP_NUM_THREADS="4", MKL_NUM_THREADS="4")
     done = subprocess.run(
         [sys.executable, "-c", STAGE_COSTS_PROBE, str(ROOT / "scripts" / "stage_costs.py")],
@@ -76,4 +80,4 @@ def test_stage_costs_runs_each_stage_on_one_blas_thread():
     )
     assert done.returncode == 0, done.stderr
     one = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    assert json.loads(done.stdout) == {"exit": 0, "env": [one], "loaded": []}
+    assert json.loads(done.stdout) == {"exit": 0, "dir_mb": 3.0, "env": [one], "loaded": []}
